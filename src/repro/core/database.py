@@ -296,16 +296,13 @@ class Database:
 
     def __init__(self, path: str, pool_size: int = 256,
                  durability: str = "full",
-                 concurrent_triggers: bool = False,
                  shards: Optional[int] = None):
         """Open (creating if absent) the database stored at *path*.
 
         *durability* selects the commit fsync policy: ``"full"`` (fsync
         every commit), ``"group"`` (group commit — one fsync per batch)
         or ``"none"`` (only checkpoints fsync). See
-        :mod:`repro.storage.wal`. With *concurrent_triggers* fired
-        trigger actions of one commit run in parallel threads (each is an
-        independent transaction either way). *shards* splits the storage
+        :mod:`repro.storage.wal`. *shards* splits the storage
         across N hash-ranged shards when the database is first created
         (``REPRO_SHARDS`` applies when omitted; an existing database
         keeps its creation-time count) — see
@@ -349,7 +346,6 @@ class Database:
         self._cache_lock = threading.RLock()
         #: Per-thread open transaction + deferred-dirty map.
         self._session = _Session()
-        self.concurrent_triggers = concurrent_triggers
         self._clock: float = float(
             self.store.catalog.get_meta("clock", 0.0))
         self._clock_dirty = False
@@ -954,45 +950,21 @@ class Database:
         it: the failing action's *own* transaction is aborted, the rest
         of the queue still runs, and a :class:`TriggerActionError`
         carrying every action's outcome is raised at the end if anything
-        failed. With :attr:`concurrent_triggers` each breadth-first wave
-        runs in parallel threads.
+        failed.
         """
         queue = deque(fired)
         results: List[Tuple[str, Optional[BaseException]]] = []
         steps = 0
         while queue:
-            if self.concurrent_triggers and len(queue) > 1:
-                wave = list(queue)
-                queue.clear()
-                steps += len(wave)
-                if steps > MAX_TRIGGER_CASCADE:
-                    raise TransactionError(
-                        "trigger cascade exceeded %d actions"
-                        % MAX_TRIGGER_CASCADE)
-                outcomes: List = [None] * len(wave)
-
-                def _runner(i: int, action: FiredAction) -> None:
-                    outcomes[i] = self._run_one_action(action)
-
-                threads = [threading.Thread(target=_runner, args=(i, a))
-                           for i, a in enumerate(wave)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                for action, (follow, exc) in zip(wave, outcomes):
-                    queue.extend(follow)
-                    results.append((action.description, exc))
-            else:
-                steps += 1
-                if steps > MAX_TRIGGER_CASCADE:
-                    raise TransactionError(
-                        "trigger cascade exceeded %d actions"
-                        % MAX_TRIGGER_CASCADE)
-                action = queue.popleft()
-                follow, exc = self._run_one_action(action)
-                queue.extend(follow)
-                results.append((action.description, exc))
+            steps += 1
+            if steps > MAX_TRIGGER_CASCADE:
+                raise TransactionError(
+                    "trigger cascade exceeded %d actions"
+                    % MAX_TRIGGER_CASCADE)
+            action = queue.popleft()
+            follow, exc = self._run_one_action(action)
+            queue.extend(follow)
+            results.append((action.description, exc))
         failed = [desc for desc, exc in results if exc is not None]
         if failed:
             raise TriggerActionError(
@@ -1903,11 +1875,12 @@ class Database:
                 if current not in chain:
                     current = chain[-1]
                 if chain != head["chain"] or current != head["current"]:
-                    self.store.put(txn, cluster, (serial, 0),
-                                   {"__key": [serial, 0],
-                                    "current": current, "chain": chain})
-                    head["current"] = current
-                    head["chain"] = chain
+                    # A fresh dict: scanned records may be shared with
+                    # the store's decoded-page cache.
+                    head = heads[serial] = {"__key": [serial, 0],
+                                            "current": current,
+                                            "chain": chain}
+                    self.store.put(txn, cluster, (serial, 0), head)
                     chains_fixed += 1
                 for version in have - set(chain):
                     self.store.delete(txn, cluster, (serial, version))
@@ -2076,7 +2049,7 @@ class Database:
             except OSError:
                 pass  # an unwritable sidecar must not block close()
         # store.close() quiesces the scan gate before its final
-        # checkpoint: in-flight shard-parallel scans drain first and
+        # checkpoint: in-flight scans drain first and
         # late-arriving scans fail cleanly instead of racing the page
         # files closing. (The stats flush above must run *before* the
         # quiesce — its commit may evaluate triggers, which scan.)

@@ -17,10 +17,10 @@ paths. Two techniques make that work:
   costs zero extra work on the hot path.
 
 Histograms keep per-bucket plain-int counts guarded by a per-histogram
-lock: the updates are read-modify-write (not GIL-atomic), and since the
-sharded parallel scan path observations can arrive from worker threads
-that hold no component lock, so exactness needs the lock. It is
-uncontended on single-threaded paths.
+lock: the updates are read-modify-write (not GIL-atomic), and
+observations can arrive from concurrent client threads that hold no
+component lock, so exactness needs the lock. It is uncontended on
+single-threaded paths.
 """
 
 from __future__ import annotations
@@ -81,11 +81,11 @@ class Histogram:
 
     ``observe()`` takes a small per-histogram lock. The bucket/count/sum
     updates are read-modify-write on plain ints and floats — *not*
-    GIL-atomic like ``Counter.inc`` — and since the sharded parallel
-    scan path (ISSUE 8) observations arrive from pool worker threads
-    that hold no component lock, so the old "call sites already hold a
-    lock" contract no longer holds. The lock is uncontended on every
-    single-threaded path and costs a few hundred ns when it is not.
+    GIL-atomic like ``Counter.inc`` — and observations arrive from
+    concurrent client threads that hold no component lock, so there is
+    no "call sites already hold a lock" contract to lean on. The lock is
+    uncontended on every single-threaded path and costs a few hundred ns
+    when it is not.
     """
 
     __slots__ = ("name", "labels", "buckets", "counts", "count", "sum",

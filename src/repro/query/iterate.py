@@ -264,14 +264,7 @@ class Forall:
         root = tracer.root
         if _codegen.would_run(self):
             root.detail += ", interpreted fallback (tracing)"
-        detail = plan.describe()
-        if (db is not None and isinstance(plan, FullScan)
-                and db.store.n_shards > 1):
-            # Full scans on a sharded store fan out across the parallel
-            # shard executor (see repro.storage.parallel); surface that
-            # in the trace so EXPLAIN ANALYZE shows where the time went.
-            detail += ", parallel over %d shards" % db.store.n_shards
-        scan = root.child("scan", detail)
+        scan = root.child("scan", plan.describe())
         with tracer.measure(root):
             with tracer.measure(scan):
                 rows = list(plan.execute(span=scan))

@@ -293,39 +293,6 @@ class HeapFile:
                 out[i] = (rid, self._read_overflow_chain(first_ovf, total))
         return out, slot_count, next_page, page_lsn
 
-    def scan_batches(self):
-        """Page-at-a-time scan: yield ``(page_no, page_lsn, records, start)``.
-
-        *records* is the :meth:`read_page_records` list for slots
-        ``[start, slot_count)``. Costs ~2 pins per page (the batch read
-        plus one re-check) instead of one pin per slot, and issues
-        readahead for the pages ahead of the cursor.
-
-        The fixpoint property (records inserted behind the cursor during
-        iteration are visited) survives batching because of the re-check:
-        after the consumer processes a batch, the page is read again from
-        the previous high-water slot, so same-page inserts made while the
-        batch was being consumed show up as a follow-up batch, and the
-        chain pointer is re-read each pass so newly grown tail pages are
-        walked too.
-        """
-        page_no = self._first_page
-        span_lo = span_hi = -1  # last readahead window
-        while page_no != NO_PAGE:
-            if not span_lo <= page_no < span_hi:
-                self._pool.prefetch(page_no, self.READAHEAD)
-                span_lo, span_hi = page_no, page_no + self.READAHEAD
-            start = 0
-            while True:
-                records, slot_count, next_page, lsn = \
-                    self.read_page_records(page_no, start)
-                if slot_count <= start:
-                    break
-                if records:
-                    yield page_no, lsn, records, start
-                start = slot_count
-            page_no = next_page
-
     def count(self) -> int:
         """Number of live records (scans the file)."""
         return sum(1 for _ in self.scan())

@@ -57,6 +57,7 @@ from .hashindex import HashIndex
 from .heap import RID, HeapFile
 from .journal import Journal
 from .locks import LockManager
+from .page import NO_PAGE
 from .pagefile import PageFile
 from .recovery import RecoveryReport, recover
 from .sharding import (MAX_SHARDS, ShardedPool, ShardJournal, ShardView,
@@ -65,9 +66,6 @@ from .wal import WriteAheadLog
 
 #: Shard count at creation when the ``shards=`` parameter is not given.
 ENV_SHARDS = "REPRO_SHARDS"
-#: Worker threads for the parallel shard scan (default: one per shard,
-#: capped at the core count; ``1`` forces the serial path).
-ENV_SCAN_WORKERS = "REPRO_SCAN_WORKERS"
 
 
 class Store:
@@ -166,7 +164,7 @@ class Store:
         #: scans; entries self-invalidate on LSN mismatch (LSNs are
         #: globally monotone, even across WAL truncation, so a stale
         #: entry can never match a rewritten page). Guarded by its own
-        #: leaf lock so parallel scan workers share it without touching
+        #: leaf lock so concurrent client scans share it without touching
         #: the metadata latch.
         self._page_cache: "OrderedDict[int, tuple]" = OrderedDict()
         self._pc_lock = threading.Lock()
@@ -193,8 +191,8 @@ class Store:
         self._quiesced = False
         #: Scans started per shard (metric ``shard.scans{shard=...}``).
         #: ``itertools.count`` objects, not plain ints: concurrent scans
-        #: of the *same* shard bump the same slot from different threads
-        #: (the parallel executor's workers hold no lock here), and a
+        #: of the *same* shard bump the same slot from different client
+        #: threads (scans hold no lock here), and a
         #: list-element ``+=`` is a read-modify-write that loses updates
         #: under the GIL. ``next()`` is one C call, so it never does.
         self._shard_scans = [itertools.count()
@@ -209,17 +207,6 @@ class Store:
         #: tolerates.
         self.track_access = False
         self._access_counts: Dict[Tuple[str, Any], int] = {}
-        raw_workers = os.environ.get(ENV_SCAN_WORKERS, "")
-        try:
-            workers = int(raw_workers)
-        except ValueError:
-            workers = 0
-        if workers <= 0:
-            # Default: one worker per shard, but never more threads than
-            # cores — on a single-core host the executor's handoff
-            # overhead can only lose, so the scan stays serial there.
-            workers = min(self._n_shards, os.cpu_count() or 1)
-        self._scan_worker_count = workers
         self._closed = False
         # Components keep their plain-int counters (bumped under their
         # existing locks) and the registry samples them lazily — absorbing
@@ -683,17 +670,13 @@ class Store:
 
     # -- scan/vacuum gate --------------------------------------------------------
 
-    def _scan_enter(self, force: bool = False) -> None:
+    def _scan_enter(self) -> None:
         """Register this thread as a chain walker.
 
         A pending maintenance rewrite (vacuum/recluster) blocks *new*
         walkers until it commits — without that priority, back-to-back
         scans starve :meth:`_maintenance_begin` forever. Re-entrant
-        admission (this thread already walks) always passes, and
-        *force=True* lets the parallel executor's worker threads in under
-        their consumer's admission (the consumer is registered for the
-        whole parallel scan; blocking its workers would deadlock it
-        against the waiting vacuum).
+        admission (this thread already walks) always passes.
         """
         ident = threading.get_ident()
         with self._scan_gate:
@@ -701,14 +684,13 @@ class Store:
                 # The store is closing: failing cleanly here beats a page
                 # read racing the final checkpoint or a closed file.
                 raise StorageError("store is shutting down; scan refused")
-            if not force:
-                while (self._maint_waiters
-                       and not self._scan_readers.get(ident)):
-                    self._scan_gate.wait(timeout=1.0)
-                    if (self._quiesced
-                            and not self._scan_readers.get(ident)):
-                        raise StorageError(
-                            "store is shutting down; scan refused")
+            while (self._maint_waiters
+                   and not self._scan_readers.get(ident)):
+                self._scan_gate.wait(timeout=1.0)
+                if (self._quiesced
+                        and not self._scan_readers.get(ident)):
+                    raise StorageError(
+                        "store is shutting down; scan refused")
             self._scan_readers[ident] = self._scan_readers.get(ident, 0) + 1
 
     def _scan_exit(self) -> None:
@@ -746,8 +728,7 @@ class Store:
     def quiesce(self, timeout: float = 10.0) -> bool:
         """Drain in-flight chain walks and refuse new ones (close path).
 
-        Returns once no *other* thread is inside a scan (shard-parallel
-        scans count their consumer *and* workers here), or after
+        Returns once no *other* thread is inside a scan, or after
         *timeout* seconds — a paused scan iterator held by application
         code must not hang ``close()`` forever, so the drain is
         best-effort-with-deadline. Either way the store is marked
@@ -770,79 +751,73 @@ class Store:
     def scan(self, cluster: str) -> Iterator[Tuple[RID, Dict]]:
         """Yield ``(rid, data)`` for every object in *cluster*.
 
-        The object layer embeds its own key in the payload, so the RID is
-        informational. Objects inserted behind the scan cursor during the
-        iteration are visited — the property the paper's fixpoint queries
-        require (section 3.2). Shards are walked in order.
+        :meth:`scan_batches` flattened to one record at a time; the same
+        fixpoint property holds. The object layer embeds its own key in
+        the payload, so the RID is informational. The dicts may be shared
+        with the decoded-page cache: treat them as read-only.
         """
-        # Enter the gate before resolving structures: a vacuum that was
-        # admitted first swaps the caches before letting us through, so
-        # the heaps we resolve can never be mid-retirement.
-        self._scan_enter()
-        try:
-            heaps = self._all_heaps(cluster)
-            # The heap scan pins (and thereby latches) per record advance
-            # and never holds a pin across a yield, so concurrent mutators
-            # only ever see the scan between records.
-            for sid, heap in enumerate(heaps):
-                next(self._shard_scans[sid])
-                for rid, raw in heap.scan():
-                    yield rid, decode_value(raw)
-        finally:
-            self._scan_exit()
+        for batch in self.scan_batches(cluster):
+            yield from batch
 
     def scan_batches(self, cluster: str) -> Iterator[List[Tuple[RID, Dict]]]:
         """Yield page-at-a-time batches of ``(rid, data)`` for *cluster*.
 
-        The batched counterpart of :meth:`scan`: ~2 pins per page instead
-        of one per slot, heap readahead ahead of the cursor, and a bounded
-        decoded-page cache keyed on the page LSN so a re-scan of an
-        unchanged page skips both the slot reads and ``decode_value``
-        entirely. The fixpoint property holds: each page is re-checked
-        after its batch is consumed, so records inserted behind the cursor
-        (same page or grown tail pages) are still visited.
+        ~2 pins per page instead of one per slot, heap readahead ahead of
+        the cursor, and a bounded decoded-page cache keyed on the page
+        LSN so a re-scan of an unchanged page skips both the slot reads
+        and ``decode_value`` entirely.
 
-        On a multi-shard store the shards' page walks fan out across a
-        worker pool (see :mod:`repro.storage.parallel`) and batches merge
-        back in shard order, with a serial fixpoint re-check after the
-        workers drain; a single-shard store takes the plain serial path.
+        Objects inserted behind the cursor during the iteration are
+        still visited — the property the paper's fixpoint queries require
+        (section 3.2). Within one shard's chain each page is re-checked
+        after its batch is consumed; across shards the walk is
+        shard-major, so an insert that routes to an already-walked shard
+        lands behind that shard's cursor. The walk therefore repeats in
+        rounds, each resuming every shard from where its last walk
+        stopped, until a whole round yields nothing.
         """
-        # Gate before structure resolution, as in :meth:`scan`.
+        # Enter the gate before resolving structures: a vacuum that was
+        # admitted first swaps the caches before letting us through, so
+        # the heaps we resolve can never be mid-retirement. The slot is
+        # held across every round, so the chains cannot be freed between
+        # one round and the next.
         self._scan_enter()
         try:
             heaps = self._all_heaps(cluster)
-            if len(heaps) > 1 and self._scan_worker_count > 1:
-                from .parallel import parallel_scan_batches
-                yield from parallel_scan_batches(self, heaps)
-                return
-            pool = self._pool
-            readahead = HeapFile.READAHEAD
-            from .page import NO_PAGE
-            for sid, heap in enumerate(heaps):
-                next(self._shard_scans[sid])
-                yield from self._scan_batches_inner(heap, pool, readahead,
-                                                    NO_PAGE)
+            #: per shard: [page_no, consumed_slots] resume position.
+            cursors = [[heap.first_page, 0] for heap in heaps]
+            for counter in self._shard_scans:
+                next(counter)
+            grew = True
+            while grew:
+                grew = False
+                for heap, cursor in zip(heaps, cursors):
+                    for batch in self._scan_batches_inner(heap, cursor):
+                        grew = True
+                        yield batch
         finally:
             self._scan_exit()
 
-    def _scan_batches_inner(self, heap, pool, readahead, NO_PAGE,
-                            start_page=None, start_slot=0, final_pos=None):
-        """One heap's batched page walk.
+    def _scan_batches_inner(self, heap: HeapFile, cursor: list):
+        """One heap's batched page walk from *cursor* to the chain's end.
 
-        *start_page*/*start_slot* resume a previous walk (the parallel
-        executor's fixpoint re-check); *final_pos*, when given, is a
-        2-slot list updated in place with the cursor's last position
-        ``[page_no, consumed_slots]`` so the walk can be resumed later.
+        *cursor* is ``[page_no, consumed_slots]`` and is advanced in
+        place as pages are finished, so calling again with the same list
+        resumes where this walk stopped. It never advances past the last
+        page that held a slot: heap growth links whole extents and fills
+        them front to back, so the empty pages trailing the cursor are
+        exactly where the next inserts land.
         """
-        page_no = heap.first_page if start_page is None else start_page
-        resume_slot = start_slot
-        span_lo = span_hi = -1
+        pool = self._pool
+        readahead = HeapFile.READAHEAD
+        page_no, start = cursor
+        # A resumed walk's cursor page was read ahead when first reached.
+        span_lo = page_no
+        span_hi = page_no + readahead if start else page_no
         while page_no != NO_PAGE:
             if not span_lo <= page_no < span_hi:
                 pool.prefetch(page_no, readahead)
                 span_lo, span_hi = page_no, page_no + readahead
-            start = resume_slot
-            resume_slot = 0
             while True:
                 # Header peek: one (cold) pin tells us whether the cached
                 # decode is current before we touch any slot.
@@ -881,10 +856,11 @@ class Store:
                 if decoded:
                     yield decoded
                 start = slot_count2
-            if final_pos is not None:
-                final_pos[0] = page_no
-                final_pos[1] = start
+            if start:
+                cursor[0] = page_no
+                cursor[1] = start
             page_no = next_page
+            start = 0
 
     def count(self, cluster: str) -> int:
         return sum(heap.count() for heap in self._all_heaps(cluster))
@@ -1002,17 +978,11 @@ class Store:
         keys to *serials*, not RIDs, so they remain valid and are not
         rebuilt.
 
-        On a multi-shard store the per-shard rewrites run in parallel
-        worker threads, each as its own transaction touching only its
-        shard; the parent transaction then swaps the catalog record and
-        frees the old pages, so a crash anywhere leaks pages but never
-        loses an object.
-
-        Runs as its own transaction; returns ``{"objects": n, "pages_freed"
-        : m}``.
+        Runs as one transaction of its own, whatever the shard count:
+        the rewrites, the catalog swap and the page frees commit (or roll
+        back) together. Returns ``{"objects": n, "pages_freed": m}``.
         """
-        import time as _time
-        started = _time.perf_counter()
+        started = time.perf_counter()
         txn = self.begin()
         # Take the cluster exclusively *before* latching (the lock can
         # block; the latch must not be held while it does), so concurrent
@@ -1027,12 +997,13 @@ class Store:
         try:
             try:
                 with self.latch:
-                    if self._router is None:
-                        moved, old_pages = self._vacuum_shard_locked(
-                            txn, cluster, 0)
-                    else:
-                        moved, old_pages = self._vacuum_sharded_locked(
-                            txn, cluster)
+                    moved = 0
+                    old_pages: List[int] = []
+                    for shard in range(self._n_shards):
+                        n, pages = self._vacuum_shard_locked(
+                            txn, cluster, shard)
+                        moved += n
+                        old_pages += pages
             except BaseException:
                 self.abort(txn)
                 raise
@@ -1041,16 +1012,18 @@ class Store:
             self._maintenance_end()
         self.events.emit("vacuum", cluster=cluster, objects=moved,
                          pages_freed=len(old_pages),
-                         ms=(_time.perf_counter() - started) * 1e3)
+                         ms=(time.perf_counter() - started) * 1e3)
         return {"objects": moved, "pages_freed": len(old_pages)}
 
-    def _vacuum_shard_locked(self, txn: int, cluster: str,
-                             shard: int) -> Tuple[int, List[int]]:
+    def _vacuum_shard_locked(self, txn: int, cluster: str, shard: int,
+                             hot_rank: Optional[Dict[Any, int]] = None
+                             ) -> Tuple[int, List[int]]:
         """Rewrite one shard of *cluster* under *txn*; swap it into the
-        catalog. Caller holds the metadata latch and the cluster X lock."""
+        catalog. Caller holds the metadata latch and the cluster X lock.
+        *hot_rank* is :meth:`_rewrite_shard`'s placement hint."""
         info = self.cluster_info(cluster)
         new_heap, new_directory, moved, old_pages = self._rewrite_shard(
-            txn, cluster, shard, hot_rank=None)
+            txn, cluster, shard, hot_rank)
         info.shards[shard] = [new_heap.first_page,
                               new_directory.directory_page]
         if shard == 0:
@@ -1061,71 +1034,8 @@ class Store:
         self._swap_structs(cluster, shard, new_heap, new_directory)
         return moved, old_pages
 
-    def _vacuum_sharded_locked(self, parent: int,
-                               cluster: str) -> Tuple[int, List[int]]:
-        """Shard-parallel vacuum body (metadata latch + cluster X held).
-
-        Each shard's rewrite runs in its own worker thread as its own
-        committed transaction — shard-local page traffic only, so the
-        workers' latch footprints are disjoint. The *parent* transaction
-        then performs the single catalog swap and schedules every old
-        page for the free list, making the whole vacuum atomic at the
-        catalog level: a crash after some children committed leaks their
-        fresh (unreferenced) pages and nothing else.
-        """
-        info = self.cluster_info(cluster)
-        old = [(self._heap(cluster, sid), self._directory(cluster, sid))
-               for sid in range(self._n_shards)]
-        results: List[Any] = [None] * self._n_shards
-        errors: List[BaseException] = []
-
-        def rewrite(sid: int) -> None:
-            child = self.begin()
-            try:
-                with self._router.latch_of(sid):
-                    new_heap, new_directory, moved, old_pages = \
-                        self._rewrite_shard(child, cluster, sid,
-                                            hot_rank=None,
-                                            structs=old[sid])
-                # Commit outside the shard latch: the journal latch is
-                # ordered before shard latches.
-                self._journal.commit(child)
-                results[sid] = (new_heap, new_directory, moved, old_pages)
-            except BaseException as exc:
-                try:
-                    self._journal.abort(child)
-                except Exception:
-                    pass
-                errors.append(exc)
-
-        threads = [threading.Thread(target=rewrite, args=(sid,),
-                                    name="repro-vacuum-s%d" % sid)
-                   for sid in range(self._n_shards)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        moved = 0
-        old_pages: List[int] = []
-        for sid, (new_heap, new_directory, n, pages) in enumerate(results):
-            info.shards[sid] = [new_heap.first_page,
-                                new_directory.directory_page]
-            moved += n
-            old_pages.extend(pages)
-        info.heap_page, info.directory_page = info.shards[0]
-        self.catalog.save_cluster(parent, info)
-        for page_no in old_pages:
-            self._journal.free_page_deferred(parent, page_no)
-        for sid, (new_heap, new_directory, _n, _pages) in \
-                enumerate(results):
-            self._swap_structs(cluster, sid, new_heap, new_directory)
-        return moved, old_pages
-
     def _rewrite_shard(self, txn: int, cluster: str, shard: int,
-                       hot_rank: Optional[Dict[Any, int]] = None,
-                       structs=None):
+                       hot_rank: Optional[Dict[Any, int]] = None):
         """Copy one shard's live objects into a fresh heap + directory.
 
         Returns ``(new_heap, new_directory, moved, old_pages)`` without
@@ -1136,11 +1046,8 @@ class Store:
         order, which preserves the insertion adjacency the batched scan
         materializer depends on.
         """
-        if structs is None:
-            old_heap = self._heap(cluster, shard)
-            old_directory = self._directory(cluster, shard)
-        else:
-            old_heap, old_directory = structs
+        old_heap = self._heap(cluster, shard)
+        old_directory = self._directory(cluster, shard)
         # Copy in old *physical chain order*, not hash-bucket order:
         # insertion placed related records (an object's head next to its
         # state) adjacently, and the batched scan's materializer depends
@@ -1213,22 +1120,10 @@ class Store:
         try:
             try:
                 with self.latch:
-                    info = self.cluster_info(cluster)
                     hot_rank = {serial: rank
                                 for rank, serial in enumerate(serials)}
-                    new_heap, new_directory, moved, old_pages = \
-                        self._rewrite_shard(txn, cluster, shard,
-                                            hot_rank=hot_rank)
-                    info.shards[shard] = [new_heap.first_page,
-                                          new_directory.directory_page]
-                    if shard == 0:
-                        info.heap_page, info.directory_page = \
-                            info.shards[0]
-                    self.catalog.save_cluster(txn, info)
-                    for page_no in old_pages:
-                        self._journal.free_page_deferred(txn, page_no)
-                    self._swap_structs(cluster, shard, new_heap,
-                                       new_directory)
+                    moved, old_pages = self._vacuum_shard_locked(
+                        txn, cluster, shard, hot_rank)
             except BaseException:
                 self.abort(txn)
                 raise
@@ -1271,7 +1166,6 @@ class Store:
         local page numbers, per file) and ``shards`` holds the per-shard
         breakdown.
         """
-        from .page import NO_PAGE
         per_shard: List[Dict[str, Any]] = []
         with self.latch:
             for sid in range(self._n_shards):
@@ -1305,7 +1199,6 @@ class Store:
         return out
 
     def _pages_of_heap(self, heap: HeapFile) -> List[int]:
-        from .page import NO_PAGE
         pages = []
         page_no = heap.first_page
         while page_no != NO_PAGE:
@@ -1329,7 +1222,6 @@ class Store:
         return pages
 
     def _pages_of_hash(self, index: HashIndex) -> List[int]:
-        from .page import NO_PAGE
         pages = [index.directory_page]
         _, pointers = index._read_directory()
         for bucket in dict.fromkeys(pointers):
@@ -1590,7 +1482,6 @@ class Store:
         ``__key`` yield ``(None, payload)`` so the caller can count them
         as lost.
         """
-        from .page import NO_PAGE
         try:
             info = self.cluster_info(cluster)
             heap = HeapFile(self._shard_journals[shard],
@@ -1694,7 +1585,6 @@ class Store:
         subtrees under an unreadable node are skipped. The result is safe
         to free — a page only appears if a sound pointer led to it.
         """
-        from .page import NO_PAGE
         from . import heap as heap_mod
         pages: List[int] = []
         seen: set = set()
@@ -1779,7 +1669,7 @@ class Store:
         """
         # Drain chain walkers *before* taking the latch (a walker needs
         # the latch to make progress, so waiting under it would deadlock)
-        # and before the final checkpoint below — a shard-parallel scan
+        # and before the final checkpoint below — a client thread's scan
         # still in flight must never race the page files closing.
         self.quiesce()
         with self.latch:

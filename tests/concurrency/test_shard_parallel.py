@@ -1,10 +1,12 @@
-"""Shard-parallel maintenance racing MVCC scans (ISSUE 8).
+"""Sharded-store maintenance racing MVCC scans (ISSUE 8, ISSUE 12).
 
-The contract under test: shard-parallel vacuum and the reclustering
-daemon rewrite heap pages concurrently with snapshot readers, and
-nothing is ever lost — every scan sees a consistent snapshot with the
-full object population, per-shard decoded-page/decoded-object caches
+The contract under test: vacuum and the reclustering daemon rewrite a
+multi-shard store's heap pages while client threads run snapshot scans,
+and nothing is ever lost — every scan sees a consistent snapshot with
+the full object population, per-shard decoded-page/decoded-object caches
 invalidate when their pages move, and writers keep working throughout.
+All concurrency here comes from the client threads the tests start; the
+store itself spawns none.
 """
 
 import threading
@@ -20,13 +22,6 @@ from repro.storage.store import Store
 pytestmark = pytest.mark.concurrency
 
 N_SHARDS = 4
-
-
-@pytest.fixture(autouse=True)
-def force_parallel_scans(monkeypatch):
-    """Pin the executor on: the worker default is capped at the core
-    count, and these races exist to exercise the parallel scan path."""
-    monkeypatch.setenv("REPRO_SCAN_WORKERS", str(N_SHARDS))
 
 
 class Part(OdeObject):
@@ -70,8 +65,8 @@ def run_threads(workers, timeout=120):
 
 class TestScansVersusVacuum:
     def test_mvcc_scans_race_sharded_vacuum(self, sharded_db):
-        """Readers looping full scans while vacuum rewrites all four
-        shards in parallel: every scan observes the full population."""
+        """Reader threads looping full scans while vacuum rewrites all
+        four shards: every scan observes the full population."""
         db = sharded_db
         db.create(Part)
         n = 200
@@ -103,7 +98,7 @@ class TestScansVersusVacuum:
         assert db.verify() == []
 
     def test_store_scans_race_sharded_vacuum_and_writers(self, tmp_path):
-        """Raw store level: batched parallel scans + per-key writers +
+        """Raw store level: concurrent batched scans + per-key writers +
         repeated sharded vacuums; object count never drifts."""
         store = Store(str(tmp_path / "raw.pages"), shards=N_SHARDS)
         txn = store.begin()

@@ -1,8 +1,8 @@
 """Per-shard scan counters stay exact under concurrent scans (ISSUE 9).
 
 The counters used to be plain-int list elements (`scans[sid] += 1`), a
-read-modify-write that loses updates when parallel scan workers and
-application threads bump the same shard concurrently. They are
+read-modify-write that loses updates when application threads scanning
+the same cluster bump the same shard concurrently. They are
 itertools.count objects now (GIL-atomic bumps, same idiom as
 obs.metrics.Counter); these tests pin the exactness.
 """
@@ -71,8 +71,8 @@ class TestShardScanCounters:
         expected = n_threads * n_scans
         assert [a - b for a, b in zip(after, before)] == [expected] * 4
 
-    def test_parallel_batch_scans_count_exactly(self, sharded_db):
-        """The shard-parallel executor bumps from pool worker threads."""
+    def test_concurrent_batch_scans_count_exactly(self, sharded_db):
+        """Batched scans from several client threads bump every shard."""
         n_threads, n_scans = 4, 8
         before = _scan_totals(sharded_db)
 

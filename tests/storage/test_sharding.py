@@ -2,12 +2,16 @@
 persistence, sharded vacuum, reclustering and the stats/metrics surface."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+from repro.core import IntField, OdeObject
 from repro.core.database import Database
 from repro.errors import StorageError
 from repro.storage.catalog import ClusterInfo
+from repro.storage.faults import DIE_EXIT_CODE
 from repro.storage.heap import RID
 from repro.storage.sharding import (LOCAL_MASK, MAX_SHARDS, SHARD_SHIFT,
                                     global_page, local_page, shard_of,
@@ -35,6 +39,30 @@ def fill(store, n=120, cluster="c"):
         serials.append(serial)
     store.commit(txn)
     return serials
+
+
+@pytest.mark.parametrize("seeds", [8, 400])
+@pytest.mark.parametrize("shards", [1, 4])
+def test_scan_fixpoint_across_shards(tmp_path, shards, seeds):
+    """Paper section 3.2: records inserted during a scan are visited,
+    including those that route to a shard the walk already passed. 400
+    seeds grow every shard past its first extent, so inserts land on
+    pages *before* the chain's tail."""
+    s = Store(str(tmp_path / "fix.pages"), shards=shards)
+    fill(s, seeds)
+    seen = []
+    txn = s.begin()
+    for batch in s.scan_batches("c"):
+        for _rid, record in batch:
+            seen.append(record["n"])
+            if record["n"] < seeds:
+                serial = s.allocate_serial(txn, "c")
+                s.put(txn, "c", (serial, 0),
+                      {"__key": [serial, 0], "n": seeds + record["n"]},
+                      new=True)
+    s.commit(txn)
+    assert sorted(seen) == list(range(2 * seeds))
+    s.close()
 
 
 class TestGpid:
@@ -128,31 +156,12 @@ class TestOperations:
         seen = sorted(record["n"] for _rid, record in sharded.scan("c"))
         assert seen == list(range(100))
 
-    def test_scan_batches_parallel_sees_everything(self, tmp_path,
-                                                   monkeypatch):
-        # Force the executor on: the default worker count is capped at
-        # the core count, which would pick the serial path on a 1-core
-        # CI box and leave the parallel merge untested.
-        monkeypatch.setenv("REPRO_SCAN_WORKERS", "4")
-        s = Store(str(tmp_path / "par.pages"), shards=4)
-        fill(s, 200)
-        assert s._scan_worker_count == 4
+    def test_scan_batches_sees_everything(self, sharded):
+        fill(sharded, 200)
         seen = sorted(record["n"]
-                      for batch in s.scan_batches("c")
+                      for batch in sharded.scan_batches("c")
                       for _rid, record in batch)
         assert seen == list(range(200))
-        s.close()
-
-    def test_scan_batches_serial_workers_override(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_WORKERS", "1")
-        s = Store(str(tmp_path / "w.pages"), shards=4)
-        fill(s, 50)
-        assert s._scan_worker_count == 1
-        seen = sorted(record["n"] for batch in s.scan_batches("c")
-                      for _rid, record in batch)
-        assert seen == list(range(50))
-        s.close()
 
     def test_tokens_survive_routing(self, sharded):
         serials = fill(sharded, 20)
@@ -183,6 +192,72 @@ class TestVacuumRecluster:
         assert sharded.verify_integrity() == []
         seen = sorted(record["n"] for _rid, record in sharded.scan("c"))
         assert seen == list(range(60, 120))
+
+    def test_sharded_vacuum_is_one_transaction(self, sharded, monkeypatch):
+        fill(sharded, 120)
+        commits = []
+        commit = sharded._journal.commit
+        monkeypatch.setattr(sharded._journal, "commit",
+                            lambda txn: commits.append(txn) or commit(txn))
+        sharded.vacuum("c")
+        assert len(commits) == 1
+
+    def test_sharded_vacuum_failure_rolls_back_every_shard(
+            self, sharded, monkeypatch):
+        fill(sharded, 120)
+        before = [list(pair) for pair in sharded.cluster_info("c").shards]
+        rewrite = sharded._rewrite_shard
+
+        def fail_on_shard_2(txn, cluster, shard, hot_rank=None):
+            if shard == 2:
+                raise RuntimeError("injected")
+            return rewrite(txn, cluster, shard, hot_rank)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sharded, "_rewrite_shard", fail_on_shard_2)
+            with pytest.raises(RuntimeError):
+                sharded.vacuum("c")
+        assert sharded.cluster_info("c").shards == before
+        assert sharded.count("c") == 120
+        assert sharded.verify_integrity() == []
+        assert sharded.vacuum("c")["objects"] == 120
+
+    def test_die_between_shard_rewrites_keeps_old_chains(self, tmp_path):
+        """A process death after two of four shards were rewritten (and
+        swapped into the in-memory catalog) recovers to the pre-vacuum
+        chains: the whole vacuum is one uncommitted transaction."""
+        path = str(tmp_path / "die.pages")
+        s = Store(path, shards=4)
+        serials = fill(s, 120)
+        txn = s.begin()
+        for serial in serials[:60]:
+            s.delete(txn, "c", (serial, 0))
+        s.commit(txn)
+        before = [list(pair) for pair in s.cluster_info("c").shards]
+        s.close()
+        child = (
+            "import sys\n"
+            "from repro.storage.store import Store\n"
+            "s = Store(sys.argv[1])\n"
+            "swap = s._swap_structs\n"
+            "def swap_then_die(cluster, shard, heap, directory):\n"
+            "    swap(cluster, shard, heap, directory)\n"
+            "    if shard == 1:\n"
+            "        s._wal.flush()\n"
+            "        s.faults.die()\n"
+            "s._swap_structs = swap_then_die\n"
+            "s.vacuum('c')\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", child, path],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == DIE_EXIT_CODE, proc.stderr.decode()
+        s2 = Store(path)
+        assert s2.last_recovery is not None
+        assert s2.cluster_info("c").shards == before
+        assert s2.verify_integrity() == []
+        seen = sorted(record["n"] for _rid, record in s2.scan("c"))
+        assert seen == list(range(60, 120))
+        s2.close()
 
     def test_recluster_moves_hot_serials_first(self, sharded):
         serials = fill(sharded, 80)
@@ -305,6 +380,22 @@ class TestDatabaseLevel:
         db = Database(str(tmp_path / "d.odb"), shards=4)
         assert db.store.n_shards == 4
         assert db.stats()["shards"]["count"] == 4
+        db.close()
+
+    def test_forall_fixpoint_across_shards(self, tmp_path):
+        class GrowNode(OdeObject):
+            n = IntField(default=0)
+
+        db = Database(str(tmp_path / "grow.odb"), shards=4)
+        db.create(GrowNode)
+        for i in range(8):
+            db.pnew(GrowNode, n=i)
+        seen = []
+        for node in db.forall(GrowNode):
+            seen.append(node.n)
+            if node.n < 8:
+                db.pnew(GrowNode, n=8 + node.n)
+        assert sorted(seen) == list(range(16))
         db.close()
 
     def test_recluster_daemon_disabled_by_env(self, tmp_path, monkeypatch):
