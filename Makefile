@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-concurrency crash-smoke crash-full bench bench-smoke bench-codegen-smoke bench-mvcc-smoke bench-shard-smoke bench-macro-smoke bench-macro-full bench-server-smoke bench-server-full bench-baseline
+.PHONY: test test-concurrency crash-smoke crash-full bench bench-smoke bench-codegen-smoke bench-scan-smoke bench-mvcc-smoke bench-shard-smoke bench-macro-smoke bench-macro-full bench-server-smoke bench-server-full bench-baseline
 
 test:
 	$(PYTHON) -m pytest tests/ -x -q
@@ -42,6 +42,16 @@ bench-codegen-smoke:
 		--benchmark-max-time=0.3 --benchmark-min-rounds=3 -q
 	$(PYTHON) -m pytest tests/query/test_codegen.py \
 		tests/query/test_codegen_differential.py -x -q
+
+# Late-decoding scan gate (EXP-21): the scan/materialization rows plus
+# the decode-count gate — a cold scan decodes one head and one current
+# state per object, a live scan past the page cache decodes nothing —
+# and the batch-vs-decode_value differential suite. Counts, not timings.
+bench-scan-smoke:
+	$(PYTHON) -m pytest benchmarks/bench_materialization.py --benchmark-only \
+		--benchmark-max-time=0.3 --benchmark-min-rounds=3 -q
+	$(PYTHON) benchmarks/bench_materialization.py --gate
+	$(PYTHON) -m pytest tests/storage/test_scanbatch.py -x -q
 
 # MVCC gate: readers-vs-writer throughput (snapshot reads must let the
 # writer through at >= 2x the S-lock baseline) and the single-thread

@@ -115,6 +115,9 @@ def _print_stats(db: Database) -> None:
     print("page cache:   %d hits, %d misses, %d/%d pages cached"
           % (pages["hits"], pages["misses"], pages["cached_pages"],
              pages["capacity_pages"]))
+    print("scans:        %d records peeked, %d decoded"
+          % (stats["scan"]["records_peeked"],
+             stats["scan"]["records_decoded"]))
     decoded = stats["decoded_cache"]
     print("decoded cache: %d hits, %d misses (%.1f%% hit rate), "
           "%d evictions, %d/%d entries"

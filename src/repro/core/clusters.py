@@ -90,31 +90,18 @@ class ClusterHandle:
             db._lock_cluster_scan(cluster_name)
         # Page-at-a-time batches: each batch carries the state records
         # that share the page with their version heads, so most objects
-        # materialize with zero extra storage round-trips. Under MVCC the
-        # per-record history check replaces the cluster S lock.
-        if vis is None:
-            for batch in db.store.scan_batches(cluster_name):
-                objs = self._batch_objs(cluster_name, batch)
-                if objs:
-                    yield objs
-            return
-        hget, needs, seen = vis.hget, vis.needs, vis.seen
-        batch_clean = vis.batch_clean
+        # materialize with zero extra storage round-trips — and an object
+        # already live costs no decode at all. Under MVCC the per-record
+        # history check replaces the cluster S lock.
+        materialize = db._materialize_from_scan
+        if vis is not None:
+            hget, needs, seen = vis.hget, vis.needs, vis.seen
         for batch in db.store.scan_batches(cluster_name):
-            heads = []
-            states = {}
-            for _rid, record in batch:
-                record_key = record["__key"]
-                if record_key[1] == 0:
-                    heads.append(record)
-                else:
-                    states[(record_key[0], record_key[1])] = record
-            # Checked after the batch is decoded (see batch_clean): a
-            # clean cluster skips the two per-head history probes.
-            checked = not batch_clean()
+            # Checked after the batch's bytes are read (see batch_clean):
+            # a clean cluster skips the two per-head history probes.
+            checked = vis is not None and not vis.batch_clean()
             objs = []
-            for record in heads:
-                serial = record["__key"][0]
+            for serial in batch.heads:
                 if checked:
                     hist = hget(serial)
                     if hist is not None and needs(hist):
@@ -122,37 +109,19 @@ class ClusterHandle:
                         if obj is not None:
                             objs.append(obj)
                         continue
-                if serial in seen:
-                    continue  # record relocated; already yielded once
-                seen.add(serial)
-                obj = db._materialize_from_scan(
-                    cluster_name, serial, record, states)
+                if vis is not None:
+                    if serial in seen:
+                        continue  # record relocated; already yielded once
+                    seen.add(serial)
+                obj = materialize(cluster_name, serial, batch)
                 if obj is not None:
                     objs.append(obj)
             if objs:
                 yield objs
-        extra = vis.tail()
-        if extra:
-            yield extra
-
-    def _batch_objs(self, cluster_name: str, batch) -> List[OdeObject]:
-        """One scan batch to live objects (the pre-MVCC fast path)."""
-        db = self.db
-        heads = []
-        states = {}
-        for _rid, record in batch:
-            record_key = record["__key"]
-            if record_key[1] == 0:
-                heads.append(record)
-            else:
-                states[(record_key[0], record_key[1])] = record
-        objs = []
-        for record in heads:
-            obj = db._materialize_from_scan(
-                cluster_name, record["__key"][0], record, states)
-            if obj is not None:
-                objs.append(obj)
-        return objs
+        if vis is not None:
+            extra = vis.tail()
+            if extra:
+                yield extra
 
     def hierarchy(self) -> List[str]:
         """This cluster plus all transitively derived cluster names.
@@ -201,10 +170,8 @@ class ClusterHandle:
                 if stats is not None and stats.exact:
                     total += stats.count
                     continue
-                for batch in db.store.scan_batches(name):
-                    for _rid, record in batch:
-                        if record["__key"][1] == 0:
-                            total += 1
+                total += sum(len(batch.heads)
+                             for batch in db.store.scan_batches(name))
                 continue
             total += self._count_visible(name, vis)
         return total
@@ -216,9 +183,8 @@ class ClusterHandle:
         seen = vis.seen
         n = 0
         for batch in db.store.scan_batches(name):
-            for _rid, record in batch:
-                serial, version = record["__key"]
-                if version != 0 or serial in seen:
+            for serial in batch.heads:
+                if serial in seen:
                     continue
                 seen.add(serial)
                 hist = vis.hget(serial)
@@ -246,17 +212,14 @@ class ClusterHandle:
             vis = db._scan_visibility(name, as_of)
             if vis is None:
                 for batch in db.store.scan_batches(name):
-                    for _rid, record in batch:
-                        serial, version = record["__key"]
-                        if version == 0:
-                            yield Oid(name, serial)
+                    for serial in batch.heads:
+                        yield Oid(name, serial)
                 continue
             mvcc = db._mvcc
             seen = vis.seen
             for batch in db.store.scan_batches(name):
-                for _rid, record in batch:
-                    serial, version = record["__key"]
-                    if version != 0 or serial in seen:
+                for serial in batch.heads:
+                    if serial in seen:
                         continue
                     seen.add(serial)
                     hist = vis.hget(serial)

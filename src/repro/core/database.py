@@ -1484,12 +1484,13 @@ class Database:
                                             vref.version)
         return None
 
-    def _materialize_from_scan(self, cluster: str, serial: int, head: Dict,
-                               states: Dict) -> Optional[OdeObject]:
-        """Materialize one scanned head record, preferring in-batch state.
+    def _materialize_from_scan(self, cluster: str, serial: int,
+                               batch) -> Optional[OdeObject]:
+        """Materialize one head of a scan batch, preferring in-batch state.
 
-        *states* maps ``(serial, version)`` to state records decoded from
-        the same scan batch. Version heads and their current state land on
+        A live object costs nothing here. Otherwise the head and its
+        *current* state are decoded from *batch* (older versions on the
+        page stay bytes). Version heads and their current state land on
         the same page for freshly created objects (pnew writes them back
         to back), so the common case needs no extra storage round-trip at
         all; otherwise the deref path (with its decoded cache) picks up
@@ -1500,8 +1501,8 @@ class Database:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        version = head["current"]
-        state_rec = states.get((serial, version))
+        version = batch.head(serial)["current"]
+        state_rec = batch.state(serial, version)
         if state_rec is None:
             return self.deref(Oid(cluster, serial), _missing_ok=True)
         with self._cache_lock:
@@ -1509,10 +1510,25 @@ class Database:
             if cached is not None:
                 return cached
             obj = self._materialize(Oid(cluster, serial), version,
-                                    dict(state_rec["state"]),
-                                    readonly=False)
+                                    state_rec["state"], readonly=False)
             self._cache[key] = obj
         return obj
+
+    def _scan_current(self, cluster: str):
+        """``(serial, current state record)`` for every object of *cluster*.
+
+        The state comes from the head's own scan batch; only one that
+        lives on another page costs a ``store.get`` (None when the chain
+        is missing it).
+        """
+        store = self.store
+        for batch in store.scan_batches(cluster):
+            for serial in batch.heads:
+                current = batch.head(serial)["current"]
+                state = batch.state(serial, current)
+                if state is None:
+                    state = store.get(cluster, (serial, current))
+                yield serial, state
 
     def _materialize(self, oid: Oid, version: int, state: Dict,
                      readonly: bool) -> OdeObject:
@@ -1665,11 +1681,7 @@ class Database:
             self._lock_cluster_ddl(cluster)
             info = self.store.create_index(txn, cluster, field, kind=kind,
                                            unique=unique)
-            for _rid, record in self.store.scan(cluster):
-                serial, version = record["__key"]
-                if version != 0:
-                    continue
-                state = self.store.get(cluster, (serial, record["current"]))
+            for serial, state in self._scan_current(cluster):
                 self.store.index_insert(
                     txn, cluster, info.field,
                     _state_key(state["state"], info.fields), serial)
@@ -1756,20 +1768,19 @@ class Database:
         """
         problems = self.store.verify_integrity()
         for name in self.clusters():
-            for _rid, record in self.store.scan(name):
-                serial, version = record["__key"]
-                if version != 0:
-                    continue
-                chain = record["chain"]
-                if record["current"] not in chain:
-                    problems.append(
-                        "%s:%d: current version %d not in chain %r"
-                        % (name, serial, record["current"], chain))
-                for v in chain:
-                    if self.store.get(name, (serial, v)) is None:
+            for batch in self.store.scan_batches(name):
+                for serial in batch.heads:
+                    head = batch.head(serial)
+                    chain = head["chain"]
+                    if head["current"] not in chain:
                         problems.append(
-                            "%s:%d: chain version %d has no state record"
-                            % (name, serial, v))
+                            "%s:%d: current version %d not in chain %r"
+                            % (name, serial, head["current"], chain))
+                    for v in chain:
+                        if self.store.get(name, (serial, v)) is None:
+                            problems.append(
+                                "%s:%d: chain version %d has no state "
+                                "record" % (name, serial, v))
         return problems
 
     def scrub(self) -> Dict[str, Any]:
@@ -1847,12 +1858,12 @@ class Database:
             self._lock_cluster_ddl(cluster)
             heads: Dict[int, Optional[Dict]] = {}
             states: Dict[int, set] = {}
-            for _rid, record in self.store.scan(cluster):
-                serial, version = record["__key"]
-                if version == 0:
-                    heads[serial] = record
-                else:
-                    states.setdefault(serial, set()).add(version)
+            for batch in self.store.scan_batches(cluster):
+                for serial, version in filter(None, batch.keys):
+                    if version == 0:
+                        heads[serial] = batch.head(serial)
+                    else:
+                        states.setdefault(serial, set()).add(version)
             # Orphan states (their head was lost): synthesize a head.
             for serial, versions in states.items():
                 if serial not in heads:
@@ -1875,11 +1886,8 @@ class Database:
                 if current not in chain:
                     current = chain[-1]
                 if chain != head["chain"] or current != head["current"]:
-                    # A fresh dict: scanned records may be shared with
-                    # the store's decoded-page cache.
-                    head = heads[serial] = {"__key": [serial, 0],
-                                            "current": current,
-                                            "chain": chain}
+                    head["current"] = current
+                    head["chain"] = chain
                     self.store.put(txn, cluster, (serial, 0), head)
                     chains_fixed += 1
                 for version in have - set(chain):
@@ -1941,6 +1949,7 @@ class Database:
             # Canonical component namespaces.
             "buffer": buffer,
             "page_cache": store_stats["page_cache"],
+            "scan": store_stats["scan"],
             "decoded_cache": self._decoded.stats(),
             "vcache": self._vcache.stats(),
             "mvcc": self._mvcc.stats(),
@@ -2002,8 +2011,8 @@ class Database:
                           for fname, field in cls._ode_fields.items()}
                 constraints = [cname for cname, _ in cls._ode_constraints]
                 triggers = list(cls._ode_triggers)
-            count = sum(1 for _rid, record in self.store.scan(name)
-                        if record["__key"][1] == 0)
+            count = sum(len(batch.heads)
+                        for batch in self.store.scan_batches(name))
             out[name] = {
                 "parents": list(info.parents),
                 "fields": fields,

@@ -473,29 +473,14 @@ def _emit_cluster_scan(w: _Writer, terminal: str, expr: Optional[str],
     w.indent -= 1
     w.w("for _batch in store.scan_batches(_cl):")
     w.indent += 1
-    w.w("_heads = []")
-    w.w("_ha = _heads.append")
-    w.w("_states = {}")
-    w.w("for _rid, _rec in _batch:")
-    w.indent += 1
-    w.w('_rkey = _rec["__key"]')
-    w.w("if _rkey[1] == 0:")
-    w.indent += 1
-    w.w("_ha(_rec)")
-    w.indent -= 1
-    w.w("else:")
-    w.indent += 1
-    w.w("_states[(_rkey[0], _rkey[1])] = _rec")
-    w.indent -= 2
     w.w("objs = []")
     w.w("_oa = objs.append")
-    # Decide once per decoded batch whether the per-head history probes
-    # are needed (registration-before-mutation makes the post-decode
-    # check sound — see _ScanVis.batch_clean).
+    # Decide once per batch, after its bytes were read, whether the
+    # per-head history probes are needed (registration-before-mutation
+    # makes the post-read check sound — see _ScanVis.batch_clean).
     w.w("_checked = _vis is not None and not _clean()")
-    w.w("for _rec in _heads:")
+    w.w("for _serial in _batch.heads:")
     w.indent += 1
-    w.w('_serial = _rec["__key"][0]')
     w.w("if _checked:")
     w.indent += 1
     w.w("_hist = _hget(_serial)")
@@ -519,7 +504,7 @@ def _emit_cluster_scan(w: _Writer, terminal: str, expr: Optional[str],
     w.w("obj = _cget((_cl, _serial))")
     w.w("if obj is None:")
     w.indent += 1
-    w.w("obj = _mat(_cl, _serial, _rec, _states)")
+    w.w("obj = _mat(_cl, _serial, _batch)")
     w.indent -= 1
     w.w("if obj is not None:")
     w.indent += 1

@@ -268,16 +268,15 @@ class StatsManager:
         stats = ClusterStats(cluster, exact=True)
         for f in fields:
             stats.track_field(f)
-        for _rid, record in store.scan(cluster):
-            serial, version = record["__key"]
-            if version != 0:
-                continue
-            stats.count += 1
-            if fields:
-                state = store.get(cluster, (serial, record["current"]))
+        if fields:
+            for _serial, state in self._db._scan_current(cluster):
+                stats.count += 1
                 if state is not None:
                     for f in fields:
                         stats.fields[f].record(state["state"].get(f), +1)
+        else:
+            stats.count = sum(len(batch.heads)
+                              for batch in store.scan_batches(cluster))
         for fs in stats.fields.values():
             fs.refresh_bounds()
         with self._mutex:

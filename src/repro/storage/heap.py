@@ -257,41 +257,42 @@ class HeapFile:
     def read_page_records(self, page_no: int, start_slot: int = 0):
         """Decode-free bulk read of one page under a single pin.
 
-        Returns ``(records, slot_count, next_page, page_lsn)`` where
-        *records* is a list of ``(RID, payload)`` for the live records in
-        slots ``[start_slot, slot_count)``. Forwarding stubs and overflow
-        stubs are resolved *after* the home pin is released (their chains
-        take their own short pins), so no pin spans the whole batch.
+        Returns ``(slots, payloads, slot_count, next_page, page_lsn)``:
+        two parallel lists — slot number and payload — for the live
+        records in slots ``[start_slot, slot_count)``. The slot directory
+        is read in one pass. Forwarding stubs and overflow stubs are
+        resolved *after* the home pin is released (their chains take
+        their own short pins), so no pin spans the whole batch.
         ``page_lsn`` is the page's physical version — any later mutation
         of any record homed here bumps it, which is what makes the LSN a
-        safe cache-validity token for every payload in *records*.
+        safe cache-validity token for every payload returned.
         """
-        out = []
+        slots = []
+        payloads = []
         indirect = []
+        header = _REC_HDR.unpack_from
+        body_at = _REC_HDR.size
         with self._pool.page(page_no, cold=True) as page:
             slot_count = page.slot_count
             next_page = page.next_page
             page_lsn = page.page_lsn
-            for slot in range(start_slot, slot_count):
-                try:
-                    raw = page.read(slot)
-                except PageError:
-                    continue
-                kind, body = _unpack_record(raw)
-                if kind == KIND_DATA:
-                    out.append((RID(page_no, slot), body))
-                elif kind in (KIND_FORWARD, KIND_OVERFLOW):
-                    out.append(None)
-                    indirect.append((len(out) - 1, RID(page_no, slot),
-                                     kind, body))
-                # KIND_MOVED: skipped, reached via its stub
-        for i, rid, kind, body in indirect:
+            buf = page.buf
+            for slot, offset, _length in page.live_entries(start_slot):
+                kind, length = header(buf, offset)
+                if kind in (KIND_FORWARD, KIND_OVERFLOW):
+                    indirect.append((len(slots), kind))
+                elif kind != KIND_DATA:
+                    continue  # KIND_MOVED: reached via its stub
+                start = offset + body_at
+                slots.append(slot)
+                payloads.append(bytes(buf[start:start + length]))
+        for i, kind in indirect:
             if kind == KIND_FORWARD:
-                out[i] = (rid, self.read(rid))
+                payloads[i] = self.read(RID(page_no, slots[i]))
             else:
-                first_ovf, total = _OVERFLOW.unpack(body)
-                out[i] = (rid, self._read_overflow_chain(first_ovf, total))
-        return out, slot_count, next_page, page_lsn
+                first_ovf, total = _OVERFLOW.unpack(payloads[i])
+                payloads[i] = self._read_overflow_chain(first_ovf, total)
+        return slots, payloads, slot_count, next_page, page_lsn
 
     def count(self) -> int:
         """Number of live records (scans the file)."""

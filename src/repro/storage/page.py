@@ -297,12 +297,23 @@ class SlottedPage:
         self._write_header(page_no, page_type, lsn, slot_count,
                            free_start, new_offset, fragmented, next_page)
 
+    def live_entries(self, start: int = 0) -> List[Tuple[int, int, int]]:
+        """``(slot, offset, length)`` of every live slot from *start* on.
+
+        One header parse and one pass over the slot directory, however
+        many slots the page holds.
+        """
+        lo = HEADER_SIZE + start * SLOT_SIZE
+        hi = HEADER_SIZE + self.slot_count * SLOT_SIZE
+        return [(slot, offset, length)
+                for slot, (offset, length)
+                in enumerate(_SLOT.iter_unpack(self.buf[lo:hi]), start)
+                if offset]
+
     def slots(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(slot, payload)`` for every live slot, in slot order."""
-        for slot in range(self.slot_count):
-            offset, length = self._slot_entry(slot)
-            if offset != 0:
-                yield slot, bytes(self.buf[offset:offset + length])
+        for slot, offset, length in self.live_entries():
+            yield slot, bytes(self.buf[offset:offset + length])
 
     def live_count(self) -> int:
         """Number of non-tombstone slots."""

@@ -30,7 +30,7 @@ in the bootstrap root table) and read back on reopen.
 Lock order (see also ``journal.py`` / ``sharding.py``): lock-manager
 locks (blocking, outermost, never requested under a latch) -> the
 store's metadata ``latch`` -> catalog lock -> journal latch -> shard
-latches in ascending order -> WAL mutex -> leaf locks (decoded-page
+latches in ascending order -> WAL mutex -> leaf locks (scan page
 cache, scan gate, metrics).
 """
 
@@ -60,6 +60,7 @@ from .locks import LockManager
 from .page import NO_PAGE
 from .pagefile import PageFile
 from .recovery import RecoveryReport, recover
+from .scanbatch import ScanBatch
 from .sharding import (MAX_SHARDS, ShardedPool, ShardJournal, ShardView,
                        global_page, local_page, shard_path)
 from .wal import WriteAheadLog
@@ -160,16 +161,23 @@ class Store:
         self._indexes: Dict[Tuple[str, str], Any] = {}
         #: cluster -> [next unissued serial, end of reserved block)
         self._serial_blocks: Dict[str, list] = {}
-        #: gpid -> (page_lsn, slot_count, decoded records) for batched
-        #: scans; entries self-invalidate on LSN mismatch (LSNs are
-        #: globally monotone, even across WAL truncation, so a stale
-        #: entry can never match a rewritten page). Guarded by its own
-        #: leaf lock so concurrent client scans share it without touching
-        #: the metadata latch.
+        #: gpid -> (page_lsn, slot_count, ScanBatch) for batched scans.
+        #: A batch holds the page's record *bytes*, never decoded values
+        #: (see :mod:`repro.storage.scanbatch`). Entries self-invalidate
+        #: on LSN mismatch (LSNs are globally monotone, even across WAL
+        #: truncation, so a stale entry can never match a rewritten
+        #: page). Guarded by its own leaf lock so concurrent client scans
+        #: share it without touching the metadata latch.
         self._page_cache: "OrderedDict[int, tuple]" = OrderedDict()
         self._pc_lock = threading.Lock()
         self.page_cache_hits = 0
         self.page_cache_misses = 0
+        #: Records whose key a scan read off the bytes (bumped under
+        #: ``_pc_lock`` when a batch is built) and records a scan batch
+        #: decoded (``itertools.count``: consumers decode with no lock
+        #: held, see ``_shard_scans`` below).
+        self.scan_records_peeked = 0
+        self._scan_decodes = itertools.count()
         #: Commit hook: called as ``on_commit(txn, clsn)`` after the WAL
         #: commit record exists but *before* the transaction's locks are
         #: released (clsn is None for degraded trivial commits). The
@@ -264,6 +272,10 @@ class Store:
                            lambda: self.page_cache_misses)
         metrics.gauge_fn("page_cache.cached_pages",
                          lambda: len(self._page_cache))
+        metrics.counter_fn("scan.records_peeked",
+                           lambda: self.scan_records_peeked)
+        metrics.counter_fn("scan.records_decoded",
+                           lambda: _count_value(self._scan_decodes))
         metrics.gauge_fn("store.pages",
                          lambda: sum(pf.page_count
                                      for pf in self._pagefiles))
@@ -292,7 +304,7 @@ class Store:
     #: placement), which is what makes scan readahead effective.
     EXTENT_PAGES = 8
 
-    #: Bound on the decoded-page cache (pages, not bytes).
+    #: Bound on the scan page cache (pages, not bytes).
     PAGE_CACHE_PAGES = 512
 
     #: Bound on the access-profile table feeding the recluster daemon.
@@ -753,19 +765,21 @@ class Store:
 
         :meth:`scan_batches` flattened to one record at a time; the same
         fixpoint property holds. The object layer embeds its own key in
-        the payload, so the RID is informational. The dicts may be shared
-        with the decoded-page cache: treat them as read-only.
+        the payload, so the RID is informational. Every dict is decoded
+        for this caller alone.
         """
         for batch in self.scan_batches(cluster):
             yield from batch
 
-    def scan_batches(self, cluster: str) -> Iterator[List[Tuple[RID, Dict]]]:
-        """Yield page-at-a-time batches of ``(rid, data)`` for *cluster*.
+    def scan_batches(self, cluster: str) -> Iterator[ScanBatch]:
+        """Yield one late-decoding :class:`ScanBatch` per page of *cluster*.
 
         ~2 pins per page instead of one per slot, heap readahead ahead of
-        the cursor, and a bounded decoded-page cache keyed on the page
-        LSN so a re-scan of an unchanged page skips both the slot reads
-        and ``decode_value`` entirely.
+        the cursor, and a bounded page cache keyed on the page LSN so a
+        re-scan of an unchanged page skips the slot reads and key peeks.
+        Nothing is decoded here: a batch knows its records' keys from a
+        fixed-offset peek and decodes a record only when the consumer
+        asks for it.
 
         Objects inserted behind the cursor during the iteration are
         still visited — the property the paper's fixpoint queries require
@@ -820,7 +834,7 @@ class Store:
                 span_lo, span_hi = page_no, page_no + readahead
             while True:
                 # Header peek: one (cold) pin tells us whether the cached
-                # decode is current before we touch any slot.
+                # batch is current before we touch any slot.
                 with pool.page(page_no, cold=True) as page:
                     lsn = page.page_lsn
                     slot_count = page.slot_count
@@ -841,20 +855,21 @@ class Store:
                         yield batch
                         start = slot_count
                         continue
-                records, slot_count2, next_page, lsn2 = \
+                slots, payloads, slot_count2, next_page, lsn2 = \
                     heap.read_page_records(page_no, start)
-                decoded = [(rid, decode_value(raw)) for rid, raw in records]
-                if (start == 0 and lsn and lsn2 == lsn
-                        and slot_count2 == slot_count):
-                    with self._pc_lock:
+                batch = ScanBatch(page_no, slots, payloads,
+                                  self._scan_decodes)
+                with self._pc_lock:
+                    self.scan_records_peeked += len(batch)
+                    if (start == 0 and lsn and lsn2 == lsn
+                            and slot_count2 == slot_count):
                         self.page_cache_misses += 1
-                        self._page_cache[page_no] = (lsn, slot_count,
-                                                     decoded)
+                        self._page_cache[page_no] = (lsn, slot_count, batch)
                         self._page_cache.move_to_end(page_no)
                         while len(self._page_cache) > self.PAGE_CACHE_PAGES:
                             self._page_cache.popitem(last=False)
-                if decoded:
-                    yield decoded
+                if batch:
+                    yield batch
                 start = slot_count2
             if start:
                 cursor[0] = page_no
@@ -1712,6 +1727,10 @@ class Store:
                 "misses": self.page_cache_misses,
                 "cached_pages": len(self._page_cache),
                 "capacity_pages": self.PAGE_CACHE_PAGES,
+            },
+            "scan": {
+                "records_peeked": self.scan_records_peeked,
+                "records_decoded": _count_value(self._scan_decodes),
             },
             "wal_appends": self._wal.appends,
             "wal_syncs": self._wal.syncs,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import Database, FloatField, IntField, OdeObject, StringField
+from repro.core import (AnyField, Database, FloatField, IntField, OdeObject,
+                        StringField)
 
 
 class UniPerson(OdeObject):
@@ -30,6 +31,10 @@ class UniFaculty(UniPerson):
 class UniTA(UniStudent):
     """Deeper level: UniTA derives from UniStudent derives from UniPerson."""
     hours = IntField(default=0)
+
+
+class UniBlob(OdeObject):
+    blob = AnyField(default=None)
 
 
 @pytest.fixture
@@ -128,6 +133,36 @@ class TestGrowthDuringIteration:
             p.name = "new"
             names = [q.name for q in db.cluster(UniPerson)]
             assert names == ["new"]
+
+
+class TestScanReturnsPrivateValues:
+    def test_mutating_a_scanned_value_cannot_reach_the_next_scan(self, db):
+        """A materialized object must not share nested values with what
+        the store keeps for the page: an in-place edit that was never
+        written back would otherwise show up in later scans while the
+        disk still holds the original."""
+        db.create(UniBlob)
+        db.pnew(UniBlob, blob=[1, 2, 3])
+
+        def drop_live_caches():
+            db._cache.clear()
+            db._decoded.clear()
+
+        drop_live_caches()
+        (obj,) = list(db.cluster(UniBlob))
+        obj.blob.append(99)             # in place: not a field write
+        drop_live_caches()
+        (again,) = list(db.cluster(UniBlob))
+        assert again is not obj
+        assert again.blob == [1, 2, 3]
+        states = [record["state"]["blob"]
+                  for _rid, record in db.store.scan("UniBlob")
+                  if record["__key"][1] != 0]
+        assert states == [[1, 2, 3]]
+        states[0].append(7)             # nor through store.scan itself
+        assert [record["state"]["blob"]
+                for _rid, record in db.store.scan("UniBlob")
+                if record["__key"][1] != 0] == [[1, 2, 3]]
 
 
 class TestCatalogHierarchy:
