@@ -36,7 +36,7 @@ import sys
 from .core.database import Database
 from .errors import OdeError
 from .obs import load_events, parse_prometheus, render_prometheus
-from .obs.metrics import PromParseError
+from .obs.metrics import MetricsRegistry, PromParseError
 from .opp.interp import Interpreter
 
 
@@ -98,6 +98,17 @@ def _print_schema(db: Database) -> None:
             print("    triggers:    %s" % ", ".join(info["triggers"]))
 
 
+def _directory_series(db: Database) -> MetricsRegistry:
+    """The per-cluster object-directory block as ``directory_*{cluster=}``
+    gauges, built from one ``db.stats()`` walk at render time."""
+    series = MetricsRegistry()
+    for name, info in db.stats()["directory"].items():
+        for field in ("layout", "leaf_pages", "live_entries",
+                      "dead_entries"):
+            series.gauge("directory." + field, cluster=name).set(info[field])
+    return series
+
+
 def _print_stats(db: Database) -> None:
     stats = db.stats()
     pool = stats["buffer_pool"]
@@ -155,6 +166,12 @@ def _print_stats(db: Database) -> None:
                   "(fragmentation %.2f)"
                   % (name, info["pages"], info["runs"], info["span"],
                      info["fragmentation"]))
+        print("object directories:")
+        for name, info in sorted(stats["directory"].items()):
+            print("  %-20s %-5s %4d leaf page(s), %6d live, %6d dead "
+                  "entries"
+                  % (name, info["layout"], info["leaf_pages"],
+                     info["live_entries"], info["dead_entries"]))
     # Persisted summaries exist for analyzed/mutated clusters only; load
     # every cluster's summary so the report is complete.
     for name in db.clusters():
@@ -262,7 +279,8 @@ def main(argv=None) -> int:
                 print(json.dumps(db.stats(), indent=2, sort_keys=True,
                                  default=str))
             elif args.format == "prom":
-                sys.stdout.write(render_prometheus(db.metrics))
+                sys.stdout.write(render_prometheus(db.metrics)
+                                 + render_prometheus(_directory_series(db)))
             else:
                 _print_stats(db)
             return 0

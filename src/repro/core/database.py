@@ -1954,6 +1954,8 @@ class Database:
             "vcache": self._vcache.stats(),
             "mvcc": self._mvcc.stats(),
             "fragmentation": fragmentation,
+            "directory": {name: frag["directory"]
+                          for name, frag in fragmentation.items()},
             "wal": {
                 "appends": store_stats["wal_appends"],
                 "syncs": store_stats["wal_syncs"],

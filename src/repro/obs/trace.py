@@ -92,9 +92,10 @@ class QueryTracer:
         if self.db is None:  # tracing plain in-memory sources: no IO
             return 0, 0
         pool = self.db.store._pool
-        pages = pool.hits + pool.misses
-        hits = (pool.hits + self.db.store.page_cache_hits
-                + self.db._decoded.hits)
+        pages = (pool.hits + pool.misses
+                 + pool.directory_hits + pool.directory_misses)
+        hits = (pool.hits + pool.directory_hits
+                + self.db.store.page_cache_hits + self.db._decoded.hits)
         return pages, hits
 
     def measure(self, span: Span) -> _Measure:

@@ -33,6 +33,11 @@ from .pagefile import PageFile
 
 DEFAULT_POOL_SIZE = 256
 
+#: Offset of the page-type byte in the page header, and the types the
+#: pool accounts as object-directory pages.
+_TYPE_AT = 4
+_TABLE_TYPES = (PageType.TABLE_NODE, PageType.TABLE_LEAF)
+
 
 class _Frame:
     __slots__ = ("page_no", "buf", "pin_count", "dirty", "cold")
@@ -82,9 +87,16 @@ class BufferPool:
         #: writeback leaves a page the log cannot rebuild (and, for pages
         #: whose only edit was empty, not even extend the file for).
         self.fresh_pages: set = set()
-        # statistics
+        # statistics. Requests are accounted by what the page is, the
+        # way pg_statio splits heap from index blocks: ``hits``/``misses``
+        # are data pages (heap, overflow, index, catalog), the
+        # ``directory_*`` pair object-table pages — a directory that fits
+        # the pool is all hits by design and would otherwise mask how
+        # cold the data itself is.
         self.hits = 0
         self.misses = 0
+        self.directory_hits = 0
+        self.directory_misses = 0
         self.evictions = 0
         self.writebacks = 0
         self.prefetches = 0
@@ -141,14 +153,16 @@ class BufferPool:
                     page_no=page_no)
             frame = self._frames.get(page_no)
             if frame is not None:
-                self.hits += 1
+                if frame.buf[_TYPE_AT] in _TABLE_TYPES:
+                    self.directory_hits += 1
+                else:
+                    self.hits += 1
                 if cold and frame.cold:
                     pass  # scan re-touch: leave it where it is
                 else:
                     frame.cold = False
                     self._frames.move_to_end(page_no)
             else:
-                self.misses += 1
                 frame = self._admit(page_no)
                 try:
                     self._pagefile.read_page(page_no, frame.buf)
@@ -162,8 +176,13 @@ class BufferPool:
                         raise exc
                 except BaseException:
                     # Never leave a half-faulted frame behind.
+                    self.misses += 1
                     self._frames.pop(page_no, None)
                     raise
+                if frame.buf[_TYPE_AT] in _TABLE_TYPES:
+                    self.directory_misses += 1
+                else:
+                    self.misses += 1
                 if cold:
                     frame.cold = True
                     self._frames.move_to_end(page_no, last=False)
@@ -389,6 +408,8 @@ class BufferPool:
             "hits": self.hits,
             "misses": self.misses,
             "hit_ratio": (self.hits / lookups) if lookups else 0.0,
+            "directory_hits": self.directory_hits,
+            "directory_misses": self.directory_misses,
             "evictions": self.evictions,
             "writebacks": self.writebacks,
             "prefetches": self.prefetches,

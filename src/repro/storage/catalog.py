@@ -9,8 +9,9 @@ Catalog records are codec-encoded dicts. Two record shapes exist:
 
 ``{"kind": "cluster", ...}``
     One per cluster (the paper's type extents): name, numeric id, parent
-    cluster names, the first page of the cluster's object heap, the first
-    page of its object-directory hash index, the next object serial number,
+    cluster names, the first page of the cluster's object heap, the root
+    page of its object table (:mod:`repro.storage.objtable`; on a version-2
+    store, the directory page of a hash index), the next serial number,
     and its secondary indexes (field name -> descriptor).
 
 ``{"kind": "meta", "key": ..., "value": ...}``

@@ -235,23 +235,14 @@ class HashIndex:
 
     # -- operations ---------------------------------------------------------------
 
-    def insert(self, txn: int, key: Any, value: Any,
-               check_dup: bool = True) -> None:
-        """Insert ``(key, value)``, splitting buckets as needed.
-
-        *check_dup=False* lets a unique index skip the duplicate probe
-        when the caller already knows the key is absent (freshly
-        allocated serials, a preceding ``search`` that came back empty,
-        a rebuild from a source that was unique). On a bucket that has
-        degenerated into an overflow chain this avoids decoding the
-        whole chain just to prove what the caller knew.
-        """
+    def insert(self, txn: int, key: Any, value: Any) -> None:
+        """Insert ``(key, value)``, splitting buckets as needed."""
         kb = encode_key(key)
         bucket_page, _, _ = self._bucket_for(kb)
         if self._append_fast(txn, bucket_page, kb, key, value):
             return
         # A bucket whose local depth reached MAX_GLOBAL_DEPTH can never
-        # be separated by splitting again. Unless a duplicate probe
+        # be separated by splitting again. Unless the unique check
         # forces a full read, append to its overflow chain's tail page:
         # the insert then costs one tail-page rewrite instead of
         # re-encoding the entire chain — the difference between O(1) and
@@ -261,12 +252,12 @@ class HashIndex:
         # ingest fell from ~3k to ~600 objects/s and kept falling.)
         (local_depth, _), nxt = self._read_decoded(bucket_page)
         if (nxt != NO_PAGE and local_depth >= MAX_GLOBAL_DEPTH
-                and not (self.unique and check_dup)):
+                and not self.unique):
             self._append_chain(txn, bucket_page, local_depth,
                                [kb, key, value])
             return
         local_depth, entries = self._read_bucket(bucket_page)
-        if self.unique and check_dup and any(e[0] == kb for e in entries):
+        if self.unique and any(e[0] == kb for e in entries):
             raise DuplicateKeyError("duplicate key %r in unique hash index"
                                     % (key,))
         entries.append([kb, key, value])
@@ -471,6 +462,17 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.items())
+
+    def pages(self) -> List[int]:
+        """Every page of the index: directory, buckets, overflow chains."""
+        pages = [self.directory_page]
+        _, pointers = self._read_directory()
+        for page_no in dict.fromkeys(pointers):
+            while page_no != NO_PAGE:
+                pages.append(page_no)
+                with self._pool.page(page_no) as page:
+                    page_no = page.next_page
+        return pages
 
     def check_invariants(self) -> None:
         """Validate directory/bucket structure; raises IndexError_ if broken."""

@@ -215,12 +215,20 @@ class Journal:
 
     # -- logged page edits ---------------------------------------------------
 
-    def edit(self, txn: int, page_no: int) -> "_PageEdit":
+    def edit(self, txn: int, page_no: int,
+             redo_only: bool = False) -> "_PageEdit":
         """Pin *page_no* for mutation under *txn*; log the diff on exit.
 
         Context manager. If the block raises, the page buffer is restored
         from the snapshot and nothing is logged — the failed edit leaves
         no trace.
+
+        *redo_only* logs the diff as CLRs (after-image only) whose
+        ``undo_next`` skips them: the edit is replayed by redo but never
+        rolled back, whether *txn* commits or not — the ARIES nested top
+        action. For structure growth that other transactions build on
+        before *txn* ends (a freshly linked, still empty object-table
+        page): undoing the link would orphan their entries.
 
         Every page mutation in the engine funnels through here, which is
         what makes the degraded-mode gate complete: one check blocks all
@@ -232,7 +240,7 @@ class Journal:
                 "store is read-only (degraded mode): %s"
                 % (self.degraded or "WAL flush failed"),
                 reason=self.degraded)
-        return _PageEdit(self, txn, page_no)
+        return _PageEdit(self, txn, page_no, redo_only)
 
     # -- checkpointing ----------------------------------------------------------
 
@@ -262,13 +270,15 @@ class _PageEdit:
     page mutation in the engine.
     """
 
-    __slots__ = ("_journal", "_txn", "_page_no", "_last", "_page",
-                 "_snapshot")
+    __slots__ = ("_journal", "_txn", "_page_no", "_redo_only", "_last",
+                 "_page", "_snapshot")
 
-    def __init__(self, journal: Journal, txn: int, page_no: int):
+    def __init__(self, journal: Journal, txn: int, page_no: int,
+                 redo_only: bool = False):
         self._journal = journal
         self._txn = txn
         self._page_no = page_no
+        self._redo_only = redo_only
 
     def __enter__(self) -> SlottedPage:
         journal = self._journal
@@ -299,15 +309,26 @@ class _PageEdit:
         # its first edit against zeros so the whole image is replayable
         # (and undo of the creating transaction restores a zero page).
         base = _ZERO_PAGE if fresh else snapshot
-        runs = _diff_runs(base, new)
+        if fresh and self._redo_only:
+            # The whole image, zeros included. A recycled page's earlier
+            # life may still be in the log: redo replays it first, and a
+            # raw-array page (object table) would read whatever the new
+            # format did not overwrite as live entries.
+            runs = [(0, PAGE_SIZE)]
+        else:
+            runs = _diff_runs(base, new)
         if not runs:
             journal._pool.unpin(self._page_no, dirty=False)
             return False
         wal = journal._wal
         lsn = self._last
         for lo, hi in runs:
-            lsn = wal.log_update(self._txn, lsn, self._page_no, lo,
-                                 base[lo:hi], new[lo:hi])
+            if self._redo_only:
+                lsn = wal.log_clr(self._txn, lsn, self._page_no, lo,
+                                  new[lo:hi], undo_next=lsn)
+            else:
+                lsn = wal.log_update(self._txn, lsn, self._page_no, lo,
+                                     base[lo:hi], new[lo:hi])
         journal.active[self._txn] = lsn
         page.page_lsn = lsn
         if fresh:

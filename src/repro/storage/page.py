@@ -102,6 +102,8 @@ class PageType:
     HASH_DIRECTORY = 6
     CATALOG = 7
     OVERFLOW = 8
+    TABLE_NODE = 9   # object-table root / mid page (child page numbers)
+    TABLE_LEAF = 10  # object-table leaf page (fixed-width entries)
 
 
 class SlottedPage:

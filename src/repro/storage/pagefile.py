@@ -30,7 +30,13 @@ from .page import NO_PAGE, PAGE_SIZE, PageType, stamp_checksum
 
 _MAGIC = b"ODEREPRO"
 # v2: page headers grew a crc32c checksum field (see repro.storage.page).
-_FORMAT_VERSION = 2
+# v3: cluster object directories are serial-indexed tables
+#     (repro.storage.objtable). A version-2 file opens as is — its
+#     clusters keep their hash directories until vacuumed — and is
+#     stamped 3 the next time the header is written, so a version-2
+#     binary refuses a file that may hold tables.
+_FORMAT_VERSION = 3
+_READABLE_VERSIONS = (2, 3)
 _FILE_HDR = struct.Struct("<8sIxxxxQQ")
 
 #: Test hook: set to skip checksum stamping on write — an intentionally
@@ -81,7 +87,7 @@ class PageFile:
         magic, version, page_count, free_head = _FILE_HDR.unpack_from(raw, 0)
         if magic != _MAGIC:
             raise StorageError("page file %s: bad magic %r" % (self.path, magic))
-        if version != _FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise StorageError("page file %s: unsupported format version %d"
                                % (self.path, version))
         self._page_count = page_count

@@ -8,7 +8,9 @@ periodically drains that profile, picks the objects hot enough to matter
 objects packed into the leading extent — the dynamic counterpart of the
 paper's static ``cluster`` placement hints: objects that are *used*
 together migrate to live together, and the scans/dereference runs that
-made them hot read fewer pages next time.
+made them hot read fewer pages next time. The same round rewrites any
+shard whose object table is mostly dead entries
+(:meth:`Store.crowded_directories`).
 
 The daemon is deliberately dumb and safe: each migration is an ordinary
 transaction under the cluster's X lock, so it serializes against
@@ -112,17 +114,27 @@ class ReclusterDaemon(threading.Thread):
         return out
 
     def run_once(self) -> int:
-        """One reclustering round; returns how many shards were rewritten."""
+        """One reclustering round; returns how many shards were rewritten.
+
+        Besides the hot sets, a shard whose object table holds more dead
+        entries than live ones is rewritten (with no placement hint):
+        the same rebuild reclaims them, so the space deletes leave
+        behind is bounded without anyone calling ``vacuum``.
+        """
         self.rounds += 1
+        work = {(cluster, sid): serials
+                for cluster, shards in self.plan().items()
+                for sid, serials in shards.items()}
+        for pair in self.store.crowded_directories():
+            work.setdefault(pair, [])
         rewritten = 0
-        for cluster, shards in self.plan().items():
+        for (cluster, sid), serials in work.items():
             if not self.store.has_cluster(cluster):
                 continue  # dropped since the accesses were recorded
-            for sid, serials in shards.items():
-                try:
-                    self.store.recluster_shard(cluster, serials, shard=sid)
-                    rewritten += 1
-                except (DeadlockError, LockTimeoutError,
-                        DegradedModeError, CatalogError):
-                    self.skipped += 1
+            try:
+                self.store.recluster_shard(cluster, serials, shard=sid)
+                rewritten += 1
+            except (DeadlockError, LockTimeoutError,
+                    DegradedModeError, CatalogError):
+                self.skipped += 1
         return rewritten

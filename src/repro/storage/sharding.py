@@ -199,6 +199,14 @@ class ShardedPool:
         return sum(pool.misses for pool in self.pools)
 
     @property
+    def directory_hits(self) -> int:
+        return sum(pool.directory_hits for pool in self.pools)
+
+    @property
+    def directory_misses(self) -> int:
+        return sum(pool.directory_misses for pool in self.pools)
+
+    @property
     def evictions(self) -> int:
         return sum(pool.evictions for pool in self.pools)
 
@@ -408,8 +416,8 @@ class ShardJournal:
     def active(self):
         return self._journal.active
 
-    def edit(self, txn: int, page_no: int):
-        return self._journal.edit(txn, page_no)
+    def edit(self, txn: int, page_no: int, redo_only: bool = False):
+        return self._journal.edit(txn, page_no, redo_only)
 
     def free_page_deferred(self, txn: int, page_no: int) -> None:
         self._journal.free_page_deferred(txn, page_no)

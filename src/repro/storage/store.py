@@ -3,10 +3,10 @@
 A :class:`Store` bundles the page file, buffer pool, WAL, journal, lock
 manager and catalog behind an API of *clusters* holding *objects*:
 
-* A cluster is a named extent with its own heap file and an
-  object-directory hash index mapping object keys to heap RIDs.
-* An object is an opaque codec-encodable dict addressed by a caller-chosen
-  tuple key (the object layer uses ``(serial, version)``).
+* A cluster is a named extent with its own heap file and an object
+  table (:mod:`repro.storage.objtable`) mapping object keys to heap RIDs.
+* An object is an opaque codec-encodable dict addressed by a
+  ``(serial, version)`` key of unsigned 32-bit integers.
 * Secondary indexes (B+tree or hash) may be created per cluster; the
   *caller* maintains their entries (the store does not know which fields
   of the payload are indexed).
@@ -40,12 +40,12 @@ import itertools
 import os
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..errors import CatalogError, CorruptPageError, StorageError
+from ..errors import (CatalogError, CorruptPageError, DuplicateKeyError,
+                      StorageError)
 from ..obs import EventLog, MetricsRegistry
 from ..obs.metrics import _count_value
 from .btree import BTree
@@ -57,7 +57,8 @@ from .hashindex import HashIndex
 from .heap import RID, HeapFile
 from .journal import Journal
 from .locks import LockManager
-from .page import NO_PAGE
+from .objtable import LEAF_ENTRIES, HashDirectory, ObjectTable
+from .page import NO_PAGE, PageType
 from .pagefile import PageFile
 from .recovery import RecoveryReport, recover
 from .scanbatch import ScanBatch
@@ -157,7 +158,7 @@ class Store:
                                self._journal.begin)
         #: (cluster, shard) -> structure caches.
         self._heaps: Dict[Tuple[str, int], HeapFile] = {}
-        self._directories: Dict[Tuple[str, int], HashIndex] = {}
+        self._directories: Dict[Tuple[str, int], ObjectTable] = {}
         self._indexes: Dict[Tuple[str, str], Any] = {}
         #: cluster -> [next unissued serial, end of reserved block)
         self._serial_blocks: Dict[str, list] = {}
@@ -254,6 +255,10 @@ class Store:
         metrics = self.metrics
         metrics.counter_fn("buffer.hits", lambda: pool.hits)
         metrics.counter_fn("buffer.misses", lambda: pool.misses)
+        metrics.counter_fn("buffer.directory_hits",
+                           lambda: pool.directory_hits)
+        metrics.counter_fn("buffer.directory_misses",
+                           lambda: pool.directory_misses)
         metrics.counter_fn("buffer.evictions", lambda: pool.evictions)
         metrics.counter_fn("buffer.writebacks", lambda: pool.writebacks)
         metrics.counter_fn("buffer.prefetches", lambda: pool.prefetches)
@@ -317,18 +322,10 @@ class Store:
         return self._n_shards
 
     def _shard_of_key(self, key) -> int:
-        """The shard an object key routes to. Serial-keyed objects (the
-        object layer's ``(serial, version)`` tuples) map by serial, so
-        every version of one object — head beside its states — shares a
-        shard; other key shapes hash stably (crc32, not ``hash()``, so
-        the placement survives process restarts)."""
-        if self._n_shards == 1:
-            return 0
-        first = key[0] if isinstance(key, tuple) and key else key
-        if isinstance(first, int):
-            return first % self._n_shards
-        return zlib.crc32(repr(first).encode("utf-8", "replace")) \
-            % self._n_shards
+        """The shard an object key routes to: by serial, so every
+        version of one object — head beside its states — shares a shard
+        (and a leaf of that shard's object table)."""
+        return key[0] % self._n_shards
 
     def _latch_of(self, shard: int):
         """The latch serializing per-key work in *shard* (the metadata
@@ -473,17 +470,17 @@ class Store:
                         "parent cluster %r of %r does not exist"
                         % (parent, name))
             heaps: List[HeapFile] = []
-            directories: List[HashIndex] = []
+            directories: List[ObjectTable] = []
             shard_pairs: List[List[int]] = []
             for sid in range(self._n_shards):
                 journal = self._shard_journals[sid]
                 heap = HeapFile.create(journal, txn,
                                        extent=self.EXTENT_PAGES)
-                directory = HashIndex.create(journal, txn, unique=True)
+                directory = ObjectTable.create(journal, txn,
+                                               self._n_shards)
                 heaps.append(heap)
                 directories.append(directory)
-                shard_pairs.append([heap.first_page,
-                                    directory.directory_page])
+                shard_pairs.append([heap.first_page, directory.root_page])
             info = self.catalog.add_cluster(
                 txn, name, parents, shard_pairs[0][0], shard_pairs[0][1],
                 shards=shard_pairs if self._n_shards > 1 else None)
@@ -519,14 +516,22 @@ class Store:
                 self._heaps[(name, shard)] = heap
             return heap
 
-    def _directory(self, name: str, shard: int = 0) -> HashIndex:
+    def _directory(self, name: str, shard: int = 0) -> ObjectTable:
+        """The object directory of one cluster shard. The layout is read
+        off the root page's type: a version-2 store keeps its hash
+        directories until a vacuum rewrites them as tables."""
         with self.latch:
             directory = self._directories.get((name, shard))
             if directory is None:
                 info = self.cluster_info(name)
-                directory = HashIndex(self._shard_journals[shard],
-                                      self._shard_pair(info, shard)[1],
-                                      unique=True)
+                journal = self._shard_journals[shard]
+                root = self._shard_pair(info, shard)[1]
+                with self._pool.page(root) as page:
+                    page_type = page.page_type
+                if page_type == PageType.HASH_DIRECTORY:
+                    directory = HashDirectory(journal, root)
+                else:
+                    directory = ObjectTable(journal, root, self._n_shards)
                 self._directories[(name, shard)] = directory
             return directory
 
@@ -557,21 +562,26 @@ class Store:
             new: bool = False) -> None:
         """Insert or overwrite the object at *key* in *cluster*.
 
-        *new=True* asserts the key does not exist yet and skips the
-        directory probe (the directory is unique, so a wrong assertion
-        raises rather than corrupting). Freshly allocated serials qualify.
+        *new=True* asserts the key does not exist yet: if it does,
+        :class:`DuplicateKeyError` is raised before anything is written.
         """
         payload = encode_value(data)
         with self._keyed(cluster, key) as (heap, directory):
-            if not new:
-                existing = directory.search(key)
-                if existing:
-                    heap.update(txn, RID(*existing[0]), payload)
-                    return
+            self._put_locked(txn, heap, directory, key, payload, new)
+
+    @staticmethod
+    def _put_locked(txn: int, heap: HeapFile, directory, key: Tuple,
+                    payload: bytes, new: bool = False) -> RID:
+        existing = directory.search(key)
+        if existing is None:
             rid = heap.insert(txn, payload)
-            # new=True asserted the key absent; a probe above proved it
-            # otherwise — either way the dup check is already paid for.
-            directory.insert(txn, key, tuple(rid), check_dup=False)
+            directory.insert(txn, key, rid)
+            return rid
+        if new:
+            raise DuplicateKeyError("object key %r already exists" % (key,))
+        rid = RID(*existing)
+        heap.update(txn, rid, payload)
+        return rid
 
     def put_with_token(self, txn: int, cluster: str, key: Tuple,
                        data: Dict) -> Tuple[RID, int]:
@@ -587,13 +597,7 @@ class Store:
         """
         payload = encode_value(data)
         with self._keyed(cluster, key) as (heap, directory):
-            existing = directory.search(key)
-            if existing:
-                rid = RID(*existing[0])
-                heap.update(txn, rid, payload)
-            else:
-                rid = heap.insert(txn, payload)
-                directory.insert(txn, key, tuple(rid), check_dup=False)
+            rid = self._put_locked(txn, heap, directory, key, payload)
             return rid, heap.page_lsn(rid.page_no)
 
     def page_lsns(self, cluster: str, page_nos) -> Dict[int, int]:
@@ -618,9 +622,9 @@ class Store:
             self._note_access(cluster, key)
         with self._keyed(cluster, key) as (heap, directory):
             hit = directory.search(key)
-            if not hit:
+            if hit is None:
                 return None
-            raw = heap.read(RID(*hit[0]))
+            raw = heap.read(RID(*hit))
         return decode_value(raw)
 
     def get_with_token(self, cluster: str,
@@ -640,9 +644,9 @@ class Store:
             self._note_access(cluster, key)
         with self._keyed(cluster, key) as (heap, directory):
             hit = directory.search(key)
-            if not hit:
+            if hit is None:
                 return None, None, 0
-            rid = RID(*hit[0])
+            rid = RID(*hit)
             raw, lsn = heap.read_with_lsn(rid)
         return decode_value(raw), rid, lsn
 
@@ -668,16 +672,15 @@ class Store:
 
     def exists(self, cluster: str, key: Tuple) -> bool:
         with self._keyed(cluster, key) as (_heap, directory):
-            return bool(directory.search(key))
+            return directory.search(key) is not None
 
     def delete(self, txn: int, cluster: str, key: Tuple) -> bool:
         """Delete the object at *key*; returns whether it existed."""
         with self._keyed(cluster, key) as (heap, directory):
-            hit = directory.search(key)
-            if not hit:
+            rid = directory.delete(txn, key)
+            if rid is None:
                 return False
-            heap.delete(txn, RID(*hit[0]))
-            directory.delete(txn, key)
+            heap.delete(txn, RID(*rid))
             return True
 
     # -- scan/vacuum gate --------------------------------------------------------
@@ -982,10 +985,11 @@ class Store:
     def vacuum(self, cluster: str) -> Dict[str, int]:
         """Rewrite *cluster*'s heap(s) and object director(ies) compactly.
 
-        Deletes and relocations leave tombstones, forwarding stubs and
-        sparse pages behind; vacuuming copies every live object into a
-        fresh heap (and a fresh directory mapping keys to the new RIDs),
-        swaps them into the catalog, and schedules the old pages for the
+        Deletes and relocations leave tombstones, forwarding stubs,
+        sparse pages and dead object-table entries behind; vacuuming
+        copies every live object into a fresh heap (and a fresh object
+        table mapping keys to the new RIDs — this is also what migrates
+        a version-2 hash directory), swaps them into the catalog, and schedules the old pages for the
         free list at commit. The new heap is presized with one contiguous
         extent covering the live payloads, so vacuuming doubles as
         *reclustering*: a fragmented cluster comes back as a single
@@ -1039,8 +1043,7 @@ class Store:
         info = self.cluster_info(cluster)
         new_heap, new_directory, moved, old_pages = self._rewrite_shard(
             txn, cluster, shard, hot_rank)
-        info.shards[shard] = [new_heap.first_page,
-                              new_directory.directory_page]
+        info.shards[shard] = [new_heap.first_page, new_directory.root_page]
         if shard == 0:
             info.heap_page, info.directory_page = info.shards[0]
         self.catalog.save_cluster(txn, info)
@@ -1051,7 +1054,8 @@ class Store:
 
     def _rewrite_shard(self, txn: int, cluster: str, shard: int,
                        hot_rank: Optional[Dict[Any, int]] = None):
-        """Copy one shard's live objects into a fresh heap + directory.
+        """Copy one shard's live objects into a fresh heap + object table
+        (whatever layout the old directory had).
 
         Returns ``(new_heap, new_directory, moved, old_pages)`` without
         touching the catalog or the structure caches — the caller owns
@@ -1063,10 +1067,10 @@ class Store:
         """
         old_heap = self._heap(cluster, shard)
         old_directory = self._directory(cluster, shard)
-        # Copy in old *physical chain order*, not hash-bucket order:
+        # Copy in old *physical chain order*, not directory order:
         # insertion placed related records (an object's head next to its
         # state) adjacently, and the batched scan's materializer depends
-        # on that adjacency. A bucket-order rewrite would scatter them
+        # on that adjacency. A key-order rewrite would scatter them
         # and degrade post-vacuum scans to per-object directory probes.
         chain_pos = {no: i for i, no in
                      enumerate(self._pages_of_heap(old_heap))}
@@ -1086,7 +1090,7 @@ class Store:
                  for key, rid_tuple in rid_items]
         journal = self._shard_journals[shard]
         new_heap = HeapFile.create(journal, txn, extent=self.EXTENT_PAGES)
-        new_directory = HashIndex.create(journal, txn, unique=True)
+        new_directory = ObjectTable.create(journal, txn, self._n_shards)
         need = self._pages_for(payload for _key, payload in items)
         if need > 1:
             # Cap the single extent well below the pool size so
@@ -1095,15 +1099,13 @@ class Store:
                 txn, min(need, max(self._pool_of(shard).capacity // 2, 1)))
         moved = 0
         for key, payload in items:
-            new_rid = new_heap.insert(txn, payload)
-            new_directory.insert(txn, key, tuple(new_rid), check_dup=False)
+            new_directory.insert(txn, key, new_heap.insert(txn, payload))
             moved += 1
-        old_pages = (self._pages_of_heap(old_heap)
-                     + self._pages_of_hash(old_directory))
+        old_pages = self._pages_of_heap(old_heap) + old_directory.pages()
         return new_heap, new_directory, moved, old_pages
 
     def _swap_structs(self, cluster: str, shard: int, heap: HeapFile,
-                      directory: HashIndex) -> None:
+                      directory: ObjectTable) -> None:
         """Publish a rewritten shard's structures. The shard latch
         brackets the dict writes so a per-key operation that re-reads the
         caches inside its latch can never keep using a structure whose
@@ -1179,7 +1181,7 @@ class Store:
         factor the EXPERIMENTS entry tracks. On a multi-shard store the
         top-level numbers aggregate the shards (spans are computed on
         local page numbers, per file) and ``shards`` holds the per-shard
-        breakdown.
+        breakdown. ``directory`` is :meth:`directory_stats`.
         """
         per_shard: List[Dict[str, Any]] = []
         with self.latch:
@@ -1211,7 +1213,51 @@ class Store:
         }
         if self._n_shards > 1:
             out["shards"] = per_shard
+        out["directory"] = self.directory_stats(cluster)
         return out
+
+    def directory_stats(self, cluster: str) -> Dict[str, Any]:
+        """Occupancy of *cluster*'s object director(ies): ``layout``
+        (``table``, or ``hash`` while any shard still has the version-2
+        layout), ``leaf_pages``, ``live_entries`` and ``dead_entries`` —
+        the dead ones being the space deletes leave for the next rebuild.
+
+        Walks every leaf page (cold pins), so the numbers are taken on
+        demand — here, :meth:`fragmentation`, ``db.stats()`` — and never
+        by a metrics snapshot."""
+        with self.latch:
+            per_shard = [self._directory(cluster, sid).stats()
+                         for sid in range(self._n_shards)]
+        out: Dict[str, Any] = {
+            field: sum(entry[field] for entry in per_shard)
+            for field in ("leaf_pages", "live_entries", "dead_entries")}
+        out["layout"] = ("hash" if any(entry["layout"] == "hash"
+                                       for entry in per_shard)
+                         else "table")
+        if self._n_shards > 1:
+            out["shards"] = per_shard
+        return out
+
+    def crowded_directories(self) -> List[Tuple[str, int]]:
+        """``(cluster, shard)`` pairs whose object table holds more dead
+        entries than live ones: the rebuild (:meth:`vacuum`,
+        :meth:`recluster_shard`) would at least halve it. The recluster
+        daemon polls this, which is what bounds a sliding window's
+        directory on a running system. A table is only walked once a
+        leaf's worth of entries has been deleted through it."""
+        crowded = []
+        for info in list(self.catalog.clusters()):
+            for sid in range(self._n_shards):
+                with self.latch:
+                    if not self.has_cluster(info.name):
+                        break
+                    directory = self._directory(info.name, sid)
+                    if directory.deletes < LEAF_ENTRIES:
+                        continue
+                    stats = directory.stats()
+                if stats["dead_entries"] > stats["live_entries"]:
+                    crowded.append((info.name, sid))
+        return crowded
 
     def _pages_of_heap(self, heap: HeapFile) -> List[int]:
         pages = []
@@ -1234,17 +1280,6 @@ class Store:
                         pages.append(chain)
                         with self._pool.page(chain) as page:
                             chain = page.next_page
-        return pages
-
-    def _pages_of_hash(self, index: HashIndex) -> List[int]:
-        pages = [index.directory_page]
-        _, pointers = index._read_directory()
-        for bucket in dict.fromkeys(pointers):
-            page_no = bucket
-            while page_no != NO_PAGE:
-                pages.append(page_no)
-                with self._pool.page(page_no) as page:
-                    page_no = page.next_page
         return pages
 
     def verify_integrity(self) -> List[str]:
@@ -1442,7 +1477,7 @@ class Store:
         items: "OrderedDict[Tuple, bytes]" = OrderedDict()
         lost = 0
         authoritative = True
-        sound: List[Tuple[HeapFile, HashIndex]] = []
+        sound: List[Tuple[HeapFile, ObjectTable]] = []
         for sid in range(self._n_shards):
             heap = directory = None
             try:
@@ -1453,6 +1488,9 @@ class Store:
                                 self._shard_pair(info, sid)[0],
                                 extent=self.EXTENT_PAGES, find_tail=False)
                 directory = self._directory(cluster, sid)
+                # A structurally unsound directory is not trusted for
+                # any key: the heap's embedded ``__key``s rebuild it.
+                directory.check_invariants()
                 rid_items = list(directory.items())
             except Exception:
                 healthy = False
@@ -1479,7 +1517,7 @@ class Store:
                 # and index corruption is invisible to heap reads.
                 for heap, directory in sound:
                     self._pages_of_heap(heap)
-                    self._pages_of_hash(directory)
+                    directory.pages()
                 for field in info.indexes:
                     self.index(cluster, field).check_invariants()
             except Exception:
@@ -1509,11 +1547,11 @@ class Store:
         while page_no != NO_PAGE and page_no not in seen:
             seen.add(page_no)
             try:
-                records, _slots, next_page, _lsn = \
+                _slots, payloads, _count, next_page, _lsn = \
                     heap.read_page_records(page_no, 0)
             except Exception:
                 return
-            for _rid, raw in records:
+            for raw in payloads:
                 key = None
                 try:
                     value = decode_value(raw)
@@ -1553,19 +1591,18 @@ class Store:
         info = self.cluster_info(cluster)
         old_pages = self._enumerable_pages(info)
         new_heaps: List[HeapFile] = []
-        new_directories: List[HashIndex] = []
+        new_directories: List[ObjectTable] = []
         for sid in range(self._n_shards):
             journal = self._shard_journals[sid]
             new_heaps.append(HeapFile.create(
                 journal, txn, extent=self.EXTENT_PAGES))
-            new_directories.append(HashIndex.create(
-                journal, txn, unique=True))
+            new_directories.append(ObjectTable.create(
+                journal, txn, self._n_shards))
         for key, payload in items.items():
             sid = self._shard_of_key(key)
-            rid = new_heaps[sid].insert(txn, payload)
-            new_directories[sid].insert(txn, key, tuple(rid),
-                                        check_dup=False)
-        info.shards = [[heap.first_page, directory.directory_page]
+            new_directories[sid].insert(
+                txn, key, new_heaps[sid].insert(txn, payload))
+        info.shards = [[heap.first_page, directory.root_page]
                        for heap, directory in
                        zip(new_heaps, new_directories)]
         info.heap_page, info.directory_page = info.shards[0]
@@ -1616,14 +1653,15 @@ class Store:
                 pages.append(page_no)
                 page_no = nxt
 
-        def hash_pages(directory_page: int, directory) -> None:
-            with self._pool.page(directory_page):
-                pass
-            seen.add(directory_page)
-            pages.append(directory_page)
-            _, pointers = directory._read_directory()
-            for bucket in dict.fromkeys(pointers):
-                chain(bucket)
+        def whole(structure) -> None:
+            # All or nothing: a walk that meets corruption leaks the
+            # structure's pages rather than guess at them.
+            try:
+                found = structure.pages()
+            except Exception:
+                return
+            seen.update(found)
+            pages.extend(found)
 
         heap_homes: List[int] = []
         for sid in range(min(self._n_shards, len(info.shards))):
@@ -1643,8 +1681,7 @@ class Store:
                 continue
         for sid in range(min(self._n_shards, len(info.shards))):
             try:
-                hash_pages(info.shards[sid][1],
-                           self._directory(info.name, sid))
+                whole(self._directory(info.name, sid))
             except Exception:
                 pass
         for field, ix_info in info.indexes.items():
@@ -1653,10 +1690,7 @@ class Store:
             except Exception:
                 continue
             if ix_info.kind == "hash":
-                try:
-                    hash_pages(ix_info.root_page, index)
-                except Exception:
-                    pass
+                whole(index)
             else:
                 queue = [ix_info.root_page]
                 while queue:

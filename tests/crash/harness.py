@@ -23,6 +23,7 @@ the state to be *some* consistent prefix.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -228,4 +229,72 @@ def shard_kill_specs():
             specs.append(("4shard-%s@%d" % (name, at_hit),
                           "%s:%s:%d" % (name, action, at_hit), True,
                           SHARD_ENV))
+    return specs
+
+
+# -- version-2 layout cycles (EXP-22) --------------------------------------------
+
+
+def v2_env(shards: int) -> dict:
+    """Environment of an old-layout cycle: the child rebuilds its schema
+    in the version-2 (hash directory) layout, then migrates it with the
+    workload's maintenance calls — a recluster of one shard first when
+    sharded, then the vacuum. The small pool forces page write-backs
+    inside those rewrites."""
+    return {
+        "REPRO_SHARDS": str(shards),
+        "REPRO_RECLUSTER": "0",
+        "REPRO_WORKLOAD_MAINT": "1",
+        "REPRO_WORKLOAD_V2": "1",
+        "REPRO_WORKLOAD_POOL": "8",
+    }
+
+
+#: Failpoints aimed *inside* the migrating vacuum (which also allocates
+#: the new table's mid and leaf pages), each at these fractions of the
+#: hit-count window the vacuum spans.
+V2_VACUUM_POINTS = (("wal.append.pre", "die"), ("wal.append.post", "die"),
+                    ("wal.flush.pre", "die"), ("pagefile.write.pre", "die"),
+                    ("pagefile.write.torn", "torn"),
+                    ("pagefile.write.post", "die"))
+V2_FRACTIONS = (0.0, 0.5, 1.0)
+
+
+def v2_vacuum_windows(tmpdir: str, shards: int, seed: int = 1337,
+                      n_ops: int = 40) -> dict:
+    """``{failpoint: (hits_before, hits_after)}`` around the migrating
+    vacuum, from one fault-free child run with every point armed at an
+    unreachable hit count (armed points are the ones that count)."""
+    hits_path = os.path.join(tmpdir, "hits.json")
+    env = dict(os.environ)
+    env.update(v2_env(shards))
+    env["REPRO_WORKLOAD_HITS"] = hits_path
+    env["REPRO_FAULTS"] = ";".join(
+        "%s:%s:1000000000" % point for point in V2_VACUUM_POINTS)
+    proc = subprocess.run(
+        [sys.executable, WORKLOAD, os.path.join(tmpdir, "calibrate.odb"),
+         os.path.join(tmpdir, "calibrate.log"), str(seed), str(n_ops),
+         "full"], env=env, capture_output=True, timeout=120.0)
+    assert proc.returncode == 0, proc.stderr.decode()[-1500:]
+    with open(hits_path) as handle:
+        hits = json.load(handle)
+    return {name: (hits["before"][name], hits["after"][name])
+            for name, _action in V2_VACUUM_POINTS}
+
+
+def v2_kill_specs():
+    """``(label, shards, failpoint, action, where)`` for the old-layout
+    matrix. *where* is a fraction of the migrating vacuum's hit window
+    (resolved against :func:`v2_vacuum_windows` at run time), or a plain
+    hit count (int) for the recluster points, whose first hit is the
+    recluster that migrates one shard of the 4-shard store."""
+    specs = []
+    for shards in (1, 4):
+        for name, action in V2_VACUUM_POINTS:
+            for where in V2_FRACTIONS:
+                specs.append(("v2-%dshard-%s@%.0f%%"
+                              % (shards, name, 100 * where),
+                              shards, name, action, where))
+    for name in ("recluster.pre", "recluster.commit.pre"):
+        specs.append(("v2-4shard-%s@1" % name, 4, name, "die", 1))
     return specs

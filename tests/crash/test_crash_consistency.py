@@ -10,12 +10,14 @@ import os
 
 import pytest
 
-from .harness import kill_specs, run_cycle, shard_kill_specs
+from .harness import (kill_specs, run_cycle, shard_kill_specs, v2_env,
+                      v2_kill_specs, v2_vacuum_windows)
 
 pytestmark = pytest.mark.crash
 
 SMOKE = kill_specs(hits=(2, 13))
 SHARD = shard_kill_specs()
+V2 = v2_kill_specs()
 
 #: The full matrix crosses more seeds and hit depths; 2 seeds x 17
 #: failpoints x 6 depths = 204 crash/recover cycles (>= the 200 the
@@ -47,6 +49,40 @@ def test_crash_shard_matrix(tmp_path, label, spec, strict, extra_env):
     assert result.problems == [], (
         "shard crash cycle %s violated recovery invariants: %s\n--- child "
         "stderr ---\n%s" % (label, result.problems, result.stderr[-1500:]))
+
+
+@pytest.fixture(scope="module")
+def v2_windows(tmp_path_factory):
+    """Hit-count windows of the migrating vacuum, per shard count."""
+    return {shards: v2_vacuum_windows(
+                str(tmp_path_factory.mktemp("v2-calibrate-%d" % shards)),
+                shards)
+            for shards in (1, 4)}
+
+
+@pytest.mark.parametrize(
+    "label,shards,name,action,where", V2,
+    ids=[label for label, _, _, _, _ in V2])
+def test_crash_v2_migration(tmp_path, v2_windows, label, shards, name,
+                            action, where):
+    """Version-2 layout cycles (EXP-22): the store starts with hash
+    directories and dies inside the rewrite that migrates them to object
+    tables — the vacuum (which also allocates the new table's mid and
+    leaf pages) or, sharded, the recluster of one shard. Whichever
+    layout recovery leaves, every acknowledged object is there."""
+    if isinstance(where, float):
+        lo, hi = v2_windows[shards][name]
+        assert hi > lo, "%s never fires inside the vacuum" % name
+        at_hit = lo + 1 + int((hi - lo - 1) * where)
+    else:
+        at_hit = where
+    result = run_cycle(str(tmp_path), "%s:%s:%d" % (name, action, at_hit),
+                       extra_env=v2_env(shards))
+    assert result.returncode != 0, "the kill point was never reached"
+    assert result.problems == [], (
+        "v2 crash cycle %s (hit %d) violated recovery invariants: %s\n"
+        "--- child stderr ---\n%s"
+        % (label, at_hit, result.problems, result.stderr[-1500:]))
 
 
 @pytest.mark.skipif(not _FULL, reason="set REPRO_CRASH_FULL=1 (slow)")

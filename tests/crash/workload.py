@@ -24,6 +24,7 @@ without closing, which the harness treats like a crash.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import sys
@@ -45,16 +46,66 @@ ERROR_EXIT_CODE = 3
 #: the model states are unaffected.
 MAINT_EVERY = 8
 
+# With ``REPRO_WORKLOAD_V2=1`` the child rebuilds every cluster's object
+# directory in the version-2 (hash) layout right after creating the
+# schema, and the maintenance calls migrate it (see run_maintenance);
+# ``REPRO_WORKLOAD_POOL`` shrinks the buffer pool so page write-backs
+# happen inside the migrating vacuum, and ``REPRO_WORKLOAD_HITS`` names
+# a file that receives the failpoint hit counters around it (the harness
+# calibrates its kill points from a fault-free run).
+
+
+def to_v2_layout(store, cluster: str) -> None:
+    """Give *cluster* version-2 object directories, by hand.
+
+    What a version-2 binary wrote: one ``HashIndex`` per shard keyed on
+    the ``(serial, version)`` tuple, its directory page recorded in the
+    cluster's catalog entry. Test-only — production code has no way to
+    create this layout any more. The replaced table's pages leak.
+    """
+    from repro.storage.hashindex import HashIndex
+    txn = store.begin()
+    info = store.cluster_info(cluster)
+    for sid in range(store.n_shards):
+        index = HashIndex.create(store._shard_journals[sid], txn,
+                                 unique=True)
+        for key, rid in store._directory(cluster, sid).items():
+            index.insert(txn, key, rid)
+        info.shards[sid] = [info.shards[sid][0], index.directory_page]
+        del store._directories[(cluster, sid)]
+    info.heap_page, info.directory_page = info.shards[0]
+    store.catalog.save_cluster(txn, info)
+    store.commit(txn)
+
 
 def run_maintenance(db, i: int) -> None:
-    """One deterministic recluster call after op *i* (content-neutral)."""
+    """One deterministic maintenance call after op *i* (content-neutral):
+    a recluster of one shard, or the vacuum that migrates a version-2
+    layout to object tables. On a multi-shard version-2 store the first
+    call is a recluster (it migrates its one shard, leaving the layouts
+    mixed) and the second the vacuum."""
     store = db.store
-    shard = (i // MAINT_EVERY) % store.n_shards
+    call = i // MAINT_EVERY
+    if (store.directory_stats("CrashItem")["layout"] == "hash"
+            and (store.n_shards == 1 or call % 2 == 1)):
+        before = _hits(store)
+        store.vacuum("CrashItem")
+        hits_path = os.environ.get("REPRO_WORKLOAD_HITS")
+        if hits_path:
+            with open(hits_path, "w") as handle:
+                json.dump({"before": before, "after": _hits(store)}, handle)
+        return
+    shard = call % store.n_shards
     serials = sorted(
         serial for _rid, record in store.scan("CrashItem")
         for serial in [record["__key"][0]]
         if store._shard_of_key((serial, 0)) == shard)[:4]
     store.recluster_shard("CrashItem", serials, shard=shard)
+
+
+def _hits(store):
+    return {name: point.hits
+            for name, point in store.faults._points.items()}
 
 
 class CrashItem(OdeObject):
@@ -110,10 +161,15 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
     # was written, so oracle ⊆ recovered must hold (full/group modes).
     oracle = open(oracle_path, "ab", buffering=0)
     try:
-        db = Database(db_path, durability=durability)
+        db = Database(db_path, durability=durability,
+                      pool_size=int(os.environ.get("REPRO_WORKLOAD_POOL",
+                                                   256)))
         if "CrashItem" not in db.clusters():
             db.create(CrashItem)
             db.create_index(CrashItem, "qty", kind="hash")
+            if os.environ.get("REPRO_WORKLOAD_V2") == "1":
+                for info in db.store.catalog.clusters():
+                    to_v2_layout(db.store, info.name)
         live = {obj.name: obj for obj in db.cluster(CrashItem)}
         for i, (kind, name, arg) in enumerate(ops):
             with db.transaction():

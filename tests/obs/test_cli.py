@@ -32,6 +32,9 @@ class TestStatsFormats:
         out = capsys.readouterr().out
         assert "buffer pool:" in out
         assert "WAL:" in out
+        assert "object directories:" in out
+        assert any(line.split()[:2] == ["gizmo", "table"]
+                   for line in out.splitlines())
 
     def test_json(self, seeded_path, capsys):
         assert main(["stats", seeded_path, "--format=json"]) == 0
@@ -42,6 +45,11 @@ class TestStatsFormats:
             assert key in stats
         assert stats["buffer"] == stats["buffer_pool"]
         assert "hit_ratio" in stats["buffer"]
+        assert stats["directory"]["gizmo"] == {
+            "layout": "table", "leaf_pages": 1, "live_entries": 4,
+            "dead_entries": 0}
+        assert stats["fragmentation"]["gizmo"]["directory"] == \
+            stats["directory"]["gizmo"]
 
     def test_prom(self, seeded_path, capsys):
         assert main(["stats", seeded_path, "--format=prom"]) == 0
@@ -53,6 +61,14 @@ class TestStatsFormats:
                        "ode_lock_grants_total", "ode_txn_commits_total",
                        "ode_plan_cache_hits_total"):
             assert family in families, family
+        # the per-cluster object-directory block (taken on demand)
+        gizmo = {"cluster": "gizmo"}
+        assert families["ode_directory_live_entries"].count(
+            (gizmo, 4.0)) == 1
+        assert (gizmo, 0.0) in families["ode_directory_dead_entries"]
+        assert (gizmo, 1.0) in families["ode_directory_leaf_pages"]
+        assert ({"cluster": "gizmo", "value": "table"}, 1.0) \
+            in families["ode_directory_layout"]
 
 
 class TestEventsCommand:

@@ -125,6 +125,23 @@ class TestFlush:
         assert stats["hits"] >= 1
         assert stats["capacity"] == 4
 
+    def test_object_table_pages_are_accounted_apart(self, pool):
+        """hits/misses are data pages; a resident directory must not
+        mask how cold the data is."""
+        heap = pool.new_page(PageType.HEAP)
+        tables = [pool.new_page(PageType.TABLE_NODE),
+                  pool.new_page(PageType.TABLE_LEAF)]
+        pool.flush_all()
+        pool.invalidate_all()
+        for _ in range(2):
+            for page_no in [heap] + tables:
+                with pool.page(page_no):
+                    pass
+        stats = pool.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert (stats["directory_hits"], stats["directory_misses"]) == (2, 2)
+        assert stats["hit_ratio"] == 0.5
+
     def test_free_page_returns_to_file(self, pool, pf):
         page_no = pool.new_page(PageType.HEAP)
         pool.flush_all()

@@ -111,7 +111,7 @@ class TestVerifyIntegrity:
         # Delete from the heap behind the directory's back.
         hit = store._directory("c").search((1, 0))
         from repro.storage.heap import RID
-        store._heap("c").delete(txn, RID(*hit[0]))
+        store._heap("c").delete(txn, RID(*hit))
         store.commit(txn)
         problems = store.verify_integrity()
         assert problems  # unreadable RID and/or count mismatch reported
@@ -146,7 +146,11 @@ class TestClusterPlacement:
             store.put(txn, "solo", (i, 0), {"i": i, "pad": "z" * 100})
         store.commit(txn)
         report = store.fragmentation("solo")
-        assert set(report) == {"pages", "span", "runs", "fragmentation"}
+        assert set(report) == {"pages", "span", "runs", "fragmentation",
+                               "directory"}
+        assert report["directory"] == {
+            "layout": "table", "leaf_pages": 1, "live_entries": 50,
+            "dead_entries": 0}
         assert report["pages"] >= 1
         assert report["span"] >= report["pages"]
         assert report["fragmentation"] >= 1.0
