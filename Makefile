@@ -55,13 +55,19 @@ bench-scan-smoke:
 
 # MVCC gate: readers-vs-writer throughput (snapshot reads must let the
 # writer through at >= 2x the S-lock baseline) and the single-thread
-# overhead geomean, plus the snapshot rounds of the differential harness
-# and the MVCC behaviour suite.
+# overhead geomean; the index-overlay count gate (EXP-23: an indexed
+# point query on 5 000 rows beside one pending write reads <= matches +
+# dirty records, compiled and interpreted — counts, not timings); plus
+# the snapshot rounds of the differential harness, the index-overlay
+# suites and the MVCC behaviour suite.
 bench-mvcc-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_concurrency.py::TestMvccScanReaders \
 		--benchmark-only -q
+	$(PYTHON) benchmarks/bench_concurrency.py --gate
 	$(PYTHON) -m pytest tests/concurrency/test_mvcc.py \
-		"tests/query/test_codegen_differential.py::TestSnapshotDifferential" -x -q
+		"tests/query/test_codegen_differential.py::TestSnapshotDifferential" \
+		tests/query/test_index_overlay.py \
+		tests/query/test_index_overlay_model.py -x -q
 
 # Sharded-storage gate (EXP-18): the scan benchmarks plus the one
 # acceptance ratio — single-shard facade parity within 1.1x of the raw

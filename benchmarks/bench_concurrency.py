@@ -7,10 +7,18 @@ object (serialization cost), and concurrent readers against a writer under
 group commit. Python threads share the GIL, so these benchmarks bound lock
 *overhead* and fairness rather than parallel speedup — the interesting
 number is how close N threads stay to 1 thread on the same total work.
+
+``--gate`` (run by ``make bench-mvcc-smoke`` and CI) checks what an
+indexed point query reads beside another session's pending write —
+counts, not timings::
+
+    PYTHONPATH=src python benchmarks/bench_concurrency.py --gate
 """
 
 import math
 import os
+import sys
+import tempfile
 import threading
 import time
 
@@ -286,3 +294,93 @@ class TestMvccScanReaders:
         assert geomean <= 1.25, (
             "single-thread MVCC overhead gate: geomean %.3fx "
             "(per-workload: %r)" % (geomean, ratios))
+
+
+# -- index-overlay count gate (make bench-mvcc-smoke / CI) ------------------
+
+
+def run_gate(tmpdir) -> int:
+    """An indexed point query on 5 000 rows while another session holds
+    one pending write reads at most matches + dirty records, on both
+    evaluators and from both kinds of reader."""
+    from repro import A, forall
+    rows, groups = 5000, 1000
+    matches = rows // groups
+    db = Database(tmpdir + "/gate.odb")
+    db.create(BenchCounter)
+    db.create_index(BenchCounter, "n", kind="hash")
+    with db.transaction():
+        for i in range(rows):
+            db.pnew(BenchCounter, n=i % groups)
+    failures = []
+
+    def check(label, got, limit):
+        print("%-58s %6d (want <= %d)" % (label, got, limit))
+        if got > limit:
+            failures.append("%s: %d > %d" % (label, got, limit))
+
+    def point():
+        return forall(db.cluster(BenchCounter)).suchthat(A.n == 7)
+
+    def scan_work(stats):
+        # Keys peeked and records decoded by extent walks, plus the heap
+        # pages they visited (a walk over cached pages peeks nothing).
+        return (stats["scan"]["records_peeked"]
+                + stats["scan"]["records_decoded"]
+                + stats["page_cache"]["hits"] + stats["page_cache"]["misses"])
+
+    def read(label, q):
+        before = db.stats()
+        assert q.count() == matches and len(q.to_list()) == matches
+        after = db.stats()
+        check(label + ": scan records + pages, 2 queries",
+              scan_work(after) - scan_work(before), 2 * (matches + 1))
+        dirty = (after["mvcc"]["index_overlay_rows"]
+                 - before["mvcc"]["index_overlay_rows"])
+        print("%-58s %6d (want 2)"
+              % (label + ": dirty rows resolved, 2 queries", dirty))
+        if dirty != 2:
+            failures.append("%s: overlay resolved %d rows, not 2"
+                            % (label, dirty))
+
+    pending, release = threading.Event(), threading.Event()
+
+    def writer():
+        with db.transaction():
+            point().first().n = groups + 7      # one match leaves the key
+            assert point().count() == matches - 1   # flushed: entry moved
+            pending.set()
+            assert release.wait(60)
+
+    def reader():
+        try:
+            assert pending.wait(60)
+            for label, q in (("compiled", point()),
+                             ("interpreted", point().codegen(False))):
+                read("read-committed, " + label, q)
+                with db.transaction():
+                    read("snapshot txn, " + label, q)
+        finally:
+            release.set()
+
+    try:
+        run_threads([writer, reader])
+    finally:
+        db.close()
+    for failure in failures:
+        print("GATE FAIL: %s" % failure, file=sys.stderr)
+    print("index overlay gate %s" % ("FAILED" if failures else "ok"))
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv != ["--gate"]:
+        print(__doc__)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="overlay-gate-") as tmpdir:
+        return run_gate(tmpdir)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

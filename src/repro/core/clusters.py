@@ -160,8 +160,7 @@ class ClusterHandle:
             if not db.store.has_cluster(name):
                 continue
             vis = db._scan_visibility(name, as_of)
-            if vis is not None and not db._mvcc.cluster_dirty(
-                    name, vis.snapshot):
+            if vis is not None and vis.batch_clean():
                 # No in-flight writer and no commit newer than the
                 # snapshot: store content is exactly the snapshot.
                 vis = None

@@ -380,6 +380,8 @@ class Database:
         mvcc = self._mvcc
         metrics.counter_fn("mvcc.resolutions", lambda: mvcc.resolutions)
         metrics.counter_fn("mvcc.conflicts", lambda: mvcc.conflicts)
+        metrics.counter_fn("mvcc.index_overlay_rows",
+                           lambda: mvcc.index_overlay_rows)
         metrics.gauge_fn("mvcc.histories", mvcc.history_count)
         metrics.gauge_fn("mvcc.active_snapshots", mvcc.active_snapshots)
         plan_cache = self.plan_cache
@@ -723,13 +725,16 @@ class Database:
             self._mvcc.check_snapshot(as_of)
             snapshot, txn_id = as_of, -2  # never matches a real txn
         else:
-            handle = self._session.txn
-            if handle is not None:
-                snapshot, txn_id = handle.snapshot_lsn, handle.txn_id
-            else:
-                snapshot, txn_id = None, -1  # autocommit: read-committed
+            snapshot, txn_id = self._reader()
         return _ScanVis(self, cluster, self._mvcc.histories(cluster),
                         snapshot, txn_id)
+
+    def _reader(self) -> Tuple[Optional[int], int]:
+        """``(snapshot LSN, txn id)`` of the calling session's reads."""
+        handle = self._session.txn
+        if handle is not None:
+            return handle.snapshot_lsn, handle.txn_id
+        return None, -1  # autocommit: read-committed
 
     def _lock_cluster_ddl(self, cluster: str) -> None:
         """X-lock a whole cluster (index DDL, cluster rewrites)."""
@@ -1346,11 +1351,7 @@ class Database:
         hist = self._mvcc.lookup(cluster, serial)
         if hist is None:
             return _MVCC_STORE
-        handle = self._session.txn
-        if handle is not None:
-            snapshot, txn_id = handle.snapshot_lsn, handle.txn_id
-        else:
-            snapshot, txn_id = None, -1  # autocommit: read-committed
+        snapshot, txn_id = self._reader()
         if not self._mvcc.needs_resolve(hist, snapshot, txn_id):
             return _MVCC_STORE
         return self._mvcc.visible(hist, snapshot, txn_id)
@@ -1464,11 +1465,7 @@ class Database:
         registered its full pre-image before deleting, so the re-check
         finds it. A final None is a genuinely dangling version.
         """
-        handle = self._session.txn
-        if handle is not None:
-            snapshot, txn_id = handle.snapshot_lsn, handle.txn_id
-        else:
-            snapshot, txn_id = None, -1
+        snapshot, txn_id = self._reader()
         hist = self._mvcc.lookup(vref.cluster, vref.serial)
         if hist is not None:
             state = self._mvcc.version_state(hist, snapshot, txn_id,
@@ -2097,7 +2094,9 @@ class _ScanVis:
     takes the unchanged fast path, with the serial noted in ``seen`` so
     the post-scan :meth:`tail` pass can resurrect objects whose records
     were deleted from the store mid-scan without double-yielding anything
-    the page walk already produced.
+    the page walk already produced. Index plans use the same overlay the
+    other way round: they ask for the :meth:`dirty` serials up front and
+    resolve exactly those.
     """
 
     __slots__ = ("db", "cluster", "hists", "hget", "snapshot", "txn_id",
@@ -2124,10 +2123,18 @@ class _ScanVis:
         bytes could have been decoded is registered (pending) by now, and
         a commit newer than the snapshot shows in the cluster's max
         commit LSN — either flips :meth:`MVCCManager.cluster_dirty`. With
-        the cluster clean, ``needs_resolve`` is False for every history,
-        so the whole batch takes the unchecked fast path.
+        the cluster clean, ``needs_resolve`` is False for every history
+        (the reader's own pending writes included), so the whole batch
+        takes the unchecked fast path.
         """
-        return not self.db._mvcc.cluster_dirty(self.cluster, self.snapshot)
+        return not self.db._mvcc.cluster_dirty(self.cluster, self.snapshot,
+                                               self.txn_id)
+
+    def dirty(self) -> Set[int]:
+        """The serials that make :meth:`batch_clean` false for this
+        reader — what an index plan overlays on its candidates."""
+        return self.db._mvcc.dirty_serials(self.cluster, self.snapshot,
+                                           self.txn_id)
 
     def materialize(self, serial: int) -> Optional[OdeObject]:
         """Resolve one history-flagged serial; None = skip (invisible or

@@ -76,6 +76,10 @@ RETENTION_LSNS = 100_000
 PRUNE_EVERY = 64
 
 
+def _clsn_of(commit: Tuple[int, List[int]]) -> int:
+    return commit[0]
+
+
 class ObjectHistory:
     """Version-visibility record for one ``(cluster, serial)``.
 
@@ -110,9 +114,14 @@ class MVCCManager:
         self._txn_keys: Dict[int, Set[Tuple[str, int]]] = {}
         #: txn id -> snapshot LSN (the retention floor honours these).
         self._snapshots: Dict[int, int] = {}
-        #: Per-cluster summaries for the O(1) "is an index plan safe"
-        #: check: in-flight writer count and newest committed-write LSN.
-        self._cluster_pending: Dict[str, int] = {}
+        #: The per-cluster *dirty set*, findable without walking every
+        #: retained history: serials with an in-flight writer, grouped by
+        #: writer (cluster -> {txn id -> serials}), and the serials each
+        #: retained commit wrote, in ascending commit-LSN order (cluster
+        #: -> [(clsn, serials)], pruned with the histories).
+        self._pending: Dict[str, Dict[int, Set[int]]] = {}
+        self._commits: Dict[str, List[Tuple[int, List[int]]]] = {}
+        #: Newest committed-write LSN per cluster (never pruned).
         self._cluster_max_clsn: Dict[str, int] = {}
         #: Snapshot high-water: assigned to new transactions. Advanced
         #: only *after* a commit's histories are stamped, so a reader
@@ -124,6 +133,8 @@ class MVCCManager:
         self._commit_count = 0
         self.conflicts = 0     # bumped by the database on SnapshotConflict
         self.resolutions = 0   # reads served from a history image
+        #: Dirty serials index plans resolved through the overlay.
+        self.index_overlay_rows = 0
 
     # -- fast lock-free lookups (hot paths) --------------------------------
 
@@ -208,15 +219,37 @@ class MVCCManager:
         committed = hist.committed
         return bool(committed) and committed[-1][0] > snapshot
 
-    def cluster_dirty(self, cluster: str, snapshot: Optional[int]) -> bool:
-        """True when an index plan over *cluster* could be inconsistent
-        with this snapshot (in-flight writers, or commits newer than the
-        snapshot whose index entries reflect the present)."""
-        if self._cluster_pending.get(cluster, 0):
+    def cluster_dirty(self, cluster: str, snapshot: Optional[int],
+                      txn_id: int) -> bool:
+        """True when the store's present content of *cluster* (records and
+        index entries alike) may differ from what this reader sees: another
+        transaction has a write in flight, or one committed after the
+        snapshot. The reader's own pending writes are its present."""
+        pending = self._pending.get(cluster)
+        if pending and (len(pending) > 1 or txn_id not in pending):
             return True
         if snapshot is None:
             return False
         return self._cluster_max_clsn.get(cluster, 0) > snapshot
+
+    def dirty_serials(self, cluster: str, snapshot: Optional[int],
+                      txn_id: int) -> Set[int]:
+        """The serials behind a true :meth:`cluster_dirty`: every object
+        of *cluster* with a foreign in-flight writer or (for a snapshot
+        reader) a retained commit newer than *snapshot*. O(dirty); asked
+        for by index plans, which resolve every serial returned."""
+        out: Set[int] = set()
+        with self._lock:
+            for writer, serials in self._pending.get(cluster, {}).items():
+                if writer != txn_id:
+                    out.update(serials)
+            if snapshot is not None:
+                for clsn, serials in reversed(self._commits.get(cluster, ())):
+                    if clsn <= snapshot:
+                        break
+                    out.update(serials)
+            self.index_overlay_rows += len(out)
+        return out
 
     def check_snapshot(self, snapshot: int) -> None:
         """Validate a time-travel snapshot against the global horizon."""
@@ -260,8 +293,8 @@ class MVCCManager:
             hist.pending_txn = txn_id
             hist.pending_img = _LazyImage(loader) if lazy else loader()
             self._txn_keys.setdefault(txn_id, set()).add((cluster, serial))
-            self._cluster_pending[cluster] = \
-                self._cluster_pending.get(cluster, 0) + 1
+            self._pending.setdefault(cluster, {}).setdefault(
+                txn_id, set()).add(serial)
 
     def fill_lazy(self, txn_id: int, cluster: str, serial: int,
                   loader: Callable[[], Image]) -> None:
@@ -346,7 +379,9 @@ class MVCCManager:
         until every touched object resolves it.
         """
         with self._lock:
-            for cluster, serial in self._txn_keys.pop(txn_id, ()):
+            keys = self._txn_keys.pop(txn_id, ())
+            written: Dict[str, List[int]] = {}
+            for cluster, serial in keys:
                 hists = self._by_cluster.get(cluster)
                 hist = hists.get(serial) if hists else None
                 if hist is None or hist.pending_txn != txn_id:
@@ -354,7 +389,6 @@ class MVCCManager:
                 img = hist.pending_img
                 hist.pending_txn = None
                 hist.pending_img = None
-                self._cluster_pending[cluster] -= 1
                 if type(img) is _LazyImage:
                     # Registered (locked) but never flushed: the store
                     # was not written, so there is no commit to record.
@@ -362,8 +396,18 @@ class MVCCManager:
                         del hists[serial]
                     continue
                 hist.committed.append((clsn, img))
+                written.setdefault(cluster, []).append(serial)
+            for cluster, serials in written.items():
+                commits = self._commits.setdefault(cluster, [])
+                commits.append((clsn, serials))
+                if len(commits) > 1 and commits[-2][0] > clsn:
+                    # Concurrent committers may stamp out of LSN order.
+                    commits.sort(key=_clsn_of)
                 if clsn > self._cluster_max_clsn.get(cluster, 0):
                     self._cluster_max_clsn[cluster] = clsn
+            # Last: a lock-free cluster_dirty must never see the writer
+            # gone before its commit shows in the cluster's max LSN.
+            self._clear_pending(txn_id, keys)
             self._snapshots.pop(txn_id, None)
             if clsn > self.last_commit_lsn:
                 self.last_commit_lsn = clsn
@@ -374,17 +418,22 @@ class MVCCManager:
     def abort(self, txn_id: int) -> None:
         """Discard *txn_id*'s pre-images (the store rolls back to them)."""
         with self._lock:
-            for cluster, serial in self._txn_keys.pop(txn_id, ()):
+            keys = self._txn_keys.pop(txn_id, ())
+            for cluster, serial in keys:
                 hists = self._by_cluster.get(cluster)
                 hist = hists.get(serial) if hists else None
                 if hist is None or hist.pending_txn != txn_id:
                     continue
                 hist.pending_txn = None
                 hist.pending_img = None
-                self._cluster_pending[cluster] -= 1
                 if not hist.committed and not hist.pruned_below:
                     del hists[serial]
+            self._clear_pending(txn_id, keys)
             self._snapshots.pop(txn_id, None)
+
+    def _clear_pending(self, txn_id: int, keys) -> None:
+        for cluster in {cluster for cluster, _serial in keys}:
+            self._pending[cluster].pop(txn_id, None)
 
     # -- snapshot registry -------------------------------------------------
 
@@ -426,6 +475,11 @@ class MVCCManager:
                     dead.append(serial)
             for serial in dead:
                 del hists[serial]
+        for commits in self._commits.values():
+            k = 0
+            while k < len(commits) and commits[k][0] <= floor:
+                k += 1
+            del commits[:k]
 
     # -- introspection -----------------------------------------------------
 
@@ -440,6 +494,7 @@ class MVCCManager:
             "histories": self.history_count(),
             "active_snapshots": len(self._snapshots),
             "resolutions": self.resolutions,
+            "index_overlay_rows": self.index_overlay_rows,
             "conflicts": self.conflicts,
             "last_commit_lsn": self.last_commit_lsn,
             "dropped_horizon": self.dropped_horizon,

@@ -49,7 +49,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.fields import Field
-from ..core.oid import Oid
 from .optimizer import (INDEX_BATCH, CompositeScan, FullScan, IndexEquality,
                         IndexRange)
 from .predicates import (And, AttrCompare, Callable_, Compare, JoinCompare,
@@ -524,113 +523,22 @@ def _emit_cluster_scan(w: _Writer, terminal: str, expr: Optional[str],
     w.indent -= 1  # out of cluster guard / hierarchy loop
 
 
-def _emit_materialize_serial(w: _Writer) -> None:
-    """Turn ``_serial`` into ``obj`` via cache then deref (skip missing)."""
-    w.w("obj = _cget((_cl, _serial))")
-    w.w("if obj is None:")
-    w.indent += 1
-    w.w("obj = _deref(_Oid(_cl, _serial), _missing_ok=True)")
-    w.w("if obj is None:")
-    w.indent += 1
-    w.w("continue")
-    w.indent -= 2
-
-
-def _emit_index_setup(w: _Writer) -> None:
-    w.w('_cl = rt["cluster"]')
-    w.w("if db._txn is not None and db._dirty:")
-    w.indent += 1
-    w.w("db._flush(db._txn.txn_id)")
-    w.indent -= 1
-    w.w("db._lock_cluster_scan(_cl)")
-    w.w("_cget = db._cache.get")
-    w.w("_deref = db.deref")
-    w.w('_Oid = rt["Oid"]')
-
-
-def _serial_loop_header(kind: str, w: _Writer) -> None:
-    """Emit the per-kind loop over index entries, leaving ``_serial``
-    bound inside the loop body (indent is left inside the loop)."""
-    if kind == "eq":
-        w.w("for _serial in _serials:")
-        w.indent += 1
-        return
-    if kind == "range":
-        w.w('_lo = rt["lo"]')
-        w.w('_ls = rt["lo_strict"]')
-        w.w('for _ikey, _serial in store.index_range('
-            '_cl, rt["field"], _lo, rt["hi"], include_hi=rt["inc_hi"]):')
-        w.indent += 1
-        w.w("if _ls and _ikey == _lo:")
-        w.indent += 1
-        w.w("continue")
-        w.indent -= 1
-        return
-    # composite
-    w.w('_prefix = rt["prefix"]')
-    w.w('_k = rt["k"]')
-    w.w('_lo = rt["lo"]')
-    w.w('_ls = rt["lo_strict"]')
-    w.w('_hi = rt["hi"]')
-    w.w('_hs = rt["hi_strict"]')
-    w.w('for _ikey, _serial in store.index_range('
-        '_cl, rt["index"], rt["lo_key"], None):')
-    w.indent += 1
-    w.w("if _ikey[:_k] != _prefix:")
-    w.indent += 1
-    w.w("break")
-    w.indent -= 1
-    w.w("if _lo is not None and _ls and len(_ikey) > _k "
-        "and _ikey[_k] == _lo:")
-    w.indent += 1
-    w.w("continue")
-    w.indent -= 1
-    w.w("if _hi is not None and len(_ikey) > _k:")
-    w.indent += 1
-    w.w("if _ikey[_k] > _hi or (_hs and _ikey[_k] == _hi):")
-    w.indent += 1
-    w.w("break")
-    w.indent -= 2
-
-
-def _emit_index_drain(w: _Writer, kind: str, terminal: str,
-                      expr: Optional[str], guard: str,
-                      has_limit: bool) -> None:
-    """Index plan for eager terminals: drain serials, filter once."""
-    if kind == "eq":
-        w.w('_serials = store.index_search(_cl, rt["field"], rt["value"])')
-    w.w("objs = []")
-    w.w("_oa = objs.append")
-    _serial_loop_header(kind, w)
-    _emit_materialize_serial(w)
-    w.w("_oa(obj)")
-    w.indent -= 1
-    w.w("if objs:")
+def _emit_index_chunks(w: _Writer, terminal: str, expr: Optional[str],
+                       guard: str, has_limit: bool) -> None:
+    """Consume an index plan's candidate chunks (``IndexPlan.chunks``: the
+    one runtime copy of the probe, the materialization and the MVCC
+    overlay) with the residual inlined. The streaming terminal chunks
+    like the interpreted pipeline, so early-exiting consumers do the
+    same work; eager terminals take everything at once, and a bare
+    ``count()`` does not ask for objects at all."""
+    if terminal == "iter":
+        w.w("for objs in _chunks:")
+    elif terminal == "count" and expr is None:
+        w.w('for objs in rt["plan"].chunks(None, count_only=True):')
+    else:
+        w.w('for objs in rt["plan"].chunks(None, rt["keyed"]):')
     w.indent += 1
     _emit_consume(w, terminal, expr, guard, has_limit)
-    w.indent -= 1
-
-
-def _emit_index_stream(w: _Writer, kind: str, expr: Optional[str],
-                       guard: str, has_limit: bool) -> None:
-    """Index plan for the streaming terminal: chunk like the interpreted
-    ``_batched_matches`` so early-exiting consumers do the same work."""
-    if kind == "eq":
-        pass  # _serials bound eagerly by the caller
-    w.w("_chunk = []")
-    w.w("_ca = _chunk.append")
-    _serial_loop_header(kind, w)
-    _emit_materialize_serial(w)
-    w.w("_ca(obj)")
-    w.w("if len(_chunk) >= %d:" % INDEX_BATCH)
-    w.indent += 1
-    _emit_consume(w, "iter", expr, guard, has_limit, in_var="_chunk")
-    w.w("_chunk = []")
-    w.w("_ca = _chunk.append")
-    w.indent -= 2
-    w.w("if _chunk:")
-    w.indent += 1
-    _emit_consume(w, "iter", expr, guard, has_limit, in_var="_chunk")
     w.indent -= 1
 
 
@@ -664,16 +572,16 @@ def _single_spec(plan):
         if isinstance(src, DeepView):
             return ("deep", src.handle.name, None, plan.pred, src.handle.db)
         return None
-    if isinstance(plan, IndexEquality):
-        return ("eq", plan.handle.name, plan.handle.cls, plan.residual,
-                plan.handle.db)
-    if isinstance(plan, IndexRange):
-        return ("range", plan.handle.name, plan.handle.cls, plan.residual,
-                plan.handle.db)
-    if isinstance(plan, CompositeScan):
-        return ("comp", plan.handle.name, plan.handle.cls, plan.residual,
+    kind = _INDEX_KINDS.get(type(plan))
+    if kind is not None:
+        return (kind, plan.handle.name, plan.handle.cls, plan.residual,
                 plan.handle.db)
     return None
+
+
+#: The index plans share one generated pipeline; the kind only labels it.
+_INDEX_KINDS = {IndexEquality: "eq", IndexRange: "range",
+                CompositeScan: "comp"}
 
 
 def _order_keys_ok(order) -> bool:
@@ -693,45 +601,37 @@ def _build_single_source(kind: str, terminal: str, expr: Optional[str],
                          guard: str, ctx: _Ctx, ordered: bool,
                          elide_sort: bool, has_limit: bool) -> str:
     w = _Writer()
+    scan = kind in ("full", "deep")
+    _emit_prologue(w, ctx, db=scan, check=bool(guard), limit=has_limit)
     if terminal == "iter":
-        _emit_prologue(w, ctx, check=bool(guard), limit=has_limit)
-        if kind == "eq":
-            # IndexEquality.execute is eager up to index_search; the
-            # generated pipeline keeps that lock timing.
-            _emit_index_setup(w)
-            w.w('_serials = store.index_search(_cl, rt["field"], '
-                'rt["value"])')
+        if not scan:
+            # As interpreted: an equality plan probes here, range and
+            # composite plans do nothing before the first pull.
+            w.w('_chunks = rt["plan"].chunks(%d, rt["keyed"])' % INDEX_BATCH)
         w.w("def _rows():")
         w.indent += 1
         if has_limit:
             w.w("_n = 0")
-        if kind in ("full", "deep"):
+        if scan:
             _emit_cluster_scan(w, "iter", expr, guard, has_limit,
                                deep=(kind == "deep"))
-        elif kind == "eq":
-            _emit_index_stream(w, "eq", expr, guard, has_limit)
         else:
-            # Range/composite execute() bodies are generators: all setup
-            # (flush, lock) happens lazily on first pull, as interpreted.
-            _emit_index_setup(w)
-            _emit_index_stream(w, kind, expr, guard, has_limit)
+            _emit_index_chunks(w, "iter", expr, guard, has_limit)
         if not w.lines[-1].strip():
             w.w("pass")
         w.indent -= 1
         w.w("return _rows()")
         return w.source()
     # eager terminals: count / collect
-    _emit_prologue(w, ctx, check=bool(guard), limit=has_limit)
     if terminal == "count":
         w.w("n = 0")
     else:
         w.w("out = []")
-    if kind in ("full", "deep"):
+    if scan:
         _emit_cluster_scan(w, terminal, expr, guard, has_limit,
                            deep=(kind == "deep"))
     else:
-        _emit_index_setup(w)
-        _emit_index_drain(w, kind, terminal, expr, guard, has_limit)
+        _emit_index_chunks(w, terminal, expr, guard, has_limit)
     if terminal == "count":
         w.w("return n")
     else:
@@ -761,8 +661,7 @@ def run_single(q, plan, terminal):
         # Interpreted unordered to_list() streams through _take and
         # stops early; let the streaming terminal handle it instead.
         return INELIGIBLE
-    elide_sort = (ordered and q._plan_orders_by(plan)
-                  and not q._order[0][1])
+    elide_sort = q._sort_elided(plan)
     if terminal == "iter" and ordered and not elide_sort:
         # Interpreted materializes + sorts, then streams; do the same.
         rows = run_single(q, plan, "collect")
@@ -796,7 +695,7 @@ def run_single(q, plan, terminal):
         if os.environ.get(_ENV_STRICT):
             raise
         return INELIGIBLE
-    rt: Dict[str, Any] = {"db": db, "Oid": Oid}
+    rt: Dict[str, Any] = {"db": db}
     for i, value in enumerate(ctx.consts):
         rt["c%d" % i] = value
     for i, fn_ in enumerate(ctx.funcs):
@@ -812,19 +711,8 @@ def run_single(q, plan, terminal):
         rt["cluster"] = cluster
     elif kind == "deep":
         rt["hier"] = plan.source.handle.hierarchy
-    elif kind == "eq":
-        rt.update(cluster=cluster, field=plan.field, value=plan.value)
-    elif kind == "range":
-        rt.update(cluster=cluster, field=plan.field, lo=plan.lo,
-                  hi=plan.hi, lo_strict=plan.lo_strict,
-                  inc_hi=not plan.hi_strict)
     else:
-        prefix = tuple(plan.eq_values)
-        rt.update(cluster=cluster, index=plan.index_name, prefix=prefix,
-                  k=len(prefix),
-                  lo_key=prefix if plan.lo is None else prefix + (plan.lo,),
-                  lo=plan.lo, lo_strict=plan.lo_strict,
-                  hi=plan.hi, hi_strict=plan.hi_strict)
+        rt.update(plan=plan, keyed=elide_sort)
     return entry.fn(rt)
 
 
@@ -1355,8 +1243,7 @@ def describe_mode(q) -> Tuple[str, Optional[str]]:
                 has_limit = q._limit is not None
                 if terminal == "iter" and has_limit:
                     pass
-                elide = (bool(q._order) and q._plan_orders_by(plan)
-                         and not q._order[0][1])
+                elide = q._sort_elided(plan)
                 source = _build_single_source(
                     spec[0], terminal, expr, ctx.guard(), ctx,
                     bool(q._order), elide, has_limit)

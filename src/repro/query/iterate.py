@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
 from . import codegen as _codegen
-from .optimizer import FullScan, choose_plan
+from .optimizer import IndexRange, choose_plan
 from .predicates import (A, And, AttrExpr, Callable_, JoinCompare, Predicate,
                          TrueP, VarCompare, as_predicate, is_multivar,
                          max_var)
@@ -193,83 +193,51 @@ class Forall:
             self._plan_epoch = epoch
         return self._plan
 
-    def _active_plan(self):
-        """The plan to execute *now*: the cached plan, unless it is
-        index-driven and a concurrent writer has touched the cluster
-        relative to this reader's snapshot. Index entries (and the
-        direct object-cache probes index plans make) describe the
-        present; under churn the full scan's per-record visibility check
-        is the only snapshot-correct access path. The cached plan is
-        untouched — the substitution lasts one execution."""
-        plan = self._single_plan()
-        if isinstance(plan, FullScan):
-            return plan
-        pred = as_predicate(self._pred) if self._pred is not None else TrueP()
-        return self._mvcc_safe_plan(self._sources[0], plan, pred)
-
-    @staticmethod
-    def _mvcc_safe_plan(source, plan, pred):
-        if isinstance(plan, FullScan):
-            return plan
-        db = getattr(source, "db", None)
-        if db is None or not getattr(db, "_mvcc_on", False):
-            return plan
-        handle = db._txn
-        snapshot = handle.snapshot_lsn if handle is not None else None
-        if not db._mvcc.cluster_dirty(source.name, snapshot):
-            return plan
-        fallback = FullScan(source, pred)
-        fallback.estimated_rows = plan.estimated_rows
-        fallback.estimated_cost = plan.estimated_cost
-        return fallback
-
     def _iter_single(self) -> Iterator:
-        plan = self._active_plan()
+        plan = self._single_plan()
         fused = _codegen.run_single(self, plan, "iter")
         if fused is not _codegen.INELIGIBLE:
             self._note_mode(compiled=True)
             return fused
         self._note_mode(compiled=False)
-        rows = plan.execute()
-        if self._order:
-            if self._plan_orders_by(plan) and not self._order[0][1]:
-                # The index range scan already yields rows in the requested
-                # key order: elide the sort. (desc still sorts — reversing
-                # the scan would reverse equal-key runs and break the
-                # stable-sort guarantee.)
-                pass
-            else:
+        if self._sort_elided(plan):
+            rows = plan.execute(keyed=True)
+        else:
+            rows = plan.execute()
+            if self._order:
                 rows = iter(self._sorted(list(rows)))
         if self._limit is not None:
             rows = _take(rows, self._limit)
         return rows
 
-    def _plan_orders_by(self, plan) -> bool:
-        """True when *plan* emits rows already ordered by the by() key."""
-        from .optimizer import IndexRange
+    def _sort_elided(self, plan) -> bool:
+        """True when *plan* emits rows already in the by() order: an
+        ascending index range scan on the one by() key. (desc still
+        sorts — reversing the scan would reverse equal-key runs and
+        break the stable-sort guarantee.)"""
         if len(self._order) != 1:
             return False
-        key, _desc = self._order[0]
-        if not isinstance(key, AttrExpr):
-            return False
-        return isinstance(plan, IndexRange) and plan.field == key.name
+        key, desc = self._order[0]
+        return (not desc and isinstance(key, AttrExpr)
+                and isinstance(plan, IndexRange) and plan.field == key.name)
 
     # -- traced execution --------------------------------------------------
 
     def _iter_single_traced(self) -> Iterator:
         from ..obs.trace import QueryTracer
-        plan = self._active_plan()
+        plan = self._single_plan()
         db = self._db()
         tracer = QueryTracer(db, "forall", "1 source")
         root = tracer.root
         if _codegen.would_run(self):
             root.detail += ", interpreted fallback (tracing)"
         scan = root.child("scan", plan.describe())
+        elided = self._sort_elided(plan)
         with tracer.measure(root):
             with tracer.measure(scan):
-                rows = list(plan.execute(span=scan))
-            if self._order and not (self._plan_orders_by(plan)
-                                    and not self._order[0][1]):
+                rows = list(plan.execute(span=scan, keyed=True) if elided
+                            else plan.execute(span=scan))
+            if self._order and not elided:
                 sort = root.child("sort", "%d key(s)" % len(self._order))
                 sort.rows_in = len(rows)
                 with tracer.measure(sort):
@@ -445,8 +413,7 @@ class Forall:
             sub = per_var[i]
             sub_pred = (TrueP() if not sub
                         else sub[0] if len(sub) == 1 else And(*sub))
-            plan = choose_plan(source, sub_pred)
-            plans.append(self._mvcc_safe_plan(source, plan, sub_pred))
+            plans.append(choose_plan(source, sub_pred))
         return plans, eq_pairs, residual_at
 
     def _iter_fused_join(self) -> Iterator[Tuple]:
@@ -584,7 +551,7 @@ class Forall:
     def to_list(self) -> List:
         if not self._trace_on:
             if len(self._sources) == 1:
-                rows = _codegen.run_single(self, self._active_plan(),
+                rows = _codegen.run_single(self, self._single_plan(),
                                            "collect")
             else:
                 rows = _codegen.run_join(self, "collect")
@@ -606,7 +573,7 @@ class Forall:
     def count(self) -> int:
         if not self._trace_on:
             if len(self._sources) == 1:
-                n = _codegen.run_single(self, self._active_plan(), "count")
+                n = _codegen.run_single(self, self._single_plan(), "count")
             else:
                 n = _codegen.run_join(self, "count")
             if n is not _codegen.INELIGIBLE:

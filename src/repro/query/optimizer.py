@@ -46,8 +46,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import dropwhile, islice
+from operator import attrgetter, itemgetter
 from typing import Any, Iterator, List, Optional, Tuple
 
+from ..core.oid import Oid
 from .predicates import And, Compare, Predicate, TrueP
 
 # -- cost model constants -----------------------------------------------------
@@ -175,65 +178,182 @@ class FullScan(Plan):
 INDEX_BATCH = 32
 
 
-def _batched_matches(db, cluster: str, serials, check, span=None) -> Iterator:
-    """Materialize *serials*, applying *check* a chunk at a time.
+#: The serial of a ``(key, serial)`` index entry.
+_SERIAL = itemgetter(1)
 
-    The deref path behind this hits the database's decoded-object cache,
-    so re-visiting an unchanged object costs page-LSN validations, not
-    directory probes + decodes. Yield order follows *serials* (index key
-    order), which ordered iteration relies on. *span* adds row accounting
-    at chunk granularity (traced executions only).
+
+class IndexPlan(Plan):
+    """Shared execution of the index-driven plans.
+
+    A subclass supplies :meth:`_serials` — the candidate serials its
+    index holds for the key condition, in index order — and this class
+    turns them into rows for both evaluators: the interpreted pipeline
+    iterates :meth:`execute`, generated code loops over :meth:`chunks`
+    and inlines the residual filter.
+
+    Index entries describe the store's *present*. Under MVCC that is
+    this reader's view only while the cluster is clean for it
+    (:meth:`MVCCManager.cluster_dirty` false); otherwise the candidates
+    are overlaid with the cluster's dirty set (:meth:`_overlay`), which
+    costs O(matches + dirty) instead of a walk of the extent.
     """
-    from ..core.oid import Oid
-    cache = db._cache
-    deref = db.deref
-    chunk: List = []
-    for serial in serials:
-        obj = cache.get((cluster, serial))
-        if obj is None:
-            obj = deref(Oid(cluster, serial), _missing_ok=True)
-            if obj is None:
+
+    #: The whole predicate, set by the planner. Minus the residual it is
+    #: the key condition — what the index itself answers — which the
+    #: overlay re-checks on every row it serves.
+    pred: Predicate
+
+    def __init__(self, handle, residual: Predicate):
+        self.handle = handle
+        self.residual = residual
+
+    def _open(self):
+        """Flush this session's deferred writes (index entries must show
+        them) and note the cluster read; returns the database."""
+        db = self.handle.db
+        if db._txn is not None and db._dirty:
+            db._flush(db._txn.txn_id)
+        db._lock_cluster_scan(self.handle.name)
+        return db
+
+    def _serials(self, db) -> Iterator[int]:
+        raise NotImplementedError
+
+    def chunks(self, size: Optional[int], keyed: bool = False, span=None,
+               count_only: bool = False) -> Iterator[List]:
+        """Lists of at most *size* (None: all at once) candidate objects
+        satisfying the index key condition in this reader's view; the
+        caller applies the residual. Nothing runs before the first pull.
+
+        *keyed* promises the caller relies on index key order (a ``by``
+        on the range key whose sort was elided). *count_only* promises
+        it only takes ``len()`` of each list and has no residual, so
+        overlay candidates need not be materialized.
+        """
+        db = self._open()
+        yield from self._view_chunks(db, self._serials(db), size, keyed,
+                                     span, count_only)
+
+    def execute(self, span=None, keyed: bool = False) -> Iterator:
+        check = (None if isinstance(self.residual, TrueP)
+                 else self.residual.compiled())
+        return _filtered(self.chunks(INDEX_BATCH, keyed, span), check, span)
+
+    def _view_chunks(self, db, serials, size, keyed, span,
+                     count_only) -> Iterator[List]:
+        cluster = self.handle.name
+        mvcc = db._mvcc if db._mvcc_on else None  # None: the S lock covers us
+        reader = db._reader()
+        done: List[int] = []  # serials of the chunks already yielded
+        cache = db._cache
+        deref = db.deref
+        serials = iter(serials)
+        while True:
+            chunk = list(serials if size is None
+                         else islice(serials, size))
+            # Checked after the chunk's index entries were read: a writer
+            # registers before it touches an entry (see DESIGN.md, "Index
+            # reads under churn"), so clean here means every entry read so
+            # far was this reader's view.
+            if mvcc is not None and mvcc.cluster_dirty(cluster, *reader):
+                chunk.extend(serials)
+                rows = self._overlay(db, done, chunk, keyed, span,
+                                     count_only)
+                if rows:
+                    yield rows
+                return
+            objs = []
+            for serial in chunk:
+                # The decoded-object cache makes re-visiting an unchanged
+                # object cost page-LSN validations, not probes + decodes.
+                obj = cache.get((cluster, serial))
+                if obj is None:
+                    obj = deref(Oid(cluster, serial), _missing_ok=True)
+                    if obj is None:
+                        continue
+                objs.append(obj)
+            if objs:
+                yield objs
+            if size is None or len(chunk) < size:
+                return
+            done.extend(chunk)
+
+    def _overlay(self, db, done: List[int], serials: List[int], keyed,
+                 span, count_only) -> List:
+        """The rows of *serials* (every index candidate not in *done*,
+        which earlier clean chunks already produced) in this reader's
+        view of a dirty cluster.
+
+        Candidates outside the dirty set had their entries read while
+        they were this reader's view, so they stand; every dirty serial —
+        candidate or not, since a writer may have moved its key out of
+        the probed range or deleted it — is resolved through the scan
+        overlay (own writes: the store; foreign pending or newer commit:
+        the snapshot image; created after the snapshot: skipped). The
+        key condition runs on every row here and the caller's residual
+        after it, so a row whose content changed after the dirty set was
+        taken is judged, by the whole predicate, on what is served.
+        """
+        cluster = self.handle.name
+        vis = db._scan_visibility(cluster)
+        dirty = vis.dirty()
+        seen = vis.seen
+        seen.update(done)
+        matches = _residual(self.pred.conjuncts(),
+                            self.residual.conjuncts()).compiled()
+        deref = db.deref
+        rows: List = []
+        for serial in serials:
+            if serial in dirty or serial in seen:
                 continue
-        chunk.append(obj)
-        if len(chunk) >= INDEX_BATCH:
-            matched = (chunk if check is None
-                       else [o for o in chunk if check(o)])
-            if span is not None:
-                span.rows_in += len(chunk)
-                span.rows_out += len(matched)
-            yield from matched
-            chunk = []
-    if chunk:
-        matched = (chunk if check is None
-                   else [o for o in chunk if check(o)])
+            seen.add(serial)
+            if count_only:
+                rows.append(serial)
+                continue
+            obj = deref(Oid(cluster, serial), _missing_ok=True)
+            if obj is not None and matches(obj):
+                rows.append(obj)
+        clean = len(rows)
+        for serial in dirty:
+            obj = vis.materialize(serial)
+            if obj is not None and matches(obj):
+                rows.append(obj)
+        if keyed:
+            # Stable sort of this execution's remainder: everything an
+            # earlier chunk yielded has a key <= every row here.
+            rows.sort(key=attrgetter(self.field))
         if span is not None:
-            span.rows_in += len(chunk)
+            span.detail += "; overlay: %d dirty, %d resolved" % (
+                len(dirty), len(rows) - clean)
+        return rows
+
+
+def _filtered(chunks, check, span) -> Iterator:
+    """Flatten *chunks* through the compiled residual *check*, a chunk
+    at a time; *span* adds row accounting (traced executions only)."""
+    for objs in chunks:
+        matched = objs if check is None else [o for o in objs if check(o)]
+        if span is not None:
+            span.rows_in += len(objs)
             span.rows_out += len(matched)
         yield from matched
 
 
-class IndexEquality(Plan):
+class IndexEquality(IndexPlan):
     """Probe an index for one key; residual-filter the matches."""
 
     def __init__(self, handle, field: str, value: Any, residual: Predicate):
-        self.handle = handle
+        super().__init__(handle, residual)
         self.field = field
         self.value = value
-        self.residual = residual
 
-    def execute(self, span=None) -> Iterator:
-        db = self.handle.db
-        self._flush_pending(db)
-        cluster = self.handle.name
-        db._lock_cluster_scan(cluster)
-        check = (None if isinstance(self.residual, TrueP)
-                 else self.residual.compiled())
-        serials = db.store.index_search(cluster, self.field, self.value)
-        return _batched_matches(db, cluster, serials, check, span)
-
-    def _flush_pending(self, db) -> None:
-        if db._txn is not None and db._dirty:
-            db._flush(db._txn.txn_id)
+    def chunks(self, size, keyed=False, span=None, count_only=False):
+        # Eager up to the probe (unlike the lazy range walks): the
+        # cluster is noted and the index read when the plan executes.
+        db = self._open()
+        serials = db.store.index_search(self.handle.name, self.field,
+                                        self.value)
+        return self._view_chunks(db, serials, size, keyed, span, count_only)
 
     def describe(self) -> str:
         return ("index eq-lookup %s.%s == %r residual %r" % (
@@ -241,36 +361,26 @@ class IndexEquality(Plan):
             + self._estimate_suffix())
 
 
-class IndexRange(Plan):
+class IndexRange(IndexPlan):
     """Range-scan a B+tree index; residual-filter the matches."""
 
     def __init__(self, handle, field: str, lo, lo_strict, hi, hi_strict,
                  residual: Predicate):
-        self.handle = handle
+        super().__init__(handle, residual)
         self.field = field
         self.lo = lo
         self.lo_strict = lo_strict
         self.hi = hi
         self.hi_strict = hi_strict
-        self.residual = residual
 
-    def execute(self, span=None) -> Iterator:
-        db = self.handle.db
-        if db._txn is not None and db._dirty:
-            db._flush(db._txn.txn_id)
-        cluster = self.handle.name
-        db._lock_cluster_scan(cluster)
-        check = (None if isinstance(self.residual, TrueP)
-                 else self.residual.compiled())
-
-        def serials():
-            for key, serial in db.store.index_range(
-                    cluster, self.field, self.lo, self.hi,
-                    include_hi=not self.hi_strict):
-                if self.lo_strict and key == self.lo:
-                    continue
-                yield serial
-        yield from _batched_matches(db, cluster, serials(), check, span)
+    def _serials(self, db) -> Iterator[int]:
+        entries = db.store.index_range(
+            self.handle.name, self.field, self.lo, self.hi,
+            include_hi=not self.hi_strict)
+        if self.lo_strict:
+            lo = self.lo  # entries equal to it lead the range
+            entries = dropwhile(lambda entry: entry[0] == lo, entries)
+        return map(_SERIAL, entries)
 
     def describe(self) -> str:
         lo_b = "(" if self.lo_strict else "["
@@ -280,7 +390,7 @@ class IndexRange(Plan):
             self.residual) + self._estimate_suffix())
 
 
-class CompositeScan(Plan):
+class CompositeScan(IndexPlan):
     """Tuple-key range scan over a composite B+tree index.
 
     *eq_values* fixes the leading fields; an optional range on the next
@@ -291,7 +401,7 @@ class CompositeScan(Plan):
     def __init__(self, handle, index_name: str, n_fields: int,
                  eq_values: List[Any], lo, lo_strict, hi, hi_strict,
                  residual: Predicate):
-        self.handle = handle
+        super().__init__(handle, residual)
         self.index_name = index_name
         self.n_fields = n_fields
         self.eq_values = list(eq_values)
@@ -299,34 +409,23 @@ class CompositeScan(Plan):
         self.lo_strict = lo_strict
         self.hi = hi
         self.hi_strict = hi_strict
-        self.residual = residual
 
-    def execute(self, span=None) -> Iterator:
-        db = self.handle.db
-        if db._txn is not None and db._dirty:
-            db._flush(db._txn.txn_id)
-        cluster = self.handle.name
-        db._lock_cluster_scan(cluster)
-        check = (None if isinstance(self.residual, TrueP)
-                 else self.residual.compiled())
+    def _serials(self, db) -> Iterator[int]:
         prefix = tuple(self.eq_values)
         lo_key = prefix if self.lo is None else prefix + (self.lo,)
         k = len(prefix)
-
-        def serials():
-            for key, serial in db.store.index_range(
-                    cluster, self.index_name, lo_key, None):
-                if key[:k] != prefix:
-                    break  # past the matching prefix: done
-                if (self.lo is not None and self.lo_strict
-                        and len(key) > k and key[k] == self.lo):
-                    continue
-                if self.hi is not None and len(key) > k:
-                    if key[k] > self.hi or (self.hi_strict
-                                            and key[k] == self.hi):
-                        break
-                yield serial
-        yield from _batched_matches(db, cluster, serials(), check, span)
+        for key, serial in db.store.index_range(
+                self.handle.name, self.index_name, lo_key, None):
+            if key[:k] != prefix:
+                break  # past the matching prefix: done
+            if (self.lo is not None and self.lo_strict
+                    and len(key) > k and key[k] == self.lo):
+                continue
+            if self.hi is not None and len(key) > k:
+                if key[k] > self.hi or (self.hi_strict
+                                        and key[k] == self.hi):
+                    break
+            yield serial
 
     def describe(self) -> str:
         bound = ""
@@ -459,6 +558,7 @@ def _finish(plan: Plan, stats, pred: Predicate, access_rows: float,
     # estimated_rows reflects the full predicate, but never exceeds what
     # the access path yields.
     n = _row_count(stats) if total_rows is None else total_rows
+    plan.pred = pred
     plan.estimated_rows = min(access_rows,
                               max(0.0, n * predicate_selectivity(stats, pred)))
     plan.estimated_cost = cost

@@ -39,6 +39,7 @@ copies, so callers may mutate them before writing back.
 from __future__ import annotations
 
 import bisect
+from contextlib import nullcontext
 from typing import Any, Iterator, List, Optional, Tuple
 
 from ..errors import CodecError, DuplicateKeyError, IndexError_
@@ -172,16 +173,25 @@ class BTree:
     # -- node I/O -----------------------------------------------------------
 
     def _read(self, page_no: int) -> _Node:
+        return self._read_shared(page_no)[1].copy()
+
+    def _read_shared(self, page_no: int) -> Tuple[int, _Node]:
+        """``(page LSN, node)`` without the copy: the node is the cache's
+        own (or about to be) and must not be mutated."""
         with self._pool.page(page_no) as page:
             lsn = page.page_lsn
             cached = self._node_cache.get(page_no)
             if cached is not None and cached[0] == lsn:
-                return cached[1].copy()
+                return cached
             raw = page.read(0)
             nxt = page.next_page
         node = _Node.from_bytes(page_no, raw, nxt)
         self._cache_node(lsn, node)
-        return node.copy()
+        return lsn, node
+
+    def _page_lsn(self, page_no: int) -> int:
+        with self._pool.page(page_no) as page:
+            return page.page_lsn
 
     def _cache_node(self, lsn: int, node: _Node) -> None:
         if self.NODE_CACHE_SIZE <= 0:
@@ -328,38 +338,79 @@ class BTree:
         return bool(self.search(key))
 
     def range(self, lo: Any = None, hi: Any = None,
-              include_hi: bool = False) -> Iterator[Tuple[Any, Any]]:
-        """Yield ``(key, value)`` for lo <= key < hi (<= hi if include_hi)."""
+              include_hi: bool = False,
+              latch=None) -> Iterator[Tuple[Any, Any]]:
+        """Yield ``(key, value)`` for lo <= key < hi (<= hi if include_hi).
+
+        *latch* is the lock index writers hold across a whole insert or
+        delete; with it the lazy walk is physically safe beside them
+        (see :meth:`_scan_range`). Without it the caller must keep
+        writers away for as long as it iterates.
+        """
         lo_kb = encode_key(lo) if lo is not None else None
         hi_kb = encode_key(hi) if hi is not None else None
-        return self._scan_range(lo_kb, hi_kb, include_hi)
+        return self._scan_range(lo_kb, hi_kb, include_hi, latch)
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """All ``(key, value)`` entries in key order."""
         return self._scan_range(None, None, False)
 
     def _scan_range(self, lo_kb: Optional[bytes], hi_kb: Optional[bytes],
-                    include_hi: bool) -> Iterator[Tuple[Any, Any]]:
-        page_no = self._leaf_for(None if lo_kb is None else (lo_kb, b""))
-        first = True
-        while page_no != NO_PAGE:
-            node = self._read(page_no)
-            start = 0
-            if first and lo_kb is not None:
-                start = node.bisect_left((lo_kb, b""))
-            first = False
-            for i in range(start, len(node.kbs)):
-                kb = node.kbs[i]
-                if hi_kb is not None:
-                    if kb > hi_kb or (kb == hi_kb and not include_hi):
+                    include_hi: bool,
+                    latch=None) -> Iterator[Tuple[Any, Any]]:
+        """Walk the leaf chain one leaf at a time, lazily.
+
+        Each leaf is located and read under *latch*, and its entries are
+        yielded from that read with the latch released. Following a
+        leaf's ``next`` pointer is only sound while the leaf is what was
+        read: a split moves its upper half to a new right sibling, an
+        empty-leaf detach rewrites its left sibling and frees the page
+        for reuse, a rollback restores either. All of them stamp the
+        page, so when the LSN moved the walk re-seeks from the root past
+        the last sort key it yielded (sort keys are unique) instead of
+        trusting the pointer. Entries untouched by the concurrent
+        writers are therefore yielded exactly once; what a touched entry
+        shows is the caller's business (MVCC resolves it).
+        """
+        if latch is None:
+            latch = nullcontext()
+        resume = None if lo_kb is None else (lo_kb, b"")
+        yielded = False  # resume itself was yielded: continue after it
+        node = None
+        lsn = -1
+        while True:
+            with latch:
+                if node is not None and self._page_lsn(node.page_no) == lsn:
+                    if node.next == NO_PAGE:
                         return
-                yield node.keys[i], node.vals[i]
-            page_no = node.next
+                    lsn, node = self._read_shared(node.next)
+                    start = 0
+                else:
+                    lsn, node = self._read_shared(self._leaf_for(resume))
+                    if resume is None:
+                        start = 0
+                    elif yielded:
+                        start = node.bisect_right(resume)
+                    else:
+                        start = node.bisect_left(resume)
+            kbs = node.kbs
+            if hi_kb is None:
+                end = len(kbs)
+            elif include_hi:
+                end = bisect.bisect_right(kbs, hi_kb, start)
+            else:
+                end = bisect.bisect_left(kbs, hi_kb, start)
+            yield from zip(node.keys[start:end], node.vals[start:end])
+            if end < len(kbs):
+                return
+            if end > start:
+                resume = node.sort_key(end - 1)
+                yielded = True
 
     def _leaf_for(self, pair: Optional[Tuple[bytes, bytes]]) -> int:
         page_no = self.root_page
         while True:
-            node = self._read(page_no)
+            node = self._read_shared(page_no)[1]
             if node.leaf:
                 return page_no
             if pair is None:

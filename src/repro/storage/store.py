@@ -967,18 +967,18 @@ class Store:
                     include_hi: bool = False):
         """Lazy ``(key, serial)`` range scan of a B+tree index.
 
-        The walk latches page-at-a-time (every node read pins under the
-        shard-0 pool latch), which keeps early-exiting consumers — prefix
-        scans, LIMIT-style iteration — from paying for keys they never
-        look at. Logical consistency against concurrent writers comes
-        from the *caller's* lock, not from here: plan executors inside a
-        transaction hold the cluster's S lock for the duration of the
-        scan, and reads outside transactions are the documented unlocked
-        fast path (same contract as :meth:`scan`).
+        The walk takes the metadata latch a leaf at a time — never
+        across a ``yield`` — which keeps early-exiting consumers (prefix
+        scans, LIMIT-style iteration) from paying for keys they never
+        look at and makes it physically safe beside index writers, who
+        hold the same latch across a whole insert or delete (see
+        :meth:`BTree._scan_range`). *Logical* consistency is the
+        caller's: under MVCC the query layer overlays the cluster's
+        dirty set on what it read here, under 2PL it holds the cluster's
+        S lock for the duration of the scan.
         """
-        with self.latch:
-            ix = self.index(cluster, field)
-        return ix.range(lo, hi, include_hi=include_hi)
+        return self.index(cluster, field).range(
+            lo, hi, include_hi=include_hi, latch=self.latch)
 
     # -- maintenance ----------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import Database, FloatField, IntField, OdeObject, StringField
 from repro.errors import DanglingReferenceError
-from repro.query import V, forall
+from repro.query import A, V, forall
 from repro.query.codegen import INELIGIBLE
 from repro.query import codegen as qcodegen
 from repro.query.predicates import And, Compare, Not, Or, as_predicate
@@ -218,6 +218,11 @@ class GrowRow(OdeObject):
     alpha = IntField(default=0)
 
 
+class SnapRow(OdeObject):
+    alpha = IntField(default=0)
+    rank = IntField(default=0)
+
+
 class TestUnderWriter:
     """Compiled scans take the same scan locks as interpreted ones."""
 
@@ -404,55 +409,106 @@ class TestSnapshotDifferential:
             assert counts() == (1, 1)        # writer's world afterwards
         db.close()
 
-    def test_index_plan_falls_back_under_writer(self, tmp_path):
-        """An index probe inside a reader transaction must not leak the
-        writer's newer index entries: with the cluster dirty relative to
-        the snapshot, both paths substitute a visibility-aware full scan
-        and repeat the original count."""
+    def test_index_plan_snapshot_correct_under_writer(self, tmp_path):
+        """Index probes inside a reader transaction must not leak the
+        writer's index entries — pending first, then committed past the
+        snapshot — and must not walk the extent to avoid them: both paths
+        repeat the snapshot's rows with ``scan.records_peeked`` unmoved.
+        The writer inserts a match, moves one row's key out of the probed
+        value and another's into it, deletes a match, and reshuffles the
+        range key a ``by`` reader relies on for its elided sort."""
         db = Database(str(tmp_path / "idx.odb"))
-        db.create(GrowRow)
+        db.create(SnapRow)
+        db.create_index(SnapRow, "alpha", kind="hash")
+        db.create_index(SnapRow, "rank", kind="btree")
         with db.transaction():
             for i in range(40):
-                db.pnew(GrowRow, alpha=i % 5)
-        db.create_index(GrowRow, "alpha", kind="hash")
-        in_txn = threading.Event()
-        committed = threading.Event()
+                db.pnew(SnapRow, alpha=i % 5, rank=i)
+        in_txn, pending, resume, committed = (threading.Event()
+                                              for _ in range(4))
         results = {}
         errors = []
 
-        def counts():
-            base = lambda: forall(db.cluster(GrowRow)).suchthat(  # noqa: E731
-                Compare("alpha", "==", 2))
-            return (base().count(), base().codegen(False).count())
+        def both(make):
+            return (make(), make(codegen=False))
+
+        def eq_rows(codegen=True):
+            q = forall(db.cluster(SnapRow)).suchthat(
+                Compare("alpha", "==", 2)).codegen(codegen)
+            return (q.count(), sorted(r.rank for r in q))
+
+        def range_rows(codegen=True):
+            q = forall(db.cluster(SnapRow)).suchthat(
+                And(Compare("rank", ">=", 10), Compare("rank", "<", 20))
+            ).by(A.rank).codegen(codegen)
+            return ([r.rank for r in q], [r.rank for r in q.limit(3)])
+
+        def peeked():
+            return db.stats()["scan"]["records_peeked"]
+
+        def by_rank(rank):
+            return forall(db.cluster(SnapRow)).suchthat(
+                Compare("rank", "==", rank)).first()
 
         def writer():
             try:
                 assert in_txn.wait(timeout=30)
                 with db.transaction():
-                    db.pnew(GrowRow, alpha=2)
+                    db.pnew(SnapRow, alpha=2, rank=15)   # new match
+                    by_rank(2).alpha = 99                # key out
+                    by_rank(3).alpha = 2                 # key in
+                    db.pdelete(by_rank(7))               # match deleted
+                    by_rank(12).rank = 500               # out of the range
+                    by_rank(30).rank = 11                # into the range
+                    by_rank(19).rank = 10                # reordered inside
+                    assert by_rank(500).alpha == 2       # flushed
+                    pending.set()
+                    assert resume.wait(timeout=30)
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
             finally:
+                pending.set()
                 committed.set()
 
         def reader():
             try:
                 with db.transaction():
-                    results["before"] = counts()   # index plan, clean
+                    results["before"] = (both(eq_rows), both(range_rows))
                     in_txn.set()
+                    assert pending.wait(timeout=30)
+                    before = peeked()
+                    results["pending"] = (both(eq_rows), both(range_rows))
+                    resume.set()
                     assert committed.wait(timeout=30)
-                    results["repeat"] = counts()   # dirty: full-scan swap
+                    results["committed"] = (both(eq_rows),
+                                            both(range_rows))
+                    results["peeked"] = peeked() - before
+                    text = forall(db.cluster(SnapRow)).suchthat(
+                        Compare("alpha", "==", 2)).explain(analyze=True)
+                    results["explain"] = text
             except BaseException as exc:  # noqa: BLE001
                 errors.append(exc)
+            finally:
+                in_txn.set()
+                resume.set()
 
         self._join([threading.Thread(target=reader),
                     threading.Thread(target=writer)])
         assert not errors
-        assert results["before"] == (8, 8)
-        assert results["repeat"] == (8, 8)
-        q = forall(db.cluster(GrowRow)).suchthat(Compare("alpha", "==", 2))
-        assert q.count() == 9
-        assert "index" in q.explain().lower()  # plan itself still indexed
+        eq = (8, [2, 7, 12, 17, 22, 27, 32, 37])
+        rng = (list(range(10, 20)), [10, 11, 12])
+        for phase in ("before", "pending", "committed"):
+            assert results[phase] == ((eq, eq), (rng, rng)), phase
+        assert results["peeked"] == 0
+        # 6 rows written + 1 created; the three that matched at the
+        # snapshot (ranks 2, 7, 12) are served from their images.
+        assert "overlay: 7 dirty, 3 resolved" in results["explain"]
+        with db.transaction():                # the writer's world afterwards
+            eq = (8, [3, 15, 17, 22, 27, 32, 37, 500])
+            rng = ([10, 10, 11, 11, 13, 14, 15, 15, 16, 17, 18],
+                   [10, 10, 11])
+            assert (both(eq_rows), both(range_rows)) == ((eq, eq),
+                                                         (rng, rng))
         db.close()
 
 

@@ -483,6 +483,35 @@ class TestObservability:
             assert "wal" in stats
             assert "buffer_pool" in stats
 
+    def test_indexed_lookup_beside_a_pending_writer_probes(self, db, server):
+        """Another connection's open write must not turn an indexed
+        statement into an extent walk, and ``stats`` must say which it
+        was: no keys peeked, one dirty row resolved per lookup."""
+        with connect(server) as writer, connect(server) as reader:
+            writer.execute(SCHEMA)
+            writer.begin()
+            for qty in range(200):
+                writer.execute('pnew gadget("g%d", %d);' % (qty, qty))
+            writer.commit()
+            db.create_index("gadget", "qty", kind="hash")
+            lookup = ("forall g in gadget suchthat (g->qty == 7) "
+                      'printf("%s", g->name);')
+            assert reader.execute(lookup) == ["g7"]
+            writer.begin()
+            writer.execute("forall g in gadget suchthat (g->qty == 7) "
+                           "g->qty = 1007;")
+            writer.execute(lookup)   # flushes the write: entry moved
+            before = reader.stats()
+            for _ in range(5):
+                assert reader.execute(lookup) == ["g7"]
+            after = reader.stats()
+            writer.commit()
+            assert reader.execute(lookup) == []
+        assert (after["scan"]["records_peeked"]
+                == before["scan"]["records_peeked"])
+        assert (after["mvcc"]["index_overlay_rows"]
+                - before["mvcc"]["index_overlay_rows"]) == 5
+
     def test_snapshot_token_op(self, server):
         with connect(server) as c:
             token = c.snapshot_token()

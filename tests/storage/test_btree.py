@@ -252,3 +252,81 @@ class TestDuplicateHeavyWorkloads:
             bt.insert(txn, "same", "same-value")
         assert len(bt.search("same")) == 50
         bt.check_invariants()
+
+
+@pytest.mark.concurrency
+class TestRangeScanBesideWriters:
+    """``Store.index_range`` walks the leaf chain lazily with no logical
+    lock (MVCC readers take none), so the walk itself must survive the
+    structure changing under it: leaves splitting, emptied leaves being
+    detached and their pages reused, rollbacks putting either back."""
+
+    STABLE = [k * 1000 for k in range(40)]
+    RUN = 400          # churn keys per gap: several leaves' worth
+    CYCLES = 12
+
+    def test_untouched_keys_seen_exactly_once(self, store):
+        import threading
+        import time
+
+        txn = store.begin()
+        store.create_cluster(txn, "c")
+        store.create_index(txn, "c", "n", kind="btree")
+        for key in self.STABLE:
+            store.index_insert(txn, "c", "n", key, key)
+        store.commit(txn)
+        done = threading.Event()
+        errors = []
+
+        def writer():
+            rng = random.Random(7)
+            try:
+                for cycle in range(self.CYCLES):
+                    base = rng.choice(self.STABLE[:-1])
+                    run = [base + 1 + i for i in range(self.RUN)]
+                    txn = store.begin()
+                    for key in run:             # splits the gap's leaves
+                        store.index_insert(txn, "c", "n", key, -key)
+                    if cycle % 3 == 2:
+                        store.abort(txn)        # rollback un-splits them
+                        continue
+                    store.commit(txn)
+                    txn = store.begin()
+                    for key in run:             # empties, then detaches
+                        store.index_delete(txn, "c", "n", key, -key)
+                    store.commit(txn)           # frees the pages for reuse
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            rng = random.Random(11)
+            scans = 0
+            try:
+                while not done.is_set() or scans < 3:
+                    lo = rng.choice([None] + self.STABLE[:20])
+                    hi = rng.choice([None] + self.STABLE[20:])
+                    want = [k for k in self.STABLE
+                            if (lo is None or k >= lo)
+                            and (hi is None or k < hi)]
+                    got = []
+                    for key, value in store.index_range("c", "n", lo, hi):
+                        if value == key:
+                            got.append(key)
+                            time.sleep(0.001)   # let the writer in mid-walk
+                    assert got == want, (lo, hi)
+                    scans += 1
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=reader)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads), "threads hung"
+        assert not errors, errors[0]
+        store.index(  # the tree itself is intact afterwards
+            "c", "n").check_invariants()
