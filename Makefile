@@ -34,14 +34,17 @@ bench-smoke:
 	$(PYTHON) -m repro promlint metrics.prom
 	rm -f /tmp/bench-smoke.odb
 
-# Codegen perf + correctness gate: the fused-vs-interpreted benchmark
-# shapes (EXP-17) plus the differential harness that proves compiled
-# and interpreted pipelines return identical rows under concurrency.
+# Codegen gate (EXP-24): compile and cache-lookup counts of the
+# expression compiler — an indexed point query touches no codegen, a
+# repeated scan shape is one cache hit and no compile, nothing the
+# database does drops an entry. Counts, not timings. Plus the unit tests
+# and the two differential harnesses: generated expressions vs the
+# predicates' closures, and traced vs untraced runs.
 bench-codegen-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_codegen.py --benchmark-only \
-		--benchmark-max-time=0.3 --benchmark-min-rounds=3 -q
+	$(PYTHON) benchmarks/bench_codegen.py --gate
 	$(PYTHON) -m pytest tests/query/test_codegen.py \
-		tests/query/test_codegen_differential.py -x -q
+		tests/query/test_codegen_differential.py \
+		tests/query/test_trace_differential.py -x -q
 
 # Late-decoding scan gate (EXP-21): the scan/materialization rows plus
 # the decode-count gate — a cold scan decodes one head and one current

@@ -1,11 +1,22 @@
-"""EXP-17: plan-to-code backend — generated pipelines vs the iterator stack.
+"""EXP-17 / EXP-24: generated expressions vs the predicates' closures.
 
-Every shape is measured twice: once through the codegen backend (the
-default) and once with ``.codegen(False)`` (or ``REPRO_CODEGEN=0`` for
-O++ bodies), so a BENCH diff shows exactly what compilation buys per
-plan shape — scan/filter, index lookup, fused hash join, aggregation,
-and trigger-cascade condition/action bodies.
+One ``forall`` pipeline runs every query; what differs is what it
+evaluates per object. Each shape that has both is measured twice: with
+generated filters / join lambdas (the default) and with
+``.codegen(False)`` (``db.codegen_enabled = False`` for O++ bodies), so
+a BENCH diff shows what compiling an expression buys per shape —
+scan/filter, fused hash join, aggregation, and trigger-cascade
+condition/action bodies. An index lookup with nothing left to check runs
+no generated code at all, so it has one row.
+
+``--gate`` (run by ``make bench-codegen-smoke`` and CI) checks compile
+and cache-lookup *counts* — never timings::
+
+    PYTHONPATH=src python benchmarks/bench_codegen.py --gate
 """
+
+import sys
+import tempfile
 
 import pytest
 
@@ -39,13 +50,8 @@ class TestFilter:
         assert "execution: interpreted" in q.explain()
         assert benchmark(q.count) == N // 10
 
-    def test_indexed_filter_compiled(self, benchmark, indexed_db):
+    def test_indexed_filter(self, benchmark, indexed_db):
         q = forall(indexed_db.cluster(BenchItem)).suchthat(A.category == 3)
-        assert benchmark(q.count) == N // 10
-
-    def test_indexed_filter_interpreted(self, benchmark, indexed_db):
-        q = forall(indexed_db.cluster(BenchItem)).suchthat(
-            A.category == 3).codegen(False)
         assert benchmark(q.count) == N // 10
 
 
@@ -105,8 +111,8 @@ class TestTriggerCascade:
 
     A perpetual O++ trigger is activated on many objects; each benchmark
     round commits one write, which re-evaluates every activation's
-    condition body. ``REPRO_CODEGEN`` must be set before the class is
-    defined — the compile decision is taken in ``_define_class``.
+    condition body. ``db.codegen_enabled`` must be set before the class
+    is defined — the compile decision is taken in ``_define_class``.
     """
 
     ACTIVATIONS = 50
@@ -125,10 +131,85 @@ class TestTriggerCascade:
 
         benchmark(commit)
 
-    def test_cascade_compiled(self, benchmark, db, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "1")
+    def test_cascade_compiled(self, benchmark, db):
         self._bench(benchmark, self._setup(db))
 
-    def test_cascade_interpreted(self, benchmark, db, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "0")
+    def test_cascade_interpreted(self, benchmark, db):
+        db.codegen_enabled = False
         self._bench(benchmark, self._setup(db))
+
+
+# -- compile / lookup count gate (make bench-codegen-smoke / CI) --------------
+
+
+def run_gate(tmpdir) -> int:
+    """What the expression compiler promises, as counts on N items."""
+    from repro import Database
+    db = populate_items(Database(tmpdir + "/gate.odb"), N,
+                        with_indexes=[("category", "hash")])
+    cache = db.codegen_cache
+    items = db.cluster(BenchItem)
+    failures = []
+
+    def check(label, got, want):
+        print("%-58s %6d (want %d)" % (label, got, want))
+        if got != want:
+            failures.append("%s: %d != %d" % (label, got, want))
+
+    def delta(run):
+        hits, misses = cache.hits, cache.misses
+        run()
+        return cache.hits - hits, cache.misses - misses
+
+    try:
+        point = forall(items).suchthat(A.category == 3)
+        assert "index eq-lookup" in point.explain()
+        hits, misses = delta(lambda: (point.count(), point.to_list(),
+                                      list(point), point.first()))
+        check("indexed point query, 4 terminals: cache lookups",
+              hits + misses, 0)
+        scan = forall(items).suchthat(A.price < 50.0)
+        _, misses = delta(scan.count)
+        assert "full scan" in scan.explain()
+        check("scan + filter, first run: compiles", misses, 1)
+        hits, misses = delta(lambda: (scan.count(), scan.to_list(),
+                                      list(scan), scan.explain()))
+        check("same Forall, 3 more terminals + explain: cache lookups",
+              hits + misses, 0)
+        hits, misses = delta(
+            forall(items).suchthat(A.price < 75.0).count)
+        check("same expression, another constant: cache hits", hits, 1)
+        check("same expression, another constant: compiles", misses, 0)
+        join = forall(items, items).suchthat(
+            (V[0].category == V[1].category) & (V[0].price < 1.0))
+        join.count()
+        hits, misses = delta(join.count)
+        check("fused join (1 pushed-down filter + join lambdas): hits",
+              hits, 2)
+        check("fused join, repeated: compiles", misses, 0)
+        hits, misses = delta(scan.codegen(False).count)
+        check(".codegen(False): cache lookups", hits + misses, 0)
+        entries = cache.stats()["entries"]
+        db.create_index(BenchItem, "qty", kind="btree")
+        db.analyze(BenchItem)
+        check("entries dropped by index DDL + analyze",
+              entries - cache.stats()["entries"], 0)
+    finally:
+        db.close()
+    for failure in failures:
+        print("GATE FAIL: %s" % failure, file=sys.stderr)
+    print("codegen gate %s" % ("FAILED" if failures else "ok"))
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv != ["--gate"]:
+        print(__doc__)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="codegen-gate-") as tmpdir:
+        return run_gate(tmpdir)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,10 +39,9 @@ def test_trace_off_within_2pct(obs_db):
     def traced_off():
         return forall(handle).suchthat(A.price < 50.0).trace(False).count()
 
-    # Both sides must take the compiled path: trace(False) is not
-    # tracing, so it must not disqualify the plan from codegen — the 2%
-    # gate below then holds with the code generator on, not just for
-    # the old interpreted pipeline.
+    # Both sides must evaluate generated expressions: trace(False) is
+    # not tracing and must not switch the evaluator — the 2% gate below
+    # then holds with the code generator on.
     assert "execution: compiled" in (
         forall(handle).suchthat(A.price < 50.0).explain())
     assert "execution: compiled" in (

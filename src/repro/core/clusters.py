@@ -93,35 +93,80 @@ class ClusterHandle:
         # materialize with zero extra storage round-trips — and an object
         # already live costs no decode at all. Under MVCC the per-record
         # history check replaces the cluster S lock.
+        cached = db._cache.get
         materialize = db._materialize_from_scan
-        if vis is not None:
-            hget, needs, seen = vis.hget, vis.needs, vis.seen
-        for batch in db.store.scan_batches(cluster_name):
-            # Checked after the batch's bytes are read (see batch_clean):
-            # a clean cluster skips the two per-head history probes.
-            checked = vis is not None and not vis.batch_clean()
+        for batch, plain, flagged in self._walk(cluster_name, vis):
             objs = []
-            for serial in batch.heads:
-                if checked:
-                    hist = hget(serial)
-                    if hist is not None and needs(hist):
-                        obj = vis.materialize(serial)
-                        if obj is not None:
-                            objs.append(obj)
+            append = objs.append
+            for serial in plain:
+                obj = cached((cluster_name, serial))
+                if obj is None:
+                    obj = materialize(cluster_name, serial, batch)
+                    if obj is None:
                         continue
-                if vis is not None:
-                    if serial in seen:
-                        continue  # record relocated; already yielded once
-                    seen.add(serial)
-                obj = materialize(cluster_name, serial, batch)
+                append(obj)
+            for serial, img in flagged:
+                obj = vis.resolve(serial, img)
                 if obj is not None:
-                    objs.append(obj)
+                    append(obj)
             if objs:
                 yield objs
-        if vis is not None:
-            extra = vis.tail()
-            if extra:
-                yield extra
+
+    def _walk(self, name: str, vis):
+        """The MVCC scan overlay over one cluster, materializing nothing.
+
+        Yields ``(batch, plain, flagged)`` per heap page: *plain* serials
+        are this reader's view as stored (materialize them from *batch*),
+        *flagged* ``(serial, image)`` pairs were resolved through their
+        history (``vis.resolve`` turns one into an object); serials that
+        are invisible, or that an earlier page already produced (a
+        relocated record), are dropped. A last ``(None, (), flagged)``
+        resurrects objects visible at the snapshot whose store records
+        are gone — deleted after it — which no page can have produced.
+        *vis* None (2PL: the cluster S lock covers the scan) is every
+        head of every page.
+        """
+        store = self.db.store
+        if vis is None:
+            for batch in store.scan_batches(name):
+                yield batch, batch.heads, ()
+            return
+        visible = self.db._mvcc.visible
+        seen, hget, needs = vis.seen, vis.hget, vis.needs
+        snapshot, txn_id = vis.snapshot, vis.txn_id
+        for batch in store.scan_batches(name):
+            plain = batch.heads
+            if not seen.isdisjoint(plain):  # relocated records: met before
+                plain = [serial for serial in plain if serial not in seen]
+            seen.update(plain)
+            flagged = ()
+            # Checked after the batch's bytes are read (see batch_clean):
+            # a clean cluster skips the two per-head history probes.
+            if not vis.batch_clean():
+                heads, plain, flagged = plain, [], []
+                for serial in heads:
+                    hist = hget(serial)
+                    if hist is None or not needs(hist):
+                        plain.append(serial)
+                        continue
+                    img = visible(hist, snapshot, txn_id)
+                    if img is not None:  # None: created after the snapshot
+                        flagged.append((serial, img))
+            yield batch, plain, flagged
+        gone = []
+        for serial, hist in list(vis.hists.items()):
+            if serial in seen:
+                continue
+            seen.add(serial)
+            img = visible(hist, snapshot, txn_id)
+            if img is None or img is _MVCC_STORE:
+                continue
+            # A record still in the store was visited (or skipped as
+            # invisible) by the page walk itself.
+            if not store.exists(name, (serial, 0)):
+                gone.append((serial, img))
+        if gone:
+            yield None, (), gone
 
     def hierarchy(self) -> List[str]:
         """This cluster plus all transitively derived cluster names.
@@ -169,37 +214,9 @@ class ClusterHandle:
                 if stats is not None and stats.exact:
                     total += stats.count
                     continue
-                total += sum(len(batch.heads)
-                             for batch in db.store.scan_batches(name))
-                continue
-            total += self._count_visible(name, vis)
+            total += sum(len(plain) + len(flagged)
+                         for _, plain, flagged in self._walk(name, vis))
         return total
-
-    def _count_visible(self, name: str, vis) -> int:
-        """Head count through the MVCC overlay (no materialization)."""
-        db = self.db
-        mvcc = db._mvcc
-        seen = vis.seen
-        n = 0
-        for batch in db.store.scan_batches(name):
-            for serial in batch.heads:
-                if serial in seen:
-                    continue
-                seen.add(serial)
-                hist = vis.hget(serial)
-                if hist is not None and vis.needs(hist):
-                    if mvcc.visible(hist, vis.snapshot, vis.txn_id) is None:
-                        continue  # created after the snapshot
-                n += 1
-        for serial, hist in list(vis.hists.items()):
-            if serial in seen:
-                continue
-            img = mvcc.visible(hist, vis.snapshot, vis.txn_id)
-            if img is None or img is _MVCC_STORE:
-                continue
-            if not db.store.exists(name, (serial, 0)):
-                n += 1  # deleted after the snapshot: still visible
-        return n
 
     def oids(self, deep: bool = False, as_of=None) -> Iterator[Oid]:
         """Object ids in the extent, without materialising the objects."""
@@ -209,31 +226,10 @@ class ClusterHandle:
             if not db.store.has_cluster(name):
                 continue
             vis = db._scan_visibility(name, as_of)
-            if vis is None:
-                for batch in db.store.scan_batches(name):
-                    for serial in batch.heads:
-                        yield Oid(name, serial)
-                continue
-            mvcc = db._mvcc
-            seen = vis.seen
-            for batch in db.store.scan_batches(name):
-                for serial in batch.heads:
-                    if serial in seen:
-                        continue
-                    seen.add(serial)
-                    hist = vis.hget(serial)
-                    if hist is not None and vis.needs(hist):
-                        if mvcc.visible(hist, vis.snapshot,
-                                        vis.txn_id) is None:
-                            continue
+            for _, plain, flagged in self._walk(name, vis):
+                for serial in plain:
                     yield Oid(name, serial)
-            for serial, hist in list(vis.hists.items()):
-                if serial in seen:
-                    continue
-                img = mvcc.visible(hist, vis.snapshot, vis.txn_id)
-                if img is None or img is _MVCC_STORE:
-                    continue
-                if not db.store.exists(name, (serial, 0)):
+                for serial, _ in flagged:
                     yield Oid(name, serial)
 
     def __repr__(self) -> str:

@@ -324,12 +324,12 @@ class Database:
         self.cluster_stats = StatsManager(self)
         #: Cached plans keyed on (cluster, predicate shape).
         self.plan_cache = PlanCache()
-        #: Generated (fused) query pipelines, keyed on plan structure;
-        #: invalidated alongside the plan cache.
+        #: Generated predicate / join-key expressions, keyed on their
+        #: source text (a pure function of it: never invalidated).
         from ..query.codegen import CodegenCache
         self.codegen_cache = CodegenCache()
-        #: Master switch for generated-code query execution on this
-        #: database (the REPRO_CODEGEN env var also applies).
+        #: Master switch for generated expressions on this database;
+        #: off, queries evaluate the predicates' own closures.
         self.codegen_enabled = True
         #: Bumped on index DDL; outstanding cached plans become invalid.
         self._plan_epoch = 0
@@ -397,8 +397,6 @@ class Database:
                            lambda: codegen_cache.hits)
         metrics.counter_fn("codegen.cache.misses",
                            lambda: codegen_cache.misses)
-        metrics.counter_fn("codegen.cache.invalidations",
-                           lambda: codegen_cache.invalidations)
         metrics.counter_fn("codegen.compile_ns",
                            lambda: codegen_cache.compile_ns)
         metrics.gauge_fn("codegen.cache.entries",
@@ -888,11 +886,9 @@ class Database:
             if handle.ddl:
                 # DDL changed the plan space itself; every plan is suspect.
                 self.plan_cache.clear()
-                self.codegen_cache.clear()
             else:
                 for cluster in {key[0] for key in touched}:
                     self.plan_cache.invalidate_cluster(cluster)
-                    self.codegen_cache.invalidate_cluster(cluster)
             self._reload_cache_after_abort(touched)
         finally:
             self.store.locks.release_all(handle.txn_id)
@@ -1483,21 +1479,19 @@ class Database:
 
     def _materialize_from_scan(self, cluster: str, serial: int,
                                batch) -> Optional[OdeObject]:
-        """Materialize one head of a scan batch, preferring in-batch state.
+        """Materialize one head of a scan batch that is not live (the
+        scan loop probes the object cache itself), preferring in-batch
+        state.
 
-        A live object costs nothing here. Otherwise the head and its
-        *current* state are decoded from *batch* (older versions on the
-        page stay bytes). Version heads and their current state land on
-        the same page for freshly created objects (pnew writes them back
-        to back), so the common case needs no extra storage round-trip at
-        all; otherwise the deref path (with its decoded cache) picks up
-        the slack. Per-object locks are already subsumed by the scan's
-        cluster S lock.
+        The head and its *current* state are decoded from *batch* (older
+        versions on the page stay bytes). Version heads and their current
+        state land on the same page for freshly created objects (pnew
+        writes them back to back), so the common case needs no extra
+        storage round-trip at all; otherwise the deref path (with its
+        decoded cache) picks up the slack. Per-object locks are already
+        subsumed by the scan's cluster S lock.
         """
         key = (cluster, serial)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         version = batch.head(serial)["current"]
         state_rec = batch.state(serial, version)
         if state_rec is None:
@@ -1685,7 +1679,6 @@ class Database:
             # Index DDL changes the plan space: invalidate cached plans
             # and rebuild exact statistics (the new field needs tracking).
             self._plan_epoch += 1
-            self.codegen_cache.invalidate_cluster(cluster)
             self.cluster_stats.analyze(cluster)
 
     def _indexed_fields(self, cluster: str) -> Dict[str, Any]:
@@ -1834,7 +1827,6 @@ class Database:
         # The salvage rewrote records wholesale; every cache is suspect.
         self._decoded.clear()
         self.plan_cache.clear()
-        self.codegen_cache.clear()
         with self._cache_lock:
             self._cache.clear()
             self._vcache.clear()
@@ -1924,7 +1916,6 @@ class Database:
                 raise ClusterNotFoundError("no cluster named %r" % name)
             self.cluster_stats.analyze(name)
         self.plan_cache.clear()
-        self.codegen_cache.clear()
         return self.cluster_stats.snapshot()
 
     def stats(self) -> Dict[str, Any]:
@@ -2087,16 +2078,17 @@ class Database:
 class _ScanVis:
     """Per-scan MVCC visibility overlay for one cluster.
 
-    The scan loop consults it per head record: serials with an active
-    history entry that matters for this reader (``needs``) are resolved
-    through :meth:`materialize` (committed image at the snapshot, own
-    writes from the store, invisible objects skipped); everything else
-    takes the unchanged fast path, with the serial noted in ``seen`` so
-    the post-scan :meth:`tail` pass can resurrect objects whose records
-    were deleted from the store mid-scan without double-yielding anything
-    the page walk already produced. Index plans use the same overlay the
-    other way round: they ask for the :meth:`dirty` serials up front and
-    resolve exactly those.
+    The scan loop (``ClusterHandle._walk``, behind every scan that
+    materializes, counts or lists oids) consults it per head record:
+    serials with an active history entry that matters for this reader
+    (``needs``) are resolved to the image visible to it (committed image
+    at the snapshot, own writes from the store, invisible objects
+    skipped); everything else takes the unchanged fast path, with the
+    serial noted in ``seen`` so the walk's last pass can resurrect
+    objects whose records were deleted from the store mid-scan without
+    double-yielding anything the page walk already produced. Index plans
+    use the same overlay the other way round: they ask for the
+    :meth:`dirty` serials up front and :meth:`materialize` exactly those.
     """
 
     __slots__ = ("db", "cluster", "hists", "hget", "snapshot", "txn_id",
@@ -2143,40 +2135,23 @@ class _ScanVis:
         if serial in seen:
             return None
         seen.add(serial)
-        db = self.db
+        img = _MVCC_STORE
         hist = self.hget(serial)
         if hist is not None:
-            img = db._mvcc.visible(hist, self.snapshot, self.txn_id)
+            img = self.db._mvcc.visible(hist, self.snapshot, self.txn_id)
             if img is None:
                 return None
-            if img is not _MVCC_STORE:
-                return db._materialize_snapshot(self.cluster, serial, img)
-        # Own write, or the writer finished in our favour: current store
-        # content is right — the deref path re-resolves defensively.
-        return db.deref(Oid(self.cluster, serial), _missing_ok=True)
+        return self.resolve(serial, img)
 
-    def tail(self) -> List[OdeObject]:
-        """Visible-at-snapshot objects whose store records are gone
-        (deleted mid-scan by another transaction): the page walk could
-        not have yielded them, so they are resurrected from their
-        committed images here."""
-        db = self.db
-        store = db.store
-        seen = self.seen
-        out: List[OdeObject] = []
-        for serial, hist in list(self.hists.items()):
-            if serial in seen:
-                continue
-            seen.add(serial)
-            img = db._mvcc.visible(hist, self.snapshot, self.txn_id)
-            if img is _MVCC_STORE or img is None:
-                continue
-            if store.exists(self.cluster, (serial, 0)):
-                # The live record was visited (or skipped as invisible)
-                # by the page walk itself.
-                continue
-            out.append(db._materialize_snapshot(self.cluster, serial, img))
-        return out
+    def resolve(self, serial: int, img) -> Optional[OdeObject]:
+        """The object behind a visible image of *serial*: a private
+        materialization of a committed image, or — own write, or the
+        writer finished in our favour — current store content, which the
+        deref path re-resolves defensively."""
+        if img is _MVCC_STORE:
+            return self.db.deref(Oid(self.cluster, serial),
+                                 _missing_ok=True)
+        return self.db._materialize_snapshot(self.cluster, serial, img)
 
 
 class _ImplicitTxn:

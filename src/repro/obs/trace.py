@@ -5,9 +5,9 @@ execution: rows in/out, pages touched, cache hits, and wall time. The
 query layer builds a small span tree per traced query (scan → join →
 sort → limit) and :func:`render_trace` pretty-prints it.
 
-Tracing is strictly opt-in: untraced queries never allocate a span, and
-plan ``execute(span=None)`` paths keep their original bytecode when the
-span is ``None``. The cost of tracing is paid only when asked for.
+Tracing is strictly opt-in: untraced queries never allocate a span. A
+traced query runs the same operators with a span attached to each, so
+what is timed is what an untraced run executes.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ class QueryTracer:
 
     IO attribution samples the engine's existing counters (buffer pool
     pin hits/misses, page-cache hits, decoded-cache hits) before and
-    after each measured stage; the deltas are charged to that stage's
-    span. Stages must be materialized (not lazily interleaved) for the
-    attribution to be meaningful — the query layer's traced paths do so.
+    after each measured piece of work; the deltas are charged to that
+    operator's span. Measurements must not nest: the query layer
+    measures one operator's work on one chunk at a time.
     """
 
     __slots__ = ("db", "root")
@@ -100,6 +100,18 @@ class QueryTracer:
 
     def measure(self, span: Span) -> _Measure:
         return _Measure(self, span)
+
+    def stream(self, span: Span, items):
+        """Iterate *items*, charging the work of each pull to *span*
+        (and nothing of what the consumer does between pulls)."""
+        items = iter(items)
+        while True:
+            with self.measure(span):
+                try:
+                    item = next(items)
+                except StopIteration:
+                    return
+            yield item
 
 
 def render_trace(root: Span, indent: str = "") -> List[str]:

@@ -30,18 +30,18 @@ Anything outside the supported subset (``return`` in a trigger body,
 conditionally-scoped declarations, ``forall`` statements, ``continue``
 inside ``do``/``for`` where Python's ``continue`` would skip the
 step/condition, …) raises :class:`_Bail` during lowering and the caller
-keeps the interpreted closure — fallback is always automatic and the
-two paths are semantically identical.
+keeps the interpreted closure; the two paths are semantically
+identical. Only :class:`_Bail` means "no lowering" — any other
+exception while generating is a bug and propagates.
 
-Compilation respects the same switches as the query codegen
-(``REPRO_CODEGEN=0`` env, ``db.codegen_enabled``); compile time is
-accounted to ``codegen.compile_ns`` on the database's codegen cache.
+Compilation respects the same switch as the query codegen
+(``db.codegen_enabled``); compile time is accounted to
+``codegen.compile_ns`` on the database's codegen cache.
 """
 
 from __future__ import annotations
 
 import linecache
-import os
 import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -56,11 +56,6 @@ _FN = "__ode_body"
 
 #: module-level counters, read by tests and ``stats()`` callers
 stats = {"compiled": 0, "fallbacks": 0}
-
-
-def _strict() -> bool:
-    return os.environ.get("REPRO_CODEGEN_STRICT", "").strip().lower() in (
-        "1", "on", "true", "yes")
 
 
 class _Bail(Exception):
@@ -670,17 +665,12 @@ def _compile(interp, build: Callable[[], str],
     started = time.perf_counter_ns()
     try:
         source = build()
-        cache = cache_for(db)
-        filename = "<opp-codegen:%d>" % cache.next_tag()
-        code = compile(source, filename, "exec")
     except _Bail:
         stats["fallbacks"] += 1
         return None
-    except Exception:
-        if _strict():
-            raise
-        stats["fallbacks"] += 1
-        return None
+    cache = cache_for(db)
+    filename = "<opp-codegen:%d>" % cache.next_tag()
+    code = compile(source, filename, "exec")
     linecache.cache[filename] = (len(source), None,
                                  source.splitlines(True), filename)
     namespace = dict(_NS)

@@ -36,12 +36,17 @@ OdeSets, lists — anything re-iterable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from itertools import chain, islice
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
+from ..core.clusters import ClusterHandle
 from ..errors import QueryError
+from ..obs.trace import QueryTracer, render_trace
 from . import codegen as _codegen
-from .optimizer import IndexRange, choose_plan
-from .predicates import (A, And, AttrExpr, Callable_, JoinCompare, Predicate,
+from .optimizer import (INDEX_BATCH, FullScan, IndexPlan, IndexRange,
+                        choose_plan)
+from .predicates import (And, AttrExpr, Callable_, JoinCompare, Predicate,
                          TrueP, VarCompare, as_predicate, is_multivar,
                          max_var)
 
@@ -56,7 +61,6 @@ class Forall:
         self._pred: Optional[Any] = None       # Predicate or callable
         self._order: List[Tuple[Any, bool]] = []  # (key, desc) pairs
         self._join_keys: Optional[List[Callable]] = None  # hash equijoin
-        self._join_key_specs: Optional[List[Any]] = None  # original keys
         self._limit: Optional[int] = None
         #: Per-query opt-out from generated-code execution.
         self._codegen_off = False
@@ -64,9 +68,11 @@ class Forall:
         #: (re-validated against the database's index-DDL epoch).
         self._plan = None
         self._plan_epoch = -1
-        #: Tracing: off by default (the untraced path is byte-for-byte
-        #: the pre-tracing code); trace() turns it on, last_trace holds
-        #: the span tree of the most recent traced run.
+        #: ``(plan, cache, keep, sources)``: the single-source batch
+        #: filter, made once per plan and evaluator.
+        self._filter = None
+        #: Tracing: trace() turns it on, last_trace holds the span tree
+        #: of the most recent traced run.
         self._trace_on = False
         self._last_trace = None
 
@@ -92,9 +98,9 @@ class Forall:
         """Record per-operator spans (rows, pages, time) while iterating.
 
         After a traced iteration, :attr:`last_trace` holds the span tree
-        and ``explain(analyze=True)`` renders it. Tracing materializes
-        each operator stage (so time and IO attribute cleanly), trading
-        laziness for measurement — leave it off on hot paths.
+        and ``explain(analyze=True)`` renders it. A traced run is the
+        untraced pipeline with each operator's chunks counted and timed;
+        it returns the same rows in the same order, as lazily.
         """
         self._trace_on = on
         return self
@@ -133,25 +139,109 @@ class Forall:
     def codegen(self, on: bool = True) -> "Forall":
         """Opt this query in or out of generated-code execution.
 
-        ``codegen(False)`` forces the interpreted pipeline regardless of
-        the database flag and the ``REPRO_CODEGEN`` environment switch.
+        ``codegen(False)`` evaluates predicates and join keys through
+        their ``compiled()`` closures regardless of the database flag.
         """
         self._codegen_off = not on
         return self
 
     # -- execution ------------------------------------------------------------
+    #
+    # One pipeline for every terminal, source kind and evaluator: a
+    # plan's candidate chunks -> batch filter (-> join steps) -> terminal.
+    # Chunks are lists; terminals take them whole. What runs per object
+    # is generated (query/codegen.py) or, with codegen off, the
+    # predicates' own closures — same signatures, same loops. Tracing
+    # attaches spans to these very loops.
 
     def __iter__(self) -> Iterator:
-        if self._trace_on:
-            if len(self._sources) == 1:
-                return self._iter_single_traced()
-            return self._iter_join_traced()
-        if len(self._sources) == 1:
-            return self._iter_single()
-        return self._iter_join()
+        if self._order and not self._sort_elided():
+            return iter(self.to_list())
+        tracer = self._tracer()
+        rows = chain.from_iterable(self._chunks(INDEX_BATCH, tracer))
+        if self._limit is not None:
+            rows = _limited(rows, self._limit, tracer)
+        if tracer is None:
+            return rows
+        return self._count_rows_out(rows, tracer)
 
-    def _db(self):
-        return getattr(self._sources[0], "db", None)
+    def to_list(self) -> List:
+        sort = bool(self._order) and not self._sort_elided()
+        if self._limit is not None and not sort:
+            return list(iter(self))  # stream, so the limit stops the scan
+        tracer = self._tracer()
+        rows: List = []
+        for chunk in self._chunks(None, tracer):
+            rows.extend(chunk)
+        if sort:
+            span = (None if tracer is None else
+                    tracer.root.child("sort", "%d key(s)" % len(self._order)))
+            with _measure(tracer, span):
+                rows = (self._sorted(rows) if len(self._sources) == 1
+                        else self._sorted_tuples(rows))
+            if span is not None:
+                span.rows_in = span.rows_out = len(rows)
+        if self._limit is not None:
+            rows = list(_limited(rows, self._limit, tracer))
+        if tracer is not None:
+            tracer.root.rows_out = len(rows)
+            self._finish_trace(tracer)
+        return rows
+
+    def count(self) -> int:
+        if self._order or self._limit is not None:
+            return len(self.to_list())
+        tracer = self._tracer()
+        n = sum(map(len, self._chunks(None, tracer, count_only=True)))
+        if tracer is not None:
+            tracer.root.rows_out = n
+            self._finish_trace(tracer)
+        return n
+
+    def first(self):
+        """The first matching element, or None."""
+        for item in self:
+            return item
+        return None
+
+    def exists(self) -> bool:
+        """Whether any row matches (stops at the first)."""
+        return self.first() is not None
+
+    def _chunks(self, size: Optional[int], tracer,
+                count_only: bool = False) -> Iterator[List]:
+        """The iteration subset as lists of rows, before ``by``/``limit``.
+        *size* bounds how far an index plan reads ahead of a consumer
+        that may stop early (None: it will not)."""
+        db = self._exec_db()
+        cache = self._codegen_cache(db)
+        if db is not None:
+            (db._q_mode_interpreted if cache is None
+             else db._q_mode_compiled).inc()
+        if len(self._sources) == 1:
+            plan = self._single_plan()
+            keep, _ = self._single_filter(plan, cache)
+            return _scan(plan, keep, size, tracer, "scan",
+                         self._sort_elided(), count_only)
+        return self._join(cache, size, tracer)
+
+    def _single_filter(self, plan, cache):
+        """``(keep, sources)`` — *plan*'s batch filter and the generated
+        source behind it. It lives and dies with the plan: a reused
+        Forall (and ``explain``) lowers nothing and looks nothing up."""
+        memo = self._filter
+        if memo is None or memo[0] is not plan or memo[1] is not cache:
+            sources: List[str] = []
+            keep = _batch_filter(plan, cache, sources)
+            self._filter = memo = (plan, cache, keep, sources)
+        return memo[2], memo[3]
+
+    def _codegen_cache(self, db):
+        """Where this query's generated expressions are cached; None when
+        it evaluates the predicates' ``compiled()`` closures instead."""
+        if self._codegen_off or not _codegen.enabled_for(db):
+            return None
+        return _codegen.cache_for(db)
 
     def _exec_db(self):
         """The database behind any source (deep views included)."""
@@ -162,16 +252,6 @@ class Forall:
             if db is not None:
                 return db
         return None
-
-    def _note_mode(self, compiled: bool) -> None:
-        db = self._exec_db()
-        if db is None:
-            return
-        counter = getattr(
-            db, "_q_mode_compiled" if compiled else "_q_mode_interpreted",
-            None)
-        if counter is not None:
-            counter.inc()
 
     def _single_plan(self):
         """The access plan for a one-source iteration.
@@ -193,187 +273,165 @@ class Forall:
             self._plan_epoch = epoch
         return self._plan
 
-    def _iter_single(self) -> Iterator:
-        plan = self._single_plan()
-        fused = _codegen.run_single(self, plan, "iter")
-        if fused is not _codegen.INELIGIBLE:
-            self._note_mode(compiled=True)
-            return fused
-        self._note_mode(compiled=False)
-        if self._sort_elided(plan):
-            rows = plan.execute(keyed=True)
-        else:
-            rows = plan.execute()
-            if self._order:
-                rows = iter(self._sorted(list(rows)))
-        if self._limit is not None:
-            rows = _take(rows, self._limit)
-        return rows
-
-    def _sort_elided(self, plan) -> bool:
-        """True when *plan* emits rows already in the by() order: an
+    def _sort_elided(self) -> bool:
+        """True when the plan emits rows already in the by() order: an
         ascending index range scan on the one by() key. (desc still
         sorts — reversing the scan would reverse equal-key runs and
         break the stable-sort guarantee.)"""
-        if len(self._order) != 1:
+        if len(self._order) != 1 or len(self._sources) != 1:
             return False
         key, desc = self._order[0]
-        return (not desc and isinstance(key, AttrExpr)
-                and isinstance(plan, IndexRange) and plan.field == key.name)
-
-    # -- traced execution --------------------------------------------------
-
-    def _iter_single_traced(self) -> Iterator:
-        from ..obs.trace import QueryTracer
+        if desc or not isinstance(key, AttrExpr):
+            return False
         plan = self._single_plan()
-        db = self._db()
-        tracer = QueryTracer(db, "forall", "1 source")
-        root = tracer.root
-        if _codegen.would_run(self):
-            root.detail += ", interpreted fallback (tracing)"
-        scan = root.child("scan", plan.describe())
-        elided = self._sort_elided(plan)
-        with tracer.measure(root):
-            with tracer.measure(scan):
-                rows = list(plan.execute(span=scan, keyed=True) if elided
-                            else plan.execute(span=scan))
-            if self._order and not elided:
-                sort = root.child("sort", "%d key(s)" % len(self._order))
-                sort.rows_in = len(rows)
-                with tracer.measure(sort):
-                    rows = self._sorted(rows)
-                sort.rows_out = len(rows)
-            if self._limit is not None:
-                lim = root.child("limit", "n=%d" % self._limit)
-                lim.rows_in = len(rows)
-                rows = rows[:self._limit]
-                lim.rows_out = len(rows)
-            root.rows_in = scan.rows_in
-            root.rows_out = len(rows)
-        plan.last_span = scan
-        self._last_trace = root
-        self._record_traced(db, plan.describe(), root)
-        return iter(rows)
+        return isinstance(plan, IndexRange) and plan.field == key.name
 
-    def _iter_join_traced(self) -> Iterator[Tuple]:
-        from ..obs.trace import QueryTracer
-        db = self._db()
-        tracer = QueryTracer(db, "forall", "%d sources" % len(self._sources))
-        root = tracer.root
-        if _codegen.would_run(self):
-            root.detail += ", interpreted fallback (tracing)"
-        with tracer.measure(root):
-            if self._join_keys is not None:
-                root.detail += ", hash equijoin"
-                rows = list(self._iter_hash_join())
-            elif is_multivar(self._pred):
-                root.detail += ", fused join"
-                rows = self._iter_fused_join_traced(tracer)
-            else:
-                root.detail += ", nested loop"
-                pred = self._pred
-                if pred is None:
-                    row_check = None
-                elif callable(pred) and not isinstance(pred, Predicate):
-                    row_check = _row_filter(pred)
-                else:
-                    raise QueryError(
-                        "multi-variable suchthat takes a callable of %d "
-                        "arguments or a V[...] predicate"
-                        % len(self._sources))
-                rows = list(self._cross_product(row_check))
-            if self._order:
-                sort = root.child("sort", "%d key(s)" % len(self._order))
-                sort.rows_in = len(rows)
-                with tracer.measure(sort):
-                    rows = self._sorted_tuples(rows)
-                sort.rows_out = len(rows)
-            if self._limit is not None:
-                lim = root.child("limit", "n=%d" % self._limit)
-                lim.rows_in = len(rows)
-                rows = rows[:self._limit]
-                lim.rows_out = len(rows)
-            root.rows_out = len(rows)
-        self._last_trace = root
-        self._record_traced(db, root.detail, root)
-        return iter(rows)
+    # -- tracing -----------------------------------------------------------
 
-    def _iter_fused_join_traced(self, tracer) -> List[Tuple]:
-        """Traced counterpart of :meth:`_iter_fused_join`: each scan and
-        each join step is materialized under its own measured span."""
-        plans, eq_pairs, residual_at = self._fusion()
-        arity = len(self._sources)
-        root = tracer.root
-        scan0 = root.child("scan V[0]", plans[0].describe())
-        with tracer.measure(scan0):
-            rows = [(obj,) for obj in plans[0].execute(span=scan0)]
-            for conj in residual_at[0]:
-                check = _tuple_check(conj)
-                rows = [row for row in rows if check(row)]
-        for k in range(1, arity):
-            keys = [_orient(jc, k) for jc in eq_pairs
-                    if max(jc.lvar, jc.rvar) == k]
-            scan_k = root.child("scan V[%d]" % k, plans[k].describe())
-            with tracer.measure(scan_k):
-                items = list(plans[k].execute(span=scan_k))
-            join = root.child("hash join" if keys else "nested-loop join",
-                              "V[0..%d] x V[%d] (%d key(s))"
-                              % (k - 1, k, len(keys)))
-            join.rows_in = len(rows) + len(items)
-            with tracer.measure(join):
-                rows = list(self._join_step(
-                    iter(rows), plans, k, keys,
-                    [_tuple_check(c) for c in residual_at[k]],
-                    right=items))
-            join.rows_out = len(rows)
-        root.rows_in = scan0.rows_in
-        return rows
+    def _tracer(self) -> Optional[QueryTracer]:
+        if not self._trace_on:
+            return None
+        n = len(self._sources)
+        tracer = QueryTracer(self._exec_db(), "forall",
+                             "1 source" if n == 1 else "%d sources" % n)
+        self._last_trace = tracer.root
+        return tracer
 
-    def _record_traced(self, db, detail: str, root) -> None:
-        record = getattr(db, "_record_query", None) if db is not None \
-            else None
+    def _count_rows_out(self, rows: Iterator, tracer) -> Iterator:
+        root = tracer.root
+        try:
+            for row in rows:
+                root.rows_out += 1
+                yield row
+        finally:
+            self._finish_trace(tracer)
+
+    def _finish_trace(self, tracer) -> None:
+        """Total the operator spans into the root and account the query."""
+        root = tracer.root
+        root.rows_in = root.children[0].rows_in
+        for span in root.children:
+            root.ns += span.ns
+            root.pages += span.pages
+            root.cache_hits += span.cache_hits
+        record = getattr(tracer.db, "_record_query", None)
         if record is not None:
+            detail = (root.children[0].detail if len(self._sources) == 1
+                      else root.detail)
             record("forall", detail, root.ns, root.rows_out)
 
-    def _iter_join(self) -> Iterator[Tuple]:
-        fused = _codegen.run_join(self, "iter")
-        if fused is not _codegen.INELIGIBLE:
-            self._note_mode(compiled=True)
-            return fused
-        self._note_mode(compiled=False)
-        if self._join_keys is not None:
-            rows = self._iter_hash_join()
-        elif is_multivar(self._pred):
-            rows = self._iter_fused_join()
-        else:
-            pred = self._pred
-            arity = len(self._sources)
-            if pred is None:
-                row_check = None
-            elif callable(pred) and not isinstance(pred, Predicate):
-                row_check = _row_filter(pred)
+    # -- joins -------------------------------------------------------------
+
+    def _join(self, cache, size, tracer) -> Iterator[List[Tuple]]:
+        """The one join body: one source streams a chunk at a time
+        through a left-deep chain of levels, each extending every prefix
+        row with the matching objects of one more (materialized) source.
+        A level takes at most INDEX_BATCH prefix rows at a time and keeps
+        only the rows that pass, so nothing bigger than the sources and
+        INDEX_BATCH x |source| matches is ever held — also for a join
+        without keys, which is a filtered cross product.
+        """
+        detail, plans, keeps, steps, swap = self._join_plan(cache, [])
+        # Source 0 streams — unless *swap*: then step 1's hash table
+        # holds source 0's rows (the smaller side) and source 1 streams.
+        streamed = 1 if swap else 0
+        scans = [_scan(plan, keep, size if i == streamed else None, tracer,
+                       "scan V[%d]" % i)
+                 for i, (plan, keep) in enumerate(zip(plans, keeps))]
+        spans = [None] * len(plans)
+        if tracer is not None:
+            tracer.root.detail += ", " + detail
+            for k in range(1, len(plans)):
+                spans[k] = tracer.root.child(
+                    "hash join" if steps[k][0] else "nested-loop join",
+                    "V[0..%d] x V[%d]" % (k - 1, k))
+        return self._join_chunks(scans, steps, swap, tracer, spans)
+
+    def _join_chunks(self, scans, steps, swap: bool, tracer,
+                     spans) -> Iterator[List[Tuple]]:
+        arity = len(scans)
+        streamed = 1 if swap else 0
+        first = steps[0][2]
+
+        def prefix_rows(objs):
+            if first is None:
+                return [(obj,) for obj in objs]
+            return [(obj,) for obj in objs if first((), obj)]
+
+        chunks = scans[streamed] if swap else map(prefix_rows, scans[0])
+        for k in range(1, arity):
+            probe, build, check = steps[k]
+            if build is None:
+                # No keys: every prefix row meets every object.
+                probe = build = _no_key
+            if k == streamed:
+                items = prefix_rows(chain.from_iterable(scans[0]))
+                key = probe
             else:
+                items = list(chain.from_iterable(scans[k]))
+                key = build
+            with _measure(tracer, spans[k]):
+                table = _table(items, key)
+            if tracer is not None:
+                spans[k].rows_in += len(items)
+            chunks = _join_level(chunks, table, (probe, build, check),
+                                 k == streamed, tracer, spans[k])
+        yield from chunks
+
+    def _join_plan(self, cache, code: List[str]):
+        """``(detail, plans, keeps, steps, swap)`` of a multi-source
+        iteration: per source an access plan and its batch filter, per
+        level *k* the ``(probe, build, check)`` callables of
+        :func:`_join_step` (level 0 only has a check). Expressions are
+        generated through *cache* (source noted in *code*) or, when it
+        is None, taken from the predicates' closures."""
+        pred = self._pred
+        arity = len(self._sources)
+        join_keys = self._join_keys
+        if join_keys is None and is_multivar(pred):
+            detail = "fused join"
+            plans, eq_pairs, residual_at = self._fusion()
+        else:
+            if pred is not None and (isinstance(pred, Predicate)
+                                     or not callable(pred)):
                 raise QueryError(
+                    "join_on takes a callable residual filter"
+                    if join_keys is not None else
                     "multi-variable suchthat takes a callable of %d "
                     "arguments or a V[...] predicate" % arity)
-            rows = self._cross_product(row_check)
-        if self._order:
-            rows = iter(self._sorted_tuples(list(rows)))
-        if self._limit is not None:
-            rows = _take(rows, self._limit)
-        return rows
-
-    def _cross_product(self, row_check) -> Iterator[Tuple]:
-        def recurse(depth: int, chosen: tuple):
-            if depth == len(self._sources):
-                if row_check is None or row_check(chosen):
-                    yield chosen
-                return
-            for item in self._sources[depth]:
-                yield from recurse(depth + 1, chosen + (item,))
-        return recurse(0, ())
-
-    # -- fused multi-variable join (V[...] predicates) ---------------------
+            detail = "nested loop" if join_keys is None else "hash equijoin"
+            plans = [FullScan(source, TrueP()) for source in self._sources]
+            eq_pairs = []
+            # The callable takes whole rows: an opaque conjunct of the
+            # last level.
+            residual_at = [[] for _ in range(arity)]
+            if pred is not None:
+                residual_at[-1].append(Callable_(pred))
+        keeps = [_batch_filter(plan, cache, code) for plan in plans]
+        levels = [([_orient(jc, k) for jc in eq_pairs
+                    if max(jc.lvar, jc.rvar) == k], residual_at[k])
+                  for k in range(arity)]
+        steps = None
+        if cache is not None and any(keys or conjuncts
+                                     for keys, conjuncts in levels):
+            try:
+                steps, source = _codegen.join_steps(levels, cache)
+                code.append(source)
+            except _codegen._CannotLower:
+                pass
+        if steps is None:
+            steps = [_closure_step(keys, conjuncts)
+                     for keys, conjuncts in levels]
+        if join_keys is not None:
+            # join_on's key functions; every level probes with the first
+            # source's.
+            def probe(row, _key=join_keys[0]):
+                return _key(row[0])
+            steps[1:] = [(probe, key, check) for key, (_, _, check)
+                         in zip(join_keys[1:], steps[1:])]
+        swap = bool(levels[1][0]
+                    and plans[0].estimated_rows < plans[1].estimated_rows)
+        return detail, plans, keeps, steps, swap
 
     def _fusion(self):
         """Decompose the V-predicate and plan every source's access path.
@@ -416,68 +474,6 @@ class Forall:
             plans.append(choose_plan(source, sub_pred))
         return plans, eq_pairs, residual_at
 
-    def _iter_fused_join(self) -> Iterator[Tuple]:
-        """Execute a V-predicate join: per-source index plans below a
-        left-deep chain of (multi-key) hash joins."""
-        plans, eq_pairs, residual_at = self._fusion()
-        arity = len(self._sources)
-        rows: Iterator[Tuple] = ((obj,) for obj in plans[0].execute())
-        for conj in residual_at[0]:
-            rows = filter(_tuple_check(conj), rows)
-        for k in range(1, arity):
-            keys = [_orient(jc, k) for jc in eq_pairs
-                    if max(jc.lvar, jc.rvar) == k]
-            rows = self._join_step(rows, plans, k, keys,
-                                   [_tuple_check(c) for c in residual_at[k]])
-        return rows
-
-    def _join_step(self, rows: Iterator[Tuple], plans, k: int,
-                   keys: List[Tuple[int, str, str]],
-                   checks: List[Callable], right=None) -> Iterator[Tuple]:
-        """Extend each prefix row with source *k*.
-
-        *keys* holds ``(probe_var, probe_attr, build_attr)`` triples: the
-        hash table over source *k* is keyed on the build attrs, probed
-        with the prefix row's attrs. Without keys this degenerates to a
-        (filtered) cross product. *right* overrides where source *k*'s
-        rows come from (the traced path pre-materializes them under a
-        measured span); by default the plan executes here. Every branch
-        consumes *right* exactly once.
-        """
-        if right is None:
-            right = plans[k].execute()
-        if not keys:
-            items = list(right)
-            for row in rows:
-                for obj in items:
-                    new = row + (obj,)
-                    if all(c(new) for c in checks):
-                        yield new
-            return
-        if k == 1 and plans[0].estimated_rows < plans[1].estimated_rows:
-            # Build on the smaller left side, stream the right side.
-            table: dict = {}
-            for row in rows:
-                probe = tuple(getattr(row[v], a) for v, a, _ in keys)
-                table.setdefault(probe, []).append(row)
-            for obj in right:
-                build = tuple(getattr(obj, b) for _, _, b in keys)
-                for row in table.get(build, ()):
-                    new = row + (obj,)
-                    if all(c(new) for c in checks):
-                        yield new
-            return
-        table = {}
-        for obj in right:
-            build = tuple(getattr(obj, b) for _, _, b in keys)
-            table.setdefault(build, []).append(obj)
-        for row in rows:
-            probe = tuple(getattr(row[v], a) for v, a, _ in keys)
-            for obj in table.get(probe, ()):
-                new = row + (obj,)
-                if all(c(new) for c in checks):
-                    yield new
-
     # -- ordering ------------------------------------------------------------
 
     def _sorted(self, rows: List) -> List:
@@ -511,35 +507,7 @@ class Forall:
             raise QueryError("join_on needs one key per source (%d given, "
                              "%d sources)" % (len(keys), len(self._sources)))
         self._join_keys = [_key_fn(k) for k in keys]
-        self._join_key_specs = list(keys)
         return self
-
-    def _iter_hash_join(self) -> Iterator[Tuple]:
-        keys = self._join_keys
-        pred = self._pred
-        if pred is not None and isinstance(pred, Predicate):
-            raise QueryError("join_on takes a callable residual filter")
-        row_check = None if pred is None else _row_filter(pred)
-        # Build hash tables for every source after the first.
-        tables = []
-        for source, key_fn in zip(self._sources[1:], keys[1:]):
-            table: dict = {}
-            for item in source:
-                table.setdefault(key_fn(item), []).append(item)
-            tables.append(table)
-
-        def expand(depth: int, chosen: tuple, join_key):
-            if depth == len(self._sources):
-                if row_check is None or row_check(chosen):
-                    yield chosen
-                return
-            for item in tables[depth - 1].get(join_key, ()):
-                yield from expand(depth + 1, chosen + (item,), join_key)
-
-        for first in self._sources[0]:
-            yield from expand(1, (first,), keys[0](first))
-
-    # -- terminal conveniences ------------------------------------------------
 
     def limit(self, n: int) -> "Forall":
         """Yield at most *n* results (applied after suchthat/by)."""
@@ -548,61 +516,35 @@ class Forall:
         self._limit = n
         return self
 
-    def to_list(self) -> List:
-        if not self._trace_on:
-            if len(self._sources) == 1:
-                rows = _codegen.run_single(self, self._single_plan(),
-                                           "collect")
-            else:
-                rows = _codegen.run_join(self, "collect")
-            if rows is not _codegen.INELIGIBLE:
-                self._note_mode(compiled=True)
-                return rows
-        return list(self)
-
-    def first(self):
-        """The first matching element, or None."""
-        for item in self:
-            return item
-        return None
-
-    def exists(self) -> bool:
-        """Whether any row matches (stops at the first)."""
-        return self.first() is not None
-
-    def count(self) -> int:
-        if not self._trace_on:
-            if len(self._sources) == 1:
-                n = _codegen.run_single(self, self._single_plan(), "count")
-            else:
-                n = _codegen.run_join(self, "count")
-            if n is not _codegen.INELIGIBLE:
-                self._note_mode(compiled=True)
-                return n
-        return sum(1 for _ in self)
+    # -- explain -----------------------------------------------------------
 
     def explain(self, analyze: bool = False, code: bool = False) -> str:
         """Human-readable description of the chosen plan.
 
         With *analyze=True* the query is actually executed with tracing
-        on and the per-operator measurements (rows in/out, pages touched,
-        cache hits, wall time) are appended to the plan text. Tracing
-        always runs the interpreted pipeline; when the untraced query
-        would have used generated code, the trace header says so. With
-        *code=True* the generated source (if any) is appended.
+        on — the same pipeline an untraced run takes, with a span on
+        each operator — and the measurements (rows in/out, pages
+        touched, cache hits, time) are appended to the plan text. With
+        *code=True* the generated expression source (if any) is appended.
         """
         text = self._explain_plan()
-        mode, source = _codegen.describe_mode(self)
-        text += "\nexecution: %s" % mode
+        cache = self._codegen_cache(self._exec_db())
+        if len(self._sources) == 1:
+            _, sources = self._single_filter(self._single_plan(), cache)
+        else:
+            sources = []
+            self._join_plan(cache, sources)
+        text += "\nexecution: %s" % (
+            "interpreted" if cache is None else
+            "compiled (%d generated expression(s))" % len(sources))
         if code:
-            if source is None:
-                text += "\ngenerated code: none (interpreted)"
-            else:
+            if not sources:
+                text += "\ngenerated code: none"
+            for source in sources:
                 text += "\ngenerated code:\n" + "\n".join(
                     "  " + line for line in source.rstrip().splitlines())
         if not analyze:
             return text
-        from ..obs.trace import render_trace
         was_on = self._trace_on
         self._trace_on = True
         try:
@@ -636,25 +578,162 @@ class Forall:
             len(self._sources), self._pred, len(self._order))
 
 
+def _scan(plan, keep, size, tracer, label: str, keyed: bool = False,
+          count_only: bool = False) -> Iterator[List]:
+    """One source's matching objects, a chunk at a time — *plan*'s
+    candidates through its batch filter *keep*: the whole single-source
+    body, and every input of a join."""
+    count_only = count_only and keep is None
+    if tracer is None:
+        chunks = plan.chunks(size, keyed, None, count_only)
+        return chunks if keep is None else map(keep, chunks)
+    span = tracer.root.child(label, plan.describe())
+    return tracer.stream(span, _counted(
+        plan.chunks(size, keyed, span, count_only), keep, span))
+
+
+def _batch_filter(plan, cache, code: List[str]) -> Optional[Callable]:
+    """``keep(objs) -> [matching objs]`` for *plan*'s residual (None:
+    nothing to check): one generated expression through *cache* (its
+    source noted in *code*), or the residual's closure when *cache* is
+    None."""
+    residual = plan.residual
+    if isinstance(residual, TrueP):
+        return None
+    if cache is not None:
+        if isinstance(plan, IndexPlan):
+            cls = plan.handle.cls
+        else:
+            # Only a cluster handle's rows are exactly its class (deep
+            # and as-of-deep views mix derived classes in).
+            cls = (plan.source.cls
+                   if isinstance(plan.source, ClusterHandle) else None)
+        try:
+            keep, source = _codegen.batch_filter(residual, cls, cache)
+        except _codegen._CannotLower:
+            pass
+        else:
+            code.append(source)
+            return keep
+    check = residual.compiled()
+    return lambda objs: [obj for obj in objs if check(obj)]
+
+
+#: What a probe finds for a key no build row has.
+_NO_ROWS = ()
+
+#: The untraced stand-in for ``tracer.measure(span)``.
+_UNMEASURED = nullcontext()
+
+
+def _measure(tracer, span):
+    return _UNMEASURED if tracer is None else tracer.measure(span)
+
+
+def _counted(chunks: Iterator[List], keep, span) -> Iterator[List]:
+    """*chunks* through the batch filter *keep*, with row accounting."""
+    for objs in chunks:
+        matched = objs if keep is None else keep(objs)
+        span.rows_in += len(objs)
+        span.rows_out += len(matched)
+        yield matched
+
+
+def _limited(rows, n: int, tracer) -> Iterator:
+    if tracer is None:
+        return islice(rows, n)
+    span = tracer.root.child("limit", "n=%d" % n)
+
+    def counted():
+        for row in islice(rows, n):
+            span.rows_in += 1
+            span.rows_out += 1
+            yield row
+    return counted()
+
+
+def _table(items, key: Callable) -> dict:
+    """Hash table of *items* grouped by ``key(item)``."""
+    table: dict = {}
+    for item in items:
+        table.setdefault(key(item), []).append(item)
+    return table
+
+
+def _no_key(_):
+    """The key of a level without keys: one for all."""
+    return None
+
+
+def _join_level(chunks: Iterator[List], table: dict, step, swapped: bool,
+                tracer, span) -> Iterator[List[Tuple]]:
+    """*chunks* of prefix rows through one :func:`_join_step`,
+    INDEX_BATCH rows at a time."""
+    for rows in chunks:
+        for i in range(0, len(rows), INDEX_BATCH):
+            part = rows[i:i + INDEX_BATCH]
+            with _measure(tracer, span):
+                out = _join_step(part, table, step, swapped)
+            if span is not None:
+                span.rows_in += len(part)
+                span.rows_out += len(out)
+            if out:
+                yield out
+
+
+def _join_step(rows: List, table: dict, step, swapped: bool) -> List[Tuple]:
+    """Extend each prefix row of *rows* with the objects of one more
+    source that join it; the extended rows, in *rows* order.
+
+    *table* holds that source's objects under ``build(obj)``, probed
+    with ``probe(row)``; ``check(row, obj)`` judges a pair before its
+    extended row is built. *swapped*, the table holds the prefix rows
+    instead, under ``probe(row)``, and *rows* are the new source's
+    objects, looked up by ``build(obj)``.
+    """
+    probe, build, check = step
+    get = table.get
+    if swapped:
+        if check is None:
+            return [row + (obj,) for obj in rows
+                    for row in get(build(obj), _NO_ROWS)]
+        return [row + (obj,) for obj in rows
+                for row in get(build(obj), _NO_ROWS) if check(row, obj)]
+    if check is None:
+        return [row + (obj,) for row in rows
+                for obj in get(probe(row), _NO_ROWS)]
+    return [row + (obj,) for row in rows
+            for obj in get(probe(row), _NO_ROWS) if check(row, obj)]
+
+
+def _closure_step(keys: List[Tuple[int, str, str]],
+                  conjuncts: List[Predicate]) -> Tuple:
+    """The ``(probe, build, check)`` of one join level from the
+    predicates' own closures (what ``codegen.join_steps`` generates)."""
+    probe = build = check = None
+    if keys:
+        def probe(row):
+            return tuple(getattr(row[v], a) for v, a, _ in keys)
+
+        def build(obj):
+            return tuple(getattr(obj, b) for _, _, b in keys)
+    if conjuncts:
+        checks = [_tuple_check(c) for c in conjuncts]
+
+        def check(row, obj):
+            row += (obj,)
+            for c in checks:
+                if not c(row):
+                    return False
+            return True
+    return probe, build, check
+
+
 def _orient(jc: JoinCompare, k: int) -> Tuple[int, str, str]:
     """``(probe_var, probe_attr, build_attr)`` for joining variable *k*."""
     if jc.lvar == k:
         return (jc.rvar, jc.rattr, jc.lattr)
     return (jc.lvar, jc.lattr, jc.rattr)
-
-
-def _row_filter(pred) -> Callable:
-    """Compile a multi-argument residual filter into a row-tuple closure.
-
-    Opaque suchthat callables on joins receive the loop variables as
-    separate arguments; introspectable predicates are specialised via
-    :meth:`Predicate.compiled` so the hot residual loop never goes
-    through interpreted double dispatch.
-    """
-    if isinstance(pred, Predicate):
-        check = pred.compiled()
-        return lambda row, _check=check: _check(row)
-    return lambda row, _func=pred, _bool=bool: _bool(_func(*row))
 
 
 def _tuple_check(conj: Predicate) -> Callable:
@@ -668,13 +747,6 @@ def _tuple_check(conj: Predicate) -> Callable:
         func = conj.func
         return lambda row: bool(func(*row))
     return conj.compiled()
-
-
-def _take(rows: Iterator, n: int) -> Iterator:
-    for i, row in enumerate(rows):
-        if i >= n:
-            return
-        yield row
 
 
 def _key_fn(key) -> Callable:

@@ -76,22 +76,28 @@ PLAN_BUILDS = 0
 
 
 class Plan:
-    """An executable access path producing the iteration subset."""
+    """An access path producing candidates for the iteration subset."""
 
     #: Estimated number of rows the plan yields (after residual filter).
     estimated_rows: float = 0.0
     #: Estimated execution cost in cost-model units.
     estimated_cost: float = 0.0
-    #: The operator span from the most recent traced execution (set by
-    #: the iteration layer when tracing is on; None otherwise).
-    last_span = None
+    #: What the access path leaves unchecked: the consumer of
+    #: :meth:`chunks` keeps the candidates satisfying it.
+    residual: Predicate
 
-    def execute(self, span=None) -> Iterator:
-        """Iterate the plan's rows.
+    def chunks(self, size: Optional[int], keyed: bool = False, span=None,
+               count_only: bool = False) -> Iterator[List]:
+        """Lists of candidate objects; the caller applies
+        :attr:`residual`. *size* bounds a list (None: as much at once as
+        the path has), for consumers that may stop early. Nothing runs
+        before the first pull.
 
-        *span* (a :class:`repro.obs.trace.Span`) turns on row accounting
-        at batch granularity; when it is None — the default — every plan
-        runs its original untraced code path.
+        *keyed* promises the caller relies on index key order (a ``by``
+        on the range key whose sort was elided). *count_only* promises
+        it only takes ``len()`` of each list and has no residual.
+        *span* (a :class:`repro.obs.trace.Span`) receives notes a plan
+        has about its own execution.
         """
         raise NotImplementedError
 
@@ -104,72 +110,46 @@ class Plan:
 
 
 class FullScan(Plan):
-    """Iterate the source, filtering with the whole predicate.
+    """Iterate the source; the whole predicate is the residual.
 
-    Cluster (and deep-view) sources expose ``iter_batches()`` — page-at-a-
-    time lists of decoded objects — and the compiled residual is applied
-    across each batch, so the per-object cost is one closure call instead
-    of a generator-chain hop per row.
+    Cluster (and deep-view, and as-of) sources expose ``iter_batches()``
+    — page-at-a-time lists of live objects — and those are the chunks.
+    A list or tuple is sliced by index, its length re-read on every
+    pull, so what the loop appends is visited (section 3.2). Any other
+    iterable is handed over an element at a time while the consumer may
+    stop or mutate it between elements (a set that grows during the loop
+    has its new members visited, and an exhausted iterator cannot be
+    resumed, so nothing is read ahead), and whole when it cannot (*size*
+    None).
     """
 
     def __init__(self, source, pred: Predicate):
         self.source = source
-        self.pred = pred
+        self.pred = self.residual = pred
 
-    def execute(self, span=None) -> Iterator:
-        pred = self.pred
-        iter_batches = getattr(self.source, "iter_batches", None)
-        if iter_batches is None:
-            if isinstance(pred, TrueP):
-                check = None
-            else:
-                check = (pred.compiled() if isinstance(pred, Predicate)
-                         else pred)
-            if span is None:
-                if check is None:
-                    return iter(self.source)
-                return (obj for obj in self.source if check(obj))
-
-            def counted() -> Iterator:
-                for obj in self.source:
-                    span.rows_in += 1
-                    if check is None or check(obj):
-                        span.rows_out += 1
-                        yield obj
-            return counted()
-        if isinstance(pred, TrueP):
-            if span is None:
-                return (obj for batch in iter_batches() for obj in batch)
-
-            def passthrough() -> Iterator:
-                for batch in iter_batches():
-                    span.rows_in += len(batch)
-                    span.rows_out += len(batch)
-                    yield from batch
-            return passthrough()
-        check = pred.compiled() if isinstance(pred, Predicate) else pred
-        if span is None:
-            def batched() -> Iterator:
-                for batch in iter_batches():
-                    # One list-comprehension pass per page: the filter loop
-                    # runs in C instead of hopping through a generator chain.
-                    matched = [obj for obj in batch if check(obj)]
-                    if matched:
-                        yield from matched
-            return batched()
-
-        def batched_traced() -> Iterator:
-            for batch in iter_batches():
-                span.rows_in += len(batch)
-                matched = [obj for obj in batch if check(obj)]
-                span.rows_out += len(matched)
-                if matched:
-                    yield from matched
-        return batched_traced()
+    def chunks(self, size, keyed=False, span=None, count_only=False):
+        source = self.source
+        iter_batches = getattr(source, "iter_batches", None)
+        if iter_batches is not None:
+            return iter_batches()
+        if isinstance(source, (list, tuple)):
+            return _slices(source, size)
+        if size is None:
+            return iter((list(source),))
+        return ([obj] for obj in source)
 
     def describe(self) -> str:
         return ("full scan of %r filter %r" % (self.source, self.pred)
                 + self._estimate_suffix())
+
+
+def _slices(seq, size: Optional[int]) -> Iterator[List]:
+    """*seq* in lists of at most *size* elements (None: all there is)."""
+    i = 0
+    while i < len(seq):
+        chunk = list(seq[i:] if size is None else seq[i:i + size])
+        i += len(chunk)
+        yield chunk
 
 
 #: Objects materialized per chunk by index-driven plans before the
@@ -186,10 +166,9 @@ class IndexPlan(Plan):
     """Shared execution of the index-driven plans.
 
     A subclass supplies :meth:`_serials` — the candidate serials its
-    index holds for the key condition, in index order — and this class
-    turns them into rows for both evaluators: the interpreted pipeline
-    iterates :meth:`execute`, generated code loops over :meth:`chunks`
-    and inlines the residual filter.
+    index holds for the key condition, in index order — and
+    :meth:`chunks` turns them into objects satisfying the key condition
+    in the reader's view.
 
     Index entries describe the store's *present*. Under MVCC that is
     this reader's view only while the cluster is clean for it
@@ -207,47 +186,26 @@ class IndexPlan(Plan):
         self.handle = handle
         self.residual = residual
 
-    def _open(self):
-        """Flush this session's deferred writes (index entries must show
-        them) and note the cluster read; returns the database."""
-        db = self.handle.db
-        if db._txn is not None and db._dirty:
-            db._flush(db._txn.txn_id)
-        db._lock_cluster_scan(self.handle.name)
-        return db
-
     def _serials(self, db) -> Iterator[int]:
         raise NotImplementedError
 
     def chunks(self, size: Optional[int], keyed: bool = False, span=None,
                count_only: bool = False) -> Iterator[List]:
-        """Lists of at most *size* (None: all at once) candidate objects
-        satisfying the index key condition in this reader's view; the
-        caller applies the residual. Nothing runs before the first pull.
-
-        *keyed* promises the caller relies on index key order (a ``by``
-        on the range key whose sort was elided). *count_only* promises
-        it only takes ``len()`` of each list and has no residual, so
-        overlay candidates need not be materialized.
-        """
-        db = self._open()
-        yield from self._view_chunks(db, self._serials(db), size, keyed,
-                                     span, count_only)
-
-    def execute(self, span=None, keyed: bool = False) -> Iterator:
-        check = (None if isinstance(self.residual, TrueP)
-                 else self.residual.compiled())
-        return _filtered(self.chunks(INDEX_BATCH, keyed, span), check, span)
-
-    def _view_chunks(self, db, serials, size, keyed, span,
-                     count_only) -> Iterator[List]:
+        """See :meth:`Plan.chunks`. With *count_only*, overlay candidates
+        are not materialized."""
+        db = self.handle.db
+        # Flush this session's deferred writes (index entries must show
+        # them) and note the cluster read.
+        if db._txn is not None and db._dirty:
+            db._flush(db._txn.txn_id)
         cluster = self.handle.name
+        db._lock_cluster_scan(cluster)
         mvcc = db._mvcc if db._mvcc_on else None  # None: the S lock covers us
         reader = db._reader()
         done: List[int] = []  # serials of the chunks already yielded
         cache = db._cache
         deref = db.deref
-        serials = iter(serials)
+        serials = iter(self._serials(db))
         while True:
             chunk = list(serials if size is None
                          else islice(serials, size))
@@ -328,17 +286,6 @@ class IndexPlan(Plan):
         return rows
 
 
-def _filtered(chunks, check, span) -> Iterator:
-    """Flatten *chunks* through the compiled residual *check*, a chunk
-    at a time; *span* adds row accounting (traced executions only)."""
-    for objs in chunks:
-        matched = objs if check is None else [o for o in objs if check(o)]
-        if span is not None:
-            span.rows_in += len(objs)
-            span.rows_out += len(matched)
-        yield from matched
-
-
 class IndexEquality(IndexPlan):
     """Probe an index for one key; residual-filter the matches."""
 
@@ -347,13 +294,9 @@ class IndexEquality(IndexPlan):
         self.field = field
         self.value = value
 
-    def chunks(self, size, keyed=False, span=None, count_only=False):
-        # Eager up to the probe (unlike the lazy range walks): the
-        # cluster is noted and the index read when the plan executes.
-        db = self._open()
-        serials = db.store.index_search(self.handle.name, self.field,
-                                        self.value)
-        return self._view_chunks(db, serials, size, keyed, span, count_only)
+    def _serials(self, db):
+        return db.store.index_search(self.handle.name, self.field,
+                                     self.value)
 
     def describe(self) -> str:
         return ("index eq-lookup %s.%s == %r residual %r" % (

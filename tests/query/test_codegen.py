@@ -1,7 +1,7 @@
-"""Unit tests for the plan-to-code backend (query/codegen.py) and the
-O++ body compiler (opp/codegen.py): cache keying and invalidation,
-linecache registration, explain/dump-code output, metrics wiring, and
-the disable switches."""
+"""Unit tests for the expression compiler (query/codegen.py) and the
+O++ body compiler (opp/codegen.py): cache keying, what does and does not
+consult the cache, linecache registration, explain/dump-code output,
+metrics wiring, and the disable switches."""
 
 import linecache
 
@@ -12,14 +12,7 @@ from repro.obs import render_prometheus
 from repro.opp import codegen as opp_codegen
 from repro.opp.interp import Interpreter
 from repro.query import V, forall
-from repro.query import codegen as qcodegen
 from repro.query.predicates import Compare
-
-
-@pytest.fixture(autouse=True)
-def _strict_codegen(monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN", "1")
-    monkeypatch.setenv("REPRO_CODEGEN_STRICT", "1")
 
 
 class CacheRow(OdeObject):
@@ -36,6 +29,11 @@ def filled(db):
     return db
 
 
+def lookups(db):
+    cache = db.codegen_cache
+    return cache.hits + cache.misses
+
+
 class TestCache:
     def test_repeat_shape_hits_cache(self, filled):
         db = filled
@@ -44,25 +42,56 @@ class TestCache:
         base_hits = db.codegen_cache.hits
         assert forall(handle).suchthat(Compare("num", "<", 10)).count() == 10
         assert db.codegen_cache.misses == base_misses + 1
-        # same shape, different constant: the structural key matches
+        # same expression, different constant: the source text matches
         assert forall(handle).suchthat(Compare("num", "<", 20)).count() == 20
         assert db.codegen_cache.misses == base_misses + 1
         assert db.codegen_cache.hits == base_hits + 1
 
-    def test_ddl_invalidates_cluster_entries(self, filled):
+    def test_lookup_and_compile_counts(self, filled):
+        """An index plan with nothing left to check touches no codegen at
+        all; a scan shape costs one compile ever, one lookup per Forall
+        (its filter lives with its plan) and none when that is reused."""
         db = filled
+        db.create_index(CacheRow, "num", kind="hash")
         handle = db.cluster(CacheRow)
-        forall(handle).suchthat(Compare("num", "<", 10)).count()
-        before = db.codegen_cache.invalidations
-        db.create_index(CacheRow, "num", kind="btree")
-        assert db.codegen_cache.invalidations > before
+        point = forall(handle).suchthat(Compare("num", "==", 7))
+        assert "index eq-lookup" in point.explain()
+        before = lookups(db)
+        assert [r.num for r in point] == [7]
+        assert point.count() == 1
+        assert len(point.to_list()) == 1
+        assert lookups(db) == before
+        scan = forall(handle).suchthat(Compare("tag", "==", "t1"))
+        assert scan.count() == 10
+        cache = db.codegen_cache
+        hits, misses, compile_ns = cache.hits, cache.misses, cache.compile_ns
+        assert misses > 0 and compile_ns > 0
+        for terminal in (scan.count, scan.to_list, lambda: list(scan),
+                         scan.explain):
+            terminal()
+            assert (cache.hits, cache.misses, cache.compile_ns) == (
+                hits, misses, compile_ns)
+        again = forall(handle).suchthat(Compare("tag", "==", "t2"))
+        assert again.count() == 10
+        assert (cache.hits, cache.misses, cache.compile_ns) == (
+            hits + 1, misses, compile_ns)
 
-    def test_analyze_clears_cache(self, filled):
+    def test_code_outlives_ddl_analyze_and_abort(self, filled):
+        """Generated code is a pure function of its source text: nothing
+        the database does invalidates it."""
         db = filled
-        forall(db.cluster(CacheRow)).suchthat(Compare("num", "<", 5)).count()
-        assert db.codegen_cache.stats()["entries"] > 0
+        q = forall(db.cluster(CacheRow)).suchthat(Compare("tag", "!=", "t0"))
+        assert q.count() == 30
+        cache = db.codegen_cache
+        entries, misses = cache.stats()["entries"], cache.misses
+        db.create_index(CacheRow, "num", kind="btree")
         db.analyze(CacheRow)
-        assert db.codegen_cache.stats()["entries"] == 0
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.pnew(CacheRow, num=99, tag="t9")
+                raise RuntimeError("abort")
+        assert q.count() == 30
+        assert (cache.stats()["entries"], cache.misses) == (entries, misses)
 
     def test_generated_source_in_linecache(self, filled):
         db = filled
@@ -71,12 +100,26 @@ class TestCache:
         entry = next(iter(db.codegen_cache._entries.values()))
         assert entry.filename.startswith("<ode-codegen:")
         lines = linecache.getlines(entry.filename)
-        assert lines and lines[0].startswith("def __ode_pipeline")
+        assert lines and lines[0].startswith("def __ode_make(_c0")
+        assert any('obj.__dict__["_f_num"] > _c0' in ln for ln in lines)
 
     def test_compile_ns_accounted(self, filled):
         db = filled
         forall(db.cluster(CacheRow)).suchthat(Compare("num", "<", 3)).count()
         assert db.codegen_cache.stats()["compile_ns"] > 0
+
+    def test_generator_bug_raises(self, filled, monkeypatch):
+        """Only _CannotLower means "no lowering"; anything else is a bug
+        and must not be swallowed into the closure path."""
+        from repro.query import codegen as qcodegen
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("generator bug")
+        monkeypatch.setattr(qcodegen, "_lower", broken)
+        q = forall(filled.cluster(CacheRow)).suchthat(Compare("num", "<", 3))
+        with pytest.raises(ZeroDivisionError):
+            q.count()
+        assert q.codegen(False).count() == 3
 
 
 class TestExplain:
@@ -84,25 +127,43 @@ class TestExplain:
         db = filled
         q = forall(db.cluster(CacheRow)).suchthat(Compare("num", "<", 7))
         text = q.explain()
-        assert "execution: compiled" in text
+        assert "execution: compiled (1 generated expression(s))" in text
         with_code = q.explain(code=True)
-        assert "def __ode_pipeline" in with_code
+        assert "def __ode_make(_c0, _safe):" in with_code
+        assert '[obj for obj in objs if (obj.__dict__["_f_num"] < _c0)]' \
+            in with_code
         q2 = forall(db.cluster(CacheRow)).suchthat(
             Compare("num", "<", 7)).codegen(False)
         assert "execution: interpreted" in q2.explain()
         assert "generated code: none" in q2.explain(code=True)
 
-    def test_explain_analyze_notes_fallback(self, filled):
+    def test_explain_analyze_times_the_same_pipeline(self, filled):
         db = filled
         q = forall(db.cluster(CacheRow)).suchthat(Compare("num", "<", 7))
+        hits = db.codegen_cache.hits + db.codegen_cache.misses
         text = q.explain(analyze=True)
-        assert "interpreted fallback (tracing)" in text
+        assert "execution: compiled" in text
+        assert "fallback" not in text
+        assert "rows=7 (in=40)" in text
+        # one lookup: the traced run reuses the filter explain described
+        assert lookups(db) == hits + 1
 
     def test_join_explain_mode(self, filled):
         db = filled
         handle = db.cluster(CacheRow)
-        q = forall(handle, handle).suchthat(V[0].num == V[1].num)
+        q = forall(handle, handle).suchthat(
+            (V[0].num == V[1].num) & (V[0].tag != V[1].tag))
         assert "execution: compiled" in q.explain()
+        code = q.explain(code=True)
+        assert "lambda row: row[0].num, lambda obj: obj.num" in code
+        assert "lambda row, obj: (row[0].tag != obj.tag)" in code
+
+    def test_opp_explain_dumps_expression_source(self, filled):
+        interp = Interpreter(filled, dump_code=True)
+        interp.run("explain forall r in CacheRow suchthat (r->num < 3);\n")
+        text = "".join(interp.output)
+        assert "execution: compiled" in text
+        assert "def __ode_make(" in text
 
 
 class TestMetrics:
@@ -112,7 +173,6 @@ class TestMetrics:
         text = render_prometheus(db.metrics)
         assert "codegen_cache_hits" in text
         assert "codegen_cache_misses" in text
-        assert "codegen_cache_invalidations" in text
         assert "codegen_compile_ns" in text
         assert 'query_exec_mode_total{mode="compiled"}' in text
 
@@ -179,8 +239,8 @@ transaction { gp = pnew gadget("widget", 50, 10); }
         with pytest.raises(ConstraintViolation):
             interp.run("transaction { gp->qty = -1; }\n")
 
-    def test_disabled_falls_back(self, db, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "0")
+    def test_disabled_falls_back(self, db):
+        db.codegen_enabled = False
         before = opp_codegen.stats["compiled"]
         interp = Interpreter(db)
         interp.run(self.SOURCE)

@@ -1,14 +1,13 @@
-"""Differential harness: compiled and interpreted pipelines must agree.
+"""Differential harness: generated expressions and the predicates' own
+closures must agree.
 
-Every query here runs twice — once through the codegen path (the
-default) and once with ``q.codegen(False)`` forcing the interpreted
-generators — and the two row sets must be identical.  Randomized
-predicates, multi-key joins, aggregates, ordering, limits and fixpoint
-(growth-during-iteration) shapes are covered, plus behavior under a
-concurrent writer thread and a mid-query abort.
-
-``REPRO_CODEGEN_STRICT`` is set for the module so a lowering bug fails
-the test instead of silently falling back to the interpreted path.
+Every query here runs twice — once with generated filters and join
+lambdas (the default) and once with ``q.codegen(False)`` evaluating the
+``Predicate.compiled()`` closures in the same pipeline — and the two row
+sets must be identical.  Randomized predicates, multi-key joins,
+aggregates, ordering, limits and fixpoint (growth-during-iteration)
+shapes are covered, plus behavior under a concurrent writer thread and a
+mid-query abort. A bug in the generator raises: nothing falls back.
 """
 
 import threading
@@ -20,16 +19,7 @@ from hypothesis import strategies as st
 from repro.core import Database, FloatField, IntField, OdeObject, StringField
 from repro.errors import DanglingReferenceError
 from repro.query import A, V, forall
-from repro.query.codegen import INELIGIBLE
-from repro.query import codegen as qcodegen
-from repro.query.predicates import And, Compare, Not, Or, as_predicate
-
-
-@pytest.fixture(autouse=True)
-def _strict_codegen(monkeypatch):
-    monkeypatch.setenv("REPRO_CODEGEN", "1")
-    monkeypatch.setenv("REPRO_CODEGEN_STRICT", "1")
-
+from repro.query.predicates import And, Compare, Not, Or
 
 class DiffRow(OdeObject):
     alpha = IntField(default=0)
@@ -513,23 +503,7 @@ class TestSnapshotDifferential:
 
 
 class TestDisableSwitches:
-    """Disabling codegen at any level restores the interpreted path."""
-
-    def test_env_switch(self, tmp_path, monkeypatch):
-        db = Database(str(tmp_path / "env.odb"))
-        db.create(GrowRow)
-        with db.transaction():
-            for i in range(10):
-                db.pnew(GrowRow, alpha=i)
-        monkeypatch.setenv("REPRO_CODEGEN", "0")
-        q = forall(db.cluster(GrowRow)).suchthat(Compare("alpha", ">=", 0))
-        before = db.codegen_cache.misses
-        assert len(q.to_list()) == 10
-        assert db.codegen_cache.misses == before  # never consulted
-        assert "execution: interpreted" in q.explain()
-        monkeypatch.setenv("REPRO_CODEGEN", "1")
-        assert "execution: compiled" in q.explain()
-        db.close()
+    """Disabling codegen at either level selects the closures."""
 
     def test_db_and_query_switch(self, tmp_path):
         db = Database(str(tmp_path / "flag.odb"))
@@ -539,12 +513,15 @@ class TestDisableSwitches:
                 db.pnew(GrowRow, alpha=i)
         q = forall(db.cluster(GrowRow)).suchthat(Compare("alpha", ">", 2))
         db.codegen_enabled = False
+        before = db.codegen_cache.stats()
         assert "execution: interpreted" in q.explain()
         assert len(q.to_list()) == 7
+        assert db.codegen_cache.stats() == before  # never consulted
         db.codegen_enabled = True
         assert "execution: compiled" in q.explain()
         assert len(q.to_list()) == 7
+        before = db.codegen_cache.stats()
         assert len(q.codegen(False).to_list()) == 7
-        assert qcodegen.run_single(
-            q.codegen(False), q._single_plan(), "collect") is INELIGIBLE
+        assert "execution: interpreted" in q.explain()
+        assert db.codegen_cache.stats() == before
         db.close()

