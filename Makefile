@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-concurrency crash-smoke crash-full bench bench-smoke bench-codegen-smoke bench-scan-smoke bench-mvcc-smoke bench-shard-smoke bench-macro-smoke bench-macro-full bench-server-smoke bench-server-full bench-baseline
+.PHONY: test test-concurrency crash-smoke crash-full bench bench-smoke bench-codegen-smoke bench-scan-smoke bench-mvcc-smoke bench-index-smoke bench-shard-smoke bench-macro-smoke bench-macro-full bench-server-smoke bench-server-full bench-baseline
 
 test:
 	$(PYTHON) -m pytest tests/ -x -q
@@ -70,6 +70,20 @@ bench-mvcc-smoke:
 	$(PYTHON) -m pytest tests/concurrency/test_mvcc.py \
 		"tests/query/test_codegen_differential.py::TestSnapshotDifferential" \
 		tests/query/test_index_overlay.py \
+		tests/query/test_index_overlay_model.py -x -q
+
+# Ordered-index gate (EXP-25): what one B+tree insert/delete costs, as
+# counts — a non-splitting append is 1 page edit and <= 256 WAL bytes, a
+# delete from an n-entry leaf 1 page edit and <= 8n + 256, no whole-node
+# codec call, >= 100 int-key entries per leaf after an ascending load,
+# a flat page count under a sliding window — plus the B+tree unit tests,
+# its stateful model (commit/abort/reopen/crash), the format-upgrade
+# tests and the index-overlay model.
+bench-index-smoke:
+	$(PYTHON) benchmarks/bench_storage.py --gate
+	$(PYTHON) -m pytest tests/storage/test_btree.py \
+		tests/storage/test_btree_model.py \
+		tests/storage/test_btree_upgrade.py \
 		tests/query/test_index_overlay_model.py -x -q
 
 # Sharded-storage gate (EXP-18): the scan benchmarks plus the one

@@ -507,7 +507,8 @@ class Database:
     def _lock_for_write(self, cluster: str, serial: int,
                         created: bool = False,
                         full_image: bool = False,
-                        lazy: bool = False) -> None:
+                        lazy: bool = False,
+                        loaded: Optional[list] = None) -> None:
         """X-lock one object (plus IX on its cluster) for the open txn.
 
         Under MVCC the grant additionally runs the first-updater-wins
@@ -518,7 +519,10 @@ class Database:
         histories before the first store mutation can happen. *lazy*
         marks the deferred field-write path, whose store mutation only
         happens at flush: registration skips the image load and the
-        flush materializes the pre-image just before writing.
+        flush materializes the pre-image just before writing. A pre-image
+        this call does load is also appended to *loaded*: it is the
+        stored object as of now, which a delete would otherwise fetch a
+        second time.
         """
         handle = self._session.txn
         if handle is None:
@@ -564,8 +568,8 @@ class Database:
                 else:
                     self._mvcc.register(
                         handle.txn_id, cluster, serial,
-                        lambda: self._load_image(cluster, serial,
-                                                 full_image))
+                        lambda: self._load_image_into(
+                            loaded, cluster, serial, full_image))
         elif self._mvcc_on and not lazy:
             # Already registered earlier in this transaction. If that
             # registration was lazy (deferred field write — the store is
@@ -575,7 +579,8 @@ class Database:
             # cover the whole chain first.
             self._mvcc.register(
                 handle.txn_id, cluster, serial,
-                lambda: self._load_image(cluster, serial, full_image))
+                lambda: self._load_image_into(loaded, cluster, serial,
+                                              full_image))
             if full_image:
                 self._mvcc.upgrade_image(
                     handle.txn_id, cluster, serial,
@@ -643,6 +648,15 @@ class Database:
             if rec is not None:
                 states[version] = rec["state"]
         return (head, states)
+
+    def _load_image_into(self, loaded: Optional[list], cluster: str,
+                         serial: int, full: bool):
+        """:meth:`_load_image`, also handed to the caller of
+        :meth:`_lock_for_write` through *loaded*."""
+        image = self._load_image(cluster, serial, full)
+        if loaded is not None:
+            loaded.append(image)
+        return image
 
     def _fill_image(self, cluster: str, serial: int, img) -> None:
         """Extend a partial pre-image to the full chain, in place.
@@ -1216,22 +1230,44 @@ class Database:
             return
         oid = self._as_oid(ref)
         with self._implicit_txn() as txn:
-            self._lock_for_write(oid.cluster, oid.serial, full_image=True)
-            head = self.store.get(oid.cluster, (oid.serial, 0))
+            head, state = self._lock_for_delete(oid)
             if head is None:
                 raise DanglingReferenceError("pdelete of missing %r" % (oid,))
-            stored = self.store.get(oid.cluster, (oid.serial, head["current"]))
-            self._index_delete(txn, oid, stored["state"])
-            self.cluster_stats.record_delete(oid.cluster, stored["state"])
+            self._index_delete(txn, oid, state)
+            self.cluster_stats.record_delete(oid.cluster, state)
             for version in head["chain"]:
                 self.store.delete(txn, oid.cluster, (oid.serial, version))
             self.store.delete(txn, oid.cluster, (oid.serial, 0))
             self._evict(oid)
 
+    def _lock_for_delete(self, oid: Oid):
+        """X-lock *oid* for a delete; returns its stored ``(head, current
+        state)``, or ``(None, None)`` when it does not exist.
+
+        The records are read once: the full pre-image the MVCC
+        registration just loaded *is* the stored object (read-only here —
+        snapshot readers share it). Only when nothing was loaded (2PL
+        mode, or an object this transaction already wrote, whose
+        registered image is the older committed one) are head and
+        current state fetched from the store.
+        """
+        loaded: list = []
+        self._lock_for_write(oid.cluster, oid.serial, full_image=True,
+                             loaded=loaded)
+        if loaded:
+            if loaded[0] is None:
+                return None, None
+            head, states = loaded[0]
+            return head, states[head["current"]]
+        head = self.store.get(oid.cluster, (oid.serial, 0))
+        if head is None:
+            return None, None
+        stored = self.store.get(oid.cluster, (oid.serial, head["current"]))
+        return head, stored["state"]
+
     def _pdelete_version(self, vref: Vref) -> None:
         with self._implicit_txn() as txn:
-            self._lock_for_write(vref.cluster, vref.serial, full_image=True)
-            head = self.store.get(vref.cluster, (vref.serial, 0))
+            head, _state = self._lock_for_delete(vref.oid)
             if head is None or vref.version not in head["chain"]:
                 raise DanglingReferenceError("pdelete of missing %r" % (vref,))
             chain = [v for v in head["chain"] if v != vref.version]

@@ -81,12 +81,15 @@ class BufferPool:
         #: fails verification; the store quarantines/degrades here.
         self.on_corrupt_page = None
         #: Pages formatted by :meth:`new_page`/:meth:`new_extent` whose
-        #: format has not been WAL-logged yet. The journal diffs such a
+        #: format has not been WAL-logged yet, mapped to whether the page
+        #: number came off the free list. The journal diffs such a
         #: page's first edit against a *zero* page, so the format itself
         #: lands in the log — otherwise a crash before the frame's
         #: writeback leaves a page the log cannot rebuild (and, for pages
-        #: whose only edit was empty, not even extend the file for).
-        self.fresh_pages: set = set()
+        #: whose only edit was empty, not even extend the file for). A
+        #: *recycled* page's earlier life may still be in the log, so its
+        #: first edit is logged as the whole image (see ``_PageEdit``).
+        self.fresh_pages: dict = {}
         # statistics. Requests are accounted by what the page is, the
         # way pg_statio splits heap from index blocks: ``hits``/``misses``
         # are data pages (heap, overflow, index, catalog), the
@@ -273,6 +276,7 @@ class BufferPool:
         left pinned.
         """
         with self.latch:
+            recycled = self._pagefile.has_free_pages
             page_no = self._pagefile.allocate_page()
             self.quarantined.discard(page_no)  # a reformat heals the page
             frame = self._frames.get(page_no)
@@ -281,7 +285,7 @@ class BufferPool:
             SlottedPage.format(frame.buf, page_no, page_type)
             frame.cold = False
             frame.dirty = True
-            self.fresh_pages.add(page_no)
+            self.fresh_pages[page_no] = recycled
             return page_no
 
     def new_extent(self, page_type: int, count: int) -> list:
@@ -301,7 +305,7 @@ class BufferPool:
                 SlottedPage.format(frame.buf, page_no, page_type)
                 frame.cold = False
                 frame.dirty = True
-                self.fresh_pages.add(page_no)
+                self.fresh_pages[page_no] = False  # extents are end-of-file
             return page_nos
 
     def ensure_allocated(self, page_no: int) -> None:
@@ -309,15 +313,23 @@ class BufferPool:
         with self.latch:
             self._pagefile.ensure_allocated(page_no)
 
-    def free_page(self, page_no: int) -> None:
-        """Drop *page_no* from the pool and return it to the file free list."""
+    def free_page(self, page_no: int, lsn: int) -> None:
+        """Drop *page_no* from the pool and return it to the file free list.
+
+        *lsn* is the freeing transaction's commit LSN. It is stamped on
+        the free image (see :meth:`PageFile.free_page`), and — the WAL
+        rule — the log is durable up to it before the page's last life
+        is overwritten.
+        """
         with self.latch:
             frame = self._frames.pop(page_no, None)
             if frame is not None and frame.pin_count > 0:
                 raise BufferPoolError("cannot free pinned page %d" % page_no)
             self.quarantined.discard(page_no)  # free_page rewrites it
-            self.fresh_pages.discard(page_no)
-            self._pagefile.free_page(page_no)
+            self.fresh_pages.pop(page_no, None)
+            if self._wal is not None:
+                self._wal.flush(lsn)
+            self._pagefile.free_page(page_no, lsn)
 
     # -- write-back ---------------------------------------------------------------
 

@@ -137,14 +137,14 @@ def decode_value(data: bytes) -> Any:
     return value
 
 
-def decode_prefix(data: bytes) -> Tuple[Any, int]:
-    """Decode one value from the front of *data*, ignoring what follows.
+def decode_prefix(data: bytes, offset: int = 0) -> Tuple[Any, int]:
+    """Decode one value starting at *offset*, ignoring what follows.
 
-    Returns ``(value, consumed)``. For callers that store an encoded value
-    inside a larger, possibly padded buffer (e.g. fixed-size index
-    records).
+    Returns ``(value, end offset)``. For callers that store an encoded
+    value inside a larger buffer (index records, page images); *data* may
+    be any bytes-like object that slices to one.
     """
-    return _decode_from(data, 0)
+    return _decode_from(data, offset)
 
 
 # Encoding dispatches on exact type first (one dict lookup instead of a

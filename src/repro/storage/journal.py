@@ -112,7 +112,7 @@ class Journal:
         # transaction is committed and gone from the table; nothing can
         # resurrect references to these pages.
         for page_no in frees:
-            self._pool.free_page(page_no)
+            self._pool.free_page(page_no, clsn)
         return clsn
 
     def _commit_on_failed_wal(self, txn: int, last: int) -> None:
@@ -304,16 +304,21 @@ class _PageEdit:
         snapshot = self._snapshot
         new = bytes(page.buf)
         pool = journal._pool
-        fresh = pool.fresh_pages and self._page_no in pool.fresh_pages
+        # None: not fresh; else whether the page number was recycled.
+        recycled = (pool.fresh_pages.get(self._page_no)
+                    if pool.fresh_pages else None)
+        fresh = recycled is not None
         # A fresh page's format was applied in-pool without logging; diff
         # its first edit against zeros so the whole image is replayable
         # (and undo of the creating transaction restores a zero page).
         base = _ZERO_PAGE if fresh else snapshot
-        if fresh and self._redo_only:
+        if fresh and (recycled or self._redo_only):
             # The whole image, zeros included. A recycled page's earlier
-            # life may still be in the log: redo replays it first, and a
-            # raw-array page (object table) would read whatever the new
-            # format did not overwrite as live entries.
+            # life may still be in the log: redo replays it first, and
+            # whatever the new format zeroed without logging would come
+            # back — a record's leading zero byte reads as the old
+            # life's, a raw-array page (object table) reads stale bytes
+            # as live entries. Redo-only growth is always logged whole.
             runs = [(0, PAGE_SIZE)]
         else:
             runs = _diff_runs(base, new)
@@ -332,69 +337,78 @@ class _PageEdit:
         journal.active[self._txn] = lsn
         page.page_lsn = lsn
         if fresh:
-            pool.fresh_pages.discard(self._page_no)
+            pool.fresh_pages.pop(self._page_no, None)
         journal._pool.unpin(self._page_no, dirty=True)
         return False
 
 
-#: Granularity of the changed-run scan. Runs separated by a fully
-#: unchanged chunk are logged as separate UPDATE records; each run is then
-#: trimmed to exact byte boundaries, so the chunk size only decides how
-#: close two changed regions must be to share one record. Fewer, larger
-#: chunks scan measurably faster (the comparisons are C memcmp).
+#: Granularity of the changed-run scan: unchanged chunks are skipped with
+#: one C memcmp each; a short changed stretch is split at its unchanged
+#: gaps, a long one (a compaction, a node split) is logged as it is.
 _DIFF_CHUNK = 256
+_DIFF_SPLIT_MAX = 4 * _DIFF_CHUNK
+
+#: Unchanged bytes that end a run. Two changed regions closer than this
+#: share one record: an UPDATE carries the gap twice (before and after
+#: image), a second record ~33 bytes of framing and a second append.
+_DIFF_GAP = bytes(49)
 
 #: Beyond this many runs the per-record framing outweighs the image bytes
-#: saved; collapse to one record spanning them all.
+#: saved; the closest runs are merged until the count fits.
 _MAX_DIFF_RUNS = 4
+
+
+def _delta(old: bytes, new: bytes, lo: int, hi: int) -> bytes:
+    """``old[lo:hi] XOR new[lo:hi]``: zero exactly where they agree."""
+    return (int.from_bytes(old[lo:hi], "big")
+            ^ int.from_bytes(new[lo:hi], "big")).to_bytes(hi - lo, "big")
 
 
 def _diff_runs(old: bytes, new: bytes) -> list:
     """Changed byte ranges ``[lo, hi)`` between two equal-length buffers.
 
-    A page edit often touches a few distant regions (a slotted page insert
+    A page edit touches a few distant regions (a slotted page insert
     dirties the header, a slot entry, and the payload near the end of the
-    page). Logging each run separately keeps the UPDATE images proportional
-    to what actually changed instead of spanning the untouched middle. The
-    scan compares fixed chunks (memcmp in C), then trims each run to exact
-    byte boundaries.
+    page; on an index page the slot entry can sit hundreds of bytes past
+    the header). Logging each run separately keeps the UPDATE images
+    proportional to what actually changed instead of spanning the
+    untouched bytes between them. Runs start and end on a changed byte.
     """
     if old == new:
         return []
     runs = []
-    start = None
-    for i in range(0, len(old), _DIFF_CHUNK):
+    size = len(old)
+    i = 0
+    while i < size:
         j = i + _DIFF_CHUNK
-        if old[i:j] != new[i:j]:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(old)))
-    if len(runs) > _MAX_DIFF_RUNS:
-        runs = [(runs[0][0], runs[-1][1])]
-    # Trim by bisection on slice equality (memcmp in C): a run's unchanged
-    # margin can be a whole chunk, too long for a per-byte Python loop.
-    tight = []
-    for lo, hi in runs:
-        end = hi
-        while end - lo > 1:  # narrow to the first differing byte
-            mid = (lo + end) >> 1
-            if old[lo:mid] == new[lo:mid]:
-                lo = mid
-            else:
-                end = mid
-        top = lo
-        while hi - top > 1:  # narrow to just past the last differing byte
-            mid = (top + hi) >> 1
-            if old[mid:hi] == new[mid:hi]:
-                hi = mid
-            else:
-                top = mid
-        tight.append((lo, top + 1))
-    return tight
+        if old[i:j] == new[i:j]:
+            i = j
+            continue
+        while j < size and old[j:j + _DIFF_CHUNK] != new[j:j + _DIFF_CHUNK]:
+            j += _DIFF_CHUNK
+        j = min(j, size)
+        if j - i > _DIFF_SPLIT_MAX:
+            head = _delta(old, new, i, i + _DIFF_CHUNK)
+            tail = _delta(old, new, j - _DIFF_CHUNK, j)
+            runs.append([i + _DIFF_CHUNK - len(head.lstrip(b"\x00")),
+                         j - _DIFF_CHUNK + len(tail.rstrip(b"\x00"))])
+        else:
+            delta = _delta(old, new, i, j)
+            end = len(delta.rstrip(b"\x00"))
+            at = end - len(delta[:end].lstrip(b"\x00"))
+            while True:
+                gap = delta.find(_DIFF_GAP, at, end)
+                if gap < 0:
+                    runs.append([i + at, i + end])
+                    break
+                runs.append([i + at, i + gap])
+                at = end - len(delta[gap:end].lstrip(b"\x00"))
+        i = j
+    while len(runs) > _MAX_DIFF_RUNS:
+        k = min(range(1, len(runs)),
+                key=lambda k: runs[k][0] - runs[k - 1][1])
+        runs[k - 1][1] = runs.pop(k)[1]
+    return [(lo, hi) for lo, hi in runs]
 
 
 def _diff_range(old: bytes, new) -> tuple:

@@ -31,6 +31,14 @@ extensions) write raw zero pages without a stamp.
 Slot directory entries are 4 bytes each: ``offset:u16, length:u16``. A slot
 with ``offset == 0`` is a tombstone (payloads can never start at offset 0
 because the header occupies it).
+
+A page is used in one of two disciplines. *Stable-slot* pages (heaps,
+hash buckets) address records by slot number: :meth:`SlottedPage.insert`
+/ :meth:`SlottedPage.delete` never move a live slot. *Ordered* pages
+(B+tree nodes) keep the slot directory in the caller's sort order:
+:meth:`SlottedPage.insert_at` / :meth:`SlottedPage.remove_at` shift the
+4-byte slot entries and leave no tombstones, so slot *i* is always the
+*i*-th record. Compaction preserves slot numbers, hence order, for both.
 """
 
 from __future__ import annotations
@@ -49,6 +57,14 @@ CHECKSUM_OFFSET = 32
 _CKSUM = struct.Struct("<I")
 _SLOT = struct.Struct("<HH")
 SLOT_SIZE = _SLOT.size
+_U16 = struct.Struct("<H")
+_U64 = struct.Struct("<Q")
+# Header field offsets for the single-field accessors below (a full
+# eight-field unpack per property read is measurable on index descents).
+_TYPE_AT = 4
+_LSN_AT = 8
+_SLOT_COUNT_AT = 16
+_NEXT_AT = 24
 
 try:  # a hardware-accelerated crc32c if the platform ships one ...
     from crc32c import crc32c as _crc32c  # type: ignore
@@ -138,37 +154,31 @@ class SlottedPage:
 
     @property
     def page_type(self) -> int:
-        return self._read_header()[1]
+        return self.buf[_TYPE_AT]
 
     @page_type.setter
     def page_type(self, value: int) -> None:
-        hdr = list(self._read_header())
-        hdr[1] = value
-        self._write_header(*hdr)
+        self.buf[_TYPE_AT] = value
 
     @property
     def page_lsn(self) -> int:
-        return self._read_header()[2]
+        return _U64.unpack_from(self.buf, _LSN_AT)[0]
 
     @page_lsn.setter
     def page_lsn(self, value: int) -> None:
-        hdr = list(self._read_header())
-        hdr[2] = value
-        self._write_header(*hdr)
+        _U64.pack_into(self.buf, _LSN_AT, value)
 
     @property
     def slot_count(self) -> int:
-        return self._read_header()[3]
+        return _U16.unpack_from(self.buf, _SLOT_COUNT_AT)[0]
 
     @property
     def next_page(self) -> int:
-        return self._read_header()[7]
+        return _U64.unpack_from(self.buf, _NEXT_AT)[0]
 
     @next_page.setter
     def next_page(self, value: int) -> None:
-        hdr = list(self._read_header())
-        hdr[7] = value
-        self._write_header(*hdr)
+        _U64.pack_into(self.buf, _NEXT_AT, value)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -298,6 +308,70 @@ class SlottedPage:
                         new_offset, new_length)
         self._write_header(page_no, page_type, lsn, slot_count,
                            free_start, new_offset, fragmented, next_page)
+
+    # -- ordered pages ---------------------------------------------------------
+
+    def insert_at(self, pos: int, payload: bytes) -> None:
+        """Insert *payload* as slot *pos*, shifting slots ``pos..`` up one.
+
+        For ordered pages (no tombstones). Writes the payload, the
+        shifted tail of the slot directory and the header — nothing
+        else; compacts first when fragmentation is blocking the insert.
+        Raises :class:`PageFullError` when the record does not fit.
+        """
+        length = len(payload)
+        (page_no, page_type, lsn, slot_count,
+         free_start, free_end, fragmented, next_page) = self._read_header()
+        if not 0 <= pos <= slot_count:
+            raise PageError("page %d: insert position %d out of range "
+                            "(count %d)" % (page_no, pos, slot_count))
+        need = length + SLOT_SIZE
+        if free_end - free_start < need:
+            if free_end - free_start + fragmented < need:
+                raise PageFullError("page %d: %d bytes needed, %d free"
+                                    % (page_no, need, self.total_free))
+            self.compact()
+            free_end, fragmented = self._read_header()[5:7]
+        buf = self.buf
+        at = HEADER_SIZE + pos * SLOT_SIZE
+        if pos < slot_count:
+            buf[at + SLOT_SIZE:free_start + SLOT_SIZE] = buf[at:free_start]
+        offset = free_end - length
+        buf[offset:free_end] = payload
+        _SLOT.pack_into(buf, at, offset, length)
+        self._write_header(page_no, page_type, lsn, slot_count + 1,
+                           free_start + SLOT_SIZE, offset, fragmented,
+                           next_page)
+
+    def remove_at(self, pos: int) -> None:
+        """Remove slot *pos*, shifting slots ``pos+1..`` down one.
+
+        For ordered pages: no tombstone is left. The payload's bytes
+        become fragmentation (reclaimed at once when it is the lowest
+        payload on the page).
+        """
+        (page_no, page_type, lsn, slot_count,
+         free_start, free_end, fragmented, next_page) = self._read_header()
+        if not 0 <= pos < slot_count:
+            raise PageError("page %d has no slot %d (count %d)"
+                            % (page_no, pos, slot_count))
+        buf = self.buf
+        at = HEADER_SIZE + pos * SLOT_SIZE
+        offset, length = _SLOT.unpack_from(buf, at)
+        buf[at:free_start - SLOT_SIZE] = buf[at + SLOT_SIZE:free_start]
+        if offset == free_end:
+            free_end += length
+        else:
+            fragmented += length
+        self._write_header(page_no, page_type, lsn, slot_count - 1,
+                           free_start - SLOT_SIZE, free_end, fragmented,
+                           next_page)
+
+    def copy_from(self, other: "SlottedPage") -> None:
+        """Become a copy of *other* — type, records, slot order and chain
+        pointer — keeping this page's own number and LSN."""
+        self.buf[_TYPE_AT] = other.buf[_TYPE_AT]
+        self.buf[_SLOT_COUNT_AT:] = other.buf[_SLOT_COUNT_AT:]
 
     def live_entries(self, start: int = 0) -> List[Tuple[int, int, int]]:
         """``(slot, offset, length)`` of every live slot from *start* on.

@@ -31,12 +31,15 @@ from .page import NO_PAGE, PAGE_SIZE, PageType, stamp_checksum
 _MAGIC = b"ODEREPRO"
 # v2: page headers grew a crc32c checksum field (see repro.storage.page).
 # v3: cluster object directories are serial-indexed tables
-#     (repro.storage.objtable). A version-2 file opens as is — its
-#     clusters keep their hash directories until vacuumed — and is
-#     stamped 3 the next time the header is written, so a version-2
-#     binary refuses a file that may hold tables.
-_FORMAT_VERSION = 3
-_READABLE_VERSIONS = (2, 3)
+#     (repro.storage.objtable); a version-2 file keeps its hash
+#     directories until vacuumed.
+# v4: a B+tree node is an ordered slotted page, one record per entry
+#     (repro.storage.btree).
+# An older file opens as is and keeps its stamp until the store has
+# rebuilt its B+trees (Store._upgrade_format), which then stamps 4 — so
+# an older binary refuses a file that holds structures it cannot read.
+_FORMAT_VERSION = 4
+_READABLE_VERSIONS = (2, 3, 4)
 _FILE_HDR = struct.Struct("<8sIxxxxQQ")
 
 #: Test hook: set to skip checksum stamping on write — an intentionally
@@ -68,6 +71,8 @@ class PageFile:
         mode = "r+b" if exists else "w+b"
         self._file = open(path, mode)
         self._closed = False
+        #: The version stamped in the file header.
+        self.format_version = _FORMAT_VERSION
         if exists:
             self._load_header()
         else:
@@ -90,6 +95,7 @@ class PageFile:
         if version not in _READABLE_VERSIONS:
             raise StorageError("page file %s: unsupported format version %d"
                                % (self.path, version))
+        self.format_version = version
         self._page_count = page_count
         self._free_head = free_head
         payload_len = struct.unpack_from("<I", raw, _FILE_HDR.size)[0]
@@ -98,7 +104,7 @@ class PageFile:
 
     def _write_header(self) -> None:
         buf = bytearray(PAGE_SIZE)
-        _FILE_HDR.pack_into(buf, 0, _MAGIC, _FORMAT_VERSION,
+        _FILE_HDR.pack_into(buf, 0, _MAGIC, self.format_version,
                             self._page_count, self._free_head)
         payload = encode_value(self._bootstrap)
         if _FILE_HDR.size + 4 + len(payload) > PAGE_SIZE:
@@ -107,6 +113,13 @@ class PageFile:
         buf[_FILE_HDR.size + 4:_FILE_HDR.size + 4 + len(payload)] = payload
         self._file.seek(0)
         self._file.write(buf)
+
+    def stamp_current_format(self) -> None:
+        """Mark the file as holding only current-format structures."""
+        if self.format_version != _FORMAT_VERSION:
+            self.format_version = _FORMAT_VERSION
+            self._write_header()
+            self.sync()
 
     # -- named root pointers ----------------------------------------------------
 
@@ -254,12 +267,20 @@ class PageFile:
         self._page_count = page_no + 1
         self._write_header()
 
-    def free_page(self, page_no: int) -> None:
-        """Return *page_no* to the free list."""
+    def free_page(self, page_no: int, lsn: int) -> None:
+        """Return *page_no* to the free list.
+
+        The free-list link lives in the freed page itself. *lsn* (the
+        log's end when the page is freed) is stamped as the page LSN, so
+        crash recovery's redo — which applies a record only to a page
+        older than it — cannot replay the page's earlier life over the
+        link.
+        """
         self._check_page_no(page_no)
         buf = bytearray(PAGE_SIZE)
         struct.pack_into("<I", buf, 0, page_no)
         buf[4] = PageType.FREE
+        struct.pack_into("<Q", buf, 8, lsn)
         struct.pack_into("<Q", buf, 24, self._free_head)
         self.write_page(page_no, buf)
         self._free_head = page_no

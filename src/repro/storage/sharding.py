@@ -85,10 +85,10 @@ class _AllLatches:
 
 
 class _FreshView:
-    """``fresh_pages`` facade over the shard pools' per-pool sets.
+    """``fresh_pages`` facade over the shard pools' per-pool dicts.
 
-    The journal only needs membership tests, truthiness and ``discard``
-    (see ``journal._PageEdit``); each routes to the owning pool's set.
+    The journal only needs ``get``, truthiness and ``pop`` (see
+    ``journal._PageEdit``); each routes to the owning pool's dict.
     """
 
     __slots__ = ("_pools",)
@@ -96,17 +96,15 @@ class _FreshView:
     def __init__(self, pools):
         self._pools = pools
 
-    def __contains__(self, gpid: int) -> bool:
-        return local_page(gpid) in self._pools[shard_of(gpid)].fresh_pages
+    def get(self, gpid: int):
+        return self._pools[shard_of(gpid)].fresh_pages.get(local_page(gpid))
 
     def __bool__(self) -> bool:
         return any(pool.fresh_pages for pool in self._pools)
 
-    def add(self, gpid: int) -> None:
-        self._pools[shard_of(gpid)].fresh_pages.add(local_page(gpid))
-
-    def discard(self, gpid: int) -> None:
-        self._pools[shard_of(gpid)].fresh_pages.discard(local_page(gpid))
+    def pop(self, gpid: int, default=None):
+        return self._pools[shard_of(gpid)].fresh_pages.pop(
+            local_page(gpid), default)
 
 
 class _QuarantineView:
@@ -280,8 +278,8 @@ class ShardedPool:
     def ensure_allocated(self, gpid: int) -> None:
         self.pools[shard_of(gpid)].ensure_allocated(local_page(gpid))
 
-    def free_page(self, gpid: int) -> None:
-        self.pools[shard_of(gpid)].free_page(local_page(gpid))
+    def free_page(self, gpid: int, lsn: int) -> None:
+        self.pools[shard_of(gpid)].free_page(local_page(gpid), lsn)
 
     # -- pool-wide maintenance ---------------------------------------------------
 
@@ -386,8 +384,8 @@ class ShardView:
     def ensure_allocated(self, gpid) -> None:
         self._router.ensure_allocated(gpid)
 
-    def free_page(self, gpid) -> None:
-        self._router.free_page(gpid)
+    def free_page(self, gpid, lsn) -> None:
+        self._router.free_page(gpid, lsn)
 
     def flush_page(self, gpid) -> None:
         self._router.flush_page(gpid)

@@ -48,7 +48,7 @@ from ..errors import (CatalogError, CorruptPageError, DuplicateKeyError,
                       StorageError)
 from ..obs import EventLog, MetricsRegistry
 from ..obs.metrics import _count_value
-from .btree import BTree
+from .btree import BTree, upgrade_legacy_tree
 from .codec import decode_value, encode_value
 from .buffer import DEFAULT_POOL_SIZE, BufferPool
 from .catalog import Catalog, ClusterInfo, IndexInfo
@@ -222,6 +222,45 @@ class Store:
         # the old stats() dicts costs nothing on the hot paths.
         self._register_metrics()
         self.locks.attach_observability(self.metrics, self.events)
+        self._upgrade_format()
+
+    #: Catalog metadata key written by the format upgrade's own
+    #: transaction: the B+trees are format 4 even if the crash came
+    #: before the file header could say so.
+    _BTREE_FORMAT_KEY = "btree_format"
+
+    def _upgrade_format(self) -> None:
+        """Bring a version-2/3 page file to the current format, once.
+
+        What changed in format 4 is the B+tree node layout. Every B+tree
+        index is rebuilt in ONE transaction that also swaps the catalog's
+        root pointers and frees the old pages, so a crash leaves either
+        all old trees (the upgrade runs again) or all new ones. Only
+        then, and after a checkpoint, is the header stamped.
+        """
+        if self._pagefile.format_version >= 4:
+            return
+        if self.catalog.get_meta(self._BTREE_FORMAT_KEY) != 4:
+            txn = self._journal.begin()
+            try:
+                for info in self.catalog.clusters():
+                    trees = [ix for ix in info.indexes.values()
+                             if ix.kind == "btree"]
+                    for ix in trees:
+                        ix.root_page = upgrade_legacy_tree(
+                            self._journal, txn, ix.root_page,
+                            ix.unique).root_page
+                    if trees:
+                        self.catalog.save_cluster(txn, info)
+                self.catalog.set_meta(txn, self._BTREE_FORMAT_KEY, 4)
+            except BaseException:
+                self._journal.abort(txn)
+                self.catalog.invalidate()
+                raise
+            self._journal.commit(txn)
+            self.checkpoint()
+        for pagefile in self._pagefiles:
+            pagefile.stamp_current_format()
 
     def _resolve_shards(self, shards: Optional[int]) -> int:
         """The store's shard count: persisted on an existing store, else
@@ -1699,12 +1738,11 @@ class Store:
                         continue
                     seen.add(page_no)
                     try:
-                        node = index._read(page_no)
+                        children = index.children(page_no)
                     except Exception:
                         continue
                     pages.append(page_no)
-                    if not node.leaf:
-                        queue.extend(node.children)
+                    queue.extend(children)
         return pages
 
     # -- lifecycle -----------------------------------------------------------------

@@ -131,17 +131,22 @@ _CODE_CLR = _TYPE_CODE[LogRecordType.CLR]
 _CODE_CHECKPOINT = _TYPE_CODE[LogRecordType.CHECKPOINT]
 
 
+def _pack_update(txn: int, prev_lsn: int, page_no: int, offset: int,
+                 before: bytes, after: bytes) -> bytes:
+    return b"".join((_COMMON.pack(_CODE_UPDATE, txn, prev_lsn),
+                     _UPDATE_EXT.pack(page_no, offset, len(before)),
+                     before, after))
+
+
 def _pack_payload(record: Dict) -> bytes:
     code = _TYPE_CODE.get(record.get("type"))
     if code is None:
         return b"\x00" + encode_value(record)
-    head = _COMMON.pack(code, record["txn"], record["prev_lsn"])
     if code == _CODE_UPDATE:
-        before = record["before"]
-        return b"".join((head,
-                         _UPDATE_EXT.pack(record["page_no"],
-                                          record["offset"], len(before)),
-                         before, record["after"]))
+        return _pack_update(record["txn"], record["prev_lsn"],
+                            record["page_no"], record["offset"],
+                            record["before"], record["after"])
+    head = _COMMON.pack(code, record["txn"], record["prev_lsn"])
     if code == _CODE_CLR:
         return b"".join((head,
                          _CLR_EXT.pack(record["page_no"], record["offset"],
@@ -280,6 +285,9 @@ class WriteAheadLog:
 
     def append(self, record: Dict) -> int:
         """Append *record* (a dict) and return its LSN. Does not fsync."""
+        return self._append(_pack_payload(record), record.get("type"))
+
+    def _append(self, payload: bytes, rtype) -> int:
         with self._lock:
             if self._closed:
                 raise WalError("log %s is closed" % self.path)
@@ -289,8 +297,7 @@ class WriteAheadLog:
                     "more records: %s" % (self.path, self.failed))
             f = self._faults
             if f is not None and f.enabled:
-                f.fire("wal.append.pre", rtype=record.get("type"))
-            payload = _pack_payload(record)
+                f.fire("wal.append.pre", rtype=rtype)
             lsn = self._end
             self._file.seek(self._end - self._base + _FILE_HDR.size)
             self._file.write(
@@ -298,7 +305,7 @@ class WriteAheadLog:
             self._end += _REC_HDR.size + len(payload)
             self.appends += 1
             if f is not None and f.enabled:
-                f.fire("wal.append.post", rtype=record.get("type"))
+                f.fire("wal.append.post", rtype=rtype)
             return lsn
 
     def log_begin(self, txn: int) -> int:
@@ -307,9 +314,11 @@ class WriteAheadLog:
 
     def log_update(self, txn: int, prev_lsn: int, page_no: int, offset: int,
                    before: bytes, after: bytes) -> int:
-        return self.append({"type": LogRecordType.UPDATE, "txn": txn,
-                            "prev_lsn": prev_lsn, "page_no": page_no,
-                            "offset": offset, "before": before, "after": after})
+        # Not through a record dict: a page edit logs one of these per
+        # changed byte run.
+        return self._append(
+            _pack_update(txn, prev_lsn, page_no, offset, before, after),
+            LogRecordType.UPDATE)
 
     def log_commit(self, txn: int, prev_lsn: int) -> int:
         with self._lock:
@@ -372,7 +381,9 @@ class WriteAheadLog:
             raise WalFlushError("log %s failed earlier: %s"
                                 % (self.path, self.failed))
         self.flush_calls += 1
-        if up_to_lsn is not None and up_to_lsn <= self._flushed:
+        # ``_flushed`` is the end of the durable prefix, i.e. where the
+        # first non-durable record starts: a record *at* it is not flushed.
+        if up_to_lsn is not None and up_to_lsn < self._flushed:
             return
         batch = self._pending_commits
         f = self._faults

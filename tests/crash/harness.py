@@ -8,7 +8,8 @@ the database **in this process** — which runs crash recovery — and audit:
 1. the database opens at all (recovery never leaves an unopenable store);
 2. it is not in degraded mode after recovery;
 3. the storage + object integrity checker (``db.verify()``) is clean;
-4. the surviving contents equal the workload model after exactly ``k``
+4. the surviving contents — and, entry for entry, the ordered index on
+   ``name`` — equal the workload model after exactly ``k``
    operations for some ``k ≥`` the number of *acknowledged* commits in the
    oracle file (every acked-durable commit survived; nothing partial,
    nothing reordered — the sequential workload makes the committed set a
@@ -116,7 +117,19 @@ def audit(db_path: str, seed: int, n_ops: int, acked: int,
             problems.append("integrity: %s" % issue)
         state = {}
         if "CrashItem" in db.clusters():
-            state = {obj.name: obj.qty for obj in db.cluster(CrashItem)}
+            extent = list(db.cluster(CrashItem))
+            state = {obj.name: obj.qty for obj in extent}
+            # The ordered index (the crash may have predated its
+            # creation) holds exactly the recovered extent, in key order.
+            if "name" in db.store.indexes_on("CrashItem"):
+                db.store.index("CrashItem", "name").check_invariants()
+                indexed = list(db.store.index_range("CrashItem", "name"))
+                if indexed != sorted((obj.name, obj.oid.serial)
+                                     for obj in extent):
+                    problems.append(
+                        "ordered index holds %d entries that are not the "
+                        "%d recovered objects in key order"
+                        % (len(indexed), len(extent)))
         _, models = generate(seed, n_ops)
         lower = acked if strict else 0
         matched = None

@@ -131,7 +131,12 @@ def generate(seed: int, n_ops: int):
     models = [dict(model)]
     for i in range(n_ops):
         if not model or rng.random() < 0.5:
-            op = ("create", "obj-%d" % i, rng.randrange(1000))
+            # Names are keys of the ordered index: variable length (5 to
+            # ~880 bytes, a handful to a leaf, so a dozen live objects
+            # split and detach leaves), sort order unrelated to creation
+            # order.
+            op = ("create", "obj-%d%s" % (i, "-" * (i * 37 % 30 * 30)),
+                  rng.randrange(1000))
         else:
             name = sorted(model)[rng.randrange(len(model))]
             roll = rng.random()
@@ -140,7 +145,9 @@ def generate(seed: int, n_ops: int):
             elif roll < 0.70:
                 op = ("newversion", name, rng.randrange(1000))
             else:
-                op = ("delete", name, None)
+                # Deletes come off the ends of the key order, alternately
+                # (the leftmost-leaf and rightmost-leaf paths).
+                op = ("delete", sorted(model)[0 if i % 2 else -1], None)
         kind, name, arg = op
         if kind == "delete":
             del model[name]
@@ -167,6 +174,7 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
         if "CrashItem" not in db.clusters():
             db.create(CrashItem)
             db.create_index(CrashItem, "qty", kind="hash")
+            db.create_index(CrashItem, "name", kind="btree")
             if os.environ.get("REPRO_WORKLOAD_V2") == "1":
                 for info in db.store.catalog.clusters():
                     to_v2_layout(db.store, info.name)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from repro.errors import DuplicateKeyError
+from repro.errors import DuplicateKeyError, IndexError_
 from repro.storage.btree import BTree
+from repro.storage.page import NO_PAGE
 
 
 @pytest.fixture
@@ -201,6 +202,34 @@ class TestStructure:
         assert bt.search("k") == ["v" * 2000]
 
 
+    @pytest.mark.parametrize("pad", ["a" * 1990, "\x00" * 1320, "a" * 1100],
+                             ids=["plain", "escaped", "half-node"])
+    def test_entries_as_large_as_a_node(self, tree, pad):
+        """What the whole-node format (one entry to a node at worst)
+        accepted still goes in: one entry to a leaf, one separator to an
+        internal node, small entries in between, in any order."""
+        bt, journal, txn = tree
+        keys = ["k%03d" % i + pad * (i % 3 > 0) for i in range(240)]
+        random.Random(5).shuffle(keys)
+        for n, key in enumerate(keys):
+            bt.insert(txn, key, n)
+        bt.check_invariants()
+        assert [k for k, _ in bt.items()] == sorted(keys)
+        assert bt.search(keys[7]) == [7]
+        for key in keys[::2]:
+            assert bt.delete(txn, key) == 1
+        bt.check_invariants()
+        assert [k for k, _ in bt.items()] == sorted(keys[1::2])
+
+    def test_entry_over_a_node_is_refused(self, tree):
+        bt, journal, txn = tree
+        for key, value in [("a" * 2100, 1), ("\x00" * 1400, 1),
+                           (1, "v" * 4100), ("a" * 1500, "\x00" * 1500)]:
+            with pytest.raises(IndexError_):
+                bt.insert(txn, key, value)
+        assert len(bt) == 0
+
+
 class TestDuplicateHeavyWorkloads:
     """Regression tests for duplicate runs straddling node splits."""
 
@@ -252,6 +281,58 @@ class TestDuplicateHeavyWorkloads:
             bt.insert(txn, "same", "same-value")
         assert len(bt.search("same")) == 50
         bt.check_invariants()
+
+
+class TestScanReseek:
+    """The lazy leaf walk re-seeks past the last sort key it yielded when
+    the leaf it was reading changed under it."""
+
+    @pytest.mark.parametrize("key_of", [lambda i: i, lambda i: "dup"],
+                             ids=["distinct", "one-run"])
+    def test_changed_leaf_mid_scan_yields_survivors_once(self, tree, key_of):
+        bt, journal, txn = tree
+        entries = [(key_of(i), i) for i in range(600)]
+        for key, value in entries:
+            bt.insert(txn, key, value)
+        scan = bt.items()
+        seen = [next(scan) for _ in range(50)]
+        # Stamp every leaf (an insert + delete each side of the cursor),
+        # and drop an entry the scan has not reached yet.
+        for value in (10_001, 10_002):
+            bt.insert(txn, key_of(0), value)
+            bt.delete(txn, key_of(0), value)
+        bt.insert(txn, key_of(599), 10_003)
+        bt.delete(txn, key_of(599), 10_003)
+        bt.delete(txn, *entries[300])
+        seen.extend(scan)
+        assert seen == entries[:300] + entries[301:]
+
+
+    @pytest.mark.parametrize("cursor", [1, 150, 299, 300, 301, 450, 899])
+    def test_identical_pairs_across_leaves_are_not_skipped(self, tree,
+                                                           cursor):
+        """Identical ``(key, value)`` pairs share a sort key and may sit
+        on both sides of a separator equal to it: a re-seek steps over
+        as many as the scan yielded, not over all of them."""
+        bt, journal, txn = tree
+        entries = ([("a", i) for i in range(300)] + [("dup", "v")] * 300
+                   + [("z", i) for i in range(300)])
+        for key, value in entries:
+            bt.insert(txn, key, value)
+        scan = bt.items()
+        seen = [next(scan) for _ in range(cursor)]
+        page_no, leaves = bt._leaf_for(), 0
+        while page_no != NO_PAGE:       # stamp every leaf, change none
+            with journal.edit(txn, page_no) as page:
+                first = page.read(0)
+                page.remove_at(0)
+            with journal.edit(txn, page_no) as page:
+                page.insert_at(0, first)
+                page_no = page.next_page
+            leaves += 1
+        assert leaves > 6
+        seen.extend(scan)
+        assert seen == entries
 
 
 @pytest.mark.concurrency

@@ -145,7 +145,7 @@ class TestFlush:
     def test_free_page_returns_to_file(self, pool, pf):
         page_no = pool.new_page(PageType.HEAP)
         pool.flush_all()
-        pool.free_page(page_no)
+        pool.free_page(page_no, 0)
         assert pf.allocate_page() == page_no
 
 

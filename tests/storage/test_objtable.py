@@ -472,9 +472,10 @@ class TestVersion2Migration:
         assert len(directory_items(store)) == 200
         store.close()
 
-    def test_version_2_header_opens_and_is_rewritten_as_3(self, db_path):
+    def test_version_2_header_opens_and_is_restamped_current(self, db_path):
+        current = pagefile_mod._FORMAT_VERSION
         Store(db_path).close()
-        assert self.header_version(db_path) == 3
+        assert self.header_version(db_path) == current
         with open(db_path, "r+b") as handle:     # what a v2 binary left
             handle.seek(8)
             handle.write(struct.pack("<I", 2))
@@ -483,7 +484,7 @@ class TestVersion2Migration:
         store.create_cluster(txn, "c")
         store.commit(txn)
         store.close()
-        assert self.header_version(db_path) == 3
+        assert self.header_version(db_path) == current
 
     def test_unknown_versions_are_refused(self, db_path):
         Store(db_path).close()

@@ -69,8 +69,8 @@ class TestAllocation:
     def test_free_then_recycle(self, pf):
         a = pf.allocate_page()
         b = pf.allocate_page()
-        pf.free_page(a)
-        pf.free_page(b)
+        pf.free_page(a, 0)
+        pf.free_page(b, 0)
         # LIFO recycling
         assert pf.allocate_page() == b
         assert pf.allocate_page() == a
@@ -96,7 +96,7 @@ class TestAllocation:
         f = PageFile(path)
         a = f.allocate_page()
         f.allocate_page()
-        f.free_page(a)
+        f.free_page(a, 0)
         f.close()
         f2 = PageFile(path)
         assert f2.allocate_page() == a

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.storage.btree import BTree
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import decode_value, encode_key, encode_value
 from repro.storage.hashindex import HashIndex
@@ -115,33 +114,6 @@ def fresh_stack(tmp_path):
     yield pool, wal, journal
     wal.close()
     pagefile.close()
-
-
-class TestBTreeProperties:
-    @given(st.lists(st.tuples(st.booleans(),
-                              st.integers(min_value=0, max_value=200)),
-                    min_size=1, max_size=150))
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_dict_model(self, fresh_stack, ops):
-        pool, wal, journal = fresh_stack
-        txn = journal.begin()
-        tree = BTree.create(journal, txn)
-        model = {}
-        for is_insert, key in ops:
-            if is_insert:
-                tree.insert(txn, key, key * 3)
-                model.setdefault(key, []).append(key * 3)
-            else:
-                removed = tree.delete(txn, key)
-                expected = len(model.pop(key, []))
-                assert removed == expected
-        tree.check_invariants()
-        for key, vals in model.items():
-            assert sorted(tree.search(key)) == sorted(vals)
-        expected_keys = sorted(k for k, v in model.items() for _ in v)
-        assert [k for k, _ in tree.items()] == expected_keys
-        journal.commit(txn)
 
 
 class TestHashIndexProperties:

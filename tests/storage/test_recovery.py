@@ -233,3 +233,60 @@ class TestRecoveryProperty:
             assert dict(heap.scan()) == (
                 committed_model if outcome != "commit" else committed_model)
         h.close()
+
+
+class TestRecycledPages:
+    def test_redo_does_not_resurrect_a_recycled_pages_old_life(self, h):
+        """A page freed and reallocated inside one log generation: redo
+        replays its old life first, so the new life's first edit must
+        carry the whole image — including what the format zeroed. Found
+        by the crash harness once its workload had an ordered index
+        (EXP-25): a heap record's leading zero byte came back as a byte
+        of the page's earlier tenant."""
+        txn = h.journal.begin()
+        old = HeapFile.create(h.journal, txn)
+        for _ in range(6):
+            old.insert(txn, b"\xff" * 500)
+        h.journal.commit(txn)
+        txn = h.journal.begin()
+        h.journal.free_page_deferred(txn, old.first_page)
+        h.journal.commit(txn)                      # freed at commit
+        txn = h.journal.begin()
+        new = HeapFile.create(h.journal, txn)
+        assert new.first_page == old.first_page    # recycled
+        payload = b"\x00" * 3000
+        rid = new.insert(txn, payload)
+        h.journal.commit(txn)
+        h.crash_and_recover()
+        heap = HeapFile(h.journal, new.first_page)
+        assert heap.read(rid) == payload
+        assert [raw for _rid, raw in heap.scan()] == [payload]
+
+    def test_redo_does_not_overwrite_free_list_links(self, h):
+        """The free list threads through the freed pages themselves. Redo
+        must not replay a freed page's old life (here: a heap page whose
+        chain pointer names a page that has since been reallocated) over
+        its link — the allocator would hand out a page in use. Found by
+        the B+tree model's crash rule (EXP-25)."""
+        txn = h.journal.begin()
+        old = HeapFile.create(h.journal, txn)
+        first = second = old.first_page
+        while second == first:                     # grow to a second page
+            second = old.insert(txn, b"\xee" * 900).page_no
+        h.journal.commit(txn)
+        txn = h.journal.begin()
+        h.journal.free_page_deferred(txn, first)
+        h.journal.free_page_deferred(txn, second)
+        h.journal.commit(txn)                      # free list: second, first
+        txn = h.journal.begin()
+        kept = HeapFile.create(h.journal, txn)
+        assert kept.first_page == second
+        rid = kept.insert(txn, b"kept")
+        h.journal.commit(txn)
+        h.crash_and_recover()
+        txn = h.journal.begin()
+        taken = [HeapFile.create(h.journal, txn).first_page
+                 for _ in range(2)]
+        assert taken[0] == first
+        assert second not in taken
+        assert HeapFile(h.journal, second).read(rid) == b"kept"
