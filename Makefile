@@ -37,14 +37,20 @@ bench-smoke:
 # Codegen gate (EXP-24): compile and cache-lookup counts of the
 # expression compiler — an indexed point query touches no codegen, a
 # repeated scan shape is one cache hit and no compile, nothing the
-# database does drops an entry. Counts, not timings. Plus the unit tests
-# and the two differential harnesses: generated expressions vs the
-# predicates' closures, and traced vs untraced runs.
+# database does drops an entry. And the O++ gate (EXP-26): a `forall`
+# statement runs the plan `explain` prints — a 400 x 400 equijoin reads
+# each side once into a hash join of 800 rows in, a clause with one
+# interpreted conjunct keeps its index. Counts, not timings. Plus the
+# unit tests and the differential harnesses: generated expressions vs
+# the predicates' closures, traced vs untraced runs, and O++ `forall`
+# statements vs a brute-force model.
 bench-codegen-smoke:
 	$(PYTHON) benchmarks/bench_codegen.py --gate
+	$(PYTHON) benchmarks/bench_opp.py --gate
 	$(PYTHON) -m pytest tests/query/test_codegen.py \
 		tests/query/test_codegen_differential.py \
-		tests/query/test_trace_differential.py -x -q
+		tests/query/test_trace_differential.py \
+		tests/opp/test_forall_model.py -x -q
 
 # Late-decoding scan gate (EXP-21): the scan/materialization rows plus
 # the decode-count gate — a cold scan decodes one head and one current

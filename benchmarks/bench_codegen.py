@@ -3,11 +3,11 @@
 One ``forall`` pipeline runs every query; what differs is what it
 evaluates per object. Each shape that has both is measured twice: with
 generated filters / join lambdas (the default) and with
-``.codegen(False)`` (``db.codegen_enabled = False`` for O++ bodies), so
-a BENCH diff shows what compiling an expression buys per shape —
-scan/filter, fused hash join, aggregation, and trigger-cascade
-condition/action bodies. An index lookup with nothing left to check runs
-no generated code at all, so it has one row.
+``.codegen(False)``, so a BENCH diff shows what compiling an expression
+buys per shape — scan/filter, fused hash join, aggregation. An index
+lookup with nothing left to check runs no generated code at all, so it
+has one row; so does the O++ trigger cascade, whose condition and action
+bodies run in the one interpreter (EXP-26).
 
 ``--gate`` (run by ``make bench-codegen-smoke`` and CI) checks compile
 and cache-lookup *counts* — never timings::
@@ -107,36 +107,26 @@ transaction { t0 = pnew tank(100, 5); }
 
 
 class TestTriggerCascade:
-    """Per-commit condition evaluation with compiled vs interpreted bodies.
+    """Per-commit condition evaluation of O++ trigger bodies.
 
     A perpetual O++ trigger is activated on many objects; each benchmark
     round commits one write, which re-evaluates every activation's
-    condition body. ``db.codegen_enabled`` must be set before the class
-    is defined — the compile decision is taken in ``_define_class``.
+    condition body in the interpreter.
     """
 
     ACTIVATIONS = 50
 
-    def _setup(self, db):
+    def test_cascade(self, benchmark, db):
         interp = Interpreter(db)
         interp.run(CASCADE_SOURCE)
         interp.run("transaction { int i; for (i = 0; i < %d; i = i + 1) "
                    "{ tank* t = pnew tank(100, 5); t->watch(); } }\n"
                    % self.ACTIVATIONS)
-        return interp
 
-    def _bench(self, benchmark, interp):
         def commit():
             interp.run("transaction { t0->level = t0->level + 1; }\n")
 
         benchmark(commit)
-
-    def test_cascade_compiled(self, benchmark, db):
-        self._bench(benchmark, self._setup(db))
-
-    def test_cascade_interpreted(self, benchmark, db):
-        db.codegen_enabled = False
-        self._bench(benchmark, self._setup(db))
 
 
 # -- compile / lookup count gate (make bench-codegen-smoke / CI) --------------

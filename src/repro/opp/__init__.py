@@ -40,11 +40,15 @@ atoi atof min max abs sqrt floor ceil pow exp log count`` and the Ode
 macros ``newversion vprev vnext vfirst vlast deref deactivate
 advance_time now``.
 
-Semantics notes: simple ``suchthat`` clauses (conjunctions of
-``var->field op constant``) compile to predicates and may be served by
-indexes; access sections are enforced (members before the first label are
-private, per C++); O++ classes may derive from Python-defined Ode classes
-and vice versa.
+Semantics notes: every ``forall`` statement runs as the
+:class:`repro.query.Forall` that ``explain`` prints. Top-level ``&&``
+conjuncts of the forms ``var->field op constant`` and ``var->field ==
+var->field`` become predicates (indexes, pushdown, hash joins); their
+constant sides are evaluated once, when the loop starts; other conjuncts
+are interpreted on the rows that are left. Access sections are enforced,
+in ``suchthat``/``by`` too (members before the first label are private,
+per C++); O++ classes may derive from Python-defined Ode classes and vice
+versa.
 """
 
 from .interp import Interpreter, run_program

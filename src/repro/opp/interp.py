@@ -44,10 +44,11 @@ from ..core.objects import OdeMeta, OdeObject, class_registry
 from ..core.oid import Oid, Vref
 from ..core.sets import OdeSet
 from ..core.triggers import Trigger, TriggerId
-from ..errors import (OppNameError, OppRuntimeError, OppSyntaxError,
-                      OppTypeError)
+from ..errors import (OdeError, OppNameError, OppRuntimeError, OppTypeError,
+                      QueryError)
+from ..query.iterate import Forall as QueryForall
+from ..query.predicates import _FLIP, And, AttrExpr, Callable_, VarAttrExpr
 from . import ast_nodes as ast
-from . import codegen as opp_codegen
 from .parser import Parser
 
 
@@ -225,15 +226,11 @@ class Interpreter:
                 continue
             namespace[method.name] = self._make_method(method)
 
-        # field names visible to compiled constraint/trigger bodies —
-        # assignments to these lower to a member store
-        fields = frozenset(field_order)
         for i, cons in enumerate(decl.constraints):
-            namespace["constraint_%d" % i] = self._make_constraint(cons,
-                                                                   fields)
+            namespace["constraint_%d" % i] = self._make_constraint(cons)
 
         for trig in decl.triggers:
-            namespace[trig.name] = self._make_trigger(trig, fields)
+            namespace[trig.name] = self._make_trigger(trig)
 
         cls = OdeMeta(decl.name, tuple(bases), namespace)
         self.globals.declare(decl.name, cls)
@@ -288,134 +285,63 @@ class Interpreter:
                     setattr(self, fname, value)
             return __init__
 
-        params = ctor.params
-        body = ctor.body
-
         def __init__(self, *args, **kwargs):
             OdeObject.__init__(self, **kwargs)
-            if len(args) != len(params):
-                raise OppTypeError(
-                    "%s() takes %d arguments, got %d"
-                    % (class_name, len(params), len(args)))
-            scope = Scope(interp.globals, this=self)
-            for param, value in zip(params, args):
-                scope.declare(param.name, value)
-            try:
-                interp.exec_stmt(body, scope)
-            except _Return:
-                pass
+            interp._call(class_name, ctor.params, ctor.body, self, args)
         return __init__
+
+    def _call(self, name: str, params, body: ast.Node, this, args,
+              run=None) -> Any:
+        """Bind *args* to *params* and run *body* — the one way into a
+        constructor, member function, free function or trigger/constraint
+        body (*this* None: a free function). *run* is ``self.eval`` for
+        an expression body; a statement body's value is its ``return``.
+        """
+        if len(args) != len(params):
+            raise OppTypeError("%s() takes %d arguments, got %d"
+                               % (name, len(params), len(args)))
+        scope = Scope(self.globals, this=this)
+        for param, value in zip(params, args):
+            scope.declare(param.name, value)
+        try:
+            return (run or self.exec_stmt)(body, scope)
+        except _Return as ret:
+            return ret.value
 
     def _make_method(self, decl: ast.MethodDecl) -> Callable:
         interp = self
-        params = decl.params
-        body = decl.body
-        name = decl.name
 
         def method(self, *args):
-            if len(args) != len(params):
-                raise OppTypeError("%s() takes %d arguments, got %d"
-                                   % (name, len(params), len(args)))
-            scope = Scope(interp.globals, this=self)
-            for param, value in zip(params, args):
-                scope.declare(param.name, value)
-            try:
-                interp.exec_stmt(body, scope)
-            except _Return as ret:
-                return ret.value
-            return None
-        method.__name__ = name
+            return interp._call(decl.name, decl.params, decl.body, self, args)
+        method.__name__ = decl.name
         return method
 
-    def _make_constraint(self, decl: ast.ConstraintDecl,
-                         fields: frozenset = frozenset()) -> Callable:
+    def _make_constraint(self, decl: ast.ConstraintDecl) -> Callable:
         interp = self
-        expr = decl.expr
-
-        compiled = opp_codegen.compile_expr(
-            self, expr, (), "bool", "constraint %s" % decl.name, fields)
-        if compiled is not None:
-            compiled.__name__ = decl.name
-            compiled._is_ode_constraint = True
-            return compiled
 
         def check(self):
-            scope = Scope(interp.globals, this=self)
-            return bool(interp.eval(expr, scope))
+            return bool(interp._call(decl.name, (), decl.expr, self, (),
+                                     interp.eval))
         check.__name__ = decl.name
         check._is_ode_constraint = True
         return check
 
-    def _make_trigger(self, decl: ast.TriggerDecl,
-                      fields: frozenset = frozenset()) -> Trigger:
-        interp = self
-        params = decl.params
-        pnames = tuple(p.name for p in params)
-        label = "trigger %s" % decl.name
+    def _make_trigger(self, decl: ast.TriggerDecl) -> Trigger:
+        def body(node: Optional[ast.Node], run=None) -> Optional[Callable]:
+            if node is None:
+                return None
+            return lambda this, *args: self._call(decl.name, decl.params,
+                                                  node, this, args, run)
 
-        def bind(self, args) -> Scope:
-            scope = Scope(interp.globals, this=self)
-            for param, value in zip(params, args):
-                scope.declare(param.name, value)
-            return scope
-
-        def condition(self, *args):
-            return bool(interp.eval(decl.condition, bind(self, args)))
-
-        def action(self, *args):
-            interp.exec_stmt(decl.action, bind(self, args))
-
-        # Bodies compile once here, at class-definition time, so cascades
-        # stop re-walking the AST per firing; anything the lowering does
-        # not cover keeps the interpreted closure above.
-        condition = opp_codegen.with_fallback(
-            opp_codegen.compile_expr(self, decl.condition, pnames, "bool",
-                                     label + " condition", fields),
-            len(params), condition)
-        action = opp_codegen.with_fallback(
-            opp_codegen.compile_body(self, decl.action, pnames,
-                                     label + " action", fields),
-            len(params), action)
-
-        within = None
-        if decl.within is not None:
-            def within(self, *args):  # noqa: F811 — deliberate rebind
-                return float(interp.eval(decl.within, bind(self, args)))
-            within = opp_codegen.with_fallback(
-                opp_codegen.compile_expr(self, decl.within, pnames, "float",
-                                         label + " within", fields),
-                len(params), within)
-
-        timeout_action = None
-        if decl.timeout_action is not None:
-            def timeout_action(self, *args):
-                interp.exec_stmt(decl.timeout_action, bind(self, args))
-            timeout_action = opp_codegen.with_fallback(
-                opp_codegen.compile_body(self, decl.timeout_action, pnames,
-                                         label + " timeout", fields),
-                len(params), timeout_action)
-
-        return Trigger(condition=condition, action=action,
-                       perpetual=decl.perpetual, within=within,
-                       timeout_action=timeout_action)
+        return Trigger(condition=body(decl.condition, self.eval),
+                       action=body(decl.action),
+                       perpetual=decl.perpetual,
+                       within=body(decl.within, self.eval),
+                       timeout_action=body(decl.timeout_action))
 
     def _define_function(self, decl: ast.FuncDecl) -> None:
-        interp = self
-        params = decl.params
-        body = decl.body
-
         def function(*args):
-            if len(args) != len(params):
-                raise OppTypeError("%s() takes %d arguments, got %d"
-                                   % (decl.name, len(params), len(args)))
-            scope = Scope(interp.globals)
-            for param, value in zip(params, args):
-                scope.declare(param.name, value)
-            try:
-                interp.exec_stmt(body, scope)
-            except _Return as ret:
-                return ret.value
-            return None
+            return self._call(decl.name, decl.params, decl.body, None, args)
         function.__name__ = decl.name
         self.globals.declare(decl.name, function)
 
@@ -520,34 +446,17 @@ class Interpreter:
                        time.perf_counter_ns() - started, rows_seen)
 
     def _run_forall(self, node: ast.Forall, scope: Scope) -> int:
-        iterables = [(var, self._forall_source(src, deep, scope, node.line))
-                     for var, src, deep in node.sources]
-        if node.as_of is not None:
-            iterables = self._apply_as_of(iterables, node.as_of, scope,
-                                          node.line)
-        rows = self._forall_optimized(iterables, node, scope)
-        if rows is None:
-            rows = self._forall_rows(iterables, node, scope)
-        if node.by is not None:
-            rows = list(rows)
-            var_names = [var for var, _ in iterables]
-
-            def sort_key(binding):
-                inner = Scope(scope)
-                for name, value in zip(var_names, binding):
-                    inner.declare(name, value)
-                return self.eval(node.by, inner)
-            rows.sort(key=sort_key, reverse=node.by_desc)
+        names = [var for var, _, _ in node.sources]
         inner = Scope(scope)
-        for var, _ in iterables:
-            inner.declare(var, None)
         seen = 0
-        for binding in rows:
+        for row in self._lower_forall(node, scope):
             if self._step_hook is not None:
                 self._loop_tick()
             seen += 1
-            for (var, _), value in zip(iterables, binding):
-                inner.vars[var] = value
+            if len(names) == 1:
+                inner.vars[names[0]] = row
+            else:
+                inner.vars.update(zip(names, row))
             try:
                 self.exec_stmt(node.body, inner)
             except _Break:
@@ -556,108 +465,109 @@ class Interpreter:
                 continue
         return seen
 
-    def _forall_optimized(self, iterables, node: ast.Forall, scope: Scope):
-        """Try to run a single-cluster suchthat through the query optimizer.
+    def _stmt_Explain(self, node: ast.Explain, scope: Scope) -> None:
+        """``explain [analyze] forall ...`` — print plan (and trace)."""
+        query = self._lower_forall(node.query, scope)
+        text = query.explain(analyze=node.analyze, code=self.dump_code)
+        self.output.append(text + "\n")
 
-        When the clause is a conjunction of ``var->field <op> constant``
-        comparisons, it compiles to an introspectable predicate and the
-        optimizer may serve it from an index — the paper's "clauses can
-        be used to advantage in query optimization" realised for O++
-        source, not just the Python API. Returns None when the clause is
-        not compilable (the interpreted path then runs it faithfully).
+    def _lower_forall(self, node: ast.Forall, scope: Scope) -> QueryForall:
+        """Lower a forall header to the :class:`repro.query.Forall` that
+        runs it — what ``explain`` prints is what the statement executes.
 
-        The query runs through :class:`repro.query.Forall`, so repeated
-        forall statements hit the database's compiled-plan and codegen
-        caches instead of re-planning (and re-interpreting) every time.
+        The ``suchthat`` clause is split at its top-level ``&&``: the
+        conjuncts the optimizer can read (:meth:`_lower_conjunct`) become
+        predicates, so it may pick an index, push a restriction below a
+        join or hash-join on an equality; the rest stay one interpreted
+        callable over the loop variables, checked on the rows that are
+        left. ``by`` is an interpreted sort key.
         """
-        from ..core.clusters import AsOfHandle, ClusterHandle
-        if len(iterables) != 1 or node.suchthat is None:
-            return None
-        var, source = iterables[0]
-        if not isinstance(source, (ClusterHandle, AsOfHandle)):
-            return None
-        pred = self._compile_predicate(node.suchthat, var, scope)
-        if pred is None:
-            return None
-        from ..query.iterate import Forall as QueryForall
-        query = QueryForall(source).suchthat(pred)
-        return ((obj,) for obj in query)
+        names = [var for var, _, _ in node.sources]
+        sources = [self._forall_source(src, deep, scope, node.line)
+                   for _, src, deep in node.sources]
 
-    def _compile_predicate(self, expr: ast.Node, var: str, scope: Scope):
-        """Compile *expr* to a repro.query Predicate, or None.
+        def over_row(expr: ast.Node) -> Callable:
+            def interpreted(*row):
+                inner = Scope(scope)
+                inner.vars.update(zip(names, row))
+                return self.eval(expr, inner)
+            return interpreted
 
-        Supported shapes: ``var->field <op> constant-expr`` (either side),
-        conjunctions thereof with ``&&``. The constant side must evaluate
-        without referencing the loop variable.
+        query = QueryForall(*sources)
+        if node.as_of is not None:
+            self._as_of(query, node.as_of, scope, node.line)
+        if node.suchthat is not None:
+            classes = [_source_class(source) for source in sources]
+            lowered, rest = [], []
+            for conj in _conjuncts(node.suchthat):
+                pred = self._lower_conjunct(conj, names, classes, scope)
+                if pred is None:
+                    rest.append(conj)
+                else:
+                    lowered.append(pred)
+            pred = None
+            if rest:
+                residual = rest[0]
+                for conj in rest[1:]:
+                    residual = ast.Binary("&&", residual, conj,
+                                          line=conj.line)
+                pred = over_row(residual)
+                if lowered:
+                    lowered.append(Callable_(pred))
+            if lowered:
+                pred = lowered[0] if len(lowered) == 1 else And(*lowered)
+            query.suchthat(pred)
+        if node.by is not None:
+            query.by(over_row(node.by), desc=node.by_desc)
+        return query
+
+    def _lower_conjunct(self, expr: ast.Node, names: List[str], classes,
+                        scope: Scope):
+        """*expr* as a predicate the optimizer can read, or None.
+
+        ``var->field <op> constant`` (either way round; the constant side
+        names no loop variable and is evaluated here, once) and
+        ``var->field == var->field``. A constant that fails to evaluate
+        leaves the conjunct to the interpreter, which raises with its
+        line on the first row.
         """
-        from ..query.predicates import And, Compare
-        if isinstance(expr, ast.Binary) and expr.op == "&&":
-            left = self._compile_predicate(expr.left, var, scope)
-            right = self._compile_predicate(expr.right, var, scope)
-            if left is None or right is None:
-                return None
-            return And(left, right)
-        if isinstance(expr, ast.Binary) and expr.op in (
-                "==", "!=", "<", "<=", ">", ">="):
-            field = self._var_field(expr.left, var)
-            other, flip = expr.right, False
-            if field is None:
-                field = self._var_field(expr.right, var)
-                other, flip = expr.left, True
-            if field is None or self._mentions_var(other, var):
-                return None
-            try:
-                value = self.eval(other, scope)
-            except Exception:
-                return None
-            value = self._as_ref(value)
-            op = expr.op
-            if flip:
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-            return Compare(field, op, value)
-        return None
+        if not (isinstance(expr, ast.Binary) and expr.op in _FLIP):
+            return None
+        op = expr.op
+        left = self._loop_field(expr.left, names, classes, scope)
+        right = self._loop_field(expr.right, names, classes, scope)
+        if left is not None and right is not None:
+            return left._compare(op, right) if op == "==" else None
+        if left is not None:
+            attr, other = left, expr.right
+        elif right is not None:
+            attr, other, op = right, expr.left, _FLIP[op]
+        else:
+            return None
+        if _mentions(other, names):
+            return None
+        try:
+            return attr._compare(op, self.eval(other, scope))
+        except OdeError:
+            return None
 
-    @staticmethod
-    def _var_field(node: ast.Node, var: str):
-        """``var->field`` -> the field name, else None."""
-        if (isinstance(node, ast.Member)
+    def _loop_field(self, node: ast.Node, names: List[str], classes,
+                    scope: Scope):
+        """``var->field`` on a loop variable whose source has a known
+        class with that member -> ``A.field`` / ``V[i].field``, else
+        None. The member's access section is checked here, against the
+        source's class, once — not per row."""
+        if not (isinstance(node, ast.Member)
                 and isinstance(node.target, ast.Name)
-                and node.target.ident == var):
-            return node.field
-        return None
-
-    def _mentions_var(self, node: ast.Node, var: str) -> bool:
-        if isinstance(node, ast.Name):
-            return node.ident == var
-        for slot in type(node).__slots__:
-            child = getattr(node, slot, None)
-            if isinstance(child, ast.Node) and self._mentions_var(child, var):
-                return True
-            if isinstance(child, list):
-                for item in child:
-                    if (isinstance(item, ast.Node)
-                            and self._mentions_var(item, var)):
-                        return True
-        return False
-
-    def _forall_rows(self, iterables, node: ast.Forall, scope: Scope):
-        var_names = [var for var, _ in iterables]
-
-        def recurse(depth: int, chosen: tuple):
-            if depth == len(iterables):
-                if node.suchthat is not None:
-                    inner = Scope(scope)
-                    for name, value in zip(var_names, chosen):
-                        inner.declare(name, value)
-                    if not self.eval(node.suchthat, inner):
-                        return
-                yield chosen
-                return
-            _, source = iterables[depth]
-            for item in source:
-                yield from recurse(depth + 1,
-                                   chosen + (self._materialize(item),))
-        return recurse(0, ())
+                and node.target.ident in names):
+            return None
+        var = names.index(node.target.ident)
+        cls = classes[var]
+        if cls is None or not hasattr(cls, node.field):
+            return None
+        self._check_access(cls, node.field, scope, node.line)
+        return (AttrExpr(node.field) if len(names) == 1
+                else VarAttrExpr(var, node.field))
 
     def _forall_source(self, src: ast.Node, deep: bool, scope: Scope,
                        line: int):
@@ -674,124 +584,21 @@ class Interpreter:
             return handle.deep() if deep else handle
         if value is None:
             raise OppRuntimeError("forall over null", line=line)
-        return value
+        return _Elements(value, self._materialize)
 
-    def _apply_as_of(self, iterables, expr: ast.Node, scope: Scope,
-                     line: int):
-        """Rewrite cluster sources to their as-of views for time travel."""
+    def _as_of(self, query: QueryForall, expr: ast.Node, scope: Scope,
+               line: int) -> None:
+        """Time travel: *query*'s cluster sources as of the token *expr*."""
         token = self.eval(expr, scope)
         if not isinstance(token, int) or isinstance(token, bool):
             raise OppRuntimeError(
                 "as of expects a snapshot token (from snapshot_token()), "
                 "got %r" % (token,), line=line)
-        out = []
-        wrapped = False
-        for var, source in iterables:
-            make = getattr(source, "as_of", None)
-            if make is not None:
-                source = make(token)
-                wrapped = True
-            out.append((var, source))
-        if not wrapped:
+        try:
+            query.as_of(token)
+        except QueryError:
             raise OppRuntimeError(
                 "as of applies to cluster sources only", line=line)
-        return out
-
-    def _stmt_Explain(self, node: ast.Explain, scope: Scope) -> None:
-        """``explain [analyze] forall ...`` — print plan (and trace)."""
-        query = self._build_query(node.query, scope)
-        text = query.explain(analyze=node.analyze, code=self.dump_code)
-        self.output.append(text + "\n")
-
-    def _build_query(self, fnode: ast.Forall, scope: Scope):
-        """Lower an O++ forall header to a :class:`repro.query.Forall`.
-
-        Compilable suchthat clauses become introspectable predicates (so
-        the optimizer can pick indexes / hash joins and ``explain`` shows
-        the real plan); opaque clauses fall back to an interpreted row
-        check, which still executes faithfully under ``analyze`` but
-        plans as a filtered scan / nested loop.
-        """
-        from ..query.iterate import Forall as QueryForall
-        iterables = [(var, self._forall_source(src, deep, scope,
-                                               fnode.line))
-                     for var, src, deep in fnode.sources]
-        if fnode.as_of is not None:
-            iterables = self._apply_as_of(iterables, fnode.as_of, scope,
-                                          fnode.line)
-        var_names = [var for var, _ in iterables]
-        query = QueryForall(*[source for _, source in iterables])
-        if fnode.suchthat is not None:
-            if len(iterables) == 1:
-                pred = self._compile_predicate(fnode.suchthat, var_names[0],
-                                               scope)
-            else:
-                pred = self._compile_join_predicate(fnode.suchthat,
-                                                    var_names, scope)
-            if pred is None:
-                def row_check(*binding):
-                    inner = Scope(scope)
-                    for name, value in zip(var_names, binding):
-                        inner.declare(name, value)
-                    return bool(self.eval(fnode.suchthat, inner))
-                pred = row_check
-            query = query.suchthat(pred)
-        if fnode.by is not None:
-            def sort_key(*binding):
-                inner = Scope(scope)
-                for name, value in zip(var_names, binding):
-                    inner.declare(name, value)
-                return self.eval(fnode.by, inner)
-            query = query.by(sort_key, desc=fnode.by_desc)
-        return query
-
-    def _compile_join_predicate(self, expr: ast.Node, var_names, scope):
-        """Compile a multi-variable suchthat to a V[...] predicate, or None.
-
-        ``vari->f op varj->g`` becomes a join comparison (hash-joinable
-        when op is ``==``); ``vari->f op constant`` becomes a per-source
-        restriction pushed into that source's scan.
-        """
-        from ..query.predicates import And, VarAttrExpr
-        if isinstance(expr, ast.Binary) and expr.op == "&&":
-            left = self._compile_join_predicate(expr.left, var_names, scope)
-            right = self._compile_join_predicate(expr.right, var_names,
-                                                 scope)
-            if left is None or right is None:
-                return None
-            return And(left, right)
-        if isinstance(expr, ast.Binary) and expr.op in (
-                "==", "!=", "<", "<=", ">", ">="):
-            lhs = self._any_var_field(expr.left, var_names)
-            rhs = self._any_var_field(expr.right, var_names)
-            op = expr.op
-            if lhs is not None and rhs is not None:
-                return VarAttrExpr(*lhs)._compare(op, VarAttrExpr(*rhs))
-            if lhs is None and rhs is None:
-                return None
-            other = expr.right if lhs is not None else expr.left
-            if lhs is None:
-                lhs = rhs
-                op = {"<": ">", "<=": ">=", ">": "<",
-                      ">=": "<="}.get(op, op)
-            for name in var_names:
-                if self._mentions_var(other, name):
-                    return None
-            try:
-                value = self.eval(other, scope)
-            except Exception:
-                return None
-            return VarAttrExpr(*lhs)._compare(op, self._as_ref(value))
-        return None
-
-    @staticmethod
-    def _any_var_field(node: ast.Node, var_names):
-        """``vari->field`` -> ``(i, field)`` for any loop variable."""
-        if (isinstance(node, ast.Member)
-                and isinstance(node.target, ast.Name)
-                and node.target.ident in var_names):
-            return var_names.index(node.target.ident), node.field
-        return None
 
     def _stmt_Return(self, node: ast.Return, scope: Scope) -> None:
         value = None if node.value is None else self.eval(node.value, scope)
@@ -859,11 +666,11 @@ class Interpreter:
         right = self.eval(node.right, scope)
         if op == "<<":
             if isinstance(left, OdeSet):
-                return left << self._storable(right)
+                return left << self._as_ref(right)
             return left << right
         if op == ">>":
             if isinstance(left, OdeSet):
-                return left >> self._storable(right)
+                return left >> self._as_ref(right)
             return left >> right
         try:
             if op == "+":
@@ -907,12 +714,6 @@ class Interpreter:
             return value.oid
         return value
 
-    def _storable(self, value):
-        """Set elements: persistent objects insert as their ids."""
-        if isinstance(value, OdeObject) and value.is_persistent:
-            return value.oid
-        return value
-
     def _eval_Unary(self, node: ast.Unary, scope: Scope) -> Any:
         value = self.eval(node.operand, scope)
         if node.op == "-":
@@ -932,7 +733,7 @@ class Interpreter:
 
     def _eval_Member(self, node: ast.Member, scope: Scope) -> Any:
         target = self._deref(self.eval(node.target, scope), node.line)
-        self._check_access(target, node.field, scope, node.line)
+        self._check_access(type(target), node.field, scope, node.line)
         try:
             return getattr(target, node.field)
         except AttributeError:
@@ -940,28 +741,27 @@ class Interpreter:
                 "%s has no member %r" % (type(target).__name__, node.field),
                 line=node.line)
 
-    def _check_access(self, target: Any, field: str, scope: Scope,
+    def _check_access(self, cls: type, field: str, scope: Scope,
                       line: int) -> None:
         """Enforce O++ access sections (C++ semantics, approximated).
 
-        Private/protected members may only be touched when the code runs
-        inside a member function of the object's class (``this`` is an
+        Private/protected members of *cls* may only be touched when the
+        code runs inside a member function of the class (``this`` is an
         instance of a type sharing the member). Python callers are not
         restricted — the host language follows its own conventions.
         """
-        access = getattr(type(target), "_opp_access", None)
+        access = getattr(cls, "_opp_access", None)
         if access is None:
             return
         mode = access.get(field, "public")
         if mode == "public":
             return
         this = scope.this
-        if this is not None and (isinstance(this, type(target))
-                                 or isinstance(target, type(this))):
+        if this is not None and (isinstance(this, cls)
+                                 or issubclass(cls, type(this))):
             return
         raise OppRuntimeError(
-            "%r is a %s member of %s" % (field, mode,
-                                         type(target).__name__),
+            "%r is a %s member of %s" % (field, mode, cls.__name__),
             line=line)
 
     def _eval_Index(self, node: ast.Index, scope: Scope) -> Any:
@@ -977,7 +777,8 @@ class Interpreter:
         if isinstance(node.callee, ast.Member):
             target = self._deref(self.eval(node.callee.target, scope),
                                  node.line)
-            self._check_access(target, node.callee.field, scope, node.line)
+            self._check_access(type(target), node.callee.field, scope,
+                               node.line)
             func = getattr(target, node.callee.field, None)
             if func is None:
                 raise OppRuntimeError(
@@ -1034,7 +835,7 @@ class Interpreter:
             return
         if isinstance(target, ast.Member):
             obj = self._deref(self.eval(target.target, scope), target.line)
-            self._check_access(obj, target.field, scope, target.line)
+            self._check_access(type(obj), target.field, scope, target.line)
             setattr(obj, target.field, value)
             return
         if isinstance(target, ast.Index):
@@ -1131,6 +932,52 @@ class Interpreter:
         g.declare("substr", lambda s, i, n: s[i:i + n])
         g.declare("atoi", int)
         g.declare("atof", float)
+
+
+class _Elements:
+    """A set- or list-valued ``forall`` source: reference elements come
+    out as the live objects. Iterated lazily, so members the loop adds
+    are visited (section 3.2)."""
+
+    __slots__ = ("source", "materialize")
+
+    def __init__(self, source, materialize: Callable):
+        self.source = source
+        self.materialize = materialize
+
+    def __iter__(self):
+        return map(self.materialize, self.source)
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __repr__(self) -> str:
+        return repr(self.source)
+
+
+def _source_class(source) -> Optional[type]:
+    """The class a forall source's elements are declared to have: a
+    cluster's (also behind a deep or as-of view), None for a set."""
+    return getattr(getattr(source, "handle", source), "cls", None)
+
+
+def _conjuncts(expr: ast.Node) -> List[ast.Node]:
+    """*expr* split at its top-level ``&&``."""
+    if isinstance(expr, ast.Binary) and expr.op == "&&":
+        return _conjuncts(expr.left) + _conjuncts(expr.right)
+    return [expr]
+
+
+def _mentions(node: ast.Node, names: List[str]) -> bool:
+    """Whether *node* names any of *names* (the loop variables)."""
+    if isinstance(node, ast.Name):
+        return node.ident in names
+    for slot in type(node).__slots__:
+        child = getattr(node, slot, None)
+        for item in child if isinstance(child, list) else (child,):
+            if isinstance(item, ast.Node) and _mentions(item, names):
+                return True
+    return False
 
 
 def _c_format(fmt: str, args: tuple) -> str:

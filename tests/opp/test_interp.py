@@ -220,6 +220,29 @@ class TestPersistenceFromOpp:
         """)
         assert out == "LOW 5"
 
+    def test_trigger_activation_checks_arity(self, interp, db):
+        """Like methods, functions and constructors — not an undefined
+        name when the condition first reads the missing parameter."""
+        run(interp, """
+        class vat {
+          public:
+            int level;
+          trigger:
+            watch(int n) : level <= n ==> printf("LOW %d", level);
+        };
+        create vat;
+        vat *t;
+        t = pnew vat(100);
+        """)
+        for call, got in (("t->watch();", 0), ("t->watch(1, 2);", 2)):
+            with pytest.raises(OppTypeError,
+                               match=r"watch\(\) takes 1 arguments, got %d"
+                               % got):
+                run(interp, call)
+        assert db.triggers.active_count() == 0
+        run(interp, "t->watch(200);")
+        assert "".join(interp.output) == "LOW 100"
+
     def test_versions_from_opp(self, interp):
         out = run(interp, """
         class doc { public: char* text; };
@@ -405,6 +428,50 @@ class TestSuchthatCompilation:
         """)
         assert out == "6"
 
+    def test_mixed_clause_uses_index(self, interp, stocked):
+        """Lowering is per conjunct: the one the interpreter keeps does
+        not cost the other its index."""
+        db, widget = stocked
+        db.create_index(widget, "grade", kind="hash")
+        clause = "(w->grade == 1 && w->price + 0.0 < 5.0)"
+        plan = run(interp, "explain forall w in widget suchthat %s ;"
+                   % clause)
+        assert plan.startswith("index eq-lookup widget.grade == 1")
+        assert "<opaque interpreted>" in plan
+        pages = db.stats()["page_cache"]
+        out = run(interp, """
+        int n = 0;
+        forall w in widget suchthat %s n++;
+        printf("%%d", n);
+        """ % clause)
+        assert db.stats()["page_cache"] == pages    # no heap page walked
+        expected = sum(1 for w in db.cluster(widget)
+                       if w.grade == 1 and w.price < 5.0)
+        assert 0 < expected < 20 and out == str(expected)
+
+    def test_failing_constant_raises_on_first_row(self, interp, stocked):
+        """A constant side that cannot be evaluated is not lowered (and
+        not swallowed): the interpreter raises, with the line."""
+        with pytest.raises(OppNameError, match="line 2.*nosuch"):
+            run(interp, """
+            forall w in widget suchthat (w->grade == nosuch) ;""")
+        run(interp, """
+        class hollow { public: int grade; };
+        create hollow;
+        forall h in hollow suchthat (h->grade == nosuch) ;
+        """)
+
+    def test_repeated_shape_is_one_generated_filter(self, interp, stocked):
+        db, _ = stocked
+        query = "forall w in widget suchthat (w->price > %s) ;"
+        base = db.codegen_cache.misses
+        run(interp, query % "2.0")
+        assert db.codegen_cache.misses == base + 1
+        hits = db.codegen_cache.hits
+        run(interp, query % "7.0")
+        assert (db.codegen_cache.misses, db.codegen_cache.hits) == (
+            base + 1, hits + 1)
+
 
 class TestAccessControl:
     """O++ enforces the class's access sections (paper: encapsulation)."""
@@ -464,6 +531,37 @@ class TestAccessControl:
             k = new child(1, 2);
             k->secret;
             """)
+
+    @pytest.mark.parametrize("clause", [
+        "suchthat (a->secret == 42)",           # lowered to a predicate
+        "suchthat (a->secret + 0 == 42)",       # left to the interpreter
+        "suchthat (a->shown == 7 && 42 == a->secret)",
+        "by (a->secret)",
+        "suchthat (a->shown == 7) by (a->secret + 0) desc",
+    ])
+    def test_private_member_hidden_from_forall_clauses(self, interp, clause):
+        run(interp, self.SOURCE + "create account; pnew account(42, 7);")
+        with pytest.raises(OppRuntimeError, match="'secret' is a private"):
+            run(interp, "forall a in account %s ;" % clause)
+
+    def test_member_function_may_query_private_members(self, interp):
+        out = run(interp, """
+        class vault {
+            int secret;
+          public:
+            vault(int s) { secret = s; }
+            int twins() {
+                int n = 0;
+                forall v in vault suchthat (v->secret == secret) n++;
+                return n;
+            }
+        };
+        create vault;
+        vault *v0;
+        v0 = pnew vault(3); pnew vault(3); pnew vault(4);
+        printf("%d", v0->twins());
+        """)
+        assert out == "2"
 
     def test_python_classes_unrestricted(self, interp, db):
         """Only O++-declared access sections are enforced; Python classes

@@ -1,7 +1,6 @@
-"""Unit tests for the expression compiler (query/codegen.py) and the
-O++ body compiler (opp/codegen.py): cache keying, what does and does not
-consult the cache, linecache registration, explain/dump-code output,
-metrics wiring, and the disable switches."""
+"""Unit tests for the expression compiler (query/codegen.py): cache
+keying, what does and does not consult the cache, linecache registration,
+explain/dump-code output, metrics wiring, and the disable switches."""
 
 import linecache
 
@@ -9,7 +8,6 @@ import pytest
 
 from repro.core import Database, IntField, OdeObject, StringField
 from repro.obs import render_prometheus
-from repro.opp import codegen as opp_codegen
 from repro.opp.interp import Interpreter
 from repro.query import V, forall
 from repro.query.predicates import Compare
@@ -185,105 +183,6 @@ class TestMetrics:
         assert db._q_mode_compiled.value == compiled_before + 1
         forall(handle).suchthat(Compare("num", "<", 9)).codegen(False).count()
         assert db._q_mode_interpreted.value == interp_before + 1
-
-
-class TestOppCodegen:
-    SOURCE = """
-class gadget {
-    public:
-        char* name;
-        int qty;
-        int level;
-    constraint:
-        qty >= 0;
-    trigger:
-        restock(int n) : qty <= level ==> refill(this, n);
-};
-
-void refill(gadget* g, int n) {
-    g->qty = g->qty + n;
-}
-
-create gadget;
-persistent gadget *gp;
-transaction { gp = pnew gadget("widget", 50, 10); }
-"""
-
-    def test_bodies_compile(self, db):
-        before = dict(opp_codegen.stats)
-        interp = Interpreter(db)
-        interp.run(self.SOURCE)
-        assert opp_codegen.stats["compiled"] >= before["compiled"] + 3
-        cls = interp.globals.vars["gadget"]
-        check = cls.__dict__["constraint_0"]
-        assert hasattr(check, "_ode_source")
-        trig = cls._ode_triggers["restock"]
-        assert hasattr(trig.condition, "_ode_compiled")
-        assert hasattr(trig.action, "_ode_compiled")
-        source = trig.action._ode_compiled._ode_source
-        assert source.startswith("def __ode_body")
-
-    def test_trigger_fires_compiled(self, db):
-        interp = Interpreter(db)
-        interp.run(self.SOURCE)
-        interp.run("transaction { gp->restock(100); }\n"
-                   "transaction { gp->qty = 5; }\n")
-        cls = interp.globals.vars["gadget"]
-        obj = next(iter(db.cluster(cls)))
-        assert obj.qty == 105  # condition fired at 5 <= 10, +100
-
-    def test_constraint_enforced_compiled(self, db):
-        from repro.errors import ConstraintViolation
-        interp = Interpreter(db)
-        interp.run(self.SOURCE)
-        with pytest.raises(ConstraintViolation):
-            interp.run("transaction { gp->qty = -1; }\n")
-
-    def test_disabled_falls_back(self, db):
-        db.codegen_enabled = False
-        before = opp_codegen.stats["compiled"]
-        interp = Interpreter(db)
-        interp.run(self.SOURCE)
-        assert opp_codegen.stats["compiled"] == before
-        cls = interp.globals.vars["gadget"]
-        assert not hasattr(cls.__dict__["constraint_0"], "_ode_source")
-        # behavior is identical regardless
-        interp.run("transaction { gp->restock(7); }\n"
-                   "transaction { gp->qty = 3; }\n")
-        obj = next(iter(db.cluster(cls)))
-        assert obj.qty == 10
-
-    def test_unsupported_body_falls_back(self, db):
-        # a forall statement inside a trigger action has no lowering
-        src = """
-class oddball {
-    public:
-        int v;
-    trigger:
-        t() : v > 5 ==> { forall x in oddball printf("%d\\n", x->v); };
-};
-"""
-        before = opp_codegen.stats["fallbacks"]
-        interp = Interpreter(db)
-        interp.run(src)
-        assert opp_codegen.stats["fallbacks"] > before
-        cls = interp.globals.vars["oddball"]
-        trig = cls._ode_triggers["t"]
-        assert not hasattr(trig.action, "_ode_compiled")
-
-    def test_opp_forall_uses_plan_cache(self, db):
-        interp = Interpreter(db)
-        interp.run(self.SOURCE)
-        interp.run("transaction { pnew gadget(\"b\", 5, 1); }\n")
-        base = db.codegen_cache.misses
-        interp.run('forall g in gadget suchthat (g->qty > 0) '
-                   'printf("%s\\n", g->name);\n')
-        assert db.codegen_cache.misses == base + 1
-        interp.run('forall g in gadget suchthat (g->qty > 3) '
-                   'printf("%s\\n", g->name);\n')
-        # same structural shape: served from the codegen cache
-        assert db.codegen_cache.misses == base + 1
-        assert db.codegen_cache.hits > 0
 
 
 class TestPredicateTriggerCondition:
