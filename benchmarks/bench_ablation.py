@@ -1,18 +1,19 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-Two mechanisms were added during development after profiling; each can be
-switched off, and these benches measure both settings so the win is
-recorded, not just asserted:
+A mechanism added during development after profiling can be switched
+off, and these benches measure both settings so the win is recorded, not
+just asserted:
 
-* **The decoded-record cache** of the extendible hash index
-  (LSN-validated memoisation of decoded page records). Off = decode the
-  record on every access. (The B+tree's decoded-node cache went with
-  EXP-25: descent and point search run on page bytes; what is left is a
-  decoded-leaf cache for range scans, whose with/without numbers that
-  experiment records.)
 * **Serial-block allocation** in the Store (object serial numbers are
   reserved from the catalog 64 at a time). Off (block=1) = one catalog
   record rewrite per pnew.
+
+The index caches are gone or measured elsewhere: the extendible hash
+index and its decoded-record cache went with EXP-27 (``kind="hash"`` is
+a B+tree), the B+tree's decoded-node cache with EXP-25 (descent and
+point search run on page bytes; the decoded-leaf cache for range scans
+has its with/without numbers in that experiment). The cold-path benches
+below are the baselines those experiments compare against.
 """
 
 import pytest
@@ -20,16 +21,7 @@ import pytest
 from conftest import BenchItem, populate_items
 
 from repro import Oid
-from repro.storage.hashindex import HashIndex
 from repro.storage.store import Store
-
-
-@pytest.fixture
-def caches_disabled():
-    saved = HashIndex.CACHE_SIZE
-    HashIndex.CACHE_SIZE = 0
-    yield
-    HashIndex.CACHE_SIZE = saved
 
 
 @pytest.fixture
@@ -47,28 +39,14 @@ def cold_scan(db, n):
     return count
 
 
-class TestNodeCacheAblation:
+class TestColdPaths:
     N = 800
 
-    def test_cold_scan_cache_on(self, benchmark, db):
+    def test_cold_scan(self, benchmark, db):
         populate_items(db, self.N)
         benchmark(lambda: cold_scan(db, self.N))
 
-    def test_cold_scan_cache_off(self, benchmark, db, caches_disabled):
-        populate_items(db, self.N)
-        benchmark(lambda: cold_scan(db, self.N))
-
-    def test_point_deref_cache_on(self, benchmark, db):
-        populate_items(db, self.N)
-        oid = Oid("BenchItem", self.N // 2)
-
-        def fault():
-            db._cache.clear()
-            return db.deref(oid).qty
-
-        benchmark(fault)
-
-    def test_point_deref_cache_off(self, benchmark, db, caches_disabled):
+    def test_point_deref(self, benchmark, db):
         populate_items(db, self.N)
         oid = Oid("BenchItem", self.N // 2)
 

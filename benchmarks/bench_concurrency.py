@@ -16,7 +16,6 @@ counts, not timings::
 """
 
 import math
-import os
 import sys
 import tempfile
 import threading
@@ -138,22 +137,17 @@ class TestReadersWithWriter:
 
 
 class _MvccMode:
-    """Open a Database with MVCC forced on or off, restoring the env."""
+    """Open a Database reading under MVCC or, off, strict 2PL."""
 
     def __init__(self, path, on):
         self.path, self.on = str(path), on
 
     def __enter__(self):
-        self._prev = os.environ.get("REPRO_MVCC")
-        os.environ["REPRO_MVCC"] = "1" if self.on else "0"
         self.db = Database(self.path)
+        self.db._mvcc_on = self.on
         return self.db
 
     def __exit__(self, *exc):
-        if self._prev is None:
-            os.environ.pop("REPRO_MVCC", None)
-        else:
-            os.environ["REPRO_MVCC"] = self._prev
         if not self.db._closed:
             self.db.close()
         return False

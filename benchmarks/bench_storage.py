@@ -2,8 +2,8 @@
 
 The paper never published numbers for its persistent store; these benches
 characterise ours so every higher-level number has a substrate baseline:
-commit latency vs payload size, index probe vs heap scan, B+tree vs hash
-point lookups, recovery time vs log length, buffer pool hit/miss costs.
+commit latency vs payload size, index probe vs heap scan, B+tree point
+lookups, recovery time vs log length, buffer pool hit/miss costs.
 
 ``--gate`` (run by ``make bench-index-smoke`` and CI) checks what one
 ordered-index maintenance operation costs in *counts* — pages edited, WAL
@@ -21,7 +21,6 @@ import pytest
 
 from repro.storage.btree import BTree
 from repro.storage.buffer import BufferPool
-from repro.storage.hashindex import HashIndex
 from repro.storage.heap import HeapFile
 from repro.storage.journal import Journal
 from repro.storage.pagefile import PageFile
@@ -81,39 +80,31 @@ class TestIndexLookups:
         txn = journal.begin()
         heap = HeapFile.create(journal, txn)
         btree = BTree.create(journal, txn)
-        hindex = HashIndex.create(journal, txn)
-        rids = {}
         for i in range(self.N):
             rid = heap.insert(txn, b"record-%06d" % i)
             btree.insert(txn, i, tuple(rid))
-            hindex.insert(txn, i, tuple(rid))
-            rids[i] = rid
         journal.commit(txn)
-        return heap, btree, hindex
+        return heap, btree
 
     def test_btree_point_lookup(self, benchmark, loaded):
-        heap, btree, hindex = loaded
+        heap, btree = loaded
         assert benchmark(lambda: btree.search(self.N // 2))
 
-    def test_hash_point_lookup(self, benchmark, loaded):
-        heap, btree, hindex = loaded
-        assert benchmark(lambda: hindex.search(self.N // 2))
-
     def test_btree_range_100(self, benchmark, loaded):
-        heap, btree, hindex = loaded
+        heap, btree = loaded
         result = benchmark(lambda: list(btree.range(1000, 1100)))
         assert len(result) == 100
 
     def test_heap_full_scan(self, benchmark, loaded):
-        heap, btree, hindex = loaded
+        heap, btree = loaded
         assert benchmark(lambda: sum(1 for _ in heap.scan())) == self.N
 
     def test_probe_then_heap_read(self, benchmark, loaded):
         from repro.storage.heap import RID
-        heap, btree, hindex = loaded
+        heap, btree = loaded
 
         def point_read():
-            rid = hindex.search(self.N // 3)[0]
+            rid = btree.search(self.N // 3)[0]
             return heap.read(RID(*rid))
 
         assert benchmark(point_read) == b"record-%06d" % (self.N // 3)
@@ -210,18 +201,18 @@ def run_gate(tmpdir) -> int:
     wal.log_update = counting_log_update
     node_codec_calls = [0]
 
-    def counting(fn, result_is_bytes):
+    def counting(fn):
         def wrapper(value):
             out = fn(value)
             # An entry's own key or value is a few bytes here; anything
             # this long is a node's worth of entries.
-            if len(out if result_is_bytes else value) > 512:
+            if len(out) > 512:
                 node_codec_calls[0] += 1
             return out
         return wrapper
 
-    btree_mod.encode_value = counting(btree_mod.encode_value, True)
-    btree_mod.decode_value = counting(btree_mod.decode_value, False)
+    # (The tree decodes nothing whole: decode_prefix reads one value.)
+    btree_mod.encode_value = counting(btree_mod.encode_value)
 
     def measured(op, *args):
         del pages_logged[:]
@@ -265,7 +256,7 @@ def run_gate(tmpdir) -> int:
               % per_leaf, max(pages for pages, _ in deletes), 1)
         check("delete from an n-entry leaf: WAL bytes (8n + 256)",
               max(nbytes for _, nbytes in deletes), 8 * per_leaf + 256)
-        check("whole-node encode_value/decode_value calls in %d ops"
+        check("whole-node encode_value calls in %d ops"
               % (len(appends) + len(deletes)), node_codec_calls[0], 0)
         store.commit(txn)
 

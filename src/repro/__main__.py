@@ -103,8 +103,7 @@ def _directory_series(db: Database) -> MetricsRegistry:
     gauges, built from one ``db.stats()`` walk at render time."""
     series = MetricsRegistry()
     for name, info in db.stats()["directory"].items():
-        for field in ("layout", "leaf_pages", "live_entries",
-                      "dead_entries"):
+        for field in ("leaf_pages", "live_entries", "dead_entries"):
             series.gauge("directory." + field, cluster=name).set(info[field])
     return series
 
@@ -168,10 +167,9 @@ def _print_stats(db: Database) -> None:
                      info["fragmentation"]))
         print("object directories:")
         for name, info in sorted(stats["directory"].items()):
-            print("  %-20s %-5s %4d leaf page(s), %6d live, %6d dead "
-                  "entries"
-                  % (name, info["layout"], info["leaf_pages"],
-                     info["live_entries"], info["dead_entries"]))
+            print("  %-20s %4d leaf page(s), %6d live, %6d dead entries"
+                  % (name, info["leaf_pages"], info["live_entries"],
+                     info["dead_entries"]))
     # Persisted summaries exist for analyzed/mutated clusters only; load
     # every cluster's summary so the report is complete.
     for name in db.clusters():

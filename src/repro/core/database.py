@@ -36,7 +36,6 @@ key                record
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -310,13 +309,13 @@ class Database:
         """
         self.store = Store(path, pool_size=pool_size, durability=durability,
                            shards=shards)
-        #: MVCC snapshot reads (the default): transactions read as of a
-        #: snapshot LSN through per-object version histories instead of
-        #: taking S locks; X locks remain for write-write conflicts.
-        #: ``REPRO_MVCC=0`` (or flipping this attribute before any
-        #: transaction runs) restores strict-2PL shared locking — the
-        #: differential harness uses that to prove read equivalence.
-        self._mvcc_on = os.environ.get("REPRO_MVCC", "1") != "0"
+        #: MVCC snapshot reads: transactions read as of a snapshot LSN
+        #: through per-object version histories instead of taking S
+        #: locks; X locks remain for write-write conflicts. Setting this
+        #: False before any transaction runs restores strict-2PL shared
+        #: locking — the reference the differential tests compare
+        #: snapshot reads against.
+        self._mvcc_on = True
         self._mvcc = MVCCManager(start_lsn=self.store._wal.end_lsn)
         self.store.on_commit = self._on_store_commit
         self.triggers = TriggerManager(self)
@@ -731,7 +730,8 @@ class Database:
         if not self._mvcc_on:
             if as_of is not None:
                 raise TransactionError(
-                    "as-of reads require MVCC (REPRO_MVCC=0 disables it)")
+                    "as-of reads require MVCC (this database reads "
+                    "under strict 2PL)")
             return None
         if as_of is not None:
             self._mvcc.check_snapshot(as_of)

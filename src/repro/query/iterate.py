@@ -116,8 +116,8 @@ class Forall:
 
         Every cluster source (handle or deep view) is replaced by its
         as-of view; non-cluster sources (lists, sets) are unaffected.
-        Requires MVCC (``REPRO_MVCC=0`` disables it) and a token within
-        the retention window.
+        Requires MVCC (the default read mode) and a token within the
+        retention window.
         """
         wrapped = []
         any_cluster = False

@@ -6,11 +6,11 @@ introspectable predicate, every applicable access path is *priced* using
 the cluster's statistics (:mod:`repro.query.stats`) and the cheapest one
 wins:
 
-* **index equality lookup** — a conjunct ``A.f == c`` on an indexed field
-  (hash or B+tree);
+* **index equality lookup** — a conjunct ``A.f == c`` on an indexed field;
 * **index range scan** — conjuncts ``A.f < c`` / ``<=`` / ``>`` / ``>=``
-  combined into the tightest [lo, hi] interval on a B+tree-indexed field;
-* **composite-index scan** — a composite (multi-field) B+tree index whose
+  combined into the tightest [lo, hi] interval on an indexed field (every
+  index is a B+tree, whatever ``kind`` it was created with);
+* **composite-index scan** — a composite (multi-field) index whose
   leading fields all have equality conjuncts, optionally with a range on
   the next field: executed as a tuple-key range scan;
 * **full scan** — always a candidate, and *chosen* when statistics say the
@@ -60,8 +60,8 @@ COST_SEQ_ROW = 1.0
 #: Cost of one index descent/probe.
 COST_INDEX_PROBE = 2.0
 #: Cost of fetching one row found through an index (random access through
-#: the object directory: pricier than the next row of a heap scan, but the
-#: directory is hashed and pages are pooled, so not by much).
+#: the object table: pricier than the next row of a heap scan, but the
+#: table is addressed by serial and pages are pooled, so not by much).
 COST_FETCH_ROW = 1.5
 
 #: Defaults when no statistics exist for the cluster.
@@ -526,7 +526,7 @@ def _build_candidates(source, pred: Predicate,
 
     for name in sorted(indexed):
         info = indexed[name]
-        # 1. full-equality match (single or composite, any index kind).
+        # 1. full-equality match (single or composite).
         if all(f in eq_by_field for f in info.fields):
             idxs = [eq_by_field[f][0] for f in info.fields]
             used = [eq_by_field[f][1] for f in info.fields]
@@ -548,9 +548,7 @@ def _build_candidates(source, pred: Predicate,
             candidates.append(_Candidate(plan, ("eq", name, tuple(idxs)),
                                          cost))
             continue
-        if info.kind != "btree":
-            continue
-        # 2. composite B+tree with equality on a proper prefix (and an
+        # 2. composite index with equality on a proper prefix (and an
         #    optional range on the field right after the prefix).
         if len(info.fields) >= 2:
             prefix_idx: List[int] = []
@@ -594,7 +592,7 @@ def _build_candidates(source, pred: Predicate,
                     plan, ("comp", name, len(info.fields),
                            tuple(prefix_idx), tuple(bound_idx)), cost))
             continue
-        # 3. range on a single-field B+tree index.
+        # 3. range on a single-field index.
         field = info.fields[0]
         bounds = [(i, c) for i, c in comparisons
                   if c.attr == field and c.op in ("<", "<=", ">", ">=")]

@@ -10,7 +10,6 @@ from .btree import BTree
 from .buffer import BufferPool
 from .catalog import Catalog, ClusterInfo, IndexInfo
 from .codec import decode_value, encode_key, encode_value
-from .hashindex import HashIndex, stable_hash
 from .heap import RID, HeapFile
 from .journal import Journal
 from .locks import EXCLUSIVE, SHARED, LockManager
@@ -22,7 +21,7 @@ from .wal import LogRecordType, WriteAheadLog
 
 __all__ = [
     "BTree", "BufferPool", "Catalog", "ClusterInfo", "IndexInfo",
-    "decode_value", "encode_key", "encode_value", "HashIndex", "stable_hash",
+    "decode_value", "encode_key", "encode_value",
     "RID", "HeapFile", "Journal", "EXCLUSIVE", "SHARED", "LockManager",
     "PAGE_SIZE", "PageType", "SlottedPage", "PageFile", "RecoveryReport",
     "recover", "Store", "LogRecordType", "WriteAheadLog",

@@ -76,7 +76,7 @@ from contextlib import nullcontext
 from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import CodecError, DuplicateKeyError, IndexError_
-from .codec import decode_prefix, decode_value, encode_key, encode_value
+from .codec import decode_prefix, encode_key, encode_value
 from .journal import Journal
 from .page import (_SLOT, HEADER_SIZE, MAX_RECORD_SIZE, NO_PAGE, PAGE_SIZE,
                    SLOT_SIZE, PageType, SlottedPage)
@@ -282,27 +282,46 @@ class BTree:
                     buf, page.slot_count, kb, tie, strict))
 
     def _descend(self, kb: bytes, tie: bytes, strict: bool = False):
-        """``(path, leaf page, upper)`` for a writer.
-
-        *path* lists ``(page_no, slot taken, child count)`` per internal
-        level. *upper* is the smallest separator above the leaf's range —
-        the sort key that routes to the next leaf — or None on the
-        rightmost leaf.
-        """
+        """``(path, leaf page)`` for a writer: *path* lists ``(page_no,
+        slot taken, child count)`` per internal level."""
         path: List[Tuple[int, int, int]] = []
-        upper = None
         page_no = self.root_page
         while True:
             with self._pool.page(page_no) as page:
                 if page.page_type == _LEAF:
-                    return path, page_no, upper
+                    return path, page_no
                 buf, n = page.buf, page.slot_count
                 slot = self._child_slot(buf, n, kb, tie, strict)
-                if slot + 1 < n:
-                    k, end, stop = _key_at(buf, slot + 1)
-                    upper = bytes(k), bytes(buf[end:stop - _CHILD.size])
                 path.append((page_no, slot, n))
                 page_no = _child_at(buf, slot)
+
+    def _upper(self, path: List[Tuple[int, int, int]]):
+        """The smallest separator above the range of the leaf *path*
+        leads to — the sort key that routes to the next leaf — or None
+        on the rightmost leaf."""
+        for page_no, slot, n in reversed(path):
+            if slot + 1 < n:
+                with self._pool.page(page_no) as page:
+                    k, end, stop = _key_at(page.buf, slot + 1)
+                    return bytes(k), bytes(page.buf[end:stop - _CHILD.size])
+        return None
+
+    def _next_leaf(self, path: List[Tuple[int, int, int]]):
+        """``(path, leaf page)`` of the leaf after the one *path* leads to
+        (which must not be the rightmost), found by position: a descent
+        by sort key cannot tell apart leaves whose separators are equal
+        (copies of one pair, split one to a leaf)."""
+        depth = max(i for i, (_no, slot, n) in enumerate(path)
+                    if slot + 1 < n)
+        page_no, slot, n = path[depth]
+        path = path[:depth] + [(page_no, slot + 1, n)]
+        while True:
+            with self._pool.page(page_no) as page:
+                page_no = _child_at(page.buf, path[-1][1])
+            with self._pool.page(page_no) as page:
+                if page.page_type == _LEAF:
+                    return path, page_no
+                path.append((page_no, 0, page.slot_count))
 
     # -- insert ---------------------------------------------------------------
 
@@ -320,7 +339,7 @@ class BTree:
                 "index entry for key %r is too large (%d-byte limit)"
                 % (key, MAX_ENTRY_BYTES))
         while True:
-            path, leaf_no, _ = self._descend(kb, tie)
+            path, leaf_no = self._descend(kb, tie)
             with self._journal.edit(txn, leaf_no) as page:
                 buf, n = page.buf, page.slot_count
                 pos = self._leaf_slot(buf, n, kb, tie)
@@ -422,24 +441,33 @@ class BTree:
     # -- lookup ---------------------------------------------------------------
 
     def search(self, key: Any) -> List[Any]:
-        """All values stored under *key* (empty list if none)."""
+        """All values stored under *key* (empty list if none).
+
+        The equality probe of every index: pins and unpins directly
+        instead of through ``pool.page()``, whose context object costs
+        a measurable share of a two-level descent."""
         kb = encode_key(key)
         out: List[Any] = []
+        pool = self._pool
         page_no = self.root_page
         while page_no != NO_PAGE:
-            with self._pool.page(page_no) as page:
+            page = pool.pin(page_no)
+            try:
                 buf, n = page.buf, page.slot_count
                 if page.page_type != _LEAF:
-                    page_no = _child_at(buf, self._child_slot(buf, n, kb, b""))
-                    continue
-                for slot in range(self._leaf_slot(buf, n, kb, b""), n):
-                    k, end, _stop = _key_at(buf, slot)
-                    if k != kb:
-                        return out  # sorted: the run (if any) has ended
-                    out.append(decode_prefix(buf, end)[0])
-                # Reached the end of this leaf without passing kb: the run
-                # may continue (or begin) on the next leaf in the chain.
-                page_no = page.next_page
+                    nxt = _child_at(buf, self._child_slot(buf, n, kb, b""))
+                else:
+                    for slot in range(self._leaf_slot(buf, n, kb, b""), n):
+                        k, end, _stop = _key_at(buf, slot)
+                        if k != kb:
+                            return out  # sorted: the run has ended
+                        out.append(decode_prefix(buf, end)[0])
+                    # Reached the end of this leaf without passing kb: the
+                    # run may continue (or begin) on the next leaf.
+                    nxt = page.next_page
+            finally:
+                pool.unpin(page_no)
+            page_no = nxt
         return out
 
     def contains(self, key: Any) -> bool:
@@ -594,11 +622,11 @@ class BTree:
         tie = b"" if value is None else self._tie_of(value)
         removed = 0
         # Start at the leftmost leaf that can hold the pair (copies of one
-        # (key, value) pair may straddle a separator equal to them);
-        # continue through each next leaf's lower bound.
+        # (key, value) pair may straddle a separator equal to them) and
+        # walk right, starting over whenever a detach reshaped the tree.
         target = (kb, tie, bool(tie))
+        path, leaf_no = self._descend(*target)
         while True:
-            path, leaf_no, upper = self._descend(*target)
             with self._journal.edit(txn, leaf_no) as page:
                 buf, n = page.buf, page.slot_count
                 pos = self._leaf_slot(buf, n, kb, tie)
@@ -619,14 +647,17 @@ class BTree:
                     else:
                         past = True
                 nxt = page.next_page
-            if n == 0 and leaf_no != self.root_page:
+            upper = self._upper(path)
+            detached = n == 0 and leaf_no != self.root_page
+            if detached:
                 self._detach_leaf(txn, path, leaf_no, nxt)
             # The run continues on the next leaf only if that leaf's lower
             # bound still lies inside it.
             if (past or upper is None or upper[0] != kb
                     or (value is not None and upper[1] > tie)):
                 return removed
-            target = upper + (False,)
+            path, leaf_no = (self._descend(*target) if detached
+                             else self._next_leaf(path))
 
     def _detach_leaf(self, txn: int, path: List[Tuple[int, int, int]],
                      leaf_no: int, leaf_next: int) -> None:
@@ -762,31 +793,3 @@ class BTree:
                 child = _CHILD.unpack_from(record, len(record) - _CHILD.size)
                 self._check_node(child[0], bounds[i], bounds[i + 1], leaves)
 
-
-def upgrade_legacy_tree(journal: Journal, txn: int, root_page: int,
-                        unique: bool) -> BTree:
-    """Rebuild a format-3 tree (page-file versions 2 and 3) as a new tree.
-
-    Up to format 3 a node was ONE slotted-page record: the codec-encoded
-    list ``[leaf?, key bytes, keys, values | children, tiebreaks]`` of
-    parallel lists, rewritten whole by every insert and delete. This
-    function holds the only reader of that layout: it walks the old tree
-    in order, inserts every entry into a fresh tree (ascending, so the
-    append-biased split packs the leaves), and schedules the old pages
-    for the free list at *txn*'s commit. The caller swaps the catalog's
-    root pointer inside the same transaction.
-    """
-    pool = journal._pool
-    tree = BTree.create(journal, txn, unique=unique)
-    stack = [root_page]
-    while stack:
-        page_no = stack.pop()
-        with pool.page(page_no) as page:
-            is_leaf, _kbs, keys, payload, _ties = decode_value(page.read(0))
-        if is_leaf:
-            for key, value in zip(keys, payload):
-                tree.insert(txn, key, value)
-        else:
-            stack.extend(reversed(payload))
-        journal.free_page_deferred(txn, page_no)
-    return tree

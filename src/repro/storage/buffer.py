@@ -226,14 +226,11 @@ class BufferPool:
                     continue
                 span_page = raw[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]
                 if not verify_checksum(span_page):
-                    # Never admit corrupt bytes. Quarantine via the
-                    # handler; the later pin of this page raises the
-                    # typed error on the reader's own stack.
-                    self.checksum_failures += 1
-                    if self.on_corrupt_page is not None:
-                        self.on_corrupt_page(no, CorruptPageError(
-                            "page %d failed its checksum (readahead)" % no,
-                            page_no=no))
+                    # Never admit corrupt bytes, and never quarantine on
+                    # speculation: the span may cover pages no structure
+                    # reaches (one whose free-list write tore, say). A
+                    # reader that does pin this page faults it in itself
+                    # and meets the typed error on its own stack.
                     continue
                 # Admit at the MRU end first so evictions triggered by the
                 # batch itself pick older frames, never batch-mates ...

@@ -10,9 +10,8 @@ Catalog records are codec-encoded dicts. Two record shapes exist:
 ``{"kind": "cluster", ...}``
     One per cluster (the paper's type extents): name, numeric id, parent
     cluster names, the first page of the cluster's object heap, the root
-    page of its object table (:mod:`repro.storage.objtable`; on a version-2
-    store, the directory page of a hash index), the next serial number,
-    and its secondary indexes (field name -> descriptor).
+    page of its object table (:mod:`repro.storage.objtable`), the next
+    serial number, and its secondary indexes (field name -> descriptor).
 
 ``{"kind": "meta", "key": ..., "value": ...}``
     Free-form key/value metadata used by the object layer (schema notes,
@@ -36,7 +35,9 @@ class IndexInfo:
     ``field`` is the registry name ("age", or "region,age" for a
     composite index); ``fields`` is the ordered list of indexed fields.
     Single-field indexes key on the field value; composite indexes key on
-    the tuple of values, in declaration order.
+    the tuple of values, in declaration order. ``kind`` is ``"btree"``;
+    ``"hash"`` survives only in files written before hash indexes became
+    B+trees, until :mod:`repro.storage.upgrade` converts them at open.
     """
 
     __slots__ = ("field", "fields", "kind", "root_page", "unique")

@@ -46,10 +46,6 @@ and the recluster daemon runs that rebuild for a shard once its table
 holds more dead entries than live ones (``Store.crowded_directories``),
 so a sliding window's directory stays within a constant factor of its
 live size on a running system.
-
-:class:`HashDirectory` presents the version-2 layout — a
-:class:`~repro.storage.hashindex.HashIndex` keyed on the tuple — through
-the same interface, for clusters not yet rewritten by a vacuum.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import IndexError_, StorageError
-from .hashindex import HashIndex
 from .journal import Journal
 from .page import HEADER_SIZE, NO_PAGE, PAGE_SIZE, PageType
 
@@ -111,8 +106,6 @@ def _new_page(journal: Journal, txn: int, page_type: int) -> int:
 
 class ObjectTable:
     """Serial-indexed ``(serial, version) -> (page, slot)`` table."""
-
-    layout = "table"
 
     def __init__(self, journal: Journal, root_page: int, stride: int = 1):
         self._journal = journal
@@ -324,8 +317,8 @@ class ObjectTable:
             leaf_pages += 1
             live += flags.count(LIVE)
             dead += flags.count(DEAD)
-        return {"layout": self.layout, "leaf_pages": leaf_pages,
-                "live_entries": live, "dead_entries": dead}
+        return {"leaf_pages": leaf_pages, "live_entries": live,
+                "dead_entries": dead}
 
     def check_invariants(self) -> None:
         """Validate the table; raises :class:`IndexError_` if broken."""
@@ -353,49 +346,3 @@ class ObjectTable:
                                           % ((serial, version),))
                     live.add((serial, version))
 
-
-class HashDirectory:
-    """The version-2 object directory behind the table's interface.
-
-    Which class serves a cluster is decided by the page type of its
-    ``directory_page`` alone; a vacuum rewrites the cluster as an
-    :class:`ObjectTable` and this adapter stops being used for it.
-    """
-
-    layout = "hash"
-    deletes = 0     # nothing dies in place here; see ObjectTable.deletes
-
-    def __init__(self, journal: Journal, root_page: int):
-        # unique=False: the store probes before every insert, and a
-        # non-unique index may append to a chained bucket's tail without
-        # decoding the chain.
-        self._index = HashIndex(journal, root_page)
-        self.root_page = root_page
-
-    def search(self, key) -> Optional[Tuple[int, int]]:
-        hit = self._index.search(key)
-        return tuple(hit[0]) if hit else None
-
-    def insert(self, txn: int, key, rid) -> None:
-        self._index.insert(txn, key, tuple(rid))
-
-    def delete(self, txn: int, key) -> Optional[Tuple[int, int]]:
-        rid = self.search(key)
-        if rid is not None:
-            self._index.delete(txn, key)
-        return rid
-
-    def items(self):
-        for key, rid in self._index.items():
-            yield tuple(key), tuple(rid)
-
-    def pages(self) -> List[int]:
-        return self._index.pages()
-
-    def stats(self) -> Dict[str, object]:
-        return {"layout": self.layout,
-                "leaf_pages": len(self._index.pages()) - 1,
-                "live_entries": len(self._index), "dead_entries": 0}
-
-    def check_invariants(self) -> None:
-        self._index.check_invariants()

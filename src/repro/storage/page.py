@@ -33,7 +33,7 @@ with ``offset == 0`` is a tombstone (payloads can never start at offset 0
 because the header occupies it).
 
 A page is used in one of two disciplines. *Stable-slot* pages (heaps,
-hash buckets) address records by slot number: :meth:`SlottedPage.insert`
+the catalog) address records by slot number: :meth:`SlottedPage.insert`
 / :meth:`SlottedPage.delete` never move a live slot. *Ordered* pages
 (B+tree nodes) keep the slot directory in the caller's sort order:
 :meth:`SlottedPage.insert_at` / :meth:`SlottedPage.remove_at` shift the
@@ -114,8 +114,8 @@ class PageType:
     HEAP = 2
     BTREE_INTERNAL = 3
     BTREE_LEAF = 4
-    HASH_BUCKET = 5
-    HASH_DIRECTORY = 6
+    HASH_BUCKET = 5      # retired: converted at open (storage.upgrade)
+    HASH_DIRECTORY = 6   # retired: converted at open (storage.upgrade)
     CATALOG = 7
     OVERFLOW = 8
     TABLE_NODE = 9   # object-table root / mid page (child page numbers)

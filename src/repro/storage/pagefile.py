@@ -31,20 +31,21 @@ from .page import NO_PAGE, PAGE_SIZE, PageType, stamp_checksum
 _MAGIC = b"ODEREPRO"
 # v2: page headers grew a crc32c checksum field (see repro.storage.page).
 # v3: cluster object directories are serial-indexed tables
-#     (repro.storage.objtable); a version-2 file keeps its hash
-#     directories until vacuumed.
+#     (repro.storage.objtable), no longer extendible hashes.
 # v4: a B+tree node is an ordered slotted page, one record per entry
 #     (repro.storage.btree).
 # An older file opens as is and keeps its stamp until the store has
-# rebuilt its B+trees (Store._upgrade_format), which then stamps 4 — so
-# an older binary refuses a file that holds structures it cannot read.
+# converted every retired structure in it (repro.storage.upgrade), which
+# then stamps 4 — so an older binary refuses a file that holds
+# structures it cannot read.
 _FORMAT_VERSION = 4
 _READABLE_VERSIONS = (2, 3, 4)
 _FILE_HDR = struct.Struct("<8sIxxxxQQ")
 
-#: Test hook: set to skip checksum stamping on write — an intentionally
-#: broken build the crash harness must catch (and does).
-_SKIP_CHECKSUM_ENV = "REPRO_SKIP_CHECKSUM"
+#: Test hook: True skips checksum stamping on write — an intentionally
+#: broken build the crash harness must catch (and does). Read when a
+#: page file opens.
+SKIP_CHECKSUM = False
 
 
 class PageFile:
@@ -62,7 +63,7 @@ class PageFile:
         """
         self.path = path
         self._faults = faults
-        self._stamp = not os.environ.get(_SKIP_CHECKSUM_ENV)
+        self._stamp = not SKIP_CHECKSUM
         exists = os.path.exists(path) and os.path.getsize(path) > 0
         if create is True and exists:
             raise StorageError("page file already exists: %s" % path)

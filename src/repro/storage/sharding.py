@@ -2,7 +2,7 @@
 
 The store can split its pages across N *shards*, each with its own page
 file, buffer pool and latch (``<path>`` for shard 0, ``<path>.s1`` ...
-for the rest). Everything above the pool — heap files, hash indexes,
+for the rest). Everything above the pool — heap files, object tables,
 B+trees, the journal, crash recovery — keeps addressing pages by a single
 integer; sharding works because that integer becomes a *global page id*
 (gpid) that encodes its shard::

@@ -7,9 +7,9 @@ manager and catalog behind an API of *clusters* holding *objects*:
   table (:mod:`repro.storage.objtable`) mapping object keys to heap RIDs.
 * An object is an opaque codec-encodable dict addressed by a
   ``(serial, version)`` key of unsigned 32-bit integers.
-* Secondary indexes (B+tree or hash) may be created per cluster; the
-  *caller* maintains their entries (the store does not know which fields
-  of the payload are indexed).
+* Secondary indexes (B+trees) may be created per cluster; the *caller*
+  maintains their entries (the store does not know which fields of the
+  payload are indexed).
 
 Opening a store whose WAL is non-empty runs crash recovery first, so a
 process killed mid-transaction leaves exactly the committed state.
@@ -48,22 +48,22 @@ from ..errors import (CatalogError, CorruptPageError, DuplicateKeyError,
                       StorageError)
 from ..obs import EventLog, MetricsRegistry
 from ..obs.metrics import _count_value
-from .btree import BTree, upgrade_legacy_tree
+from .btree import BTree
 from .codec import decode_value, encode_value
 from .buffer import DEFAULT_POOL_SIZE, BufferPool
 from .catalog import Catalog, ClusterInfo, IndexInfo
 from .faults import FaultInjector
-from .hashindex import HashIndex
 from .heap import RID, HeapFile
 from .journal import Journal
 from .locks import LockManager
-from .objtable import LEAF_ENTRIES, HashDirectory, ObjectTable
-from .page import NO_PAGE, PageType
+from .objtable import LEAF_ENTRIES, ObjectTable
+from .page import NO_PAGE
 from .pagefile import PageFile
 from .recovery import RecoveryReport, recover
 from .scanbatch import ScanBatch
 from .sharding import (MAX_SHARDS, ShardedPool, ShardJournal, ShardView,
                        global_page, local_page, shard_path)
+from .upgrade import convert
 from .wal import WriteAheadLog
 
 #: Shard count at creation when the ``shards=`` parameter is not given.
@@ -88,8 +88,10 @@ class Store:
         policy — ``"full"``, ``"group"`` or ``"none"`` (see
         :mod:`repro.storage.wal`). *shards* fixes the shard count when
         the store is first created (the ``REPRO_SHARDS`` environment
-        variable applies when the parameter is omitted); an existing
-        store always reopens with the count it was created with.
+        variable applies when the parameter is omitted, and must then be
+        an integer); an existing store always reopens with the count it
+        was created with. Layouts older files hold are converted before
+        the store becomes usable (:mod:`repro.storage.upgrade`).
         """
         self.path = path
         # Observability first: one registry + event ring per store, shared
@@ -102,6 +104,8 @@ class Store:
         #: finishes opening, or programmatically via ``db.faults``.
         self.faults = FaultInjector.from_env()
         self.faults.attach_observability(self.events)
+        if shards is None:
+            shards = self._env_shards()
         self._pagefile = PageFile(path, faults=self.faults)
         self._n_shards = self._resolve_shards(shards)
         self._pagefiles = [self._pagefile]
@@ -224,47 +228,25 @@ class Store:
         self.locks.attach_observability(self.metrics, self.events)
         self._upgrade_format()
 
-    #: Catalog metadata key written by the format upgrade's own
-    #: transaction: the B+trees are format 4 even if the crash came
-    #: before the file header could say so.
-    _BTREE_FORMAT_KEY = "btree_format"
-
     def _upgrade_format(self) -> None:
-        """Bring a version-2/3 page file to the current format, once.
+        """Convert every retired on-disk layout the files hold, in one
+        crash-atomic transaction (see :mod:`repro.storage.upgrade`)."""
+        convert(self)
 
-        What changed in format 4 is the B+tree node layout. Every B+tree
-        index is rebuilt in ONE transaction that also swaps the catalog's
-        root pointers and frees the old pages, so a crash leaves either
-        all old trees (the upgrade runs again) or all new ones. Only
-        then, and after a checkpoint, is the header stamped.
-        """
-        if self._pagefile.format_version >= 4:
-            return
-        if self.catalog.get_meta(self._BTREE_FORMAT_KEY) != 4:
-            txn = self._journal.begin()
-            try:
-                for info in self.catalog.clusters():
-                    trees = [ix for ix in info.indexes.values()
-                             if ix.kind == "btree"]
-                    for ix in trees:
-                        ix.root_page = upgrade_legacy_tree(
-                            self._journal, txn, ix.root_page,
-                            ix.unique).root_page
-                    if trees:
-                        self.catalog.save_cluster(txn, info)
-                self.catalog.set_meta(txn, self._BTREE_FORMAT_KEY, 4)
-            except BaseException:
-                self._journal.abort(txn)
-                self.catalog.invalidate()
-                raise
-            self._journal.commit(txn)
-            self.checkpoint()
-        for pagefile in self._pagefiles:
-            pagefile.stamp_current_format()
+    @staticmethod
+    def _env_shards() -> int:
+        """The ``REPRO_SHARDS`` count (1 when unset); a value that is not
+        an integer raises instead of quietly creating a 1-shard store."""
+        raw = os.environ.get(ENV_SHARDS, "")
+        try:
+            return int(raw) if raw else 1
+        except ValueError:
+            raise StorageError("%s=%r is not a shard count"
+                               % (ENV_SHARDS, raw)) from None
 
-    def _resolve_shards(self, shards: Optional[int]) -> int:
+    def _resolve_shards(self, shards: int) -> int:
         """The store's shard count: persisted on an existing store, else
-        chosen at creation (parameter, then ``REPRO_SHARDS``, then 1) and
+        chosen at creation (the parameter, ``REPRO_SHARDS`` or 1) and
         persisted *durably before* any shard file exists — a crash at any
         point leaves either a plain 1-shard file or a root that names
         every shard file to (re)create on reopen."""
@@ -273,12 +255,6 @@ class Store:
             return persisted
         if self._pagefile.get_root(Catalog.BOOTSTRAP_KEY) != 0:
             return 1  # pre-sharding store: format is frozen at 1 shard
-        if shards is None:
-            raw = os.environ.get(ENV_SHARDS, "")
-            try:
-                shards = int(raw) if raw else 1
-            except ValueError:
-                shards = 1
         if shards <= 1:
             return 1
         if shards > MAX_SHARDS:
@@ -556,21 +532,14 @@ class Store:
             return heap
 
     def _directory(self, name: str, shard: int = 0) -> ObjectTable:
-        """The object directory of one cluster shard. The layout is read
-        off the root page's type: a version-2 store keeps its hash
-        directories until a vacuum rewrites them as tables."""
+        """The object table of one cluster shard."""
         with self.latch:
             directory = self._directories.get((name, shard))
             if directory is None:
                 info = self.cluster_info(name)
-                journal = self._shard_journals[shard]
-                root = self._shard_pair(info, shard)[1]
-                with self._pool.page(root) as page:
-                    page_type = page.page_type
-                if page_type == PageType.HASH_DIRECTORY:
-                    directory = HashDirectory(journal, root)
-                else:
-                    directory = ObjectTable(journal, root, self._n_shards)
+                directory = ObjectTable(self._shard_journals[shard],
+                                        self._shard_pair(info, shard)[1],
+                                        self._n_shards)
                 self._directories[(name, shard)] = directory
             return directory
 
@@ -926,11 +895,13 @@ class Store:
 
     def create_index(self, txn: int, cluster: str, field,
                      kind: str = "btree", unique: bool = False) -> IndexInfo:
-        """Create a secondary index on *cluster*.
+        """Create a secondary index (a :class:`BTree`) on *cluster*.
 
         *field* is a field name, or a tuple/list of field names for a
         composite index (keyed on the value tuple, registered under the
-        comma-joined name). Index pages always live in shard 0.
+        comma-joined name). *kind* ``"hash"`` is accepted as another
+        spelling of the one index structure; the catalog records
+        ``"btree"``. Index pages always live in shard 0.
         """
         if isinstance(field, (tuple, list)):
             fields = list(field)
@@ -943,22 +914,18 @@ class Store:
             if name in info.indexes:
                 raise CatalogError("cluster %r already has an index on %r"
                                    % (cluster, name))
-            if kind == "btree":
-                index = BTree.create(self._journal, txn, unique=unique)
-                root = index.root_page
-            elif kind == "hash":
-                index = HashIndex.create(self._journal, txn, unique=unique)
-                root = index.directory_page
-            else:
+            if kind not in ("btree", "hash"):
                 raise CatalogError("unknown index kind %r" % kind)
-            ix_info = IndexInfo(name, kind, root, unique, fields)
+            index = BTree.create(self._journal, txn, unique=unique)
+            ix_info = IndexInfo(name, "btree", index.root_page, unique,
+                                fields)
             info.indexes[name] = ix_info
             self.catalog.save_cluster(txn, info)
             self._indexes[(cluster, name)] = index
             return ix_info
 
-    def index(self, cluster: str, field: str):
-        """The :class:`BTree` or :class:`HashIndex` registered on *field*."""
+    def index(self, cluster: str, field: str) -> BTree:
+        """The :class:`BTree` registered on *field*."""
         with self.latch:
             cached = self._indexes.get((cluster, field))
             if cached is not None:
@@ -968,12 +935,7 @@ class Store:
             if ix_info is None:
                 raise CatalogError("cluster %r has no index on %r"
                                    % (cluster, field))
-            if ix_info.kind == "btree":
-                index = BTree(self._journal, ix_info.root_page,
-                              ix_info.unique)
-            else:
-                index = HashIndex(self._journal, ix_info.root_page,
-                                  ix_info.unique)
+            index = BTree(self._journal, ix_info.root_page, ix_info.unique)
             self._indexes[(cluster, field)] = index
             return index
 
@@ -981,10 +943,10 @@ class Store:
         with self.latch:
             return dict(self.cluster_info(cluster).indexes)
 
-    # Latched index entry points. A multi-level B+tree descent (or a hash
-    # bucket split) touches several pages; holding the latch for the whole
-    # operation keeps a concurrent reader from observing the intermediate
-    # states between those page edits. Index pages are shard-0 residents,
+    # Latched index entry points. A multi-level B+tree descent or split
+    # touches several pages; holding the latch for the whole operation
+    # keeps a concurrent reader from observing the intermediate states
+    # between those page edits. Index pages are shard-0 residents,
     # so the metadata latch (ordered before shard latches) is the right
     # guard.
 
@@ -1000,7 +962,7 @@ class Store:
 
     def index_search(self, cluster: str, field: str, key) -> List:
         with self.latch:
-            return list(self.index(cluster, field).search(key))
+            return self.index(cluster, field).search(key)
 
     def index_range(self, cluster: str, field: str, lo=None, hi=None,
                     include_hi: bool = False):
@@ -1027,9 +989,9 @@ class Store:
         Deletes and relocations leave tombstones, forwarding stubs,
         sparse pages and dead object-table entries behind; vacuuming
         copies every live object into a fresh heap (and a fresh object
-        table mapping keys to the new RIDs — this is also what migrates
-        a version-2 hash directory), swaps them into the catalog, and schedules the old pages for the
-        free list at commit. The new heap is presized with one contiguous
+        table mapping keys to the new RIDs), swaps them into the catalog,
+        and schedules the old pages for the free list at commit. The new
+        heap is presized with one contiguous
         extent covering the live payloads, so vacuuming doubles as
         *reclustering*: a fragmented cluster comes back as a single
         physical run that readahead can stream. Secondary indexes map
@@ -1093,8 +1055,7 @@ class Store:
 
     def _rewrite_shard(self, txn: int, cluster: str, shard: int,
                        hot_rank: Optional[Dict[Any, int]] = None):
-        """Copy one shard's live objects into a fresh heap + object table
-        (whatever layout the old directory had).
+        """Copy one shard's live objects into a fresh heap + object table.
 
         Returns ``(new_heap, new_directory, moved, old_pages)`` without
         touching the catalog or the structure caches — the caller owns
@@ -1256,10 +1217,9 @@ class Store:
         return out
 
     def directory_stats(self, cluster: str) -> Dict[str, Any]:
-        """Occupancy of *cluster*'s object director(ies): ``layout``
-        (``table``, or ``hash`` while any shard still has the version-2
-        layout), ``leaf_pages``, ``live_entries`` and ``dead_entries`` —
-        the dead ones being the space deletes leave for the next rebuild.
+        """Occupancy of *cluster*'s object table(s): ``leaf_pages``,
+        ``live_entries`` and ``dead_entries`` — the dead ones being the
+        space deletes leave for the next rebuild.
 
         Walks every leaf page (cold pins), so the numbers are taken on
         demand — here, :meth:`fragmentation`, ``db.stats()`` — and never
@@ -1270,9 +1230,6 @@ class Store:
         out: Dict[str, Any] = {
             field: sum(entry[field] for entry in per_shard)
             for field in ("leaf_pages", "live_entries", "dead_entries")}
-        out["layout"] = ("hash" if any(entry["layout"] == "hash"
-                                       for entry in per_shard)
-                         else "table")
         if self._n_shards > 1:
             out["shards"] = per_shard
         return out
@@ -1646,16 +1603,9 @@ class Store:
                        zip(new_heaps, new_directories)]
         info.heap_page, info.directory_page = info.shards[0]
         for field, ix_info in list(info.indexes.items()):
-            if ix_info.kind == "btree":
-                index = BTree.create(self._journal, txn,
-                                     unique=ix_info.unique)
-                root = index.root_page
-            else:
-                index = HashIndex.create(self._journal, txn,
-                                         unique=ix_info.unique)
-                root = index.directory_page
+            index = BTree.create(self._journal, txn, unique=ix_info.unique)
             info.indexes[field] = IndexInfo(
-                field, ix_info.kind, root, ix_info.unique,
+                field, ix_info.kind, index.root_page, ix_info.unique,
                 list(ix_info.fields))
             self._indexes[(cluster, field)] = index
         self.catalog.save_cluster(txn, info)
@@ -1692,16 +1642,6 @@ class Store:
                 pages.append(page_no)
                 page_no = nxt
 
-        def whole(structure) -> None:
-            # All or nothing: a walk that meets corruption leaks the
-            # structure's pages rather than guess at them.
-            try:
-                found = structure.pages()
-            except Exception:
-                return
-            seen.update(found)
-            pages.extend(found)
-
         heap_homes: List[int] = []
         for sid in range(min(self._n_shards, len(info.shards))):
             before = len(pages)
@@ -1719,30 +1659,31 @@ class Store:
             except Exception:
                 continue
         for sid in range(min(self._n_shards, len(info.shards))):
+            # All or nothing: a walk that meets corruption leaks the
+            # table's pages rather than guess at them.
             try:
-                whole(self._directory(info.name, sid))
+                found = self._directory(info.name, sid).pages()
             except Exception:
-                pass
+                continue
+            seen.update(found)
+            pages.extend(found)
         for field, ix_info in info.indexes.items():
             try:
                 index = self.index(info.name, field)
             except Exception:
                 continue
-            if ix_info.kind == "hash":
-                whole(index)
-            else:
-                queue = [ix_info.root_page]
-                while queue:
-                    page_no = queue.pop()
-                    if page_no in seen:
-                        continue
-                    seen.add(page_no)
-                    try:
-                        children = index.children(page_no)
-                    except Exception:
-                        continue
-                    pages.append(page_no)
-                    queue.extend(children)
+            queue = [ix_info.root_page]
+            while queue:
+                page_no = queue.pop()
+                if page_no in seen:
+                    continue
+                seen.add(page_no)
+                try:
+                    children = index.children(page_no)
+                except Exception:
+                    continue
+                pages.append(page_no)
+                queue.extend(children)
         return pages
 
     # -- lifecycle -----------------------------------------------------------------

@@ -331,11 +331,10 @@ class TestTimeTravel:
         with pytest.raises(SnapshotTooOldError):
             list(db.cluster(Counter).as_of(tok))
 
-    def test_as_of_requires_mvcc(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MVCC", "0")
+    def test_as_of_requires_mvcc(self, tmp_path):
         db = Database(str(tmp_path / "off.odedb"))
+        db._mvcc_on = False                  # the 2PL reference mode
         try:
-            assert not db._mvcc_on
             db.create(Counter)
             db.pnew(Counter, n=1)
             with pytest.raises(TransactionError):

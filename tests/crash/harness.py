@@ -68,12 +68,14 @@ def read_oracle(oracle_path: str) -> int:
 
 def run_cycle(tmpdir: str, spec: str, seed: int = 1337, n_ops: int = 40,
               durability: str = "full", strict: bool = True,
-              extra_env=None, timeout: float = 120.0) -> CycleResult:
-    """Run one crash/recover/audit cycle; see the module docstring."""
+              extra_env=None, timeout: float = 120.0,
+              inspect=None) -> CycleResult:
+    """Run one crash/recover/audit cycle; see the module docstring.
+    *inspect*, when given, looks at the database file the child left
+    before the audit reopens it, returning problems of its own."""
     db_path = os.path.join(tmpdir, "crash.odb")
     oracle_path = os.path.join(tmpdir, "oracle.log")
     env = dict(os.environ)
-    env.pop("REPRO_SKIP_CHECKSUM", None)
     env["REPRO_FAULTS"] = spec
     env["REPRO_FAULTS_SEED"] = str(seed)
     if extra_env:
@@ -87,6 +89,8 @@ def run_cycle(tmpdir: str, spec: str, seed: int = 1337, n_ops: int = 40,
     if proc.returncode not in OK_EXIT_CODES:
         problems.append("child exited %d: %s"
                         % (proc.returncode, proc.stderr.decode()[-500:]))
+    if inspect is not None and os.path.exists(db_path):
+        problems.extend(inspect(db_path))
     problems.extend(audit(db_path, seed, n_ops, acked, strict=strict))
     return CycleResult(spec, proc.returncode, acked, problems,
                        proc.stderr.decode())
@@ -245,15 +249,15 @@ def shard_kill_specs():
     return specs
 
 
-# -- version-2 layout cycles (EXP-22) --------------------------------------------
+# -- version-2 layout cycles (EXP-22, EXP-27) ---------------------------------
 
 
 def v2_env(shards: int) -> dict:
-    """Environment of an old-layout cycle: the child rebuilds its schema
-    in the version-2 (hash directory) layout, then migrates it with the
-    workload's maintenance calls — a recluster of one shard first when
-    sharded, then the vacuum. The small pool forces page write-backs
-    inside those rewrites."""
+    """Environment of an old-layout cycle: after its first ops the child
+    rewrites the store as a version-2 binary left it and reopens it with
+    the faults armed, so they fire inside the conversion that open runs
+    (later maintenance calls recluster). The small pool forces page
+    write-backs inside the conversion."""
     return {
         "REPRO_SHARDS": str(shards),
         "REPRO_RECLUSTER": "0",
@@ -263,27 +267,31 @@ def v2_env(shards: int) -> dict:
     }
 
 
-#: Failpoints aimed *inside* the migrating vacuum (which also allocates
-#: the new table's mid and leaf pages), each at these fractions of the
-#: hit-count window the vacuum spans.
-V2_VACUUM_POINTS = (("wal.append.pre", "die"), ("wal.append.post", "die"),
-                    ("wal.flush.pre", "die"), ("pagefile.write.pre", "die"),
-                    ("pagefile.write.torn", "torn"),
-                    ("pagefile.write.post", "die"))
+#: Failpoints aimed *inside* the conversion at open (which also
+#: allocates the new tables' mid and leaf pages and the new trees'
+#: nodes), each at these fractions of the hit-count window it spans.
+V2_CONVERSION_POINTS = (("wal.append.pre", "die"),
+                        ("wal.append.post", "die"),
+                        ("wal.flush.pre", "die"),
+                        ("pagefile.write.pre", "die"),
+                        ("pagefile.write.torn", "torn"),
+                        ("pagefile.write.post", "die"))
 V2_FRACTIONS = (0.0, 0.5, 1.0)
 
 
-def v2_vacuum_windows(tmpdir: str, shards: int, seed: int = 1337,
-                      n_ops: int = 40) -> dict:
-    """``{failpoint: (hits_before, hits_after)}`` around the migrating
-    vacuum, from one fault-free child run with every point armed at an
-    unreachable hit count (armed points are the ones that count)."""
+def v2_conversion_windows(tmpdir: str, shards: int, seed: int = 1337,
+                          n_ops: int = 40) -> dict:
+    """``{failpoint: (0, hits)}``: the hits each point takes in the
+    reopen that converts, from one fault-free child run with every point
+    armed at an unreachable hit count (armed points are the ones that
+    count). The counters start with that open's store, and nothing
+    before the conversion appends to the log or writes a page."""
     hits_path = os.path.join(tmpdir, "hits.json")
     env = dict(os.environ)
     env.update(v2_env(shards))
     env["REPRO_WORKLOAD_HITS"] = hits_path
     env["REPRO_FAULTS"] = ";".join(
-        "%s:%s:1000000000" % point for point in V2_VACUUM_POINTS)
+        "%s:%s:1000000000" % point for point in V2_CONVERSION_POINTS)
     proc = subprocess.run(
         [sys.executable, WORKLOAD, os.path.join(tmpdir, "calibrate.odb"),
          os.path.join(tmpdir, "calibrate.log"), str(seed), str(n_ops),
@@ -291,19 +299,51 @@ def v2_vacuum_windows(tmpdir: str, shards: int, seed: int = 1337,
     assert proc.returncode == 0, proc.stderr.decode()[-1500:]
     with open(hits_path) as handle:
         hits = json.load(handle)
-    return {name: (hits["before"][name], hits["after"][name])
-            for name, _action in V2_VACUUM_POINTS}
+    return {name: (0, hits[name]) for name, _action in V2_CONVERSION_POINTS}
+
+
+def conversion_state(db_path: str):
+    """What a crash inside the conversion at open left: every retired
+    structure still in place or none, never a mix. Recovers the store
+    with the conversion switched off and returns a list of problems."""
+    from unittest import mock
+
+    from repro.storage.page import PageType
+    from repro.storage.store import Store
+    from repro.storage.upgrade import BTREE_FORMAT_KEY
+
+    with mock.patch.object(Store, "_upgrade_format", lambda self: None):
+        store = Store(db_path)
+    try:
+        directories, hashed = [], []
+        for info in store.catalog.clusters():
+            for _heap, root in info.shards:
+                with store._pool.page(root) as page:
+                    directories.append(
+                        page.page_type == PageType.HASH_DIRECTORY)
+            hashed += [ix.kind == "hash" for ix in info.indexes.values()]
+        # Old trees carry no mark of their own: the conversion's
+        # transaction records that it rebuilt them.
+        old = store.catalog.get_meta(BTREE_FORMAT_KEY) != 4
+    finally:
+        store.close()
+    if old != all(directories) or old != any(hashed) or (
+            not old and any(directories)):
+        return ["a crash inside the conversion left a mix of old and new "
+                "structures: trees %s, hash directories %r, hash indexes "
+                "%r" % ("old" if old else "new", directories, hashed)]
+    return []
 
 
 def v2_kill_specs():
     """``(label, shards, failpoint, action, where)`` for the old-layout
-    matrix. *where* is a fraction of the migrating vacuum's hit window
-    (resolved against :func:`v2_vacuum_windows` at run time), or a plain
-    hit count (int) for the recluster points, whose first hit is the
-    recluster that migrates one shard of the 4-shard store."""
+    matrix. *where* is a fraction of the conversion's hit window
+    (resolved against :func:`v2_conversion_windows` at run time), or a
+    plain hit count (int) for the recluster points, whose first hit is
+    the first recluster after the conversion."""
     specs = []
     for shards in (1, 4):
-        for name, action in V2_VACUUM_POINTS:
+        for name, action in V2_CONVERSION_POINTS:
             for where in V2_FRACTIONS:
                 specs.append(("v2-%dshard-%s@%.0f%%"
                               % (shards, name, 100 * where),

@@ -10,8 +10,9 @@ import os
 
 import pytest
 
-from .harness import (kill_specs, run_cycle, shard_kill_specs, v2_env,
-                      v2_kill_specs, v2_vacuum_windows)
+from .harness import (conversion_state, kill_specs, run_cycle,
+                      shard_kill_specs, v2_conversion_windows, v2_env,
+                      v2_kill_specs)
 
 pytestmark = pytest.mark.crash
 
@@ -53,8 +54,8 @@ def test_crash_shard_matrix(tmp_path, label, spec, strict, extra_env):
 
 @pytest.fixture(scope="module")
 def v2_windows(tmp_path_factory):
-    """Hit-count windows of the migrating vacuum, per shard count."""
-    return {shards: v2_vacuum_windows(
+    """Hit-count windows of the conversion at open, per shard count."""
+    return {shards: v2_conversion_windows(
                 str(tmp_path_factory.mktemp("v2-calibrate-%d" % shards)),
                 shards)
             for shards in (1, 4)}
@@ -65,19 +66,19 @@ def v2_windows(tmp_path_factory):
     ids=[label for label, _, _, _, _ in V2])
 def test_crash_v2_migration(tmp_path, v2_windows, label, shards, name,
                             action, where):
-    """Version-2 layout cycles (EXP-22): the store starts with hash
-    directories and dies inside the rewrite that migrates them to object
-    tables — the vacuum (which also allocates the new table's mid and
-    leaf pages) or, sharded, the recluster of one shard. Whichever
-    layout recovery leaves, every acknowledged object is there."""
+    """Version-2 layout cycles (EXP-22, EXP-27): the store is reopened
+    with hash directories, a hash index and a version-3 tree, and dies
+    inside the conversion that open runs — or, sharded, in the first
+    recluster after it. The crash leaves every retired structure or
+    none, and after recovery every acknowledged object is there."""
     if isinstance(where, float):
         lo, hi = v2_windows[shards][name]
-        assert hi > lo, "%s never fires inside the vacuum" % name
+        assert hi > lo, "%s never fires inside the conversion" % name
         at_hit = lo + 1 + int((hi - lo - 1) * where)
     else:
         at_hit = where
     result = run_cycle(str(tmp_path), "%s:%s:%d" % (name, action, at_hit),
-                       extra_env=v2_env(shards))
+                       extra_env=v2_env(shards), inspect=conversion_state)
     assert result.returncode != 0, "the kill point was never reached"
     assert result.problems == [], (
         "v2 crash cycle %s (hit %d) violated recovery invariants: %s\n"
@@ -109,10 +110,10 @@ def test_harness_catches_broken_build(tmp_path):
     after a checkpoint truncates the log leaves unstamped pages with
     nothing to rebuild from — the audit's reopen must flag them."""
     result = run_cycle(str(tmp_path), "wal.truncate.post:die:1",
-                       extra_env={"REPRO_SKIP_CHECKSUM": "1"})
+                       extra_env={"REPRO_WORKLOAD_SKIP_CHECKSUM": "1"})
     assert result.problems, (
         "the harness failed to detect an intentionally broken build "
-        "(REPRO_SKIP_CHECKSUM=1) — its checks have no teeth")
+        "(pagefile.SKIP_CHECKSUM) — its checks have no teeth")
 
 
 def test_clean_cycle_has_no_violations(tmp_path):

@@ -67,7 +67,6 @@ class ServerCycle:
 
     def run(self) -> "ServerCycle":
         env = dict(os.environ)
-        env.pop("REPRO_SKIP_CHECKSUM", None)
         env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get("PYTHONPATH", "")
         if self.spec:
             env["REPRO_FAULTS"] = self.spec

@@ -29,12 +29,16 @@ import os
 import random
 import sys
 
-_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                    os.pardir, os.pardir, "src")
-if os.path.isdir(_SRC) and _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                     os.pardir, os.pardir)
+for _path in (os.path.join(_ROOT, "src"), _ROOT):
+    if os.path.isdir(_path) and _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from repro import Database, IntField, OdeObject, StringField, newversion
+from repro.storage import pagefile
+
+from tests.storage.legacy_layouts import stamp_version, to_version_2
 
 #: Exit code when an operation raised instead of dying at a failpoint.
 ERROR_EXIT_CODE = 3
@@ -46,55 +50,44 @@ ERROR_EXIT_CODE = 3
 #: the model states are unaffected.
 MAINT_EVERY = 8
 
-# With ``REPRO_WORKLOAD_V2=1`` the child rebuilds every cluster's object
-# directory in the version-2 (hash) layout right after creating the
-# schema, and the maintenance calls migrate it (see run_maintenance);
+# With ``REPRO_WORKLOAD_V2=1`` the child runs its first ops with no
+# faults armed, then — in place of the first maintenance call — rewrites
+# the whole store as a version-2 binary left it and reopens it, arming
+# ``REPRO_FAULTS`` for that open: the kill points fall inside the
+# conversion every open runs (see reopen_as_version_2).
 # ``REPRO_WORKLOAD_POOL`` shrinks the buffer pool so page write-backs
-# happen inside the migrating vacuum, and ``REPRO_WORKLOAD_HITS`` names
-# a file that receives the failpoint hit counters around it (the harness
-# calibrates its kill points from a fault-free run).
+# happen inside the conversion, and ``REPRO_WORKLOAD_HITS`` names a file
+# that receives the failpoint hit counters once the open returns (the
+# harness calibrates its kill points from a fault-free run).
+# ``REPRO_WORKLOAD_SKIP_CHECKSUM=1`` makes the child an intentionally
+# broken build that writes pages without checksums (the harness's
+# negative control).
 
 
-def to_v2_layout(store, cluster: str) -> None:
-    """Give *cluster* version-2 object directories, by hand.
-
-    What a version-2 binary wrote: one ``HashIndex`` per shard keyed on
-    the ``(serial, version)`` tuple, its directory page recorded in the
-    cluster's catalog entry. Test-only — production code has no way to
-    create this layout any more. The replaced table's pages leak.
-    """
-    from repro.storage.hashindex import HashIndex
-    txn = store.begin()
-    info = store.cluster_info(cluster)
-    for sid in range(store.n_shards):
-        index = HashIndex.create(store._shard_journals[sid], txn,
-                                 unique=True)
-        for key, rid in store._directory(cluster, sid).items():
-            index.insert(txn, key, rid)
-        info.shards[sid] = [info.shards[sid][0], index.directory_page]
-        del store._directories[(cluster, sid)]
-    info.heap_page, info.directory_page = info.shards[0]
-    store.catalog.save_cluster(txn, info)
-    store.commit(txn)
+def reopen_as_version_2(db, db_path: str, faults: str, **options):
+    """Close *db* with every structure in its version-2 layout — hash
+    object directories, a version-3 tree for ``name``, the old hash
+    index for ``qty`` — and a version-2 header; reopen it with *faults*
+    armed. The open converts everything back in one transaction."""
+    store = db.store
+    to_version_2(store, hash_indexes={("CrashItem", "qty")})
+    shards = store.n_shards
+    db.close()
+    stamp_version(db_path, 2, shards)
+    os.environ["REPRO_FAULTS"] = faults
+    db = Database(db_path, **options)
+    hits_path = os.environ.get("REPRO_WORKLOAD_HITS")
+    if hits_path:
+        with open(hits_path, "w") as handle:
+            json.dump(_hits(db.store), handle)
+    return db
 
 
 def run_maintenance(db, i: int) -> None:
     """One deterministic maintenance call after op *i* (content-neutral):
-    a recluster of one shard, or the vacuum that migrates a version-2
-    layout to object tables. On a multi-shard version-2 store the first
-    call is a recluster (it migrates its one shard, leaving the layouts
-    mixed) and the second the vacuum."""
+    a recluster of one shard."""
     store = db.store
     call = i // MAINT_EVERY
-    if (store.directory_stats("CrashItem")["layout"] == "hash"
-            and (store.n_shards == 1 or call % 2 == 1)):
-        before = _hits(store)
-        store.vacuum("CrashItem")
-        hits_path = os.environ.get("REPRO_WORKLOAD_HITS")
-        if hits_path:
-            with open(hits_path, "w") as handle:
-                json.dump({"before": before, "after": _hits(store)}, handle)
-        return
     shard = call % store.n_shards
     serials = sorted(
         serial for _rid, record in store.scan("CrashItem")
@@ -163,21 +156,23 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
     """Execute the workload; returns the exit code (may ``os._exit`` 47)."""
     ops, _ = generate(seed, n_ops)
     maint = os.environ.get("REPRO_WORKLOAD_MAINT") == "1"
+    v2 = os.environ.get("REPRO_WORKLOAD_V2") == "1"
+    faults = os.environ.pop("REPRO_FAULTS", "") if v2 else None
+    pagefile.SKIP_CHECKSUM = (
+        os.environ.get("REPRO_WORKLOAD_SKIP_CHECKSUM") == "1")
     # Unbuffered append + fsync per line: an oracle entry on disk means
     # the commit it names was acknowledged as durable before the entry
     # was written, so oracle ⊆ recovered must hold (full/group modes).
     oracle = open(oracle_path, "ab", buffering=0)
     try:
-        db = Database(db_path, durability=durability,
-                      pool_size=int(os.environ.get("REPRO_WORKLOAD_POOL",
-                                                   256)))
+        options = {"durability": durability,
+                   "pool_size": int(os.environ.get("REPRO_WORKLOAD_POOL",
+                                                   256))}
+        db = Database(db_path, **options)
         if "CrashItem" not in db.clusters():
             db.create(CrashItem)
             db.create_index(CrashItem, "qty", kind="hash")
             db.create_index(CrashItem, "name", kind="btree")
-            if os.environ.get("REPRO_WORKLOAD_V2") == "1":
-                for info in db.store.catalog.clusters():
-                    to_v2_layout(db.store, info.name)
         live = {obj.name: obj for obj in db.cluster(CrashItem)}
         for i, (kind, name, arg) in enumerate(ops):
             with db.transaction():
@@ -193,7 +188,10 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
                     del live[name]
             oracle.write(b"%d\n" % i)
             os.fsync(oracle.fileno())
-            if maint and (i + 1) % MAINT_EVERY == 0:
+            if v2 and i + 1 == MAINT_EVERY:
+                db = reopen_as_version_2(db, db_path, faults, **options)
+                live = {obj.name: obj for obj in db.cluster(CrashItem)}
+            elif maint and (i + 1) % MAINT_EVERY == 0:
                 run_maintenance(db, i)
     except BaseException:
         import traceback

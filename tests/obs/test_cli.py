@@ -33,7 +33,7 @@ class TestStatsFormats:
         assert "buffer pool:" in out
         assert "WAL:" in out
         assert "object directories:" in out
-        assert any(line.split()[:2] == ["gizmo", "table"]
+        assert any(line.split()[:4] == ["gizmo", "1", "leaf", "page(s),"]
                    for line in out.splitlines())
 
     def test_json(self, seeded_path, capsys):
@@ -46,8 +46,7 @@ class TestStatsFormats:
         assert stats["buffer"] == stats["buffer_pool"]
         assert "hit_ratio" in stats["buffer"]
         assert stats["directory"]["gizmo"] == {
-            "layout": "table", "leaf_pages": 1, "live_entries": 4,
-            "dead_entries": 0}
+            "leaf_pages": 1, "live_entries": 4, "dead_entries": 0}
         assert stats["fragmentation"]["gizmo"]["directory"] == \
             stats["directory"]["gizmo"]
 
@@ -67,8 +66,7 @@ class TestStatsFormats:
             (gizmo, 4.0)) == 1
         assert (gizmo, 0.0) in families["ode_directory_dead_entries"]
         assert (gizmo, 1.0) in families["ode_directory_leaf_pages"]
-        assert ({"cluster": "gizmo", "value": "table"}, 1.0) \
-            in families["ode_directory_layout"]
+        assert "ode_directory_layout" not in families
 
 
 class TestEventsCommand:

@@ -327,15 +327,13 @@ class TestSnapshotDifferential:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads), "threads hung"
 
-    def test_quiesced_snapshot_equals_slock_reads(self, tmp_path,
-                                                  monkeypatch):
+    def test_quiesced_snapshot_equals_slock_reads(self, tmp_path):
         """With no concurrent writer, every (mode, path) combination
         returns byte-identical row sets for the same predicate."""
         rowsets = {}
-        for mode, env in (("mvcc", "1"), ("2pl", "0")):
-            monkeypatch.setenv("REPRO_MVCC", env)
+        for mode in ("mvcc", "2pl"):
             db = Database(str(tmp_path / ("q_%s.odb" % mode)))
-            assert db._mvcc_on == (env == "1")
+            db._mvcc_on = mode == "mvcc"
             self._seed(db)
             for path in ("fast", "slow"):
                 q = forall(db.cluster(GrowRow)).suchthat(

@@ -61,9 +61,19 @@ class TestPlanSelection:
         plan = plan_for(catalog_db, A.stock > 50)
         assert isinstance(plan, FullScan)
 
-    def test_range_on_hash_index_not_used(self, catalog_db):
-        plan = plan_for(catalog_db, A.vendor > "v1")
-        assert isinstance(plan, FullScan)
+    def test_range_on_hash_index_is_an_index_range(self, catalog_db):
+        """``kind="hash"`` builds the one index structure, so a range on
+        it is an index range — returning exactly the full scan's rows."""
+        pred = (A.vendor > "v1") & (A.vendor <= "v2")
+        plan = plan_for(catalog_db, pred)
+        assert isinstance(plan, IndexRange)
+        assert plan.lo == "v1" and plan.lo_strict
+        assert plan.hi == "v2" and not plan.hi_strict
+        indexed = sorted(p.sku for p in forall(
+            catalog_db.cluster(Product)).suchthat(pred))
+        scanned = sorted(p.sku for p in catalog_db.cluster(Product)
+                         if "v1" < p.vendor <= "v2")
+        assert indexed == scanned and len(scanned) == 25
 
     def test_equality_preferred_over_range(self, catalog_db):
         plan = plan_for(catalog_db, (A.price < 10.0) & (A.vendor == "v2"))

@@ -282,6 +282,22 @@ class TestDuplicateHeavyWorkloads:
         assert len(bt.search("same")) == 50
         bt.check_invariants()
 
+    @pytest.mark.parametrize("by_pair", [False, True])
+    @pytest.mark.parametrize("before", [[], ["a"]])
+    def test_delete_copies_one_to_a_leaf(self, tree, by_pair, before):
+        """Copies of one pair, each over half a node, sit one to a leaf
+        behind equal separators; a delete removes every copy (the tree
+        model found it taking the last leaf for the next one)."""
+        bt, journal, txn = tree
+        big = "b" + "\x00" * 1100
+        for key in before:
+            bt.insert(txn, key, 0)
+        for _ in range(3):
+            bt.insert(txn, big, 0)
+        assert bt.delete(txn, big, 0 if by_pair else None) == 3
+        assert list(bt.items()) == [(key, 0) for key in before]
+        bt.check_invariants()
+
 
 class TestScanReseek:
     """The lazy leaf walk re-seeks past the last sort key it yielded when

@@ -1,85 +1,30 @@
-"""Format 3 → 4: a store whose B+trees are in the old node layout (one
-codec-encoded record per node) opens, upgrades once, and then behaves
-identically.
+"""Retired layouts convert at open: a version-3 store whose B+trees are
+in the old node layout (one codec-encoded record per node) and a
+format-4 store with ``kind="hash"`` indexes both open, convert once in
+one transaction, and then behave identically.
 
-The legacy writer and reader below are the only code outside
-``upgrade_legacy_tree`` that knows the old layout; they exist to
-fabricate and audit version-3 files.
+The writers in :mod:`tests.storage.legacy_layouts` fabricate the old
+files; nothing in ``src/`` can create them.
 """
 
 import os
-import struct
 import subprocess
 import sys
 
 import pytest
 
 from repro.storage.btree import _tiebreak
-from repro.storage.codec import decode_value, encode_key, encode_value
+from repro.storage.codec import encode_key
 from repro.storage.faults import DIE_EXIT_CODE
-from repro.storage.page import PAGE_SIZE, NO_PAGE, PageType
+from repro.storage.page import NO_PAGE, PageType
 from repro.storage.store import Store
+from repro.storage.upgrade import BTREE_FORMAT_KEY, hash_entries
+
+from tests.storage.legacy_layouts import (header_version, page_type,
+                                          read_legacy_tree, stamp_version,
+                                          write_hash, write_legacy_tree)
 
 FANOUT = 24
-
-
-def write_legacy_tree(store, txn, entries, unique=False, fanout=FANOUT):
-    """Build a version-3 tree — chained leaves of *fanout* entries under
-    internal levels — over *entries*; returns its root and every page
-    it occupies."""
-    journal, pool = store._journal, store._pool
-    rows = sorted(((encode_key(k), b"" if unique else _tiebreak(v), k, v)
-                   for k, v in entries), key=lambda r: r[:2])
-    chunks = [rows[i:i + fanout] for i in range(0, len(rows), fanout)]
-    # a level: (first row below the node, its state) per node
-    level = [(chunk[0], [True] + [[r[i] for r in chunk] for i in (0, 2, 3, 1)])
-             for chunk in chunks]
-    pages, fanout = [], max(fanout, 2)
-    while True:
-        leaf = level[0][1][0]
-        nos = [pool.new_page(PageType.BTREE_LEAF if leaf
-                             else PageType.BTREE_INTERNAL) for _ in level]
-        for (_first, state), page_no, nxt in zip(level, nos, nos[1:] + [NO_PAGE]):
-            with journal.edit(txn, page_no) as page:
-                page.insert(encode_value(state))
-                page.next_page = nxt if leaf else NO_PAGE
-        pages += nos
-        if len(nos) == 1:
-            return nos[0], pages
-        firsts = [first for first, _state in level]
-        level = [(firsts[i], [False] + [[s[c] for s in firsts[i + 1:i + fanout]]
-                                        for c in (0, 2)]
-                  + [nos[i:i + fanout], [s[1] for s in firsts[i + 1:i + fanout]]])
-                 for i in range(0, len(nos), fanout)]
-
-
-def read_legacy_tree(store, root):
-    """``items()`` of a version-3 tree."""
-    page_no = root
-    while True:
-        with store._pool.page(page_no) as page:
-            state = decode_value(page.read(0))
-        if state[0]:
-            break
-        page_no = state[3][0]
-    out = []
-    while page_no != NO_PAGE:
-        with store._pool.page(page_no) as page:
-            state, page_no = decode_value(page.read(0)), page.next_page
-        out.extend(zip(state[2], state[3]))
-    return out
-
-
-def header_version(path):
-    with open(path, "rb") as handle:
-        return struct.unpack_from("<I", handle.read(16), 8)[0]
-
-
-def page_types(path):
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    return [raw[i + 4] for i in range(0, len(raw), PAGE_SIZE)]
-
 
 ENTRIES = {
     "n": [(i, i * 3) for i in range(900)],
@@ -89,54 +34,63 @@ ENTRIES = {
     # separator to an internal node), plain and escaped
     "big": ([("k%02d" % i + "a" * 1985, i) for i in range(9)]
             + [("n%02d" % i + "\x00" * 1320, i) for i in range(9)]),
+    # a hash index: many keys, and one key chained over several pages
+    "h": [(i % 50, i) for i in range(500)] + [("hot", i) for i in range(600)],
 }
+#: Indexes the fixture writes in the extendible-hash layout.
+HASHED = {"h"}
+
+
+def sort_key(unique):
+    return lambda e: (encode_key(e[0]), b"" if unique else _tiebreak(e[1]))
+
+
+def expected_items(field):
+    return sorted(ENTRIES[field], key=sort_key(field == "u"))
 
 
 @pytest.fixture
 def v3_store(db_path):
     """A checkpointed version-3 file with four legacy trees (wide
     ints, heavy duplicates of mixed types, a unique index, node-sized
-    keys); yields ``(path, legacy pages)``."""
+    keys) and a hash index; yields ``(path, old pages)``."""
     store = Store(db_path)
     txn = store.begin()
     store.create_cluster(txn, "c")
-    legacy = []
+    old = []
     for field, entries in ENTRIES.items():
-        info = store.create_index(txn, "c", field, kind="btree",
-                                  unique=field == "u")
+        info = store.create_index(txn, "c", field, unique=field == "u")
         store._journal.free_page_deferred(txn, info.root_page)
-        info.root_page, pages = write_legacy_tree(
-            store, txn, entries, unique=field == "u",
-            fanout=1 if field == "big" else FANOUT)
-        legacy.extend(pages)
+        if field in HASHED:
+            info.kind = "hash"
+            info.root_page, pages = write_hash(store._journal, txn, entries)
+        else:
+            info.root_page, pages = write_legacy_tree(
+                store._journal, txn, entries, unique=field == "u",
+                fanout=1 if field == "big" else FANOUT)
+        old.extend(pages)
         store._indexes.clear()
     store.catalog.save_cluster(txn, store.cluster_info("c"))
     store.commit(txn)
     store.close()
-    with open(db_path, "r+b") as handle:      # what a version-3 binary left
-        handle.seek(8)
-        handle.write(struct.pack("<I", 3))
-    return db_path, legacy
-
-
-def expected_items(field):
-    unique = field == "u"
-    return sorted(ENTRIES[field], key=lambda e: (
-        encode_key(e[0]), b"" if unique else _tiebreak(e[1])))
+    stamp_version(db_path, 3)                 # what a version-3 binary left
+    return db_path, old
 
 
 def test_upgrade_preserves_items_and_frees_old_pages(v3_store):
-    path, legacy = v3_store
+    path, old = v3_store
     assert header_version(path) == 3
     store = Store(path)
     assert header_version(path) == 4
-    assert store.catalog.get_meta(Store._BTREE_FORMAT_KEY) == 4
+    assert store.catalog.get_meta(BTREE_FORMAT_KEY) == 4
     for field in ENTRIES:
+        assert store.cluster_info("c").indexes[field].kind == "btree"
         tree = store.index("c", field)
         tree.check_invariants()
         assert list(tree.items()) == expected_items(field)
-        assert tree.root_page not in legacy
+        assert tree.root_page not in old
     assert store.index("c", "u").unique
+    assert len(store.index_search("c", "h", "hot")) == 600
     # and the upgraded trees behave: writes, reads, another reopen
     txn = store.begin()
     store.index_insert(txn, "c", "n", 10_000, -1)
@@ -145,8 +99,7 @@ def test_upgrade_preserves_items_and_frees_old_pages(v3_store):
     assert store.index_search("c", "n", 10_000) == [-1]
     store.index("c", "n").check_invariants()
     store.close()
-    types = page_types(path)
-    assert all(types[p] == PageType.FREE for p in legacy)
+    assert all(page_type(path, p) == PageType.FREE for p in old)
     store = Store(path)                        # no second upgrade
     assert store.index_search("c", "n", 0) == []
     assert len(store.index("c", "n")) == 900
@@ -164,7 +117,7 @@ def test_upgrade_preserves_items_and_frees_old_pages(v3_store):
     "wal.truncate.pre:die:2", "wal.truncate.post:die:2"])
 def test_crash_during_upgrade_is_all_old_or_all_new(v3_store, monkeypatch,
                                                     spec):
-    path, _legacy = v3_store
+    path, _old = v3_store
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                REPRO_FAULTS=spec)
     proc = subprocess.run(
@@ -177,14 +130,19 @@ def test_crash_during_upgrade_is_all_old_or_all_new(v3_store, monkeypatch,
     with monkeypatch.context() as patch:
         patch.setattr(Store, "_upgrade_format", lambda self: None)
         store = Store(path)
-        done = store.catalog.get_meta(Store._BTREE_FORMAT_KEY) == 4
+        done = store.catalog.get_meta(BTREE_FORMAT_KEY) == 4
         for field, ix in store.cluster_info("c").indexes.items():
+            assert ix.kind == ("hash" if field in HASHED and not done
+                               else "btree"), (field, done)
             if done:
                 tree = store.index("c", field)
                 tree.check_invariants()
                 got = list(tree.items())
+            elif field in HASHED:
+                got = sorted(hash_entries(store._pool, ix.root_page)[1],
+                             key=sort_key(False))
             else:
-                got = read_legacy_tree(store, ix.root_page)
+                got = read_legacy_tree(store._pool, ix.root_page)
             assert got == expected_items(field), (field, done)
         if not done:
             assert header_version(path) == 3
@@ -196,3 +154,53 @@ def test_crash_during_upgrade_is_all_old_or_all_new(v3_store, monkeypatch,
         tree.check_invariants()
         assert list(tree.items()) == expected_items(field)
     store.close()
+
+
+def test_hash_indexes_of_a_format_4_store_convert_at_open(db_path):
+    """A format-4 file written before hash indexes became B+trees: a
+    unique and a non-unique hash index (one key chained over several
+    bucket pages) become B+trees at the first open; nothing else
+    changes."""
+    store = Store(db_path)
+    txn = store.begin()
+    store.create_cluster(txn, "c")
+    for serial in range(1, 801):
+        store.put(txn, "c", (serial, 0), {"n": serial})
+    entries = {"u": [("u%04d" % s, s) for s in range(1, 801)],
+               "d": [(s % 7, s) for s in range(1, 201)]
+               + [("hot", s) for s in range(201, 801)]}
+    old = []
+    for field, rows in entries.items():
+        info = store.create_index(txn, "c", field, unique=field == "u")
+        store._journal.free_page_deferred(txn, info.root_page)
+        info.kind = "hash"
+        info.root_page, pages = write_hash(store._journal, txn, rows)
+        old.extend(pages)
+    store._indexes.clear()
+    store.catalog.save_cluster(txn, store.cluster_info("c"))
+    store.commit(txn)
+    chains = 0
+    for page_no in old:
+        with store._pool.page(page_no) as page:
+            chains += page.next_page != NO_PAGE
+    assert chains >= 1                      # "hot" spans bucket pages
+    objects = {key: store.get("c", key)
+               for key, _rid in store._directory("c").items()}
+    store.close()
+    assert header_version(db_path) == 4
+
+    store = Store(db_path)
+    assert store.verify_integrity() == []
+    assert {key: store.get("c", key)
+            for key, _rid in store._directory("c").items()} == objects
+    for field, rows in entries.items():
+        ix = store.cluster_info("c").indexes[field]
+        assert ix.kind == "btree" and ix.unique == (field == "u")
+        assert list(store.index("c", field).items()) == sorted(
+            rows, key=sort_key(field == "u"))
+    assert sorted(store.index_search("c", "d", "hot")) == list(range(201, 801))
+    assert [s for _k, s in store.index_range("c", "u", "u0100", "u0103")] \
+        == [100, 101, 102]                  # a former hash index serves ranges
+    store.close()
+    assert header_version(db_path) == 4
+    assert all(page_type(db_path, p) == PageType.FREE for p in old)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BufferPoolError
+from repro.errors import BufferPoolError, CorruptPageError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PAGE_SIZE, PageType
 from repro.storage.pagefile import PageFile
@@ -208,6 +208,28 @@ class TestReadahead:
         pool.prefetch(pages[0], 3)
         with pool.page(pages[1]) as page:
             assert page.read(slot) == b"unflushed"
+
+    def test_prefetch_skips_a_corrupt_page_without_quarantine(self, pf):
+        """A span can cover a page nothing reaches (one whose free-list
+        write tore, say): readahead must not degrade the store for it.
+        A reader that pins the page still gets the checksum error."""
+        pool = BufferPool(pf, capacity=8)
+        pages = [pool.new_page(PageType.HEAP) for _ in range(3)]
+        pool.flush_all()
+        pool.invalidate_all()
+        raw = bytearray(PAGE_SIZE)
+        pf.read_page(pages[1], raw)
+        raw[100:108] = b"\xff" * 8                 # bypasses the stamp
+        pf._file.seek(pages[1] * PAGE_SIZE)
+        pf._file.write(raw)
+        reported = []
+        pool.on_corrupt_page = lambda page_no, exc: reported.append(page_no)
+        assert pool.prefetch(pages[0], 3) == 2
+        assert reported == [] and pool.checksum_failures == 0
+        with pytest.raises(CorruptPageError):
+            with pool.page(pages[1]):
+                pass
+        assert reported == [pages[1]] and pool.checksum_failures == 1
 
 
 class TestScanResistance:

@@ -137,6 +137,29 @@ class TestQuarantineAndDegraded:
         assert store.get("d", (1, 0)) == {"ok": True}
         store.close()
 
+    def test_corrupt_directory_root_opens_degraded(self, db_path):
+        """Every open looks at each directory root for a retired layout;
+        a root that fails its checksum must not stop the store opening
+        (degraded) and being repaired."""
+        store = Store(db_path)
+        txn = store.begin()
+        store.create_cluster(txn, "c")
+        for i in range(self.N):               # the heap knows its keys
+            store.put(txn, "c", (i, 0), {"__key": [i, 0], "n": i})
+        store.commit(txn)
+        root = store.cluster_info("c").directory_page
+        store.close()
+        _corrupt_page(db_path, root)
+        store = Store(db_path)
+        assert root in store._pool.quarantined
+        assert store.degraded is not None
+        report = store.repair_quarantined()
+        assert report["clusters"]["c"]["objects"] == self.N
+        assert store.degraded is None
+        assert store.get("c", (7, 0))["n"] == 7
+        assert store.verify_integrity() == []
+        store.close()
+
     def test_metrics_expose_corruption(self, db_path):
         page_no = self._store_with_data(db_path)[0]
         _corrupt_page(db_path, page_no)

@@ -149,8 +149,7 @@ class TestClusterPlacement:
         assert set(report) == {"pages", "span", "runs", "fragmentation",
                                "directory"}
         assert report["directory"] == {
-            "layout": "table", "leaf_pages": 1, "live_entries": 50,
-            "dead_entries": 0}
+            "leaf_pages": 1, "live_entries": 50, "dead_entries": 0}
         assert report["pages"] >= 1
         assert report["span"] >= report["pages"]
         assert report["fragmentation"] >= 1.0

@@ -1,7 +1,8 @@
 """The serial-indexed object table (storage/objtable.py) and the store
 paths built on it: a differential against a dict model, the counts the
 design promises (pins per lookup, logged bytes per change, pages per
-object), corruption detection + repair, and the version-2 migration."""
+object), corruption detection + repair, and the conversion of version-2
+hash directories at open."""
 
 import os
 import struct
@@ -12,14 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DuplicateKeyError, StorageError
 from repro.storage import pagefile as pagefile_mod
-from repro.storage.codec import encode_key
+from repro.storage.codec import decode_prefix, encode_key
 from repro.storage.heap import RID
 from repro.storage.objtable import (ENTRY_SIZE, FANOUT, LEAF_ENTRIES,
-                                    LEAF_SERIALS, HashDirectory, ObjectTable)
+                                    LEAF_SERIALS, ObjectTable)
 from repro.storage.page import HEADER_SIZE, NO_PAGE, PAGE_SIZE, PageType
 from repro.storage.store import Store
 
-from tests.crash.workload import to_v2_layout
+from tests.storage.legacy_layouts import (header_version, page_type,
+                                          stable_hash, stamp_version,
+                                          to_v2_layout, to_version_2)
 
 
 def record(key, n=0):
@@ -110,9 +113,7 @@ class TestDifferential:
         for key, n in model.items():
             assert store.get("c", key) == record(key, n)
         assert store.verify_integrity() == []
-        stats = store.directory_stats("c")
-        assert stats["layout"] == "table"
-        assert stats["live_entries"] == len(model)
+        assert store.directory_stats("c")["live_entries"] == len(model)
 
     def test_key_shapes_outside_the_table_are_refused(self, store):
         txn = store.begin()
@@ -190,23 +191,32 @@ class TestDuplicateNew:
         assert store.directory_stats("c")["leaf_pages"] == 2
         self.assert_refused(store, (6, 0))
 
-    def test_version_2_chained_bucket(self, store):
-        """The old layout's chain path wrote a second entry silently."""
+    def test_version_2_chained_bucket(self, db_path):
+        """The old layout's chain path wrote a second entry silently; a
+        chained version-2 bucket converts at open like any other."""
+        store = Store(db_path)
         txn = store.begin()
         store.create_cluster(txn, "c")
-        store.commit(txn)
-        to_v2_layout(store, "c")
-        txn = store.begin()
         for serial in range(16000):       # every bucket becomes a chain
             store.put(txn, "c", (serial, 0), {"v": serial}, new=True)
         store.put(txn, "c", (16000, 0), {"v": "first"}, new=True)
         store.commit(txn)
-        assert store.directory_stats("c")["layout"] == "hash"
-        index = store._directory("c")._index
-        bucket, _, _ = index._bucket_for(encode_key((16000, 0)))
+        to_v2_layout(store, "c")
+        directory = store.cluster_info("c").directory_page
+        with store._pool.page(directory) as page:
+            depth, pointers = decode_prefix(page.read(0))[0]
+        bucket = pointers[stable_hash(encode_key((16000, 0)))
+                          & ((1 << depth) - 1)]
         with store._pool.page(bucket) as page:
             assert page.next_page != NO_PAGE
-        self.assert_refused(store, (16000, 0))
+        store.close()
+        store = Store(db_path)
+        try:
+            assert isinstance(store._directory("c"), ObjectTable)
+            assert store.directory_stats("c")["live_entries"] == 16001
+            self.assert_refused(store, (16000, 0))
+        finally:
+            store.close()
 
 
 # -- the counts the design promises ----------------------------------------------
@@ -273,7 +283,7 @@ class TestCounts:
         pages = store._directory("c").pages()
         assert len(pages) <= 100
         stats = store.directory_stats("c")
-        assert stats == {"layout": "table", "leaf_pages": len(pages) - 2,
+        assert stats == {"leaf_pages": len(pages) - 2,
                          "live_entries": 20000, "dead_entries": 0}
 
     def test_deletes_leave_dead_entries_until_vacuum(self, store):
@@ -393,83 +403,74 @@ class TestCorruptEntry:
         for serial in range(1, 41):
             assert loaded.get("c", (serial, 0)) == record((serial, 0),
                                                           serial)
-        assert loaded.directory_stats("c")["layout"] == "table"
 
 
 # -- version-2 stores ---------------------------------------------------------------
 
 
 class TestVersion2Migration:
-    def test_hash_layout_reads_writes_then_vacuum_migrates(self, db_path):
-        store = Store(db_path)
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_hash_layout_converts_at_open(self, db_path, shards):
+        """A version-2 file — hash directories on every shard, a
+        version-3 tree and a hash index — opens with the same objects
+        and index entries in object tables and B+trees, and the old
+        pages on the free list."""
+        store = Store(db_path, shards=shards)
         txn = store.begin()
         store.create_cluster(txn, "c")
-        store.create_index(txn, "c", "n", kind="btree")
+        store.create_index(txn, "c", "n")
+        store.create_index(txn, "c", "h")
         for serial in range(1, 301):
-            store.put(txn, "c", (serial, 0), record((serial, 0), serial))
+            for version in (0, 1):
+                store.put(txn, "c", (serial, version),
+                          record((serial, version), serial))
             store.index_insert(txn, "c", "n", serial, serial)
+            store.index_insert(txn, "c", "h", serial % 7, serial)
+        for serial in range(1, 301, 7):
+            assert store.delete(txn, "c", (serial, 1))
         store.commit(txn)
-        to_v2_layout(store, "c")
+        before = directory_items(store)
+        model = {key: store.get("c", key) for key in before}
+        entries = {f: list(store.index("c", f).items()) for f in ("n", "h")}
+        old = to_version_2(store, hash_indexes={("c", "h")})
         store.close()
+        stamp_version(db_path, 2, shards)
 
         store = Store(db_path)
-        info = store.cluster_info("c")
-        with store._pool.page(info.directory_page) as page:
-            assert page.page_type == PageType.HASH_DIRECTORY
-        assert isinstance(store._directory("c"), HashDirectory)
-        assert store.directory_stats("c")["layout"] == "hash"
-        # Reads and writes work on the old layout.
-        model = {(serial, 0): record((serial, 0), serial)
-                 for serial in range(1, 301)}
+        assert header_version(db_path) == 4
+        assert all(page_type(db_path, p) == PageType.FREE for p in old)
+        for sid in range(shards):
+            root = store.cluster_info("c").shards[sid][1]
+            with store._pool.page(root) as page:
+                assert page.page_type == PageType.TABLE_NODE
+        assert directory_items(store) == before
+        assert {key: store.get("c", key) for key in model} == model
+        for field, items in entries.items():
+            assert store.cluster_info("c").indexes[field].kind == "btree"
+            assert list(store.index("c", field).items()) == items
+        assert store.verify_integrity() == []
+        # Reads and writes work on what the conversion built.
         txn = store.begin()
-        for serial in range(1, 301, 7):
+        for serial in range(1, 301, 5):
             assert store.delete(txn, "c", (serial, 0))
-            store.index_delete(txn, "c", "n", serial, serial)
             del model[(serial, 0)]
+            if (serial, 1) not in model:          # the serial is gone
+                store.index_delete(txn, "c", "n", serial, serial)
+                store.index_delete(txn, "c", "h", serial % 7, serial)
         for serial in range(301, 341):
             store.put(txn, "c", (serial, 0), record((serial, 0), -1),
                       new=True)
             store.index_insert(txn, "c", "n", -1, serial)
             model[(serial, 0)] = record((serial, 0), -1)
-        store.put(txn, "c", (2, 0), record((2, 0), "updated"))
-        model[(2, 0)] = record((2, 0), "updated")
         store.commit(txn)
-        assert store.verify_integrity() == []
         assert {k: store.get("c", k) for k in model} == model
-
         store.vacuum("c")
-        table = store._directory("c")
-        assert isinstance(table, ObjectTable)
-        with store._pool.page(store.cluster_info("c").directory_page) as pg:
-            assert pg.page_type == PageType.TABLE_NODE
-        assert set(dict(table.items())) == set(model)
-        assert {k: store.get("c", k) for k in model} == model
         assert store.verify_integrity() == []
         store.close()
 
         store = Store(db_path)                  # and it persists
-        assert store.directory_stats("c")["layout"] == "table"
+        assert set(directory_items(store)) == set(model)
         assert {k: store.get("c", k) for k in model} == model
-        store.close()
-
-    def test_recluster_migrates_one_shard_at_a_time(self, db_path):
-        store = Store(db_path, shards=4)
-        txn = store.begin()
-        store.create_cluster(txn, "c")
-        for serial in range(200):
-            store.put(txn, "c", (serial, 0), record((serial, 0)))
-        store.commit(txn)
-        to_v2_layout(store, "c")
-        store.recluster_shard("c", [2, 6], shard=2)
-        stats = store.directory_stats("c")
-        assert stats["layout"] == "hash"        # three shards still are
-        assert [s["layout"] for s in stats["shards"]] == \
-            ["hash", "hash", "table", "hash"]
-        assert stats["live_entries"] == 200
-        assert store.verify_integrity() == []
-        store.vacuum("c")
-        assert store.directory_stats("c")["layout"] == "table"
-        assert len(directory_items(store)) == 200
         store.close()
 
     def test_version_2_header_opens_and_is_restamped_current(self, db_path):

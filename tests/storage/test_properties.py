@@ -1,16 +1,19 @@
 """Property-based tests (hypothesis) for the storage substrate."""
 
+import os
+import tempfile
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import decode_value, encode_key, encode_value
-from repro.storage.hashindex import HashIndex
 from repro.storage.heap import HeapFile
 from repro.storage.journal import Journal
 from repro.storage.page import PAGE_SIZE, PageType, SlottedPage
 from repro.storage.pagefile import PageFile
+from repro.storage.store import Store
 from repro.storage.wal import WriteAheadLog
 
 # -- value strategies ---------------------------------------------------------
@@ -117,26 +120,31 @@ def fresh_stack(tmp_path):
 
 
 class TestHashIndexProperties:
+    """A ``kind="hash"`` index (a B+tree) against a dict of key counts."""
+
     @given(st.lists(st.tuples(st.booleans(), st.text(max_size=6)),
                     min_size=1, max_size=150))
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_dict_model(self, fresh_stack, ops):
-        pool, wal, journal = fresh_stack
-        txn = journal.begin()
-        index = HashIndex.create(journal, txn)
-        model = {}
-        for is_insert, key in ops:
-            if is_insert:
-                index.insert(txn, key, len(model))
-                model.setdefault(key, []).append(None)
-            else:
-                removed = index.delete(txn, key)
-                assert removed == len(model.pop(key, []))
-        index.check_invariants()
-        for key, vals in model.items():
-            assert len(index.search(key)) == len(vals)
-        journal.commit(txn)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_model(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = Store(os.path.join(tmp, "p.odb"), durability="none")
+            txn = store.begin()
+            store.create_cluster(txn, "c")
+            store.create_index(txn, "c", "f", kind="hash")
+            index = store.index("c", "f")
+            model = {}
+            for is_insert, key in ops:
+                if is_insert:
+                    index.insert(txn, key, len(model))
+                    model.setdefault(key, []).append(None)
+                else:
+                    removed = index.delete(txn, key)
+                    assert removed == len(model.pop(key, []))
+            index.check_invariants()
+            for key, vals in model.items():
+                assert len(index.search(key)) == len(vals)
+            store.commit(txn)
+            store.close()
 
 
 class TestHeapProperties:

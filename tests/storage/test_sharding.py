@@ -113,6 +113,20 @@ class TestCreation:
         assert s.n_shards == 2
         s.close()
 
+    def test_malformed_env_var_is_refused_before_anything_persists(
+            self, tmp_path, monkeypatch):
+        """``REPRO_SHARDS=4x`` once created (and persisted) a 1-shard
+        store, which a corrected ``REPRO_SHARDS=4`` could not undo."""
+        path = str(tmp_path / "m.pages")
+        monkeypatch.setenv("REPRO_SHARDS", "4x")
+        with pytest.raises(StorageError, match="4x"):
+            Store(path)
+        assert not os.path.exists(path)
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        s = Store(path)
+        assert s.n_shards == 4
+        s.close()
+
     def test_existing_unsharded_store_stays_unsharded(self, tmp_path):
         path = str(tmp_path / "u.pages")
         s = Store(path)
