@@ -1,7 +1,7 @@
 """Macro workload simulator: scenario specs, driver, sampler, dashboard.
 
-The micro benchmarks under ``benchmarks/`` time one operation shape at a
-time; this package answers the VOODB-style question instead — *how does
+The repo benchmark (``bench/``) times four fixed workloads from outside;
+this package answers the VOODB-style question from inside — *how does
 the whole engine behave under a realistic mixed workload at scale?* It
 is built as an observability layer: everything it measures flows through
 the :mod:`repro.obs` metrics registry, so the same percentile histograms

@@ -119,8 +119,8 @@ class WorkloadDriver:
     """Run a :class:`~repro.obs.workload.spec.ScenarioSpec` against *db*.
 
     With ``instrument=False`` the driver performs identical work but
-    records no histogram observations or counters — the pair is how
-    ``bench_macro`` measures observability overhead.
+    records no histogram observations or counters — the pair measures
+    observability overhead (``repro simulate --uninstrumented``).
     """
 
     def __init__(self, db, spec: ScenarioSpec, instrument: bool = True):
@@ -439,7 +439,7 @@ class WorkloadDriver:
     # -- report -----------------------------------------------------------
 
     def report(self, elapsed_s: float) -> Dict[str, Any]:
-        """BENCH-style report: per-op percentiles, throughput, errors."""
+        """The run's report: per-op percentiles, throughput, errors."""
         total_ops = sum(s.ops for s in self._stats)
         total_errors = sum(s.errors for s in self._stats)
         by_op: Dict[str, int] = {}

@@ -290,7 +290,7 @@ def load_scenario(path: str) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 # Sizes here are the smoke tier (seconds-scale on one core); `--scale`
 # multiplies the dataset and `--duration` stretches the phases for the
-# full tier. The committed BENCH_ runs record which tier produced them.
+# full tier. A report records the spec, and so the tier, that produced it.
 
 BUILTIN_SCENARIOS: Dict[str, Dict] = {
     # OLTP mix over the inventory schema: point reads dominate, with

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro import Database
+from repro.__main__ import main
 from repro.obs.workload import (BUILTIN_SCENARIOS, TimeSeriesSampler,
                                 WorkloadDriver, compare_reports,
                                 format_comparison, get_scenario,
@@ -124,6 +125,22 @@ class TestDriver:
             assert row["p50"] <= row["p90"] <= row["p99"] <= row["p99.9"]
         assert report["metrics"]["txn.commits"] > 0
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+    def test_builtin_scenario_runs_its_whole_mix(self, db, name):
+        """Every op of every phase's mix completes at least once and gets
+        percentiles, and under a quarter of the ops fail."""
+        spec = get_scenario(name).scaled(0.05).with_duration(0.3)
+        driver = WorkloadDriver(db, spec)
+        driver.setup()
+        report = driver.run()
+        mix = {op for phase in report["scenario"]["phases"]
+               for group in phase["clients"] for op in group["mix"]}
+        for op in mix:
+            row = report["latency_ms"].get(op)
+            assert row and row["count"] > 0, op
+            assert all(key in row for key in ("p50", "p90", "p99", "p99.9"))
+        assert report["ops"] > 0 and report["errors"] < report["ops"] / 4
+
     def test_uninstrumented_runs_without_metrics(self, db):
         spec = tiny_spec()
         driver = WorkloadDriver(db, spec, instrument=False)
@@ -229,3 +246,43 @@ class TestCompare:
         result = compare_reports(self._report({}),
                                  self._report({"scan": 9.0}))
         assert result["ok"]
+
+
+class TestCli:
+    """``repro simulate`` → ``repro top --once`` → ``repro bench-diff``,
+    the way a user reads and gates a run."""
+
+    def simulate(self, tmp_path, *extra):
+        report = str(tmp_path / "report.json")
+        assert main(["simulate", "oltp", "--scale", "0.15", "--duration",
+                     "0.5", "--db", str(tmp_path / "sim.odb"),
+                     "--report", report] + list(extra)) == 0
+        with open(report) as fh:
+            return report, json.load(fh)
+
+    def test_simulate_top_and_bench_diff(self, tmp_path, capsys):
+        timeline = str(tmp_path / "timeline.jsonl")
+        path, report = self.simulate(tmp_path, "--timeline", timeline)
+        assert report["ops"] > 0 and load_timeline(timeline)
+        capsys.readouterr()
+        assert main(["top", timeline, "--once"]) == 0
+        assert capsys.readouterr().out.strip()
+        assert main(["bench-diff", path, path]) == 0
+        slower = json.loads(json.dumps(report))
+        for row in slower["latency_ms"].values():
+            row["p99"] *= 2
+        doctored = str(tmp_path / "slower.json")
+        with open(doctored, "w") as fh:
+            json.dump(slower, fh)
+        assert main(["bench-diff", path, doctored]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_short_page_reads_on_a_small_pool_are_absorbed(self, tmp_path,
+                                                           monkeypatch):
+        """A 16-page pool sends reads to the page file; ``REPRO_FAULTS``
+        makes one of them short, and the run still completes ops."""
+        monkeypatch.setenv("REPRO_FAULTS", "pagefile.read.short:short:40")
+        monkeypatch.setenv("REPRO_FAULTS_SEED", "7")
+        _, report = self.simulate(tmp_path, "--pool-pages", "16")
+        assert report["metrics"].get("faults.injected", 0) > 0
+        assert report["ops"] > 0

@@ -328,3 +328,18 @@ def test_equijoin_statement_is_a_hash_join(db):
     join = [line for line in interp.output[-1].splitlines()
             if line.strip().startswith("hash join")]
     assert len(join) == 1 and "rows=400 (in=800)" in join[0]
+
+
+def test_mixed_clause_statement_probes_the_index(db):
+    """An indexed conjunct beside one the interpreter keeps: no heap page
+    is asked for, and the index hands the scan its one candidate."""
+    interp = Interpreter(db)
+    interp.run(JOIN_SCHEMA)
+    db.create_index(class_registry()["ja"], "k", kind="hash")
+    assert page_lookups(db, interp, SHAPES[3] + " n++;") == 0
+    interp.run('printf("%d", n);')
+    assert interp.output[-1] == "1"
+    interp.run("explain analyze " + SHAPES[3] + " ;")
+    scan = [line for line in interp.output[-1].splitlines()
+            if line.strip().startswith("scan")]
+    assert len(scan) == 1 and "(in=1)" in scan[0]

@@ -58,12 +58,15 @@ class TestCache:
         assert [r.num for r in point] == [7]
         assert point.count() == 1
         assert len(point.to_list()) == 1
+        assert point.first().num == 7
         assert lookups(db) == before
+        cache = db.codegen_cache
+        misses = cache.misses
         scan = forall(handle).suchthat(Compare("tag", "==", "t1"))
         assert scan.count() == 10
-        cache = db.codegen_cache
+        assert cache.misses == misses + 1
         hits, misses, compile_ns = cache.hits, cache.misses, cache.compile_ns
-        assert misses > 0 and compile_ns > 0
+        assert compile_ns > 0
         for terminal in (scan.count, scan.to_list, lambda: list(scan),
                          scan.explain):
             terminal()
@@ -73,6 +76,24 @@ class TestCache:
         assert again.count() == 10
         assert (cache.hits, cache.misses, cache.compile_ns) == (
             hits + 1, misses, compile_ns)
+
+    def test_join_and_closure_lookup_counts(self, filled):
+        """A fused join looks its pushed-down filter and its join lambdas
+        up on every run, and a repeat compiles nothing; ``.codegen(False)``
+        does not consult the cache."""
+        db = filled
+        handle = db.cluster(CacheRow)
+        cache = db.codegen_cache
+        join = forall(handle, handle).suchthat(
+            (V[0].tag == V[1].tag) & (V[0].num < 5))
+        assert join.count() == 5 * 10
+        hits, misses = cache.hits, cache.misses
+        assert join.count() == 5 * 10
+        assert (cache.hits, cache.misses) == (hits + 2, misses)
+        scan = forall(handle).suchthat(Compare("num", "<", 9))
+        before = lookups(db)
+        assert scan.codegen(False).count() == 9
+        assert lookups(db) == before
 
     def test_code_outlives_ddl_analyze_and_abort(self, filled):
         """Generated code is a pure function of its source text: nothing

@@ -141,3 +141,61 @@ class TestReporting:
         with open(db_path + ".prom", "w") as out:
             out.write(prom)
         assert main(["promlint", db_path + ".prom"]) == 0
+
+    def test_point_query_beside_a_pending_write_reads_matches_plus_dirty(
+            self, db):
+        """5 000 rows, 5 matches, one of them moved by another session's
+        pending write. Compiled and interpreted, read-committed and in a
+        snapshot transaction, ``count()`` + ``to_list()`` together peek,
+        decode and visit at most 2 x (matches + 1) records and heap pages
+        (0 today), and each query resolves the one dirty row."""
+        rows, groups = 5000, 1000
+        matches = rows // groups
+        db.create(OverlayRow)
+        db.create_index(OverlayRow, "k", kind="hash")
+        with db.transaction():
+            for i in range(rows):
+                db.pnew(OverlayRow, k=i % groups)
+
+        def point():
+            return forall(db.cluster(OverlayRow)).suchthat(A.k == 7)
+
+        def scan_work(stats):
+            return (stats["scan"]["records_peeked"]
+                    + stats["scan"]["records_decoded"]
+                    + stats["page_cache"]["hits"]
+                    + stats["page_cache"]["misses"])
+
+        def read(q):
+            before = db.stats()
+            assert q.count() == matches and len(q.to_list()) == matches
+            after = db.stats()
+            return (scan_work(after) - scan_work(before),
+                    after["mvcc"]["index_overlay_rows"]
+                    - before["mvcc"]["index_overlay_rows"])
+
+        moved, release = threading.Event(), threading.Event()
+
+        def writer():
+            with db.transaction():
+                point().first().k = groups + 7    # one match leaves the key
+                assert point().count() == matches - 1   # flushed
+                moved.set()
+                assert release.wait(30)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        got = {}
+        try:
+            assert moved.wait(30)
+            for label, q in (("compiled", point()),
+                             ("interpreted", point().codegen(False))):
+                got["read-committed", label] = read(q)
+                with db.transaction():
+                    got["snapshot", label] = read(q)
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        for key, (work, dirty) in got.items():
+            assert work <= 2 * (matches + 1) and dirty == 2, (key, work)

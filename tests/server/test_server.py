@@ -516,3 +516,64 @@ class TestObservability:
         with connect(server) as c:
             token = c.snapshot_token()
             assert isinstance(token, int)
+
+
+class TestFaults:
+    CLIENTS = 4
+    INSERTS = 15
+
+    def test_clients_reconnect_through_socket_read_faults(self, tmp_path,
+                                                          monkeypatch):
+        """``REPRO_FAULTS`` fails one request read in the server, which
+        drops that connection: its client reconnects and redoes the
+        insert, every client finishes, and the stored rows are exactly
+        the inserts the server acknowledged.
+
+        Each insert is one request, so a dropped connection has no open
+        transaction to abort. An abort beside other sessions' commits on
+        a shared heap page can lose them (the strict xfail
+        ``test_abort_isolation.py::test_abort_beside_committed_inserts``);
+        with begin/execute/commit per insert this test loses an acked
+        insert in about one run in five."""
+        monkeypatch.setenv("REPRO_FAULTS", "server.recv.pre:error:25")
+        monkeypatch.setenv("REPRO_FAULTS_SEED", "7")
+        database = Database(str(tmp_path / "faults.odb"))
+        srv = make_server(database)
+        acked, dropped, errors = [], [], []
+
+        def client(idx):
+            try:
+                with connect(srv) as c:
+                    for j in range(self.INSERTS):
+                        name = "c%d-%d" % (idx, j)
+                        while True:
+                            try:
+                                c.execute('transaction { pnew gadget("%s", '
+                                          '%d); }' % (name, j))
+                                break
+                            except (ConnectionClosedError, OSError):
+                                dropped.append(idx)     # next op reconnects
+                        acked.append(name)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        try:
+            with connect(srv) as c:
+                c.execute(SCHEMA)
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(self.CLIENTS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+            assert not any(t.is_alive() for t in threads), "clients hung"
+            assert not errors, errors[0]
+            assert database.faults.injected > 0 and dropped
+        finally:
+            srv.shutdown()
+        try:
+            stored = sorted(g.name for g in database.cluster("gadget"))
+            assert len(acked) == self.CLIENTS * self.INSERTS
+            assert stored == sorted(acked)
+        finally:
+            database.close()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import DuplicateKeyError, IndexError_
 from repro.storage.btree import BTree
-from repro.storage.page import NO_PAGE
+from repro.storage.page import NO_PAGE, PageType
 
 
 @pytest.fixture
@@ -349,6 +349,104 @@ class TestScanReseek:
         assert leaves > 6
         seen.extend(scan)
         assert seen == entries
+
+
+def index_pages(store):
+    """``(leaves, internal nodes)`` of every B+tree in *store*."""
+    counts = {PageType.BTREE_LEAF: 0, PageType.BTREE_INTERNAL: 0}
+    for page_no in range(1, store.stats()["pages"]):
+        with store._pool.page(page_no) as page:
+            if page.page_type in counts:
+                counts[page.page_type] += 1
+    return counts[PageType.BTREE_LEAF], counts[PageType.BTREE_INTERNAL]
+
+
+class TestMaintenanceCost:
+    """What one index insert or delete costs through the store, as
+    counts: pages edited, WAL bytes, whole-node codec calls, entries per
+    leaf, pages under a sliding window."""
+
+    LOAD = 9000         # ascending load, the analytics workload's events
+    WINDOW = 3000
+    TURNOVERS = 10
+
+    def test_one_page_edit_and_entry_sized_log_per_op(self, store,
+                                                      monkeypatch):
+        from repro.storage import btree as btree_mod
+        wal = store._wal
+        pages_logged = []
+        log_update = wal.log_update
+
+        def counting_log_update(txn, prev_lsn, page_no, *rest):
+            pages_logged.append(page_no)
+            return log_update(txn, prev_lsn, page_no, *rest)
+
+        monkeypatch.setattr(wal, "log_update", counting_log_update)
+        node_encodes = []
+        encode = btree_mod.encode_value
+
+        def counting_encode(value):
+            out = encode(value)
+            # An entry's key or value is a few bytes here; anything this
+            # long is a node's worth of entries.
+            if len(out) > 512:
+                node_encodes.append(len(out))
+            return out
+
+        monkeypatch.setattr(btree_mod, "encode_value", counting_encode)
+
+        def measured(op, key):
+            del pages_logged[:]
+            before = wal.end_lsn
+            op(txn, "c", "n", key, key)
+            return len(set(pages_logged)), wal.end_lsn - before
+
+        txn = store.begin()
+        store.create_cluster(txn, "c")
+        store.create_index(txn, "c", "n", kind="btree")
+        for key in range(self.LOAD):
+            store.index_insert(txn, "c", "n", key, key)
+        store.commit(txn)
+        leaves, _ = index_pages(store)
+        per_leaf = self.LOAD // leaves
+        assert per_leaf >= 100                              # 121
+
+        del node_encodes[:]
+        txn = store.begin()
+        appends = [measured(store.index_insert, self.LOAD + i)
+                   for i in range(300)]
+        plain = [cost for cost in appends if cost[0] == 1]
+        assert len(appends) - len(plain) <= 3               # 2 splits
+        assert max(pages for pages, _ in plain) <= 1
+        assert max(nbytes for _, nbytes in plain) <= 256    # 222
+        deletes = [measured(store.index_delete, key)
+                   for key in range(per_leaf // 2)]
+        assert max(pages for pages, _ in deletes) <= 1
+        assert (max(nbytes for _, nbytes in deletes)        # 1 043
+                <= 8 * per_leaf + 256)
+        assert node_encodes == []
+        store.commit(txn)
+
+    def test_sliding_window_keeps_its_page_count(self, store):
+        txn = store.begin()
+        store.create_cluster(txn, "c")
+        store.create_index(txn, "c", "w", kind="btree")
+        store.commit(txn)
+        window = self.WINDOW
+        pages = []
+        for turn in range(self.TURNOVERS + 1):
+            lo = turn * window
+            for base in range(lo, lo + window, 50):
+                txn = store.begin()
+                for key in range(base, base + 50):
+                    store.index_insert(txn, "c", "w", key, key)
+                    if key >= window:
+                        store.index_delete(txn, "c", "w", key - window,
+                                           key - window)
+                store.commit(txn)
+            pages.append(sum(index_pages(store)))
+        assert max(pages[1:]) - min(pages[1:]) <= 2, pages
+        store.index("c", "w").check_invariants()
 
 
 @pytest.mark.concurrency

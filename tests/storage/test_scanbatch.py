@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import IntField, OdeObject, StringField
+from repro import FloatField, IntField, OdeObject, RefField, StringField
 from repro.core.database import Database
 from repro.storage.codec import decode_value, encode_value
 from repro.storage.heap import RID
@@ -202,8 +202,47 @@ class ScanWidget(OdeObject):
     qty = IntField(default=0)
 
 
-def _scan(db):
-    return sum(1 for _ in db.cluster(ScanWidget))
+class ScanSupplier(OdeObject):
+    name = StringField(default="")
+
+
+class ScanItem(OdeObject):
+    name = StringField(default="")
+    price = FloatField(default=0.0)
+    qty = IntField(default=0)
+    category = IntField(default=0)
+    supplier = RefField("ScanSupplier")
+
+
+#: Items in the extent the page-cache counts run on: 163 heap pages, ten
+#: times the scan page cache those tests set.
+N_ITEMS = 2000
+SMALL_PAGE_CACHE = 16
+
+
+@pytest.fixture(scope="module")
+def items_path(tmp_path_factory):
+    """A closed database of N_ITEMS items plus one item with five
+    versions, whose four older states a scan peeks past."""
+    path = str(tmp_path_factory.mktemp("items") / "items.odb")
+    db = Database(path)
+    db.create(ScanSupplier)
+    db.create(ScanItem)
+    supplier = db.pnew(ScanSupplier, name="acme")
+    with db.transaction():
+        for i in range(N_ITEMS):
+            db.pnew(ScanItem, name="item%06d" % i, price=float(i % 100),
+                    qty=i % 1000, category=i % 10, supplier=supplier)
+    versioned = db.pnew(ScanItem, name="versioned")
+    for qty in range(1, 5):
+        db.newversion(versioned)
+        versioned.qty = qty
+    db.close()
+    return path
+
+
+def _scan(db, cls=ScanWidget):
+    return sum(1 for _ in db.cluster(cls))
 
 
 class TestDecodeCounts:
@@ -221,48 +260,45 @@ class TestDecodeCounts:
         parse_prometheus(text)  # raises on lint violations
 
     def test_warm_live_scan_past_the_page_cache_decodes_nothing(
-            self, db, monkeypatch):
-        monkeypatch.setattr(Store, "PAGE_CACHE_PAGES", 4)
-        n = 400
-        db.create(ScanWidget)
-        with db.transaction():
-            for i in range(n):
-                db.pnew(ScanWidget, name="w%03d" % i, qty=i)
-        store = db.store
-        pages = sum(1 for _ in store.scan_batches("ScanWidget"))
-        assert pages > 2 * Store.PAGE_CACHE_PAGES
-        assert _scan(db) == n
-        peeked = counter_value(store, "scan.records_peeked")
-        decoded = counter_value(store, "scan.records_decoded")
-        misses = store.page_cache_misses
-        assert _scan(db) == n
-        # Every page fell out of the 4-page cache before its next visit:
-        # all 2n records are peeked again, none is decoded.
-        assert store.page_cache_misses - misses == pages
-        assert counter_value(store, "scan.records_peeked") - peeked == 2 * n
-        assert counter_value(store, "scan.records_decoded") == decoded
-
-    def test_cold_scan_decodes_head_and_current_state(self, db_path):
-        n = 300
-        db = Database(db_path)
-        db.create(ScanWidget)
-        with db.transaction():
-            for i in range(n):
-                db.pnew(ScanWidget, name="w%03d" % i, qty=i)
-        db.close()
-        db = Database(db_path)
+            self, items_path):
+        n = N_ITEMS + 1
+        db = Database(items_path)
         try:
             store = db.store
-            # A head whose state fell on the next page is finished by a
-            # deref, which is not a scan decode: count those apart.
-            together = sum((serial, 1) in batch.keys
-                           for batch in store.scan_batches("ScanWidget")
-                           for serial in batch.heads)
-            pages = sum(1 for _ in store.scan_batches("ScanWidget"))
-            assert pages > 1 and together >= n - pages
-            assert counter_value(store, "scan.records_decoded") == 0
-            assert _scan(db) == n
-            assert (counter_value(store, "scan.records_decoded")
+            store.PAGE_CACHE_PAGES = SMALL_PAGE_CACHE
+            batches = list(store.scan_batches("ScanItem"))
+            assert len(batches) > 2 * SMALL_PAGE_CACHE
+            assert _scan(db, ScanItem) == n     # every object live now
+            peeked = counter_value(store, "scan.records_peeked")
+            decoded = counter_value(store, "scan.records_decoded")
+            misses = store.page_cache_misses
+            assert _scan(db, ScanItem) == n
+            # Every page fell out of the cache before its next visit: all
+            # its records (heads, states, old versions) are peeked again
+            # and none is decoded — 163 pages, 4 006 records.
+            assert store.page_cache_misses - misses == len(batches)
+            assert (counter_value(store, "scan.records_peeked") - peeked
+                    == sum(len(batch) for batch in batches))
+            assert counter_value(store, "scan.records_decoded") == decoded
+        finally:
+            db.close()
+
+    def test_cold_scan_decodes_head_and_current_state(self, items_path):
+        n = N_ITEMS + 1
+        db = Database(items_path)
+        try:
+            store = db.store
+            # A head whose current state fell on the next page is
+            # finished by a deref, which is not a scan decode: count
+            # those apart.
+            batches = list(store.scan_batches("ScanItem"))
+            together = sum(
+                batch.state(serial, batch.head(serial)["current"])
+                is not None for batch in batches for serial in batch.heads)
+            assert together >= n - len(batches)
+            decoded = counter_value(store, "scan.records_decoded")
+            assert _scan(db, ScanItem) == n
+            assert (counter_value(store, "scan.records_decoded") - decoded
                     == n + together)
         finally:
             db.close()
