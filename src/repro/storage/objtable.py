@@ -24,7 +24,8 @@ literature (objects move, ids do not):
 Three invariants carry the design:
 
 1. **One leaf per object.** An object's head ``(serial, 0)`` and all its
-   version states share a leaf chain, reached in three pins; a lookup is
+   version states share a leaf chain, reached in three pins (one, once
+   the table instance has resolved that leaf); a lookup is
    a byte search of the pinned leaf for the packed key — no codec, no
    digest, no decoded copy.
 2. **O(1) logged bytes.** An insert writes one never-used entry position
@@ -32,12 +33,13 @@ Three invariants carry the design:
    changed bytes, whatever the table holds.
 3. **No cross-serial byte sharing.** There is no count word and no
    swap-with-last, so the bytes one transaction's before-images cover
-   belong to its own entries only — physical undo of an aborting
-   transaction cannot touch an entry another transaction wrote beside
-   it. Structure growth (a new mid, leaf or chain page and the pointer
-   to it) is logged redo-only (see ``Journal.edit``): an abort keeps the
-   empty page linked, because other transactions may already have put
-   entries on it.
+   belong to its own entries only — the range undo of an aborting
+   transaction (``Journal.write``: one UPDATE record per entry or flag)
+   cannot touch an entry another transaction wrote beside it. Structure
+   growth (a new mid, leaf or chain page and the pointer to it) is
+   logged redo-only (see ``Journal.edit``): an abort keeps the empty
+   page linked, because other transactions may already have put entries
+   on it.
 
 Dead entries and emptied leaves are not reused in place (that would
 break 3: a dead flag may be an uncommitted delete whose undo writes the
@@ -112,6 +114,11 @@ class ObjectTable:
         self._pool = journal._pool
         self.root_page = root_page
         self._stride = stride
+        #: leaf index -> first page of its chain. A leaf, once linked, is
+        #: never moved, unlinked or freed while the table lives (growth
+        #: is redo-only; a rebuild makes a new table), so a resolved
+        #: descent stays true.
+        self._leaves: Dict[int, int] = {}
         #: Deletes through this instance (a rebuild starts a new one):
         #: lets ``Store.crowded_directories`` skip the leaf walk for
         #: tables nothing was deleted from.
@@ -139,8 +146,8 @@ class ObjectTable:
         if child or txn is None:
             return child
         child = _new_page(self._journal, txn, child_type)
-        with self._journal.edit(txn, node, redo_only=True) as page:
-            _PTR.pack_into(page.buf, offset, child)
+        self._journal.write(txn, node, offset, _PTR.pack(child),
+                            redo_only=True)
         return child
 
     def _root(self, index: int, txn: Optional[int]) -> int:
@@ -166,8 +173,11 @@ class ObjectTable:
     def _leaf(self, serial: int, txn: Optional[int] = None) -> int:
         """First page of the leaf chain covering *serial* (``NO_PAGE``
         when it does not exist and *txn* is None)."""
-        root_index, leaf = divmod(serial // self._stride // LEAF_SERIALS,
-                                  _ROOT_LEAVES)
+        index = serial // self._stride // LEAF_SERIALS
+        page_no = self._leaves.get(index)
+        if page_no is not None:
+            return page_no
+        root_index, leaf = divmod(index, _ROOT_LEAVES)
         mid_index, slot = divmod(leaf, FANOUT)
         root = self._root(root_index, txn) if root_index else self.root_page
         if root == NO_PAGE:
@@ -175,7 +185,10 @@ class ObjectTable:
         mid = self._child(root, mid_index, txn, PageType.TABLE_NODE)
         if mid == NO_PAGE:
             return NO_PAGE
-        return self._child(mid, slot, txn, PageType.TABLE_LEAF)
+        page_no = self._child(mid, slot, txn, PageType.TABLE_LEAF)
+        if page_no != NO_PAGE:
+            self._leaves[index] = page_no
+        return page_no
 
     def _find(self, key) -> Optional[Tuple[int, int, Tuple[int, int]]]:
         """``(page_no, offset, rid)`` of the live entry for *key*."""
@@ -208,7 +221,8 @@ class ObjectTable:
 
     def insert(self, txn: int, key, rid) -> None:
         """Map *key* to *rid*. The caller has checked *key* is absent."""
-        entry = _pack_key(key) + _RID.pack(*rid) + bytes((LIVE, 0))
+        # The pad byte of a never-used position is already zero.
+        entry = _pack_key(key) + _RID.pack(*rid) + bytes((LIVE,))
         pool = self._pool
         page_no = self._leaf(key[0], txn)
         while True:
@@ -227,9 +241,8 @@ class ObjectTable:
                                         redo_only=True) as page:
                     page.next_page = nxt
             page_no = nxt
-        offset = HEADER_SIZE + free * ENTRY_SIZE
-        with self._journal.edit(txn, page_no) as page:
-            page.buf[offset:offset + ENTRY_SIZE] = entry
+        self._journal.write(txn, page_no, HEADER_SIZE + free * ENTRY_SIZE,
+                            entry)
 
     def delete(self, txn: int, key) -> Optional[Tuple[int, int]]:
         """Mark *key*'s entry dead; returns the RID it held, or None."""
@@ -237,8 +250,7 @@ class ObjectTable:
         if hit is None:
             return None
         page_no, offset, rid = hit
-        with self._journal.edit(txn, page_no) as page:
-            page.buf[offset + _FLAG_AT] = DEAD
+        self._journal.write(txn, page_no, offset + _FLAG_AT, bytes((DEAD,)))
         self.deletes += 1
         return rid
 

@@ -39,6 +39,14 @@ the catalog) address records by slot number: :meth:`SlottedPage.insert`
 :meth:`SlottedPage.insert_at` / :meth:`SlottedPage.remove_at` shift the
 4-byte slot entries and leave no tombstones, so slot *i* is always the
 *i*-th record. Compaction preserves slot numbers, hence order, for both.
+
+**Every mutator reports the bytes it wrote.** A page view whose
+:attr:`SlottedPage.touched` is a list (the journal sets one while it
+holds the page for a logged operation) collects ``(lo, hi)`` ranges from
+each primitive: the header words it changed, the slot-directory span and
+the payload. The journal logs exactly those ranges as the redo image —
+there is no snapshot of the page and no diff. Views made by a plain pin
+have ``touched = None`` and report nothing.
 """
 
 from __future__ import annotations
@@ -65,6 +73,9 @@ _TYPE_AT = 4
 _LSN_AT = 8
 _SLOT_COUNT_AT = 16
 _NEXT_AT = 24
+#: The header words a record operation changes: slot_count, free_start,
+#: free_end, fragmented.
+_COUNTS = (_SLOT_COUNT_AT, _NEXT_AT)
 
 try:  # a hardware-accelerated crc32c if the platform ships one ...
     from crc32c import crc32c as _crc32c  # type: ignore
@@ -130,13 +141,28 @@ class SlottedPage:
     update the header in place.
     """
 
-    __slots__ = ("buf",)
+    __slots__ = ("buf", "touched")
 
     def __init__(self, buf: bytearray):
         if len(buf) != PAGE_SIZE:
             raise PageError("page buffer must be %d bytes, got %d"
                             % (PAGE_SIZE, len(buf)))
         self.buf = buf
+        #: ``(lo, hi)`` byte ranges written through this view, or None
+        #: when nobody is logging it (see the module docs).
+        self.touched = None
+
+    def touch(self, lo: int, hi: int) -> None:
+        """Report ``buf[lo:hi]`` as written (a no-op unless logged)."""
+        touched = self.touched
+        if touched is not None:
+            touched.append((lo, hi))
+
+    def write(self, offset: int, data: bytes) -> None:
+        """Raw write for pages without a slot directory (object-table and
+        overflow pages), reported like every other mutation."""
+        self.buf[offset:offset + len(data)] = data
+        self.touch(offset, offset + len(data))
 
     # -- header accessors ---------------------------------------------------
 
@@ -159,6 +185,7 @@ class SlottedPage:
     @page_type.setter
     def page_type(self, value: int) -> None:
         self.buf[_TYPE_AT] = value
+        self.touch(_TYPE_AT, _TYPE_AT + 1)
 
     @property
     def page_lsn(self) -> int:
@@ -179,6 +206,7 @@ class SlottedPage:
     @next_page.setter
     def next_page(self, value: int) -> None:
         _U64.pack_into(self.buf, _NEXT_AT, value)
+        self.touch(_NEXT_AT, _NEXT_AT + 8)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -214,22 +242,27 @@ class SlottedPage:
 
     # -- record operations ----------------------------------------------------
 
-    def insert(self, payload: bytes) -> int:
+    def insert(self, payload: bytes, avoid=(), held: int = 0) -> int:
         """Insert *payload*, returning its slot number.
 
-        Reuses the lowest tombstone slot if one exists; compacts the page
-        first when fragmentation is blocking the insert. Raises
-        :class:`PageFullError` when the record genuinely does not fit.
+        Reuses the lowest tombstone slot not in *avoid*; compacts the
+        page first when fragmentation is blocking the insert. *held*
+        bytes of the free space are spoken for (the journal's
+        reservations for other transactions' uncommitted deletes, whose
+        tombstones are *avoid*). Raises :class:`PageFullError` when the
+        record genuinely does not fit.
         """
         length = len(payload)
         if length > MAX_RECORD_SIZE:
             raise PageError("record of %d bytes exceeds max %d"
                             % (length, MAX_RECORD_SIZE))
-        slot = self._find_tombstone()
+        free = self.total_free - held
+        # Too full even for a reused slot: no need to look for one.
+        slot = self._find_tombstone(avoid) if free >= length else None
         need = length if slot is not None else length + SLOT_SIZE
-        if self.total_free < need:
+        if free < need:
             raise PageFullError("page %d: %d bytes needed, %d free"
-                                % (self.page_no, need, self.total_free))
+                                % (self.page_no, need, free))
         if self.contiguous_free < need:
             self.compact()
         (page_no, page_type, lsn, slot_count,
@@ -238,12 +271,23 @@ class SlottedPage:
             slot = slot_count
             slot_count += 1
             free_start += SLOT_SIZE
-        offset = free_end - length
-        self.buf[offset:offset + length] = payload
-        _SLOT.pack_into(self.buf, HEADER_SIZE + slot * SLOT_SIZE, offset, length)
+        self._place(slot, payload, free_end)
         self._write_header(page_no, page_type, lsn, slot_count,
-                           free_start, offset, fragmented, next_page)
+                           free_start, free_end - length, fragmented,
+                           next_page)
         return slot
+
+    def _place(self, slot: int, payload: bytes, free_end: int) -> None:
+        """Write *payload* just below *free_end* and point *slot* at it
+        (the header is the caller's)."""
+        buf = self.buf
+        offset = free_end - len(payload)
+        buf[offset:free_end] = payload
+        at = HEADER_SIZE + slot * SLOT_SIZE
+        _SLOT.pack_into(buf, at, offset, len(payload))
+        touched = self.touched
+        if touched is not None:
+            touched += (_COUNTS, (at, at + SLOT_SIZE), (offset, free_end))
 
     def read(self, slot: int) -> bytes:
         """Return the payload stored in *slot*.
@@ -255,59 +299,84 @@ class SlottedPage:
             raise PageError("page %d slot %d is deleted" % (self.page_no, slot))
         return bytes(self.buf[offset:offset + length])
 
+    def is_live(self, slot: int) -> bool:
+        """Whether *slot* exists and is not a tombstone."""
+        return (0 <= slot < self.slot_count and
+                _SLOT.unpack_from(self.buf, HEADER_SIZE + slot * SLOT_SIZE)[0]
+                != 0)
+
     def delete(self, slot: int) -> None:
         """Tombstone *slot*, making its space reclaimable."""
         offset, length = self._slot_entry(slot)
         if offset == 0:
             raise PageError("page %d slot %d already deleted"
                             % (self.page_no, slot))
-        _SLOT.pack_into(self.buf, HEADER_SIZE + slot * SLOT_SIZE, 0, 0)
+        at = HEADER_SIZE + slot * SLOT_SIZE
+        _SLOT.pack_into(self.buf, at, 0, 0)
         hdr = list(self._read_header())
         hdr[6] += length  # fragmented
         self._write_header(*hdr)
+        touched = self.touched
+        if touched is not None:
+            touched += (_COUNTS, (at, at + SLOT_SIZE))
 
-    def update(self, slot: int, payload: bytes) -> None:
+    def update(self, slot: int, payload: bytes, held: int = 0) -> None:
         """Replace the payload in *slot*.
 
         Updates in place when the new payload is no longer than the old one;
         otherwise deletes and reinserts into the same slot (compacting if
         required). Raises :class:`PageFullError` if the larger payload does
-        not fit on this page — the caller (heap file) then relocates the
-        record with a forwarding stub.
+        not fit on this page beside *held* reserved bytes — the caller
+        (heap file) then relocates the record with a forwarding stub.
         """
         offset, old_length = self._slot_entry(slot)
         if offset == 0:
             raise PageError("page %d slot %d is deleted" % (self.page_no, slot))
         new_length = len(payload)
+        at = HEADER_SIZE + slot * SLOT_SIZE
         if new_length <= old_length:
             self.buf[offset:offset + new_length] = payload
-            _SLOT.pack_into(self.buf, HEADER_SIZE + slot * SLOT_SIZE,
-                            offset, new_length)
+            _SLOT.pack_into(self.buf, at, offset, new_length)
+            self.touch(offset, offset + new_length)
+            self.touch(at, at + SLOT_SIZE)
             if new_length < old_length:
                 hdr = list(self._read_header())
                 hdr[6] += old_length - new_length
                 self._write_header(*hdr)
+                self.touch(*_COUNTS)
             return
         grow = new_length - old_length
-        if self.total_free < grow:
+        if self.total_free - held < grow:
             raise PageFullError(
                 "page %d: update needs %d more bytes, %d free"
-                % (self.page_no, grow, self.total_free))
+                % (self.page_no, grow, self.total_free - held))
         # Tombstone the old copy, then place the new payload.
-        _SLOT.pack_into(self.buf, HEADER_SIZE + slot * SLOT_SIZE, 0, 0)
+        _SLOT.pack_into(self.buf, at, 0, 0)
         hdr = list(self._read_header())
         hdr[6] += old_length
         self._write_header(*hdr)
-        if self.contiguous_free < new_length:
+        self._put(slot, payload)
+
+    def restore(self, slot: int, payload: bytes) -> None:
+        """Put *payload* back into *slot*, live or tombstoned — the undo
+        of a delete or an update, which finds the slot and the bytes it
+        needs still free (the journal reserves them)."""
+        if self._slot_entry(slot)[0]:
+            self.update(slot, payload)
+        else:
+            self._put(slot, payload)
+
+    def _put(self, slot: int, payload: bytes) -> None:
+        """Place *payload* into the tombstoned *slot*, compacting first
+        when the free space is fragmented."""
+        if self.contiguous_free < len(payload):
             self.compact()
         (page_no, page_type, lsn, slot_count,
          free_start, free_end, fragmented, next_page) = self._read_header()
-        new_offset = free_end - new_length
-        self.buf[new_offset:new_offset + new_length] = payload
-        _SLOT.pack_into(self.buf, HEADER_SIZE + slot * SLOT_SIZE,
-                        new_offset, new_length)
+        self._place(slot, payload, free_end)
         self._write_header(page_no, page_type, lsn, slot_count,
-                           free_start, new_offset, fragmented, next_page)
+                           free_start, free_end - len(payload), fragmented,
+                           next_page)
 
     # -- ordered pages ---------------------------------------------------------
 
@@ -342,6 +411,10 @@ class SlottedPage:
         self._write_header(page_no, page_type, lsn, slot_count + 1,
                            free_start + SLOT_SIZE, offset, fragmented,
                            next_page)
+        touched = self.touched
+        if touched is not None:
+            touched += (_COUNTS, (at, free_start + SLOT_SIZE),
+                        (offset, free_end))
 
     def remove_at(self, pos: int) -> None:
         """Remove slot *pos*, shifting slots ``pos+1..`` down one.
@@ -366,12 +439,18 @@ class SlottedPage:
         self._write_header(page_no, page_type, lsn, slot_count - 1,
                            free_start - SLOT_SIZE, free_end, fragmented,
                            next_page)
+        touched = self.touched
+        if touched is not None:
+            touched.append(_COUNTS)
+            if at < free_start - SLOT_SIZE:
+                touched.append((at, free_start - SLOT_SIZE))
 
     def copy_from(self, other: "SlottedPage") -> None:
         """Become a copy of *other* — type, records, slot order and chain
         pointer — keeping this page's own number and LSN."""
         self.buf[_TYPE_AT] = other.buf[_TYPE_AT]
         self.buf[_SLOT_COUNT_AT:] = other.buf[_SLOT_COUNT_AT:]
+        self.touch(0, PAGE_SIZE)
 
     def live_entries(self, start: int = 0) -> List[Tuple[int, int, int]]:
         """``(slot, offset, length)`` of every live slot from *start* on.
@@ -416,6 +495,10 @@ class SlottedPage:
                             write_end, len(payload))
         self._write_header(page_no, page_type, lsn, slot_count,
                            free_start, write_end, 0, next_page)
+        touched = self.touched
+        if touched is not None:
+            touched += (_COUNTS, (HEADER_SIZE, free_start),
+                        (write_end, PAGE_SIZE))
 
     # -- internals ------------------------------------------------------------
 
@@ -425,10 +508,10 @@ class SlottedPage:
                             % (self.page_no, slot, self.slot_count))
         return _SLOT.unpack_from(self.buf, HEADER_SIZE + slot * SLOT_SIZE)
 
-    def _find_tombstone(self) -> Optional[int]:
+    def _find_tombstone(self, avoid=()) -> Optional[int]:
         for slot in range(self.slot_count):
             offset, _ = _SLOT.unpack_from(self.buf, HEADER_SIZE + slot * SLOT_SIZE)
-            if offset == 0:
+            if offset == 0 and slot not in avoid:
                 return slot
         return None
 

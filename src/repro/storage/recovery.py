@@ -6,10 +6,16 @@ committed transactions:
 1. **Analysis** scans the whole log (our logs are truncated at quiescent
    checkpoints, so a full scan is bounded by work since the last one) and
    classifies transactions into winners (COMMIT seen) and losers.
-2. **Redo** repeats history: every UPDATE and CLR whose LSN is newer than
-   the target page's on-disk LSN is re-applied, committed or not.
-3. **Undo** rolls back the losers with the same compensation-logging walk
-   used by runtime abort (:func:`repro.storage.journal.undo_transaction`).
+2. **Redo** repeats history: the redo ranges of every OP, UPDATE and CLR
+   record whose LSN is newer than the target page's on-disk LSN are
+   re-applied, committed or not.
+3. **Undo** rolls the losers back in one backward pass over all of them
+   in LSN order, with the step runtime abort uses
+   (:meth:`repro.storage.journal.Journal.undo_step`): an unfinished
+   nested top action (a B+tree split cut short) is rolled back
+   physically before any earlier record of another loser is undone
+   logically on the pages it touched, and a loser that crashed mid-abort
+   resumes where its last CLR points.
 
 Recovery finishes with a quiescent checkpoint, flushing all pages and
 truncating the log.
@@ -17,12 +23,13 @@ truncating the log.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Set
 
 from ..errors import CorruptPageError
 from .buffer import BufferPool
-from .journal import Journal, undo_transaction
-from .wal import LogRecordType, WriteAheadLog
+from .journal import Journal
+from .wal import NULL_LSN, LogRecordType, WriteAheadLog
 
 
 class RecoveryReport:
@@ -89,8 +96,9 @@ def recover(pool: BufferPool, wal: WriteAheadLog) -> RecoveryReport:
     # ---- redo: repeat history ----
     suspect: Set[int] = set()
     for lsn, record in wal.records():
-        if record["type"] not in (LogRecordType.UPDATE, LogRecordType.CLR):
-            continue
+        ranges = record.get("ranges")
+        if not ranges:
+            continue  # no page change (an undo-only OP, a closing CLR)
         page_no = record["page_no"]
         # The fsynced log can reference pages whose (buffered) file
         # extension never reached disk; materialize them before pinning.
@@ -104,9 +112,9 @@ def recover(pool: BufferPool, wal: WriteAheadLog) -> RecoveryReport:
             suspect.add(page_no)
             report.repaired_pages.add(page_no)
         if page_no in suspect or page.page_lsn < lsn:
-            after = record["after"]
-            offset = record["offset"]
-            page.buf[offset:offset + len(after)] = after
+            buf = page.buf
+            for offset, after in ranges:
+                buf[offset:offset + len(after)] = after
             page.page_lsn = lsn
             pool.unpin(page_no, dirty=True)
             report.redone += 1
@@ -114,11 +122,23 @@ def recover(pool: BufferPool, wal: WriteAheadLog) -> RecoveryReport:
             pool.unpin(page_no, dirty=False)
             report.skipped_redo += 1
 
-    # ---- undo losers ----
-    for txn in sorted(report.losers, reverse=True):
-        start = _undo_start(wal, txn, last_lsn[txn])
-        last = undo_transaction(pool, wal, txn, start)
-        wal.log_end(txn, last)
+    # ---- undo losers: one backward pass, newest record first ----
+    journal = Journal(pool, wal)
+    walk = []
+    for txn in report.losers:
+        journal.active[txn] = last_lsn[txn]
+        walk.append((-last_lsn[txn], txn))
+    heapq.heapify(walk)
+    while walk:
+        lsn, txn = heapq.heappop(walk)
+        lsn = journal.undo_step(txn, -lsn)
+        if lsn != NULL_LSN:
+            heapq.heappush(walk, (-lsn, txn))
+    # Pages the undo unlinked stay allocated: the free list is not
+    # logged, so a page the crashed run took off it may still be on it
+    # in the file, and freeing it here would list it twice.
+    for txn in sorted(report.losers):
+        wal.log_end(txn, journal.active[txn])
 
     report.wal_stop = wal.scan_stop
     report.wal_stop_kind = wal.scan_stop_kind
@@ -132,15 +152,3 @@ def recover(pool: BufferPool, wal: WriteAheadLog) -> RecoveryReport:
     wal.truncate()
     return report
 
-
-def _undo_start(wal: WriteAheadLog, txn: int, last: int) -> int:
-    """Where to begin the backward undo walk for *txn*.
-
-    If the transaction's final record is a CLR (it was mid-abort when the
-    crash hit), resume from its ``undo_next``; otherwise start at the last
-    record itself.
-    """
-    record = wal.read_record(last)
-    if record["type"] == LogRecordType.CLR:
-        return record["undo_next"]
-    return last

@@ -87,8 +87,8 @@ class _AllLatches:
 class _FreshView:
     """``fresh_pages`` facade over the shard pools' per-pool dicts.
 
-    The journal only needs ``get``, truthiness and ``pop`` (see
-    ``journal._PageEdit``); each routes to the owning pool's dict.
+    The journal only needs ``get``, truthiness and ``pop`` (a fresh
+    page's first logged image); each routes to the owning pool's dict.
     """
 
     __slots__ = ("_pools",)
@@ -395,7 +395,7 @@ class ShardJournal:
     """Journal facade whose ``_pool`` is a :class:`ShardView`.
 
     Heap files and indexes reach their pool through ``journal._pool`` and
-    log edits through ``journal.edit``; wrapping the pool view around the
+    log through the journal's operations; wrapping the pool view around the
     real journal gives a per-(cluster, shard) structure its shard-bound
     allocator without the journal (or the WAL) knowing about shards.
     """
@@ -417,5 +417,20 @@ class ShardJournal:
     def edit(self, txn: int, page_no: int, redo_only: bool = False):
         return self._journal.edit(txn, page_no, redo_only)
 
-    def free_page_deferred(self, txn: int, page_no: int) -> None:
-        self._journal.free_page_deferred(txn, page_no)
+    def write(self, txn: int, page_no: int, offset: int, data: bytes,
+              redo_only: bool = False) -> None:
+        self._journal.write(txn, page_no, offset, data, redo_only)
+
+    def heap_insert(self, txn: int, page_no: int, record: bytes):
+        return self._journal.heap_insert(txn, page_no, record)
+
+    def heap_delete(self, txn: int, page_no: int, slot: int) -> None:
+        self._journal.heap_delete(txn, page_no, slot)
+
+    def heap_update(self, txn: int, page_no: int, slot: int,
+                    record: bytes) -> bool:
+        return self._journal.heap_update(txn, page_no, slot, record)
+
+    def free_page_deferred(self, txn: int, page_no: int,
+                           unlinked: bool = False) -> None:
+        self._journal.free_page_deferred(txn, page_no, unlinked)

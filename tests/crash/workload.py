@@ -11,7 +11,11 @@ This module plays two roles:
 * **Run as a script** (child process) it executes that same operation
   list against a real :class:`~repro.core.database.Database`, one
   transaction per operation, appending each acknowledged commit to an
-  fsynced *oracle* file **after** the commit returns. Faults are armed
+  fsynced *oracle* file **after** the commit returns. Before every
+  :data:`ABORT_EVERY`-th operation it also runs a transaction that
+  creates, updates and deletes objects and then aborts (no model state
+  changes), so the kill points land inside undo too and recovery must
+  finish an abort a crash cut short. Faults are armed
   through ``REPRO_FAULTS`` (see :mod:`repro.storage.faults`), so the
   child can be killed at any registered failpoint; the oracle then lower-
   bounds the set of operations recovery must preserve.
@@ -49,6 +53,10 @@ ERROR_EXIT_CODE = 3
 #: reproducible points. Reclustering never changes logical content, so
 #: the model states are unaffected.
 MAINT_EVERY = 8
+
+#: Every this-many ops, an aborted transaction runs first (see the
+#: module docs).
+ABORT_EVERY = 3
 
 # With ``REPRO_WORKLOAD_V2=1`` the child runs its first ops with no
 # faults armed, then — in place of the first maintenance call — rewrites
@@ -94,6 +102,27 @@ def run_maintenance(db, i: int) -> None:
         for serial in [record["__key"][0]]
         if store._shard_of_key((serial, 0)) == shard)[:4]
     store.recluster_shard("CrashItem", serials, shard=shard)
+
+
+class _Abort(Exception):
+    """Raised to roll back the workload's aborted transactions."""
+
+
+def run_aborted(db, live, i: int) -> None:
+    """Write beside the committed state, then abort: two creates (one
+    with a name near a leaf's worth, to split and later detach index
+    leaves), an update and a delete of live objects."""
+    names = sorted(live)
+    try:
+        with db.transaction():
+            db.pnew(CrashItem, name="abort-%d" % i, qty=-1)
+            db.pnew(CrashItem, name="abort-%d%s" % (i, "~" * 600), qty=-2)
+            if names:
+                live[names[i % len(names)]].qty = -3
+                db.pdelete(live[names[(i // 2) % len(names)]].oid)
+            raise _Abort
+    except _Abort:
+        pass
 
 
 def _hits(store):
@@ -175,6 +204,10 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
             db.create_index(CrashItem, "name", kind="btree")
         live = {obj.name: obj for obj in db.cluster(CrashItem)}
         for i, (kind, name, arg) in enumerate(ops):
+            if i % ABORT_EVERY == 1:
+                run_aborted(db, live, i)
+                # A rolled-back pdelete leaves its handle volatile.
+                live = {obj.name: obj for obj in db.cluster(CrashItem)}
             with db.transaction():
                 if kind == "create":
                     live[name] = db.pnew(CrashItem, name=name, qty=arg)

@@ -16,12 +16,10 @@ transaction.
 The rules never write an object another open transaction wrote, nor —
 inside a transaction — one committed since its snapshot, so no step
 blocks on a lock or loses a first-updater-wins race: every failure is a
-wrong answer. A transaction that another session wrote beside commits
-instead of aborting: physical undo next to foreign changes on a shared
-heap or index page is the recorded fault of DESIGN.md's fault model
-(the strict xfail in ``tests/concurrency/test_abort_isolation.py``),
-which this machine found again within seconds and is not about.
-EXPERIMENTS.md (EXP-23) records that the machine fails
+wrong answer. Any open transaction may commit or abort, whoever wrote
+beside it on the same heap or index page: undo is logical, so an abort
+removes exactly its own records and entries (EXP-28). EXPERIMENTS.md
+(EXP-23) records that the machine fails
 within a few examples when ``IndexPlan._overlay`` is stubbed to return
 the bare index candidates.
 """
@@ -136,7 +134,6 @@ class IndexedQueriesUnderChurn(RuleBasedStateMachine):
         self.stamp = {}          # serial -> seq of its last commit
         self.seq = 0
         self.owner = {}          # serial -> session with a pending write
-        self.write_log = []      # the session behind each write, in order
         self.indexed = set()
         self.tags = []           # (serial, k), never written after set-up
         self.sessions = []
@@ -158,7 +155,7 @@ class IndexedQueriesUnderChurn(RuleBasedStateMachine):
         db = self.db
         self.sessions = [
             {"thread": _Session(db), "open": False, "base": None,
-             "begin_seq": 0, "writes": {}, "first_write": None}
+             "begin_seq": 0, "writes": {}}
             for _ in range(n_sessions)]
 
         def load():
@@ -232,13 +229,10 @@ class IndexedQueriesUnderChurn(RuleBasedStateMachine):
             made = s["thread"].call(autocommit)
         serial = made if serial is None else serial
         if s["open"]:
-            if s["first_write"] is None:
-                s["first_write"] = len(self.write_log)
             s["writes"][serial] = image
             self.owner[serial] = i
         else:
             self._apply({serial: image})
-        self.write_log.append(i)
 
     def _apply(self, writes):
         self.seq += 1
@@ -258,16 +252,13 @@ class IndexedQueriesUnderChurn(RuleBasedStateMachine):
             return
         s["thread"].call("begin")
         s.update(open=True, base=dict(self.committed), begin_seq=self.seq,
-                 writes={}, first_write=None)
+                 writes={})
 
     @rule(pick=st.integers(0, 5), commit=st.booleans())
     def finish(self, pick, commit):
         i, s = self._session(pick)
         if not s["open"]:
             return
-        if s["first_write"] is not None and any(
-                j != i for j in self.write_log[s["first_write"]:]):
-            commit = True   # wrote beside another session: see module doc
         s["thread"].call("commit" if commit else "abort")
         if commit and s["writes"]:
             self._apply(s["writes"])

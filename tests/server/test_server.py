@@ -527,14 +527,27 @@ class TestFaults:
         """``REPRO_FAULTS`` fails one request read in the server, which
         drops that connection: its client reconnects and redoes the
         insert, every client finishes, and the stored rows are exactly
-        the inserts the server acknowledged.
+        the inserts the server acknowledged. Each insert is one
+        request, so a dropped connection has no open transaction."""
+        def insert(c, name, j):
+            c.execute('transaction { pnew gadget("%s", %d); }' % (name, j))
 
-        Each insert is one request, so a dropped connection has no open
-        transaction to abort. An abort beside other sessions' commits on
-        a shared heap page can lose them (the strict xfail
-        ``test_abort_isolation.py::test_abort_beside_committed_inserts``);
-        with begin/execute/commit per insert this test loses an acked
-        insert in about one run in five."""
+        self._stored_equals_acked(tmp_path, monkeypatch, insert)
+
+    def test_dropped_transactions_abort_beside_commits(self, tmp_path,
+                                                       monkeypatch):
+        """The same with begin / execute / commit per insert: a dropped
+        connection aborts its open transaction beside the other
+        clients' commits on the same heap and index pages, and must take
+        only its own insert with it."""
+        def insert(c, name, j):
+            c.begin()
+            c.execute('pnew gadget("%s", %d);' % (name, j))
+            c.commit()
+
+        self._stored_equals_acked(tmp_path, monkeypatch, insert)
+
+    def _stored_equals_acked(self, tmp_path, monkeypatch, insert):
         monkeypatch.setenv("REPRO_FAULTS", "server.recv.pre:error:25")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "7")
         database = Database(str(tmp_path / "faults.odb"))
@@ -548,8 +561,7 @@ class TestFaults:
                         name = "c%d-%d" % (idx, j)
                         while True:
                             try:
-                                c.execute('transaction { pnew gadget("%s", '
-                                          '%d); }' % (name, j))
+                                insert(c, name, j)
                                 break
                             except (ConnectionClosedError, OSError):
                                 dropped.append(idx)     # next op reconnects

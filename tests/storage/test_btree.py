@@ -374,14 +374,6 @@ class TestMaintenanceCost:
                                                       monkeypatch):
         from repro.storage import btree as btree_mod
         wal = store._wal
-        pages_logged = []
-        log_update = wal.log_update
-
-        def counting_log_update(txn, prev_lsn, page_no, *rest):
-            pages_logged.append(page_no)
-            return log_update(txn, prev_lsn, page_no, *rest)
-
-        monkeypatch.setattr(wal, "log_update", counting_log_update)
         node_encodes = []
         encode = btree_mod.encode_value
 
@@ -396,10 +388,12 @@ class TestMaintenanceCost:
         monkeypatch.setattr(btree_mod, "encode_value", counting_encode)
 
         def measured(op, key):
-            del pages_logged[:]
             before = wal.end_lsn
             op(txn, "c", "n", key, key)
-            return len(set(pages_logged)), wal.end_lsn - before
+            pages_logged = {record["page_no"]
+                            for _lsn, record in wal.records(before)
+                            if record.get("ranges")}
+            return len(pages_logged), wal.end_lsn - before
 
         txn = store.begin()
         store.create_cluster(txn, "c")

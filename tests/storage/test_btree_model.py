@@ -6,6 +6,11 @@ runs (narrow and wide keys), window deletes, delete by key, delete by
 pair, search, range, items, commit, abort
 (journal rollback), checkpoint + reopen, and crash + recovery — against
 a plain list of entries ordered by ``(encode_key(key), tiebreak(value))``.
+A second transaction interleaves with the first on the same tree —
+inserting and deleting entries of its own (one-element tuple keys, which
+no rule of the first generates, as record locks would keep the two
+apart), committing and aborting independently — so every abort undoes
+its entries beside the other's splits, detaches and shifted slots.
 Key and value strategies are chosen so that every structural path is hit
 within a few steps: ints with heavy duplicates, floats equal to ints,
 strings up to 600 bytes (three entries to a node, so separators split
@@ -116,6 +121,11 @@ class BTreeMachine(RuleBasedStateMachine):
         self.model = []          # [(key, value)]
         self.committed = []
         self.txn = self.journal.begin()
+        # The second transaction's entries, pending and committed.
+        self.model2 = []
+        self.committed2 = []
+        self.next2 = 0
+        self.txn2 = self.journal.begin()
 
     # -- the model ----------------------------------------------------------
 
@@ -126,7 +136,8 @@ class BTreeMachine(RuleBasedStateMachine):
             if hi_kb is None:
                 return True
             return kb <= hi_kb if include_hi else kb < hi_kb
-        return sorted((e for e in self.model if inside(encode_key(e[0]))),
+        return sorted((e for e in self.model + self.model2
+                       if inside(encode_key(e[0]))),
                       key=lambda e: encode_key(e[0]))
 
     def _insert(self, key, value):
@@ -214,7 +225,8 @@ class BTreeMachine(RuleBasedStateMachine):
         key = self._pick_key(data, fresh)
         kb = encode_key(key)
         want = collections.Counter(
-            repr(v) for k, v in self.model if encode_key(k) == kb)
+            repr(v) for k, v in self.model + self.model2
+            if encode_key(k) == kb)
         got = self.tree.search(key)
         assert collections.Counter(map(repr, got)) == want
         assert self.tree.contains(key) == bool(want)
@@ -231,7 +243,7 @@ class BTreeMachine(RuleBasedStateMachine):
     @rule()
     def items(self):
         assert shape(list(self.tree.items())) == shape(self._expected())
-        assert len(self.tree) == len(self.model)
+        assert len(self.tree) == len(self.model) + len(self.model2)
 
     @rule()
     def commit(self):
@@ -245,21 +257,62 @@ class BTreeMachine(RuleBasedStateMachine):
         self.model = list(self.committed)
         self.txn = self.journal.begin()
 
+    # -- the second transaction ----------------------------------------------
+
+    @rule(count=st.integers(min_value=1, max_value=60), value=values)
+    def insert2(self, count, value):
+        """Entries of the second transaction: a run of fresh keys, wide
+        enough now and then to split a leaf or two."""
+        for _ in range(count):
+            key = (("t2", self.next2),)
+            self.next2 += 1
+            if too_large(key, value, self.unique):
+                continue
+            self.tree.insert(self.txn2, key, value)
+            self.model2.append((key, value))
+
+    @rule(data=st.data())
+    def delete2(self, data):
+        if not self.model2:
+            return
+        picks = data.draw(st.lists(
+            st.integers(min_value=0, max_value=len(self.model2) - 1),
+            min_size=1, max_size=20, unique=True))
+        for key, value in [self.model2[i] for i in picks]:
+            assert self.tree.delete(self.txn2, key, value) == 1
+            self.model2.remove((key, value))
+
+    @rule()
+    def commit2(self):
+        self.journal.commit(self.txn2)
+        self.committed2 = list(self.model2)
+        self.txn2 = self.journal.begin()
+
+    @rule()
+    def abort2(self):
+        self.journal.abort(self.txn2)
+        self.model2 = list(self.committed2)
+        self.txn2 = self.journal.begin()
+
     @rule(crash=st.booleans())
     def reopen(self, crash):
         """Checkpoint and reopen — or crash (dirty pages and the open
-        transaction are lost) and recover from the log."""
+        transactions are lost) and recover from the log."""
         if crash:
             self.wal.flush()
             self.model = list(self.committed)
+            self.model2 = list(self.committed2)
         else:
             self.journal.commit(self.txn)
+            self.journal.commit(self.txn2)
             self.committed = list(self.model)
+            self.committed2 = list(self.model2)
             self.journal.checkpoint()
         self._close()
         self._open()
         self.tree = BTree(self.journal, self.root_page, unique=self.unique)
         self.txn = self.journal.begin()
+        self.txn2 = self.journal.begin()
 
     def _pick_key(self, data, fresh):
         if self.model and data.draw(st.booleans()):

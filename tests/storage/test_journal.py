@@ -3,25 +3,9 @@
 import pytest
 
 from repro.errors import TransactionError
-from repro.storage.journal import Journal, _diff_range
+from repro.storage.journal import Journal
 from repro.storage.page import PageType
 from repro.storage.wal import LogRecordType
-
-
-class TestDiffRange:
-    def test_identical(self):
-        assert _diff_range(b"abc", b"abc") == (None, None)
-
-    def test_single_byte(self):
-        assert _diff_range(b"abcdef", b"abXdef") == (2, 3)
-
-    def test_prefix_suffix(self):
-        lo, hi = _diff_range(b"0123456789", b"01XYZ56789")
-        assert (lo, hi) == (2, 5)
-
-    def test_whole_buffer(self):
-        lo, hi = _diff_range(b"aaaa", b"bbbb")
-        assert (lo, hi) == (0, 4)
 
 
 class TestTransactions:
@@ -169,4 +153,56 @@ class TestCheckpoint:
         types = [rec["type"] for _, rec in wal.records()]
         assert types
         assert "checkpoint" in types
+        journal.commit(txn)
+
+
+class TestOpRecords:
+    """A slot operation appends exactly one record, and that record
+    carries what the page primitive wrote — no before-image, no diff."""
+
+    #: Everything in a heap insert's record besides the payload: the
+    #: record frame (8) and header (17 + 10), three range descriptors
+    #: (12), the header words (8) and the slot entry (4).
+    FRAMING = 64
+
+    def test_one_record_per_heap_operation(self, stack):
+        from repro.storage.heap import HeapFile
+        _pool, wal, journal = stack
+        txn = journal.begin()
+        heap = HeapFile.create(journal, txn)
+        rids = [heap.insert(txn, b"seed%d" % i) for i in range(20)]
+        for payload in (b"", b"x" * 100, b"y" * 1500):
+            appends, start = wal.appends, wal.end_lsn
+            rid = heap.insert(txn, payload)
+            assert wal.appends - appends == 1
+            # payload + the heap's 5-byte record header, padded to 15
+            stored = max(len(payload) + 5, 15)
+            assert wal.end_lsn - start <= stored + self.FRAMING
+            (record,) = [r for _lsn, r in wal.records(start)]
+            assert record["type"] == LogRecordType.OP
+            assert "before" not in record
+        for op in (lambda: heap.update(txn, rids[3], b"grown" * 30),
+                   lambda: heap.update(txn, rids[4], b"s"),
+                   lambda: heap.delete(txn, rids[5])):
+            appends = wal.appends
+            op()
+            assert wal.appends - appends == 1
+        journal.commit(txn)
+
+    def test_one_record_per_entry_operation(self, stack):
+        from repro.storage.btree import BTree
+        _pool, wal, journal = stack
+        txn = journal.begin()
+        tree = BTree.create(journal, txn)
+        for key in range(0, 100, 2):
+            tree.insert(txn, key, key)
+        for op in (lambda: tree.insert(txn, 51, 51),
+                   lambda: tree.insert(txn, 200, 200),
+                   lambda: tree.delete(txn, 10, 10),
+                   lambda: tree.delete(txn, 0)):
+            appends, start = wal.appends, wal.end_lsn
+            op()
+            assert wal.appends - appends == 1
+            (record,) = [r for _lsn, r in wal.records(start)]
+            assert record["type"] == LogRecordType.OP
         journal.commit(txn)

@@ -128,21 +128,11 @@ class TestRecovery:
         txn2 = h.journal.begin()
         for i in range(20):
             heap.insert(txn2, b"x%d" % i)
-        # Simulate a partial abort: undo a few updates via CLRs, then crash.
-        from repro.storage.journal import undo_transaction
-        from repro.storage.wal import LogRecordType
-        last = h.journal.active[txn2]
-        record = h.wal.read_record(last)
-        # undo just one record by hand
-        page_no = record["page_no"]
-        page = h.pool.pin(page_no)
-        before = record["before"]
-        page.buf[record["offset"]:record["offset"] + len(before)] = before
-        clr = h.wal.log_clr(txn2, last, page_no, record["offset"], before,
-                            undo_next=record["prev_lsn"])
-        page.page_lsn = clr
-        h.pool.unpin(page_no, dirty=True)
-        h.journal.active[txn2] = clr
+        # Simulate a partial abort: undo a few operations via CLRs, then
+        # crash.
+        lsn = h.journal.active[txn2]
+        for _ in range(3):
+            lsn = h.journal.undo_step(txn2, lsn)
         h.wal.flush()
 
         report = h.crash_and_recover()
