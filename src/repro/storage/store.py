@@ -53,7 +53,7 @@ from .codec import decode_value, encode_value
 from .buffer import DEFAULT_POOL_SIZE, BufferPool
 from .catalog import Catalog, ClusterInfo, IndexInfo
 from .faults import FaultInjector
-from .heap import RID, HeapFile
+from .heap import RID, HeapFile, overflow_head
 from .journal import Journal
 from .locks import LockManager
 from .objtable import LEAF_ENTRIES, ObjectTable
@@ -1263,19 +1263,15 @@ class Store:
             with self._pool.page(page_no) as page:
                 page_no = page.next_page
         # Overflow chains hang off records; collect them via raw slots.
-        from . import heap as heap_mod
         for home in list(pages):
             with self._pool.page(home) as page:
                 records = list(page.slots())
             for _slot, raw in records:
-                kind, body = heap_mod._unpack_record(raw)
-                if kind == heap_mod.KIND_OVERFLOW:
-                    first, _total = heap_mod._OVERFLOW.unpack(body)
-                    chain = first
-                    while chain != NO_PAGE:
-                        pages.append(chain)
-                        with self._pool.page(chain) as page:
-                            chain = page.next_page
+                chain = overflow_head(raw)
+                while chain != NO_PAGE:
+                    pages.append(chain)
+                    with self._pool.page(chain) as page:
+                        chain = page.next_page
         return pages
 
     def verify_integrity(self) -> List[str]:
@@ -1626,7 +1622,6 @@ class Store:
         subtrees under an unreadable node are skipped. The result is safe
         to free — a page only appears if a sound pointer led to it.
         """
-        from . import heap as heap_mod
         pages: List[int] = []
         seen: set = set()
 
@@ -1652,10 +1647,7 @@ class Store:
                 with self._pool.page(home) as page:
                     records = list(page.slots())
                 for _slot, raw in records:
-                    kind, body = heap_mod._unpack_record(raw)
-                    if kind == heap_mod.KIND_OVERFLOW:
-                        first, _total = heap_mod._OVERFLOW.unpack(body)
-                        chain(first)
+                    chain(overflow_head(raw))
             except Exception:
                 continue
         for sid in range(min(self._n_shards, len(info.shards))):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.storage.heap import (MAX_INLINE_PAYLOAD, MIN_RECORD_SIZE, RID,
-                                HeapFile)
-from repro.storage.page import PAGE_SIZE
+                                HeapFile, overflow_head)
+from repro.storage.page import NO_PAGE, PAGE_SIZE, SLOT_SIZE
 
 
 @pytest.fixture
@@ -110,6 +110,87 @@ class TestUpdate:
         scanned = dict(heap.scan())
         assert scanned[rids[0]] == b"G" * 3000
         assert len(scanned) == 12
+
+
+def _fill(heap, txn, page_no, leave):
+    """Insert one filler record so *page_no* has *leave* bytes free."""
+    with heap._pool.page(page_no) as page:
+        size = page.total_free - leave - SLOT_SIZE
+    assert MIN_RECORD_SIZE <= size <= MAX_INLINE_PAYLOAD
+    rid = heap.insert(txn, b"f" * (size - 5))     # 5-byte record header
+    assert rid.page_no == page_no
+    with heap._pool.page(page_no) as page:
+        assert page.total_free == leave
+
+
+class TestFullHomePage:
+    """An overflow stub is 17 bytes, two more than the smallest record:
+    on a full home page it is relocated behind a forwarding stub."""
+
+    BIG = b"O" * (MAX_INLINE_PAYLOAD + 100)
+
+    def test_forwarded_record_grows_into_overflow(self, stack):
+        pool, wal, journal = stack
+        txn = journal.begin()
+        heap = HeapFile.create(journal, txn)
+        target = heap.insert(txn, b"t")
+        _fill(heap, txn, target.page_no, 1)
+        heap.update(txn, target, b"G" * 3000)        # forwarded
+        heap.update(txn, target, self.BIG)           # stub cannot fit
+        assert heap.read(target) == self.BIG
+        assert dict(heap.scan())[target] == self.BIG
+        # The relocated stub still owns the chain (vacuum and drop walk
+        # raw records for the pages to free).
+        heads = []
+        page_no = heap.first_page
+        while page_no != NO_PAGE:
+            with pool.page(page_no) as page:
+                heads += [overflow_head(raw) for _slot, raw in page.slots()]
+                page_no = page.next_page
+        assert len([h for h in heads if h != NO_PAGE]) == 1
+        journal.commit(txn)
+        txn = journal.begin()
+        heap.update(txn, target, b"small again")
+        assert heap.read(target) == b"small again"
+        heap.delete(txn, target)
+        journal.commit(txn)
+        assert target not in dict(heap.scan())
+
+    def test_smallest_record_grows_into_overflow_and_aborts(self, stack):
+        pool, wal, journal = stack
+        setup = journal.begin()
+        heap = HeapFile.create(journal, setup)
+        target = heap.insert(setup, b"t")
+        _fill(heap, setup, target.page_no, 1)
+        journal.commit(setup)
+        count = heap.count()
+
+        txn = journal.begin()
+        heap.update(txn, target, self.BIG)
+        assert heap.read(target) == self.BIG
+        assert heap.count() == count
+        journal.abort(txn)
+        assert heap.read(target) == b"t"
+        assert heap.count() == count
+
+    def test_another_transactions_reservation_is_not_taken(self, stack):
+        pool, wal, journal = stack
+        setup = journal.begin()
+        heap = HeapFile.create(journal, setup)
+        target = heap.insert(setup, b"t")
+        victim = heap.insert(setup, b"v" * 100)
+        _fill(heap, setup, target.page_no, 0)
+        journal.commit(setup)
+
+        a, b = journal.begin(), journal.begin()
+        heap.delete(b, victim)             # reserves its slot and bytes
+        heap.update(a, target, self.BIG)
+        assert heap.read(target) == self.BIG
+        journal.abort(b)
+        assert heap.read(victim) == b"v" * 100
+        journal.commit(a)
+        assert heap.read(target) == self.BIG
+        assert dict(heap.scan())[victim] == b"v" * 100
 
 
 class TestDelete:
