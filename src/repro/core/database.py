@@ -2000,6 +2000,14 @@ class Database:
                 "count": self._query_count.value,
                 "slow": self._query_slow.value,
             },
+            # O++ statement caches, summed over every interpreter
+            # (server sessions included) on this database.
+            "opp": {
+                "stmt_cache_hits":
+                    self.metrics.get("opp.stmt_cache.hits") or 0,
+                "stmt_cache_misses":
+                    self.metrics.get("opp.stmt_cache.misses") or 0,
+            },
             "events": {
                 "ring": len(self.events),
                 "dropped": self.events.dropped,

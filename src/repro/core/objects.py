@@ -45,11 +45,21 @@ from .fields import Field
 from .oid import Oid, Vref
 
 _CLASS_REGISTRY: Dict[str, type] = {}
+#: Classes OdeMeta has registered — the registry's one writer.
+_REGISTRATIONS = [0]
 
 
 def class_registry() -> Dict[str, type]:
     """Global name -> Ode class map (cluster names are class names)."""
     return _CLASS_REGISTRY
+
+
+def registry_generation() -> Tuple[int, int]:
+    """A value that changes whenever the set of registered class names
+    may have: on every registration, and on a delete made from outside
+    (the size). The registry stays a plain dict, so lookups keep the
+    interpreter's exact-dict fast paths."""
+    return _REGISTRATIONS[0], len(_CLASS_REGISTRY)
 
 
 def constraint(func: Callable) -> Callable:
@@ -138,6 +148,7 @@ class OdeMeta(type):
                 # Redefinition (tests, notebooks): replace, latest wins.
                 pass
             _CLASS_REGISTRY[name] = cls
+            _REGISTRATIONS[0] += 1
         return cls
 
     @property

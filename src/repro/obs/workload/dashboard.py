@@ -87,6 +87,10 @@ def render_frame(rows: Sequence[Dict[str, Any]], width: int = 78,
         ("conflict/s", _fmt(last.get("conflicts_s"))),
         ("evt drop", _fmt(last.get("events_dropped"))),
     ]))
+    if last.get("stmt_hits_s") or last.get("stmt_misses_s"):
+        lines.append(" O++ statement cache: hit/s %s  miss/s %s"
+                     % (_fmt(last.get("stmt_hits_s")),
+                        _fmt(last.get("stmt_misses_s"))))
     aborts = last.get("aborts") or {}
     if aborts:
         text = " ".join("%s=%s" % (k, _fmt(v))

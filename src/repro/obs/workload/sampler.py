@@ -166,6 +166,10 @@ class TimeSeriesSampler:
                                if hit_d + miss_d else None),
             "wal_syncs_s": round(self._delta(snap, "wal.syncs") / dt, 1),
             "conflicts_s": round(self._delta(snap, "mvcc.conflicts") / dt, 2),
+            "stmt_hits_s": round(
+                self._delta(snap, "opp.stmt_cache.hits") / dt, 1),
+            "stmt_misses_s": round(
+                self._delta(snap, "opp.stmt_cache.misses") / dt, 1),
             "shard_scans": {k: v for k, v in self._labeled_deltas(
                 snap, "shard.scans").items() if v},
             "events_dropped": snap.get("events.dropped", 0),

@@ -49,6 +49,14 @@ are interpreted on the rows that are left. Access sections are enforced,
 in ``suchthat``/``by`` too (members before the first label are private,
 per C++); O++ classes may derive from Python-defined Ode classes and vice
 versa.
+
+An :class:`Interpreter` parses each statement shape once: a source that
+differs from one it ran before only in its int, float, string and char
+literals reuses that parse with the new literal values bound (up to 256
+shapes, least recently used dropped first). Nothing a program can
+observe changes: sources that declare a class or function, have a
+newline inside a literal, or whose literal spans the shape cannot cut
+cleanly are parsed every time, and declaring a class starts new shapes.
 """
 
 from .interp import Interpreter, run_program

@@ -35,12 +35,14 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Dict, List, Optional
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.database import Database
 from ..core.fields import (BoolField, CharField, Field, FloatField, IntField,
                            RefField, SetField, StringField)
-from ..core.objects import OdeMeta, OdeObject, class_registry
+from ..core.objects import (OdeMeta, OdeObject, class_registry,
+                             registry_generation)
 from ..core.oid import Oid, Vref
 from ..core.sets import OdeSet
 from ..core.triggers import Trigger, TriggerId
@@ -49,7 +51,14 @@ from ..errors import (OdeError, OppNameError, OppRuntimeError, OppTypeError,
 from ..query.iterate import Forall as QueryForall
 from ..query.predicates import _FLIP, And, AttrExpr, Callable_, VarAttrExpr
 from . import ast_nodes as ast
-from .parser import Parser
+from .lexer import SHAPE, literal
+from .parser import LITERAL_VALUE, Parser
+
+#: Statement shapes one interpreter keeps parsed (least recently used
+#: goes first). A server session sends a handful of shapes; the bound
+#: only keeps a client that sends every statement differently from
+#: growing it without limit.
+STMT_CACHE_SIZE = 256
 
 
 class _Break(Exception):
@@ -114,6 +123,20 @@ class Scope:
         self.vars[name] = value
 
 
+class _Statement:
+    """A cached parse: the program and the Literal nodes its literal
+    texts bind to, in source order. ``running`` while an execution of
+    it is on the stack — a re-entrant run of the same shape then parses
+    its own copy instead of rebinding literals under it."""
+
+    __slots__ = ("program", "literals", "running")
+
+    def __init__(self, program: ast.Program, literals: List[ast.Literal]):
+        self.program = program
+        self.literals = literals
+        self.running = False
+
+
 class Interpreter:
     """Evaluates O++ programs against a Database."""
 
@@ -128,6 +151,14 @@ class Interpreter:
         self.output: List[str] = []
         self._step_hook = None
         self._ticks = 0
+        #: statement shape + known-types generation -> _Statement
+        self._statements: "OrderedDict[tuple, _Statement]" = OrderedDict()
+        self._known: Tuple[tuple, set] = ((), set())
+        #: O++ bindings of global names to or from classes (see
+        #: :meth:`_bound`)
+        self._class_bindings = 0
+        self._hits = db.metrics.counter("opp.stmt_cache.hits")
+        self._misses = db.metrics.counter("opp.stmt_cache.misses")
         self._install_builtins()
 
     # ------------------------------------------------------------------
@@ -142,13 +173,67 @@ class Interpreter:
         session uses it to enforce request deadlines and stream output
         between statements. An exception it raises aborts execution at
         a statement boundary.
+
+        A statement shape this interpreter has run before is not lexed
+        or parsed again: see :meth:`_parse`.
         """
-        known = set(class_registry())
-        known.update(name for name, v in self.globals.vars.items()
-                     if isinstance(v, OdeMeta))
-        program = Parser(source, known_types=known).parse()
-        self.execute(program, step_hook=step_hook)
+        statement = self._parse(source)
+        statement.running = True
+        try:
+            self.execute(statement.program, step_hook=step_hook)
+        finally:
+            statement.running = False
         return self.output
+
+    def _parse(self, source: str) -> "_Statement":
+        """*source* parsed: from the statement cache, or parsed now.
+
+        The cache key is the source with its int, float, string and char
+        literals cut out (whitespace and comments kept, so line numbers
+        hold) plus the known-types generation. A hit binds the literal
+        texts to the cached program's Literal nodes. A miss parses and
+        caches the program if it declares no class or function (their
+        bodies outlive the request) and the cut-out spans are exactly the
+        parser's literal tokens. A source with a newline inside a literal
+        is never cached.
+        """
+        pieces = SHAPE.split(source)
+        texts = pieces[1::2]
+        generation, known = self._known_types()
+        key = None
+        if "\n" not in source or not any("\n" in text for text in texts):
+            key = (generation, tuple(pieces[::2]))
+        statement = self._statements.get(key)
+        if statement is not None and not statement.running:
+            self._statements.move_to_end(key)
+            for node, text in zip(statement.literals, texts):
+                kind, value = literal(text)
+                node.value = LITERAL_VALUE[kind](value)
+            self._hits.inc()
+            return statement
+        self._misses.inc()
+        parser = Parser(source, known_types=known)
+        fresh = _Statement(parser.parse(), parser.literals)
+        if (key is not None and statement is None
+                and _cacheable(parser, fresh.program, source, pieces)):
+            self._statements[key] = fresh
+            if len(self._statements) > STMT_CACHE_SIZE:
+                self._statements.popitem(last=False)
+        return fresh
+
+    def _known_types(self) -> Tuple[tuple, set]:
+        """``(generation, names)``: the class names the parser reads as
+        types — the registry's and the classes bound in globals —
+        recomputed only when either has changed. (A class bound into
+        :attr:`globals` from Python is seen once the registry or an O++
+        binding moves the generation.)"""
+        generation = (registry_generation(), self._class_bindings)
+        if generation != self._known[0]:
+            names = set(class_registry())
+            names.update(name for name, v in self.globals.vars.items()
+                         if isinstance(v, OdeMeta))
+            self._known = (generation, names)
+        return self._known
 
     def run_file(self, path: str) -> List[str]:
         with open(path) as handle:
@@ -182,6 +267,13 @@ class Interpreter:
     # ------------------------------------------------------------------
     # declarations
     # ------------------------------------------------------------------
+
+    def _bound(self, name: str, value: Any) -> None:
+        """*name* was just bound to *value* by O++ code: count it if the
+        name may now be, or may have been, a class (an over-count only
+        costs a statement-cache miss)."""
+        if isinstance(value, OdeMeta) or name in self._known[1]:
+            self._class_bindings += 1
 
     def _define_class(self, decl: ast.ClassDecl) -> type:
         bases: List[type] = []
@@ -233,6 +325,7 @@ class Interpreter:
             namespace[trig.name] = self._make_trigger(trig)
 
         cls = OdeMeta(decl.name, tuple(bases), namespace)
+        # No _bound: registering the class moved the generation already.
         self.globals.declare(decl.name, cls)
         return cls
 
@@ -344,6 +437,7 @@ class Interpreter:
             return self._call(decl.name, decl.params, decl.body, None, args)
         function.__name__ = decl.name
         self.globals.declare(decl.name, function)
+        self._bound(decl.name, function)
 
     # ------------------------------------------------------------------
     # statements
@@ -370,6 +464,7 @@ class Interpreter:
         else:
             value = self._default_for(node.type_name)
         scope.declare(node.name, value)
+        self._bound(node.name, value)
 
     def _stmt_If(self, node: ast.If, scope: Scope) -> None:
         if self.eval(node.cond, scope):
@@ -832,6 +927,7 @@ class Interpreter:
     def _assign_to(self, target: ast.Node, value: Any, scope: Scope) -> None:
         if isinstance(target, ast.Name):
             scope.assign(target.ident, value)
+            self._bound(target.ident, value)
             return
         if isinstance(target, ast.Member):
             obj = self._deref(self.eval(target.target, scope), target.line)
@@ -953,6 +1049,30 @@ class _Elements:
 
     def __repr__(self) -> str:
         return repr(self.source)
+
+
+def _cacheable(parser: Parser, program: ast.Program, source: str,
+               pieces: List[str]) -> bool:
+    """Whether *program* may be served again for *source*'s shape: it
+    declares nothing that outlives a run, and the spans the shape cut
+    out are exactly the literal tokens (same count, each starting at a
+    token's line and column — the same pattern matched there, so the
+    values agree too). Then any source with the same pieces lexes to
+    these tokens with only literal values changed."""
+    if any(isinstance(decl, (ast.ClassDecl, ast.FuncDecl))
+           for decl in program.decls):
+        return False
+    tokens = [tok for tok in parser.tokens if tok.kind in LITERAL_VALUE]
+    if len(tokens) != len(pieces) // 2:
+        return False
+    start = 0
+    for tok, before, text in zip(tokens, pieces[::2], pieces[1::2]):
+        start += len(before)
+        if (tok.line != source.count("\n", 0, start) + 1
+                or tok.column != start - source.rfind("\n", 0, start)):
+            return False
+        start += len(text)
+    return True
 
 
 def _source_class(source) -> Optional[type]:

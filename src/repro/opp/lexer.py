@@ -8,11 +8,19 @@ insertion/removal), and the keywords ``persistent``, ``pnew``, ``pdelete``,
 ``perpetual``, ``within``, ``create``, ``newversion`` and friends.
 
 Comments: ``//`` to end of line and ``/* ... */``.
+
+One compiled pattern does the work. Its literal alternatives
+(:data:`LITERAL`) are also what :data:`SHAPE` cuts out of a statement,
+so the interpreter's statement cache and the lexer agree on where every
+literal starts and ends. Lines are counted in whitespace and comments
+only — a raw newline inside a string or char literal does not start a
+new line.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional
+import re
+from typing import List, NamedTuple, Tuple
 
 from ..errors import OppSyntaxError
 
@@ -37,6 +45,35 @@ OPERATORS = [
     "(", ")", "{", "}", "[", "]", ";", ",", ".", ":", "?",
 ]
 
+# Literals (ASCII digits only: Unicode "digits" like '²' are not
+# numerals). An exponent needs digits after its optional sign — "0E" is
+# the int 0 then the identifier E — and "1..2" is the int 1, not "1.".
+_EXPONENT = r"(?:[eE][+-]?[0-9]+)"
+_STRING = r'"(?:[^"\\\n]|\\[\s\S])*'          # a string up to its close
+_QUOTED = _STRING + r'"|' + r"'(?:\\[\s\S]|[^\\])'"
+_NUMBER = (r"[0-9]+\.(?![.])[0-9]*%s?|\.[0-9]+%s?|[0-9]+%s|[0-9]+"
+           % ((_EXPONENT,) * 3))
+LITERAL = _QUOTED + "|" + _NUMBER
+
+#: Splits a statement into its shape and its literal texts:
+#: ``SHAPE.split(src)`` alternates text between literals and literals.
+#: A number right after an identifier character or a dot stays in the
+#: shape (the lexer reads ``x1`` as one identifier, ``a.5`` as ``a .5``).
+SHAPE = re.compile(r"(%s|(?<![A-Za-z0-9_.])(?:%s))" % (_QUOTED, _NUMBER))
+
+_TOKEN = re.compile("|".join((
+    r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)",
+    r"(?P<open>/\*)",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<literal>%s)" % LITERAL,
+    r"(?P<quote>[\"'])",
+    r"(?P<op>%s)" % "|".join(re.escape(op) for op in OPERATORS),
+)))
+_STRING_PREFIX = re.compile(_STRING)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0",
+            "\\": "\\", '"': '"', "'": "'"}
+
 
 class Token(NamedTuple):
     kind: str        # "ident", "keyword", "int", "float", "string",
@@ -50,146 +87,70 @@ class Token(NamedTuple):
                                          self.line, self.column)
 
 
+def literal(text: str) -> Tuple[str, str]:
+    """``(kind, token value)`` of a literal's source *text* (a match of
+    :data:`LITERAL`): quotes dropped and escapes resolved for strings
+    and chars, the digits as written for numbers."""
+    first = text[0]
+    if first == '"' or first == "'":
+        body = text[1:-1]
+        if "\\" in body:
+            body = _ESCAPE.sub(_unescape, body)
+        return ("string" if first == '"' else "char"), body
+    if "." in text or "e" in text or "E" in text:
+        return "float", text
+    return "int", text
+
+
 def tokenize(source: str) -> List[Token]:
     """Tokenize *source*; raises :class:`OppSyntaxError` on bad input."""
     tokens: List[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    def error(msg: str):
-        raise OppSyntaxError(msg, line=line, column=col)
-
-    while i < n:
-        ch = source[i]
-        # whitespace
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        # comments
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                error("unterminated /* comment")
-            skipped = source[i:end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        # identifiers / keywords (ASCII only: Unicode "digits" like '²'
-        # satisfy str.isdigit() but are not valid numerals)
-        if (ch.isascii() and ch.isalpha()) or ch == "_":
-            start = i
-            while i < n and ((source[i].isascii() and source[i].isalnum())
-                             or source[i] == "_"):
-                i += 1
-            word = source[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-            continue
-        # numbers (ASCII digits only)
-        digits = "0123456789"
-        if ch in digits or (ch == "." and i + 1 < n
-                            and source[i + 1] in digits):
-            start = i
-            is_float = False
-            while i < n and source[i] in digits:
-                i += 1
-            if i < n and source[i] == "." and (i + 1 >= n or source[i + 1] != "."):
-                is_float = True
-                i += 1
-                while i < n and source[i] in digits:
-                    i += 1
-            if i < n and source[i] in "eE":
-                # Only an exponent if digits follow (past an optional
-                # sign): "0E" is the int 0 then the identifier E, not a
-                # malformed float literal.
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j] in digits:
-                    is_float = True
-                    i = j
-                    while i < n and source[i] in digits:
-                        i += 1
-            text = source[start:i]
-            tokens.append(Token("float" if is_float else "int",
-                                text, line, col))
-            col += i - start
-            continue
-        # string literals
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chars = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\" and i + 1 < n:
-                    chars.append(_unescape(source[i + 1]))
-                    i += 2
-                    col += 2
-                elif source[i] == "\n":
-                    error("newline inside string literal")
-                else:
-                    chars.append(source[i])
-                    i += 1
-                    col += 1
-            if i >= n:
-                raise OppSyntaxError("unterminated string literal",
-                                     line=start_line, column=start_col)
-            i += 1
-            col += 1
-            tokens.append(Token("string", "".join(chars),
-                                start_line, start_col))
-            continue
-        # char literals
-        if ch == "'":
-            start_col = col
-            i += 1
-            if i < n and source[i] == "\\" and i + 1 < n:
-                value = _unescape(source[i + 1])
-                i += 2
-                col += 3
-            elif i < n:
-                value = source[i]
-                i += 1
-                col += 2
-            else:
-                error("unterminated char literal")
-            if i >= n or source[i] != "'":
-                error("unterminated char literal")
-            i += 1
-            col += 1
-            tokens.append(Token("char", value, line, start_col))
-            continue
-        # operators
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+    append = tokens.append
+    match = _TOKEN.match
+    line, line_start, pos, n = 1, 0, 0, len(source)
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastgroup if m is not None else None
+        if group == "skip":
+            text = m.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + text.rfind("\n") + 1
+        elif group == "word":
+            word = m.group()
+            append(Token("keyword" if word in KEYWORDS else "ident", word,
+                         line, pos - line_start + 1))
+        elif group == "op":
+            append(Token("op", m.group(), line, pos - line_start + 1))
+        elif group == "literal":
+            kind, value = literal(m.group())
+            append(Token(kind, value, line, pos - line_start + 1))
         else:
-            error("unexpected character %r" % ch)
-    tokens.append(Token("eof", "", line, col))
+            message, at = _error(source, pos, group)
+            raise OppSyntaxError(message, line=line,
+                                 column=at - line_start + 1)
+        pos = m.end()
+    append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
-def _unescape(ch: str) -> str:
-    return {"n": "\n", "t": "\t", "r": "\r", "0": "\0",
-            "\\": "\\", '"': '"', "'": "'"}.get(ch, ch)
+def _error(source: str, pos: int, group) -> Tuple[str, int]:
+    """The message and source offset of the error at *pos*."""
+    if group == "open":
+        return "unterminated /* comment", pos
+    if group is None:
+        return "unexpected character %r" % source[pos], pos
+    if source[pos] == '"':
+        end = _STRING_PREFIX.match(source, pos).end()
+        if end < len(source) and source[end] == "\n":
+            return "newline inside string literal", end
+        return "unterminated string literal", pos
+    # A char literal: the offset where its closing quote was due.
+    if pos + 1 < len(source):
+        pos += 3 if source[pos + 1] == "\\" and pos + 2 < len(source) else 2
+    return "unterminated char literal", pos
+
+
+def _unescape(m: "re.Match") -> str:
+    return _ESCAPES.get(m.group(1), m.group(1))

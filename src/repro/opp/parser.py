@@ -33,6 +33,9 @@ _PRIMITIVE_TYPES = {"int", "double", "float", "char", "bool", "void",
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%="}
 
+#: A literal token's value, by token kind (lexer.literal gives the kind).
+LITERAL_VALUE = {"int": int, "float": float, "string": str, "char": str}
+
 
 class Parser:
     """One-shot parser: construct with source, call :meth:`parse`."""
@@ -40,6 +43,8 @@ class Parser:
     def __init__(self, source: str, known_types: Optional[Set[str]] = None):
         self.tokens = tokenize(source)
         self.pos = 0
+        #: the Literal nodes built from literal tokens, in source order
+        self.literals: List[ast.Literal] = []
         # Class names seen so far; lets `stockitem *p;` parse as a decl.
         self.known_types: Set[str] = set(known_types or ())
 
@@ -704,18 +709,12 @@ class Parser:
 
     def primary(self) -> ast.Node:
         tok = self.peek()
-        if tok.kind == "int":
+        convert = LITERAL_VALUE.get(tok.kind)
+        if convert is not None:
             self.advance()
-            return ast.Literal(int(tok.value), line=tok.line)
-        if tok.kind == "float":
-            self.advance()
-            return ast.Literal(float(tok.value), line=tok.line)
-        if tok.kind == "string":
-            self.advance()
-            return ast.Literal(tok.value, line=tok.line)
-        if tok.kind == "char":
-            self.advance()
-            return ast.Literal(tok.value, line=tok.line)
+            node = ast.Literal(convert(tok.value), line=tok.line)
+            self.literals.append(node)
+            return node
         if tok.kind == "keyword":
             if tok.value == "this":
                 self.advance()

@@ -208,19 +208,18 @@ class Session:
         if not isinstance(source, str):
             raise protocol.ProtocolError("execute needs a string 'source'")
         interp = self.interp
-        start = len(interp.output)
-        sent = start
 
         def flush(done: bool) -> None:
-            nonlocal sent
-            chunk = interp.output[sent:]
-            sent = len(interp.output)
+            # Output lines leave the session with the frame that carries
+            # them: the connection keeps none past its request.
+            chunk = interp.output[:]
+            interp.output.clear()
             if chunk or done:
                 send({"ok": True, "done": done, "output": chunk})
 
         def step() -> None:
             self._check(deadline)
-            if len(interp.output) - sent >= CHUNK_LINES:
+            if len(interp.output) >= CHUNK_LINES:
                 # Mid-execution flush: bounded server-side buffering,
                 # and a slow client backpressures only itself (sendall
                 # blocks on this connection's socket alone).
@@ -228,15 +227,13 @@ class Session:
 
         try:
             interp.run(source, step_hook=step)
-        except DeadlineExceededError as exc:
-            self._abort_open("timeout")
-            send(protocol.error_message(exc))
-            return
+            self._check(deadline)
         except OdeError as exc:
-            self._abort_open("error")
+            interp.output.clear()     # unsent lines go with the error
+            self._abort_open("timeout" if isinstance(
+                exc, DeadlineExceededError) else "error")
             send(protocol.error_message(exc))
             return
-        self._check(deadline)
         flush(True)
 
     # -- teardown ----------------------------------------------------------

@@ -4,8 +4,10 @@ import io
 import json
 import threading
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.workload.dashboard import (render_frame, run_dashboard,
                                           tail_rows)
+from repro.obs.workload.sampler import TimeSeriesSampler
 
 ROWS = [
     {"tick": 0, "t": 0.1, "ops_s": 100.0, "commit_s": 40.0, "abort_s": 0.0,
@@ -48,6 +50,17 @@ class TestRenderFrame:
         frame = render_frame(rows, width=78)
         assert "p50 -" in frame
         assert "(no data)" in frame          # p99 sparkline has no points
+
+    def test_statement_cache_rates_show_when_counted(self):
+        assert "statement cache" not in render_frame(ROWS, width=78)
+        reg = MetricsRegistry()
+        sampler = TimeSeriesSampler(reg, interval_ms=10_000)
+        sampler._prev = reg.snapshot()
+        reg.counter("opp.stmt_cache.hits").inc(9)
+        reg.counter("opp.stmt_cache.misses").inc()
+        row = sampler.sample_now()
+        assert row["stmt_hits_s"] > row["stmt_misses_s"] > 0
+        assert " O++ statement cache: hit/s " in render_frame([row])
 
     def test_sparkline_scales_to_range(self):
         rows = [dict(ROWS[0], ops_s=v) for v in (0, 50, 100)]

@@ -1,9 +1,21 @@
-"""Unit tests for the O++ lexer."""
+"""Unit tests for the O++ lexer, and its differential test against the
+hand-written character loop it replaced (``oracle_lexer``)."""
+
+import ast as pyast
+import glob
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OppSyntaxError
 from repro.opp.lexer import Token, tokenize
+from repro.opp.parser import parse
+from tests.opp import oracle_lexer
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def kinds_values(source):
@@ -87,3 +99,90 @@ class TestErrors:
             assert exc.line == 2
         else:
             pytest.fail("expected OppSyntaxError")
+
+
+    def test_line_comment_at_end_advances_the_column(self):
+        # The character loop left the column at the comment's start, so
+        # the missing ';' was reported there (col 7), not at the end.
+        assert tokenize("x = 1 // c")[-1] == Token("eof", "", 1, 11)
+        with pytest.raises(OppSyntaxError) as err:
+            parse("x = 1 // c")
+        assert (err.value.line, err.value.column) == (1, 11)
+        assert tokenize("x = 1 // c\n")[-1] == Token("eof", "", 2, 1)
+
+
+def lex_both(source):
+    """The oracle's and the package lexer's results for *source*: the
+    token list, or the error's (message, line, column)."""
+    results = []
+    for lex in (oracle_lexer.tokenize, tokenize):
+        try:
+            results.append(lex(source))
+        except OppSyntaxError as exc:
+            results.append((str(exc), exc.line, exc.column))
+    return results
+
+
+def assert_same_tokens(source):
+    want, got = lex_both(source)
+    if isinstance(want, list) and isinstance(got, list) and want != got:
+        # The oracle's one known divergence: after a `//` comment at the
+        # end of input its eof column is the comment's start.
+        assert want[:-1] == got[:-1]
+        assert want[-1].line == got[-1].line
+        assert "//" in source.rsplit("\n", 1)[-1]
+        assert got[-1].column > want[-1].column
+        return
+    assert want == got
+
+
+def example_sources():
+    """Every string constant with a ';' in the examples' Python files —
+    the O++ programs among them, and text that is not O++ at all."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+        with open(path) as handle:
+            tree = pyast.parse(handle.read())
+        for node in pyast.walk(tree):
+            if (isinstance(node, pyast.Constant)
+                    and isinstance(node.value, str) and ";" in node.value):
+                out.append(pytest.param(node.value, id="%s:%d" % (
+                    os.path.basename(path), node.lineno)))
+    return out
+
+
+FRAGMENTS = [
+    "x", "v2", "_t", "class", "forall", "in", "suchthat", "printf", " ",
+    "\t", "\n", "\r", "0", "7", "42", "1.5", ".5", "7.", "1e10", "2.5E-3",
+    "0E", "1e+", "1..2", ".", "..", '"', "'", "\\", '"s"', '"a\\"b"',
+    "'c'", "'\\n'", "''", "//", "/*", "*/", "// c\n", "/* x\ny */",
+    "==>", "->", "<<=", "==", "=", "+", "-", "*", "/", "(", ")", "{", "}",
+    ";", ",", "@", "$", "\u00b2", "\u00e9", "\x0c",
+]
+
+
+class TestDifferential:
+    """Same tokens (kind, value, line, column) and the same errors
+    (message, line, column) as the character loop."""
+
+    @pytest.mark.parametrize("source", example_sources())
+    def test_example_programs(self, source):
+        assert_same_tokens(source)
+
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=30).map("".join))
+    @settings(max_examples=2000, deadline=None)
+    def test_fragment_soup(self, source):
+        assert_same_tokens(source)
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=500, deadline=None)
+    def test_any_text(self, source):
+        assert_same_tokens(source)
+
+    @pytest.mark.parametrize("source", [
+        '"never ends', '"line\nbreak"', "'", "'a", "'\\", "'\\n",
+        "a /* never ends", "ok\nok @", '"esc\\\nraw"', "'\n' x",
+        "x // end", "x /* a\nb */ y",
+    ])
+    def test_edge_cases(self, source):
+        assert_same_tokens(source)

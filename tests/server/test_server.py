@@ -589,3 +589,63 @@ class TestFaults:
             assert stored == sorted(acked)
         finally:
             database.close()
+
+
+class TestStatementCache:
+    LOOKUP = ('forall g in gadget suchthat (g->qty == %d) '
+              'printf("%%s %%d\\n", g->name, g->qty);')
+
+    @staticmethod
+    def fill(client, n):
+        client.execute(SCHEMA + 'int i = 0; while (i < %d) '
+                       '{ pnew gadget("g", i); i++; }' % n)
+
+    def test_session_keeps_no_output_between_requests(self, server):
+        with connect(server) as c:
+            self.fill(c, 50)
+            for i in range(1000):
+                assert c.execute(self.LOOKUP % (i % 50)) == [
+                    "g %d\n" % (i % 50)]
+            with pytest.raises(OdeError):
+                c.execute('printf("lost\\n"); 1 / 0;')
+            (entry,) = server._conns.values()
+            assert len(entry.session.interp.output) == 0
+
+    def test_stats_count_hits_and_misses(self, server):
+        with connect(server) as c:
+            self.fill(c, 10)
+            before = c.stats()["opp"]
+            for i in range(10):
+                c.execute(self.LOOKUP % i)
+            after = c.stats()["opp"]
+        assert after["stmt_cache_misses"] - before["stmt_cache_misses"] == 1
+        assert after["stmt_cache_hits"] - before["stmt_cache_hits"] == 9
+
+    @pytest.mark.concurrency
+    def test_two_connections_run_one_shape_with_their_own_literals(
+            self, server):
+        with connect(server) as c:
+            self.fill(c, 40)
+        errors = []
+
+        def client(offset):
+            try:
+                with connect(server) as c:
+                    c.execute("int mine = %d;" % offset)
+                    for n in range(300):
+                        i = (offset + 2 * n) % 40
+                        assert c.execute(self.LOOKUP % i) == ["g %d\n" % i]
+                        out = c.execute('printf("%%d %%s\\n", mine + %d, '
+                                        '"c%d");' % (n, offset))
+                        assert out == ["%d c%d\n" % (offset + n, offset)]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(offset,))
+                   for offset in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads), "clients hung"
+        assert not errors, errors[0]
