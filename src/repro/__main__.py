@@ -147,10 +147,7 @@ def _print_stats(db: Database) -> None:
     print("pages:        %d in file" % stats["pages"])
     shards = stats["shards"]
     if shards["count"] > 1:
-        print("shards:       %d shards, %d recluster run(s), "
-              "%d object(s) migrated"
-              % (shards["count"], shards["recluster_runs"],
-                 shards["recluster_moved_objects"]))
+        print("shards:       %d shards" % shards["count"])
         for entry in shards["per_shard"]:
             print("  shard %-3d %6d pages (%.1f%% occupancy), "
                   "%d scan(s)"

@@ -354,15 +354,6 @@ class Database:
         self.metrics = self.store.metrics
         self.events = self.store.events
         self._register_metrics()
-        #: Background reclustering daemon: watches the store's access
-        #: profile and migrates hot co-accessed objects into shared
-        #: extents (see :mod:`repro.storage.recluster`). Disabled with
-        #: ``REPRO_RECLUSTER=0``.
-        from ..storage import recluster as _recluster
-        self.recluster_daemon = None
-        if _recluster.enabled():
-            self.recluster_daemon = _recluster.ReclusterDaemon(self.store)
-            self.recluster_daemon.start()
 
     def _register_metrics(self) -> None:
         from ..query import optimizer as _optimizer
@@ -2073,13 +2064,6 @@ class Database:
             return
         if self._txn is not None:
             raise TransactionError("close() inside an open transaction")
-        if self.recluster_daemon is not None:
-            # Stop the daemon before anything is torn down; a migration
-            # racing close would find the store half-closed. The join
-            # must complete before the quiesce below — a daemon round
-            # holds the scan gate for its chain rewrite.
-            self.recluster_daemon.stop()
-            self.recluster_daemon = None
         if ((self._dirty or self.cluster_stats.dirty())
                 and self.store.degraded is None):
             # In degraded mode nothing can be flushed; the store's close
@@ -2110,9 +2094,6 @@ class Database:
             if self._txn is None:
                 self.close()
             else:
-                if self.recluster_daemon is not None:
-                    self.recluster_daemon.stop()
-                    self.recluster_daemon = None
                 self.store.close()
 
     def __repr__(self) -> str:

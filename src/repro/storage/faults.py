@@ -73,12 +73,14 @@ KNOWN_FAILPOINTS: Tuple[Tuple[str, str], ...] = (
     ("wal.truncate.pre", "die"),
     ("wal.truncate.post", "die"),
     # Sharded-store metadata points (fired only when the store runs with
-    # more than one shard — the harness covers them via shard_kill_specs).
+    # more than one shard) and the vacuum rewrite's points (fired only
+    # when something vacuums) — the harness covers them via
+    # shard_kill_specs.
     ("shard.open.pre", "die"),
     ("shard.open.post", "die"),
     ("shard.root.pre", "die"),
-    ("recluster.pre", "die"),
-    ("recluster.commit.pre", "die"),
+    ("vacuum.pre", "die"),
+    ("vacuum.commit.pre", "die"),
     # Network-server socket-layer points (fired only under `repro serve`
     # — the embedded matrix skips them; the server crash harness covers
     # them). `server.send.pre` kills between commit and the client ack

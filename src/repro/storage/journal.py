@@ -6,18 +6,19 @@ in the ARIES style (Mohan et al., TODS 1992):
 
 * **Slot operations log themselves.** A heap insert, delete or update
   (:meth:`Journal.heap_insert` / :meth:`~Journal.heap_delete` /
-  :meth:`~Journal.heap_update`) and a B+tree entry insert or delete
-  (:meth:`Journal.op`, driven by :mod:`repro.storage.btree`) append one
-  OP record: the byte ranges the page primitive reports it wrote (header
-  words, slot-directory span, payload — the redo image) and the
-  arguments of the operation's *inverse*. No snapshot is taken and no
-  diff computed.
+  :meth:`~Journal.heap_update`), a B+tree entry insert or delete and an
+  object-table entry insert or delete (:meth:`Journal.op`, driven by
+  :mod:`repro.storage.btree` and :mod:`repro.storage.objtable`) append
+  one OP record: the byte ranges the page primitive reports it wrote
+  (header words, slot-directory span, payload, entry, flag — the redo
+  image) and the arguments of the operation's *inverse*. No snapshot is
+  taken and no diff computed.
 * **Undo is logical.** A heap insert is undone by tombstoning its RID, a
   heap delete or update by putting the old payload back at that RID, a
-  B+tree entry insert or delete by removing or re-inserting the pair
-  wherever it is *now* (a fresh descent from the root). Another
-  transaction's records on the same page — shifted slots, moved
-  payloads, split nodes — are never touched. One code path,
+  B+tree or object-table entry insert or delete by removing or
+  re-inserting the entry wherever it is *now* (a fresh descent from the
+  root). Another transaction's records on the same page — shifted
+  slots, moved payloads, split nodes — are never touched. One code path,
   :meth:`Journal.undo_step`, serves runtime abort, the dead-log
   in-memory rollback and recovery's loser undo; every step writes a CLR
   that carries its own redo ranges.
@@ -28,19 +29,16 @@ in the ARIES style (Mohan et al., TODS 1992):
   unique B+tree, so its undo never makes a duplicate. The reservation
   lives in memory and is dropped at commit or abort; recovery's undo
   runs before any new transaction and needs none.
-* **Physical images remain for everything else.** An object-table entry,
-  flag or pointer is one byte range logged with its before-image
-  (:meth:`Journal.write`; the table never shares those bytes between
-  objects). Structure changes — splits, ``copy_from``, ``format``,
-  detaches, heap and table growth, a fresh page's first image — run
-  under :meth:`Journal.edit`, the one place a page snapshot remains: the
-  primitives still report their ranges, the snapshot supplies the
-  before-images and restores the page if the block raises. A change that
-  spans pages (a B+tree split or detach) runs as a *nested top action*
-  (:meth:`Journal.nested_top_action`): its records stay undoable until a
-  range-less CLR closes it, so a crash half-way through rolls it back,
-  and an abort after it never does — other transactions may already be
-  using the new shape. Growth that is consistent after every single
+* **Physical images remain for structure changes.** Splits,
+  ``copy_from``, ``format``, detaches, heap and table growth and a fresh
+  page's first image run under :meth:`Journal.edit`, the one place a
+  page snapshot remains: the primitives still report their ranges, the
+  snapshot supplies the before-images and restores the page if the
+  block raises. A detach or a change that spans pages (a B+tree split)
+  runs as a *nested top action* (:meth:`Journal.nested_top_action`):
+  its records stay undoable until a range-less CLR closes it, so a crash
+  half-way through rolls it back, and an abort after it never does —
+  other transactions may already be using the new shape. Growth that is consistent after every single
   record (a new page, then the pointer to it) is logged redo-only
   directly.
 
@@ -75,6 +73,8 @@ OP_HEAP_DELETE = 2   # undo: put ``undo`` (the old record) back at ``pos``
 OP_HEAP_UPDATE = 3   # undo: the same
 OP_ENTRY_INSERT = 4  # undo: remove the entry ``undo`` names from its tree
 OP_ENTRY_DELETE = 5  # undo: re-insert it
+OP_OBJ_INSERT = 6    # undo: mark the object-table entry ``undo`` names dead
+OP_OBJ_DELETE = 7    # undo: re-insert it
 
 #: Compensation mode of a transaction whose undo runs with the log dead:
 #: inverses are applied, nothing is logged.
@@ -141,6 +141,10 @@ class Journal:
         self._reserved: Dict[object, Dict[int, list]] = {}
         self._reserved_by: Dict[int, set] = {}
         self._reserved_lock = threading.Lock()
+        #: Object-table root page -> {leaf index -> first page of its
+        #: chain}: the leaf memo every table instance over that root
+        #: shares (see :mod:`repro.storage.objtable`).
+        self.table_leaves: Dict[int, Dict[int, int]] = {}
 
     # -- transaction lifecycle ---------------------------------------------------
 
@@ -417,28 +421,7 @@ class Journal:
             self.active[txn] = self._wal.log_op(
                 txn, self._require_active(txn), page_no, op, pos, [], undo)
 
-    # -- physical ranges: object-table entries and structure changes ---------
-
-    def write(self, txn: int, page_no: int, offset: int, data: bytes,
-              redo_only: bool = False) -> None:
-        """Write *data* at *offset* of *page_no*, logged as one range with
-        its before-image (redo-only: no before-image, never undone)."""
-        self._check_writable(txn)
-        pool = self._pool
-        if pool.fresh_pages and pool.fresh_pages.get(page_no) is not None:
-            with self.edit(txn, page_no, redo_only) as page:
-                page.write(offset, data)
-            return
-        page = pool.pin(page_no)
-        try:
-            self._require_active(txn)
-            end = offset + len(data)
-            before = bytes(page.buf[offset:end])
-            page.buf[offset:end] = data
-            self._log_images(txn, page_no, page,
-                             [(offset, before, data)], redo_only)
-        finally:
-            pool.unpin(page_no, dirty=True)
+    # -- structure changes: physical ranges ----------------------------------
 
     def edit(self, txn: int, page_no: int,
              redo_only: bool = False) -> "_PageEdit":
@@ -526,8 +509,9 @@ class Journal:
         Shared by runtime abort, the in-memory rollback and recovery's
         loser undo. A CLR is never undone: its ``undo_next`` skips what it
         compensated (or the structure change it closed). An UPDATE's
-        before-image is written back; an OP's inverse is applied where
-        its record is now. Either writes CLRs pointing past the record.
+        before-image (a structure change cut short) is written back; an
+        OP's inverse is applied where its record is now. Either writes
+        CLRs pointing past the record.
         """
         record = self._wal.read_record(lsn)
         rtype = record["type"]
@@ -544,8 +528,8 @@ class Journal:
             self._undoing[txn] = prev
         try:
             if rtype == LogRecordType.UPDATE:
-                self.write(txn, record["page_no"], record["offset"],
-                           record["before"])
+                with self.edit(txn, record["page_no"]) as page:
+                    page.write(record["offset"], record["before"])
             else:
                 _UNDO[record["op"]](self, txn, record)
         finally:
@@ -724,10 +708,17 @@ def _undo_entry(journal: Journal, txn: int, record: Dict) -> None:
     undo_entry(journal, txn, record)
 
 
+def _undo_obj_entry(journal: Journal, txn: int, record: Dict) -> None:
+    from .objtable import undo_entry  # the table module imports this one
+    undo_entry(journal, txn, record)
+
+
 _UNDO = {
     OP_HEAP_INSERT: _undo_heap_insert,
     OP_HEAP_DELETE: _undo_heap_change,
     OP_HEAP_UPDATE: _undo_heap_change,
     OP_ENTRY_INSERT: _undo_entry,
     OP_ENTRY_DELETE: _undo_entry,
+    OP_OBJ_INSERT: _undo_obj_entry,
+    OP_OBJ_DELETE: _undo_obj_entry,
 }

@@ -25,29 +25,41 @@ Three invariants carry the design:
 
 1. **One leaf per object.** An object's head ``(serial, 0)`` and all its
    version states share a leaf chain, reached in three pins (one, once
-   the table instance has resolved that leaf); a lookup is
-   a byte search of the pinned leaf for the packed key — no codec, no
-   digest, no decoded copy.
-2. **O(1) logged bytes.** An insert writes one never-used entry position
-   (flag 0) and a delete flips that entry's flag to dead: at most 15
-   changed bytes, whatever the table holds.
-3. **No cross-serial byte sharing.** There is no count word and no
-   swap-with-last, so the bytes one transaction's before-images cover
-   belong to its own entries only — the range undo of an aborting
-   transaction (``Journal.write``: one UPDATE record per entry or flag)
-   cannot touch an entry another transaction wrote beside it. Structure
-   growth (a new mid, leaf or chain page and the pointer to it) is
-   logged redo-only (see ``Journal.edit``): an abort keeps the empty
-   page linked, because other transactions may already have put entries
-   on it.
+   the leaf is resolved — see the memo below); a lookup is a byte search
+   of the pinned leaf for the packed key — no codec, no digest, no
+   decoded copy.
+2. **One small OP record per entry operation.** An insert writes one
+   15-byte entry into a position no live entry holds; a delete flips
+   that entry's flag to dead. Each appends one OP record
+   (:meth:`Journal.op <repro.storage.journal.Journal.op>`): the changed
+   bytes as redo, the table (root page, stride) and, for a delete, the
+   entry as undo — under 64 logged bytes, whatever the table holds.
+3. **Undo finds its entry by key.** The inverse (:func:`undo_entry`)
+   descends the radix afresh and removes the live entry for the key, or
+   re-inserts the deleted one in any non-live position — re-creating its
+   leaf if a detach took it away meanwhile. It never writes back bytes
+   by offset, so it cannot touch an entry another transaction wrote
+   beside it, nor care where the entry is now. Structure growth (a new
+   mid, leaf or chain page and the pointer to it) is logged redo-only
+   (see ``Journal.edit``): an abort keeps the empty page linked, because
+   other transactions may already have put entries on it.
 
-Dead entries and emptied leaves are not reused in place (that would
-break 3: a dead flag may be an uncommitted delete whose undo writes the
-entry back). The rebuild that ``Store.vacuum`` does anyway reclaims them,
-and the recluster daemon runs that rebuild for a shard once its table
-holds more dead entries than live ones (``Store.crowded_directories``),
-so a sliding window's directory stays within a constant factor of its
-live size on a running system.
+Dead entries cost nothing to reclaim. An insert takes the first dead (or
+never-used) position of its leaf, so re-versioning one object cycles
+through the same positions. A leaf chain that a delete — or an undone
+insert — leaves with no live entry is detached the way the B+tree
+detaches an emptied leaf: a nested top action clears its mid pointer
+and the chain's pages go to the free list when the transaction ends,
+however it ends; the next insert into that serial range grows a fresh
+leaf. A sliding window's table therefore holds a constant number of
+leaves with no rebuild; :meth:`Store.vacuum
+<repro.storage.store.Store.vacuum>` stays the explicit compaction.
+
+The leaf memo (leaf index -> first page of its chain) lives on the
+journal, one dict per root page, so every instance over a table —
+including the ones an undo or recovery builds — shares it, and a detach
+through any of them drops the entry for all. ``create`` starts a root
+page's memo empty, so a recycled root never inherits a stale one.
 """
 
 from __future__ import annotations
@@ -56,8 +68,9 @@ import struct
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import IndexError_, StorageError
-from .journal import Journal
+from .journal import OP_OBJ_DELETE, OP_OBJ_INSERT, Journal
 from .page import HEADER_SIZE, NO_PAGE, PAGE_SIZE, PageType
+from .sharding import ShardedPool, ShardJournal, ShardView, shard_of
 
 _PTR = struct.Struct("<I")
 _KEY = struct.Struct("<II")
@@ -66,17 +79,23 @@ ENTRY_SIZE = _ENTRY.size
 _RID_AT = _KEY.size                 # (page, slot) follow the key
 _RID = struct.Struct("<IH")
 _FLAG_AT = 14
+#: Undo information of an entry operation: the table (root page,
+#: stride), then — for a delete — the entry's key and RID.
+_TABLE = struct.Struct("<IB")
 
-#: Entry flags. 0 is "never used": a position is written at most once
-#: per committed history (an aborted insert zeroes it again).
+#: Entry flags. 0 is "never used"; an insert takes a position holding
+#: either 0 or DEAD.
 LIVE = 1
 DEAD = 2
+_DEAD_FLAG = bytes((DEAD,))
 
 #: Child pointers per root / mid page.
 FANOUT = (PAGE_SIZE - HEADER_SIZE) // _PTR.size
 #: Entries per leaf page.
 LEAF_ENTRIES = (PAGE_SIZE - HEADER_SIZE) // ENTRY_SIZE
 _ENTRIES_END = HEADER_SIZE + LEAF_ENTRIES * ENTRY_SIZE
+#: The flag byte of every entry of a leaf page, as a slice of its buffer.
+_FLAGS = slice(HEADER_SIZE + _FLAG_AT, _ENTRIES_END, ENTRY_SIZE)
 #: Serials per leaf: a fresh object takes two entries (head + state), so
 #: 112 serials fill 224 of the 253 positions and leave room for ~29 more
 #: versions before the leaf chains.
@@ -114,22 +133,19 @@ class ObjectTable:
         self._pool = journal._pool
         self.root_page = root_page
         self._stride = stride
-        #: leaf index -> first page of its chain. A leaf, once linked, is
-        #: never moved, unlinked or freed while the table lives (growth
-        #: is redo-only; a rebuild makes a new table), so a resolved
-        #: descent stays true.
-        self._leaves: Dict[int, int] = {}
-        #: Deletes through this instance (a rebuild starts a new one):
-        #: lets ``Store.crowded_directories`` skip the leaf walk for
-        #: tables nothing was deleted from.
-        self.deletes = 0
+        self._undo = _TABLE.pack(root_page, stride)
+        #: leaf index -> first page of its chain, shared through the
+        #: journal by every instance over this root (module docs).
+        self._leaves: Dict[int, int] = journal.table_leaves.setdefault(
+            root_page, {})
 
     @classmethod
     def create(cls, journal: Journal, txn: int,
                stride: int = 1) -> "ObjectTable":
         """Allocate an empty table: a root page with no children."""
-        return cls(journal, _new_page(journal, txn, PageType.TABLE_NODE),
-                   stride)
+        root_page = _new_page(journal, txn, PageType.TABLE_NODE)
+        journal.table_leaves[root_page] = {}
+        return cls(journal, root_page, stride)
 
     # -- radix descent -------------------------------------------------------
 
@@ -146,8 +162,8 @@ class ObjectTable:
         if child or txn is None:
             return child
         child = _new_page(self._journal, txn, child_type)
-        self._journal.write(txn, node, offset, _PTR.pack(child),
-                            redo_only=True)
+        with self._journal.edit(txn, node, redo_only=True) as page:
+            page.write(offset, _PTR.pack(child))
         return child
 
     def _root(self, index: int, txn: Optional[int]) -> int:
@@ -170,6 +186,16 @@ class ObjectTable:
             page_no = nxt
         return page_no
 
+    def _mid(self, index: int, txn: Optional[int]) -> Tuple[int, int]:
+        """``(mid page, slot)`` of leaf *index* (the mid is ``NO_PAGE``
+        when it does not exist and *txn* is None)."""
+        root_index, leaf = divmod(index, _ROOT_LEAVES)
+        mid_index, slot = divmod(leaf, FANOUT)
+        root = self._root(root_index, txn) if root_index else self.root_page
+        if root == NO_PAGE:
+            return NO_PAGE, slot
+        return self._child(root, mid_index, txn, PageType.TABLE_NODE), slot
+
     def _leaf(self, serial: int, txn: Optional[int] = None) -> int:
         """First page of the leaf chain covering *serial* (``NO_PAGE``
         when it does not exist and *txn* is None)."""
@@ -177,12 +203,7 @@ class ObjectTable:
         page_no = self._leaves.get(index)
         if page_no is not None:
             return page_no
-        root_index, leaf = divmod(index, _ROOT_LEAVES)
-        mid_index, slot = divmod(leaf, FANOUT)
-        root = self._root(root_index, txn) if root_index else self.root_page
-        if root == NO_PAGE:
-            return NO_PAGE
-        mid = self._child(root, mid_index, txn, PageType.TABLE_NODE)
+        mid, slot = self._mid(index, txn)
         if mid == NO_PAGE:
             return NO_PAGE
         page_no = self._child(mid, slot, txn, PageType.TABLE_LEAF)
@@ -220,39 +241,72 @@ class ObjectTable:
         return hit[2] if hit else None
 
     def insert(self, txn: int, key, rid) -> None:
-        """Map *key* to *rid*. The caller has checked *key* is absent."""
-        # The pad byte of a never-used position is already zero.
+        """Map *key* to *rid* in the first non-live position of its leaf
+        chain, growing the chain when every position is live. The caller
+        has checked *key* is absent."""
+        # The pad byte of every position is zero.
         entry = _pack_key(key) + _RID.pack(*rid) + bytes((LIVE,))
-        pool = self._pool
+        journal = self._journal
         page_no = self._leaf(key[0], txn)
         while True:
-            page = pool.pin(page_no)
-            try:
-                free = page.buf[HEADER_SIZE + _FLAG_AT:_ENTRIES_END:
-                                ENTRY_SIZE].find(0)
+            with journal.op(txn, page_no) as op:
+                page = op.page
+                flags = page.buf[_FLAGS]
+                free = flags.find(DEAD)
+                if free == -1:
+                    free = flags.find(0)
+                if free != -1:
+                    page.write(HEADER_SIZE + free * ENTRY_SIZE, entry)
+                    op.log(OP_OBJ_INSERT, free, self._undo)
+                    return
                 nxt = page.next_page
-            finally:
-                pool.unpin(page_no)
-            if free != -1:
-                break
             if nxt == NO_PAGE:
-                nxt = _new_page(self._journal, txn, PageType.TABLE_LEAF)
-                with self._journal.edit(txn, page_no,
-                                        redo_only=True) as page:
+                nxt = _new_page(journal, txn, PageType.TABLE_LEAF)
+                with journal.edit(txn, page_no, redo_only=True) as page:
                     page.next_page = nxt
             page_no = nxt
-        self._journal.write(txn, page_no, HEADER_SIZE + free * ENTRY_SIZE,
-                            entry)
 
     def delete(self, txn: int, key) -> Optional[Tuple[int, int]]:
-        """Mark *key*'s entry dead; returns the RID it held, or None."""
+        """Mark *key*'s entry dead; returns the RID it held, or None. A
+        leaf chain left with no live entry is detached."""
         hit = self._find(key)
         if hit is None:
             return None
         page_no, offset, rid = hit
-        self._journal.write(txn, page_no, offset + _FLAG_AT, bytes((DEAD,)))
-        self.deletes += 1
+        with self._journal.op(txn, page_no) as op:
+            page = op.page
+            page.write(offset + _FLAG_AT, _DEAD_FLAG)
+            op.log(OP_OBJ_DELETE, (offset - HEADER_SIZE) // ENTRY_SIZE,
+                   self._undo + page.buf[offset:offset + _FLAG_AT])
+            emptied = LIVE not in page.buf[_FLAGS]
+        if emptied:
+            self._detach(txn, key[0] // self._stride // LEAF_SERIALS)
         return rid
+
+    def _detach(self, txn: int, index: int) -> None:
+        """Unlink leaf *index*'s chain if none of its entries is live, as
+        a nested top action; its pages are freed when *txn* ends."""
+        mid, slot = self._mid(index, None)
+        pool = self._pool
+        pages = []
+        page_no = self._child(mid, slot, None, PageType.TABLE_LEAF)
+        while page_no != NO_PAGE:
+            page = pool.pin(page_no)
+            try:
+                if LIVE in page.buf[_FLAGS]:
+                    return
+                nxt = page.next_page
+            finally:
+                pool.unpin(page_no)
+            pages.append(page_no)
+            page_no = nxt
+        self._leaves.pop(index, None)
+        journal = self._journal
+        with journal.nested_top_action(txn):
+            with journal.edit(txn, mid) as page:
+                page.write(HEADER_SIZE + slot * _PTR.size, _PTR.pack(0))
+        for page_no in pages:
+            journal.free_page_deferred(txn, page_no, unlinked=True)
 
     # -- whole-table walks -----------------------------------------------------
 
@@ -358,3 +412,28 @@ class ObjectTable:
                                           % ((serial, version),))
                     live.add((serial, version))
 
+
+def undo_entry(journal: Journal, txn: int, record: dict) -> None:
+    """Undo one logged entry operation (see :meth:`Journal.undo_step
+    <repro.storage.journal.Journal.undo_step>`): mark dead the entry an
+    insert added, or re-insert the one a delete took out, wherever the
+    table keeps it now — a fresh descent by key, so a detach or a leaf
+    re-created since the operation does not matter."""
+    undo = record["undo"]
+    root_page, stride = _TABLE.unpack_from(undo, 0)
+    pool = journal._pool
+    if isinstance(pool, ShardedPool):
+        # A leaf the re-insert grows belongs in the table's own shard.
+        journal = ShardJournal(journal, ShardView(pool, shard_of(root_page)))
+    table = ObjectTable(journal, root_page, stride)
+    if record["op"] == OP_OBJ_DELETE:
+        entry = undo[_TABLE.size:]
+        table.insert(txn, _KEY.unpack_from(entry),
+                     _RID.unpack_from(entry, _RID_AT))
+        return
+    # An insert's key is in its redo image, at the entry it wrote.
+    at = HEADER_SIZE + record["pos"] * ENTRY_SIZE
+    for offset, image in record["ranges"]:
+        if offset <= at < offset + len(image):
+            table.delete(txn, _KEY.unpack_from(image, at - offset))
+            return

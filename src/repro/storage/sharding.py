@@ -414,12 +414,18 @@ class ShardJournal:
     def active(self):
         return self._journal.active
 
+    @property
+    def table_leaves(self):
+        return self._journal.table_leaves
+
     def edit(self, txn: int, page_no: int, redo_only: bool = False):
         return self._journal.edit(txn, page_no, redo_only)
 
-    def write(self, txn: int, page_no: int, offset: int, data: bytes,
-              redo_only: bool = False) -> None:
-        self._journal.write(txn, page_no, offset, data, redo_only)
+    def op(self, txn: int, page_no: int):
+        return self._journal.op(txn, page_no)
+
+    def nested_top_action(self, txn: int):
+        return self._journal.nested_top_action(txn)
 
     def heap_insert(self, txn: int, page_no: int, record: bytes):
         return self._journal.heap_insert(txn, page_no, record)

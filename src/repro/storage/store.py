@@ -56,7 +56,7 @@ from .faults import FaultInjector
 from .heap import RID, HeapFile, overflow_head
 from .journal import Journal
 from .locks import LockManager
-from .objtable import LEAF_ENTRIES, ObjectTable
+from .objtable import ObjectTable
 from .page import NO_PAGE
 from .pagefile import PageFile
 from .recovery import RecoveryReport, recover
@@ -210,16 +210,6 @@ class Store:
         #: under the GIL. ``next()`` is one C call, so it never does.
         self._shard_scans = [itertools.count()
                              for _ in range(self._n_shards)]
-        #: Reclustering counters (``recluster.*`` metrics).
-        self.recluster_runs = 0
-        self.recluster_moved = 0
-        #: Access profile feeding the reclustering daemon: (cluster,
-        #: serial) -> hit count, recorded by ``get``/``get_with_token``
-        #: when :attr:`track_access` is on. Bumps are GIL-atomic dict
-        #: ops; racing threads can lose a count, which a usage *profile*
-        #: tolerates.
-        self.track_access = False
-        self._access_counts: Dict[Tuple[str, Any], int] = {}
         self._closed = False
         # Components keep their plain-int counters (bumped under their
         # existing locks) and the registry samples them lazily — absorbing
@@ -315,9 +305,6 @@ class Store:
                                (lambda s=sid: _count_value(
                                    self._shard_scans[s])),
                                shard=str(sid))
-        metrics.counter_fn("recluster.runs", lambda: self.recluster_runs)
-        metrics.counter_fn("recluster.moved_objects",
-                           lambda: self.recluster_moved)
 
     #: Pages per heap-growth extent for cluster heaps: objects of one
     #: cluster land in physically contiguous runs (cluster-local
@@ -326,9 +313,6 @@ class Store:
 
     #: Bound on the scan page cache (pages, not bytes).
     PAGE_CACHE_PAGES = 512
-
-    #: Bound on the access-profile table feeding the recluster daemon.
-    ACCESS_TABLE_MAX = 8192
 
     # -- sharding helpers --------------------------------------------------------
 
@@ -363,7 +347,7 @@ class Store:
         the metadata latch and catalog lock, both ordered before shard
         latches), so the caches are primed first and re-read — plain
         GIL-atomic dict gets — inside the latch; a concurrent
-        vacuum/recluster/abort that swapped or dropped the entry is
+        vacuum/abort that swapped or dropped the entry is
         caught by the re-read and the resolution retries.
         """
         if self._router is None:
@@ -391,23 +375,6 @@ class Store:
         with self.latch:
             return [self._heap(cluster, sid)
                     for sid in range(self._n_shards)]
-
-    def _note_access(self, cluster: str, key) -> None:
-        counts = self._access_counts
-        serial = key[0] if isinstance(key, tuple) and key else key
-        entry = (cluster, serial)
-        counts[entry] = counts.get(entry, 0) + 1
-        if len(counts) > self.ACCESS_TABLE_MAX:
-            # Keep the hot half; racing bumps against the old dict are
-            # lost, which the profile tolerates.
-            floor = sorted(counts.values())[len(counts) // 2]
-            self._access_counts = {k: v for k, v in counts.items()
-                                   if v > floor}
-
-    def take_access_profile(self) -> Dict[Tuple[str, Any], int]:
-        """Hand the accumulated access counts to the caller and reset."""
-        counts, self._access_counts = self._access_counts, {}
-        return counts
 
     # -- transactions ------------------------------------------------------------
 
@@ -626,8 +593,6 @@ class Store:
 
     def get(self, cluster: str, key: Tuple) -> Optional[Dict]:
         """Fetch the object at *key*, or None."""
-        if self.track_access:
-            self._note_access(cluster, key)
         with self._keyed(cluster, key) as (heap, directory):
             hit = directory.search(key)
             if hit is None:
@@ -648,8 +613,6 @@ class Store:
         must not trust tokens with ``lsn == 0`` — freshly formatted pages
         start there.
         """
-        if self.track_access:
-            self._note_access(cluster, key)
         with self._keyed(cluster, key) as (heap, directory):
             hit = directory.search(key)
             if hit is None:
@@ -696,7 +659,7 @@ class Store:
     def _scan_enter(self) -> None:
         """Register this thread as a chain walker.
 
-        A pending maintenance rewrite (vacuum/recluster) blocks *new*
+        A pending maintenance rewrite (vacuum) blocks *new*
         walkers until it commits — without that priority, back-to-back
         scans starve :meth:`_maintenance_begin` forever. Re-entrant
         admission (this thread already walks) always passes.
@@ -1003,6 +966,7 @@ class Store:
         back) together. Returns ``{"objects": n, "pages_freed": m}``.
         """
         started = time.perf_counter()
+        self.faults.fire("vacuum.pre", cluster=cluster)
         txn = self.begin()
         # Take the cluster exclusively *before* latching (the lock can
         # block; the latch must not be held while it does), so concurrent
@@ -1027,6 +991,7 @@ class Store:
             except BaseException:
                 self.abort(txn)
                 raise
+            self.faults.fire("vacuum.commit.pre", cluster=cluster)
             self.commit(txn)
         finally:
             self._maintenance_end()
@@ -1035,15 +1000,14 @@ class Store:
                          ms=(time.perf_counter() - started) * 1e3)
         return {"objects": moved, "pages_freed": len(old_pages)}
 
-    def _vacuum_shard_locked(self, txn: int, cluster: str, shard: int,
-                             hot_rank: Optional[Dict[Any, int]] = None
-                             ) -> Tuple[int, List[int]]:
+    def _vacuum_shard_locked(self, txn: int, cluster: str,
+                             shard: int) -> Tuple[int, List[int]]:
         """Rewrite one shard of *cluster* under *txn*; swap it into the
-        catalog. Caller holds the metadata latch and the cluster X lock.
-        *hot_rank* is :meth:`_rewrite_shard`'s placement hint."""
+        catalog. Caller holds the metadata latch and the cluster X lock."""
         info = self.cluster_info(cluster)
+        old_root = info.shards[shard][1]
         new_heap, new_directory, moved, old_pages = self._rewrite_shard(
-            txn, cluster, shard, hot_rank)
+            txn, cluster, shard)
         info.shards[shard] = [new_heap.first_page, new_directory.root_page]
         if shard == 0:
             info.heap_page, info.directory_page = info.shards[0]
@@ -1051,19 +1015,15 @@ class Store:
         for page_no in old_pages:
             self._journal.free_page_deferred(txn, page_no)
         self._swap_structs(cluster, shard, new_heap, new_directory)
+        self._journal.table_leaves.pop(old_root, None)   # its leaf memo
         return moved, old_pages
 
-    def _rewrite_shard(self, txn: int, cluster: str, shard: int,
-                       hot_rank: Optional[Dict[Any, int]] = None):
+    def _rewrite_shard(self, txn: int, cluster: str, shard: int):
         """Copy one shard's live objects into a fresh heap + object table.
 
         Returns ``(new_heap, new_directory, moved, old_pages)`` without
         touching the catalog or the structure caches — the caller owns
-        the swap. With *hot_rank* (serial -> rank), hot objects are
-        copied first in rank order so they share the leading extent
-        (dynamic reclustering); the rest follow in old physical chain
-        order, which preserves the insertion adjacency the batched scan
-        materializer depends on.
+        the swap.
         """
         old_heap = self._heap(cluster, shard)
         old_directory = self._directory(cluster, shard)
@@ -1076,14 +1036,8 @@ class Store:
                      enumerate(self._pages_of_heap(old_heap))}
 
         def order(kv):
-            key, rid_tuple = kv
-            chain = (chain_pos.get(rid_tuple[0], 1 << 60), rid_tuple[1])
-            if hot_rank is not None:
-                serial = key[0] if isinstance(key, tuple) and key else key
-                rank = hot_rank.get(serial)
-                if rank is not None:
-                    return (0, rank, chain)
-            return (1, 0, chain)
+            rid_tuple = kv[1]
+            return chain_pos.get(rid_tuple[0], 1 << 60), rid_tuple[1]
 
         rid_items = sorted(old_directory.items(), key=order)
         items = [(key, old_heap.read(RID(*rid_tuple)))
@@ -1113,51 +1067,6 @@ class Store:
         with self._latch_of(shard):
             self._heaps[(cluster, shard)] = heap
             self._directories[(cluster, shard)] = directory
-
-    def recluster_shard(self, cluster: str, serials,
-                        shard: int = 0) -> Dict[str, int]:
-        """Migrate hot *serials* of *cluster* into the leading extent of
-        *shard* (the dynamic clustering policy from the Darmont studies:
-        co-accessed objects end up physically adjacent, so the scans and
-        dereference runs that made them hot read fewer pages).
-
-        The rewrite is exactly a shard vacuum with a placement hint, runs
-        as its own transaction under the cluster's X lock, and is invoked
-        by the background :class:`~repro.storage.recluster.ReclusterDaemon`
-        with serials ranked by observed access counts. MVCC readers are
-        safe for the same reason vacuum is: logical content is unchanged,
-        chain walkers are drained via the scan gate, and the page-LSN
-        tokens of every moved record stop validating.
-        """
-        serials = list(serials)
-        self.faults.fire("recluster.pre", cluster=cluster, shard=shard)
-        txn = self.begin()
-        self.locks.acquire(txn, ("cluster", cluster), "X")
-        self._maintenance_begin()
-        try:
-            try:
-                with self.latch:
-                    hot_rank = {serial: rank
-                                for rank, serial in enumerate(serials)}
-                    moved, old_pages = self._vacuum_shard_locked(
-                        txn, cluster, shard, hot_rank)
-            except BaseException:
-                self.abort(txn)
-                raise
-            self.faults.fire("recluster.commit.pre", cluster=cluster,
-                             shard=shard)
-            self.commit(txn)
-        finally:
-            self._maintenance_end()
-        hot_here = sum(1 for serial in serials
-                       if self._shard_of_key((serial, 0)) == shard)
-        self.recluster_runs += 1
-        self.recluster_moved += hot_here
-        self.events.emit("recluster", cluster=cluster, shard=shard,
-                         hot=hot_here, objects=moved,
-                         pages_freed=len(old_pages))
-        return {"objects": moved, "moved": hot_here,
-                "pages_freed": len(old_pages)}
 
     @staticmethod
     def _pages_for(payloads) -> int:
@@ -1218,8 +1127,9 @@ class Store:
 
     def directory_stats(self, cluster: str) -> Dict[str, Any]:
         """Occupancy of *cluster*'s object table(s): ``leaf_pages``,
-        ``live_entries`` and ``dead_entries`` — the dead ones being the
-        space deletes leave for the next rebuild.
+        ``live_entries`` and ``dead_entries`` — the dead ones being
+        positions deletes left on leaves that still hold a live entry,
+        which the next insert into such a leaf reuses.
 
         Walks every leaf page (cold pins), so the numbers are taken on
         demand — here, :meth:`fragmentation`, ``db.stats()`` — and never
@@ -1233,27 +1143,6 @@ class Store:
         if self._n_shards > 1:
             out["shards"] = per_shard
         return out
-
-    def crowded_directories(self) -> List[Tuple[str, int]]:
-        """``(cluster, shard)`` pairs whose object table holds more dead
-        entries than live ones: the rebuild (:meth:`vacuum`,
-        :meth:`recluster_shard`) would at least halve it. The recluster
-        daemon polls this, which is what bounds a sliding window's
-        directory on a running system. A table is only walked once a
-        leaf's worth of entries has been deleted through it."""
-        crowded = []
-        for info in list(self.catalog.clusters()):
-            for sid in range(self._n_shards):
-                with self.latch:
-                    if not self.has_cluster(info.name):
-                        break
-                    directory = self._directory(info.name, sid)
-                    if directory.deletes < LEAF_ENTRIES:
-                        continue
-                    stats = directory.stats()
-                if stats["dead_entries"] > stats["live_entries"]:
-                    crowded.append((info.name, sid))
-        return crowded
 
     def _pages_of_heap(self, heap: HeapFile) -> List[int]:
         pages = []
@@ -1747,8 +1636,6 @@ class Store:
             "shards": {
                 "count": self._n_shards,
                 "scans": [_count_value(c) for c in self._shard_scans],
-                "recluster_runs": self.recluster_runs,
-                "recluster_moved_objects": self.recluster_moved,
                 "per_shard": [
                     {"shard": sid,
                      "pages": pf.page_count,

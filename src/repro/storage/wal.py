@@ -8,13 +8,15 @@ change wrote (the page primitive reports them; see
 record:
 
 * an **OP** record is one slot operation — a heap insert, delete or
-  update, or a B+tree entry insert or delete — and names its inverse
-  (the slot, the old payload, the tree and the entry) instead of
-  before-images, so undo applies that inverse where the record is
-  *now* (:mod:`repro.storage.journal`);
-* an **UPDATE** record is a physical byte range with its before-image —
-  an object-table entry, flag or pointer, or one range of a structure
-  change inside a nested top action;
+  update, a B+tree entry insert or delete, or an object-table entry
+  insert or delete (its ``op`` field says which; the kinds are
+  ``journal.OP_*``) — and names its inverse (the slot, the old payload,
+  the tree or table and the entry) instead of before-images, so undo
+  applies that inverse where the record is *now*
+  (:mod:`repro.storage.journal`);
+* an **UPDATE** record is a physical byte range with its before-image:
+  one range of a structure change inside a nested top action (a split,
+  a detach);
 * a **CLR** (compensation log record) is redo-only: undo writes one per
   step, structure growth that must outlive an abort is logged as one,
   and a range-less CLR closes a nested top action. Its ``undo_next``
@@ -151,6 +153,7 @@ _COMMON = struct.Struct("<Bqq")       # type code, txn, prev_lsn
 _UPDATE_EXT = struct.Struct("<IHH")   # page_no, offset, len(before)
 _CLR_V1_EXT = struct.Struct("<IHq")   # page_no, offset, undo_next
 _OP_EXT = struct.Struct("<IBHBH")     # page_no, op, pos, n ranges, len(undo)
+_OP_HEAD = struct.Struct("<BqqIBHBH")  # _COMMON + _OP_EXT, packed at once
 _CLR_EXT = struct.Struct("<IqB")      # page_no, undo_next, n ranges
 _RANGE = struct.Struct("<HH")         # offset, length
 
@@ -176,8 +179,8 @@ def _pack_ranges(parts: list, ranges) -> None:
 
 def _pack_op(txn: int, prev_lsn: int, page_no: int, op: int, pos: int,
              ranges, undo: bytes) -> bytes:
-    parts = [_COMMON.pack(_CODE_OP, txn, prev_lsn),
-             _OP_EXT.pack(page_no, op, pos, len(ranges), len(undo))]
+    parts = [_OP_HEAD.pack(_CODE_OP, txn, prev_lsn, page_no, op, pos,
+                           len(ranges), len(undo))]
     _pack_ranges(parts, ranges)
     parts.append(undo)
     return b"".join(parts)

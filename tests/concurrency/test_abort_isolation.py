@@ -9,9 +9,10 @@ words and slot directory, or on the same B+tree leaf, whose slots shift
 under every insert — leaves those records where they are. What an
 uncommitted delete removed (a heap slot and its bytes, a unique key)
 stays reserved until its transaction ends, so the undo can put it back.
-The object
-table keeps range undo; its invariant 3 (no byte shared between two
-objects' entries) is what makes that sound, and the last test proves it.
+Object-table
+entries are undone the same way — re-inserted or marked dead wherever
+the key's leaf is now — which is what lets a delete detach a leaf it
+emptied in place; the last tests prove it.
 """
 
 import threading
@@ -22,7 +23,8 @@ from repro.core import Database, IntField, OdeObject
 from repro.errors import DuplicateKeyError
 from repro.storage.btree import BTree
 from repro.storage.heap import HeapFile
-from repro.storage.objtable import LEAF_ENTRIES, ObjectTable
+from repro.storage.objtable import LEAF_ENTRIES, LEAF_SERIALS, ObjectTable
+from repro.storage.page import NO_PAGE, PageType
 
 pytestmark = pytest.mark.concurrency
 
@@ -220,3 +222,51 @@ def test_table_abort_keeps_other_transactions_entries(stack):
     assert table.search((30, 1)) is None
     assert table.search((1, 0)) == (7, 1)      # A's delete rolled back
     table.check_invariants()
+
+
+@pytest.mark.parametrize("b_commits_first", [True, False])
+def test_table_abort_beside_a_leaf_re_created_after_its_detach(
+        stack, b_commits_first):
+    """A deletes the last live entries of a leaf, which detaches it; B
+    inserts a fresh serial in that range, which grows a new leaf; A
+    aborts. A's entries come back in B's leaf beside B's entry — the
+    undo finds the leaf by a fresh descent — and no table instance
+    resolves the range to the page A's detach cut out."""
+    pool, _wal, journal = stack
+    setup = journal.begin()
+    table = ObjectTable.create(journal, setup)
+    table.insert(setup, (1, 0), (7, 1))             # leaf 0 stays
+    mine = {(serial, version): (7, serial + version)
+            for serial in range(LEAF_SERIALS, LEAF_SERIALS + 4)
+            for version in (0, 1)}
+    for key, rid in mine.items():
+        table.insert(setup, key, rid)
+    journal.commit(setup)
+    # A second instance over the same root, its memo warm for the leaf.
+    other = ObjectTable(journal, table.root_page)
+    assert other.search((LEAF_SERIALS, 0)) == (7, LEAF_SERIALS)
+    old_leaf = other._leaf(LEAF_SERIALS)
+
+    a, b = journal.begin(), journal.begin()
+    for key in mine:
+        assert table.delete(a, key) == mine[key]
+    assert table._leaf(LEAF_SERIALS) == NO_PAGE     # detached
+    fresh = (LEAF_SERIALS + 50, 0)
+    other.insert(b, fresh, (9, 9))
+    assert other._leaf(LEAF_SERIALS) not in (NO_PAGE, old_leaf)
+    if b_commits_first:
+        journal.commit(b)
+    journal.abort(a)
+    if not b_commits_first:
+        journal.commit(b)
+
+    expected = {**mine, (1, 0): (7, 1), fresh: (9, 9)}
+    for instance in (table, other, ObjectTable(journal, table.root_page)):
+        assert dict(instance.items()) == expected
+        for key, rid in expected.items():
+            assert instance.search(key) == rid
+        instance.check_invariants()
+    assert table.stats() == {"leaf_pages": 2, "live_entries": 10,
+                             "dead_entries": 0}
+    with pool.page(old_leaf) as page:   # freed when A ended
+        assert page.page_type == PageType.FREE

@@ -1,7 +1,8 @@
 """Sharded-store maintenance racing MVCC scans (ISSUE 8, ISSUE 12).
 
-The contract under test: vacuum and the reclustering daemon rewrite a
-multi-shard store's heap pages while client threads run snapshot scans,
+The contract under test: vacuum — the store's compaction and
+reclustering rewrite — moves a multi-shard store's heap pages while
+client threads run snapshot scans,
 and nothing is ever lost — every scan sees a consistent snapshot with
 the full object population, per-shard decoded-page/decoded-object caches
 invalidate when their pages move, and writers keep working throughout.
@@ -16,7 +17,6 @@ import pytest
 
 from repro.core import Database, IntField, OdeObject, StringField
 from repro.query import forall
-from repro.storage.recluster import ReclusterDaemon
 from repro.storage.store import Store
 
 pytestmark = pytest.mark.concurrency
@@ -146,47 +146,37 @@ class TestScansVersusVacuum:
 
 
 class TestScansVersusRecluster:
-    def test_scans_race_recluster_daemon(self, tmp_path):
-        """A fast-cycling daemon migrating hot objects while readers
-        loop snapshot scans: consistent results, nothing lost."""
+    def test_scans_race_repeated_vacuum(self, tmp_path):
+        """Back-to-back vacuums rewriting every shard while readers loop
+        snapshot scans: consistent results, nothing lost."""
         db = Database(str(tmp_path / "rd.odb"), shards=N_SHARDS)
         try:
             db.create(Part)
             n = 120
-            objs = [db.pnew(Part, name="p%d" % i, qty=i) for i in range(n)]
-            daemon = ReclusterDaemon(db.store, interval=0.05, min_hits=2)
-            daemon.start()
-            try:
-                stop = threading.Event()
+            for i in range(n):
+                db.pnew(Part, name="p%d" % i, qty=i)
+            stop = threading.Event()
+            rewrites = []
 
-                def reader():
-                    while not stop.is_set():
-                        with db.transaction():
-                            got = sorted(p.qty
-                                         for p in forall(db.cluster(Part)))
-                        assert got == list(range(n))
+            def reader():
+                while not stop.is_set():
+                    with db.transaction():
+                        got = sorted(p.qty
+                                     for p in forall(db.cluster(Part)))
+                    assert got == list(range(n))
 
-                def heater():
-                    # Hammer a rotating hot set through store.get so the
-                    # daemon's profile keeps producing migrations.
-                    try:
-                        deadline = time.time() + 4.0
-                        i = 0
-                        while (time.time() < deadline
-                               and db.store.recluster_runs < 3):
-                            serial = objs[i % 10].oid.serial
-                            db.store.get("Part", (serial, 0))
-                            i += 1
-                            if i % 500 == 0:
-                                time.sleep(0.05)
-                    finally:
-                        stop.set()
+            def vacuumer():
+                try:
+                    deadline = time.time() + 4.0
+                    while time.time() < deadline and len(rewrites) < 3:
+                        rewrites.append(db.store.vacuum("Part"))
+                        time.sleep(0.05)
+                finally:
+                    stop.set()
 
-                run_threads([reader, reader, heater])
-                assert db.store.recluster_runs >= 1, (
-                    "daemon never migrated anything")
-            finally:
-                daemon.stop()
+            run_threads([reader, reader, vacuumer])
+            assert len(rewrites) >= 1, "vacuum never ran"
+            assert len({r["objects"] for r in rewrites}) == 1
             assert db.verify() == []
             with db.transaction():
                 assert len(list(forall(db.cluster(Part)))) == n
@@ -196,9 +186,9 @@ class TestScansVersusRecluster:
 
 class TestCacheInvalidation:
     def test_page_cache_invalidates_after_shard_rewrite(self, tmp_path):
-        """The decoded-page cache keys on (gpid, LSN); a recluster of one
-        shard moves its records to fresh pages, so re-scans return the
-        new placement, not stale cached batches."""
+        """The decoded-page cache keys on (gpid, LSN); a vacuum moves
+        every shard's records to fresh pages, so re-scans return the new
+        placement, not stale cached batches."""
         store = Store(str(tmp_path / "pc.pages"), shards=N_SHARDS)
         txn = store.begin()
         store.create_cluster(txn, "c")
@@ -214,44 +204,45 @@ class TestCacheInvalidation:
             before = [record["n"] for batch in store.scan_batches("c")
                       for _rid, record in batch]
         assert store.page_cache_hits > 0
-        hot = [s for s in serials
-               if store._shard_of_key((s, 0)) == 2][:5]
-        store.recluster_shard("c", hot, shard=2)
+        old_rids = {record["__key"][0]: rid
+                    for batch in store.scan_batches("c")
+                    for rid, record in batch}
+        store.vacuum("c")
         after = {record["__key"][0]: record["n"]
                  for batch in store.scan_batches("c")
                  for _rid, record in batch}
         assert len(after) == 80
         assert sorted(after.values()) == sorted(before)
-        # The migrated shard's records now come from different pages.
+        # The records now come from different pages of their own shard.
         moved_rids = {}
         for batch in store.scan_batches("c"):
             for rid, record in batch:
                 moved_rids[record["__key"][0]] = rid
         from repro.storage.sharding import shard_of
-        for serial in hot:
-            assert shard_of(moved_rids[serial].page_no) == 2
+        for serial in serials:
+            page_no = moved_rids[serial].page_no
+            assert shard_of(page_no) == store._shard_of_key((serial, 0))
+        assert ({rid.page_no for rid in moved_rids.values()}
+                .isdisjoint(rid.page_no for rid in old_rids.values()))
         store.close()
 
     def test_decoded_object_cache_coherent_across_recluster(self,
                                                             sharded_db):
         """Object-layer decoded cache entries are LSN-token guarded;
-        after a recluster moves the objects their tokens stop
-        validating, so derefs re-read instead of serving stale data."""
+        after vacuum's reclustering rewrite moves the objects their
+        tokens stop validating, so derefs re-read instead of serving
+        stale data."""
         db = sharded_db
         db.create(Part)
         objs = [db.pnew(Part, name="p%d" % i, qty=i) for i in range(40)]
         with db.transaction():
             for obj in forall(db.cluster(Part)):
                 assert obj.qty >= 0  # populate the decoded cache
-        serials = [o.oid.serial for o in objs]
-        for sid in range(N_SHARDS):
-            hot = [s for s in serials
-                   if db.store._shard_of_key((s, 0)) == sid][:3]
-            db.store.recluster_shard("Part", hot, shard=sid)
+        db.store.vacuum("Part")
         with db.transaction():
             got = sorted(p.qty for p in forall(db.cluster(Part)))
         assert got == list(range(40))
-        # And a write-after-recluster still lands correctly.
+        # And a write after the rewrite still lands correctly.
         with db.transaction():
             objs[0].qty = 999
         with db.transaction():

@@ -181,11 +181,12 @@ def kill_specs(hits=(2, 13)):
     """
     specs = []
     for name, action in KNOWN_FAILPOINTS:
-        if name.startswith(("shard.", "recluster.", "server.")):
-            # Multi-shard-only points never fire on the default 1-shard
-            # workload, and socket-layer points never fire embedded (the
-            # cycle would just be a fault-free run); shard_kill_specs()
-            # and tests/crash/test_server_crash.py cover them.
+        if name.startswith(("shard.", "vacuum.", "server.")):
+            # Multi-shard-only and vacuum points never fire on the
+            # default 1-shard workload (it runs no maintenance), and
+            # socket-layer points never fire embedded (the cycle would
+            # just be a fault-free run); shard_kill_specs() and
+            # tests/crash/test_server_crash.py cover them.
             continue
         for at_hit in hits:
             if action == "lost":
@@ -202,13 +203,10 @@ def kill_specs(hits=(2, 13)):
     return specs
 
 
-#: Environment for the shard matrix: a 4-shard store, the background
-#: recluster daemon off (its timing is non-deterministic; reclustering is
-#: exercised via the workload's deterministic maintenance calls instead),
-#: and the workload's maintenance ops on.
+#: Environment for the shard matrix: a 4-shard store and the workload's
+#: deterministic maintenance calls (vacuums) on.
 SHARD_ENV = {
     "REPRO_SHARDS": "4",
-    "REPRO_RECLUSTER": "0",
     "REPRO_WORKLOAD_MAINT": "1",
 }
 
@@ -217,15 +215,15 @@ def shard_kill_specs():
     """Kill-point matrix for the sharded store: ``(label, spec, strict,
     extra_env)``.
 
-    Covers the shard-only failpoints (store creation and reclustering)
-    plus a sample of the core WAL/pagefile points re-run under a 4-shard
-    store with deterministic recluster maintenance — the recovery,
-    checkpoint and torn-write machinery all route through the gpid
-    router there, which the 1-shard matrix cannot see.
+    Covers the shard-only failpoints (store creation), the vacuum
+    rewrite's points, and a sample of the core WAL/pagefile points re-run
+    under a 4-shard store with deterministic vacuum maintenance — the
+    recovery, checkpoint and torn-write machinery all route through the
+    gpid router there, which the 1-shard matrix cannot see.
 
     The ``shard.open.*`` points fire once per extra shard file (3 times
     for 4 shards) and only during creation; ``shard.root.pre`` exactly
-    once; the recluster points once per maintenance call.
+    once; the vacuum points once per maintenance call.
     """
     specs = []
     for name in ("shard.root.pre", "shard.open.pre", "shard.open.post"):
@@ -233,7 +231,7 @@ def shard_kill_specs():
         for at_hit in hits:
             specs.append(("%s@%d" % (name, at_hit),
                           "%s:die:%d" % (name, at_hit), True, SHARD_ENV))
-    for name in ("recluster.pre", "recluster.commit.pre"):
+    for name in ("vacuum.pre", "vacuum.commit.pre"):
         for at_hit in (1, 2, 4):
             specs.append(("%s@%d" % (name, at_hit),
                           "%s:die:%d" % (name, at_hit), True, SHARD_ENV))
@@ -256,11 +254,10 @@ def v2_env(shards: int) -> dict:
     """Environment of an old-layout cycle: after its first ops the child
     rewrites the store as a version-2 binary left it and reopens it with
     the faults armed, so they fire inside the conversion that open runs
-    (later maintenance calls recluster). The small pool forces page
+    (later maintenance calls vacuum). The small pool forces page
     write-backs inside the conversion."""
     return {
         "REPRO_SHARDS": str(shards),
-        "REPRO_RECLUSTER": "0",
         "REPRO_WORKLOAD_MAINT": "1",
         "REPRO_WORKLOAD_V2": "1",
         "REPRO_WORKLOAD_POOL": "8",
@@ -339,8 +336,8 @@ def v2_kill_specs():
     """``(label, shards, failpoint, action, where)`` for the old-layout
     matrix. *where* is a fraction of the conversion's hit window
     (resolved against :func:`v2_conversion_windows` at run time), or a
-    plain hit count (int) for the recluster points, whose first hit is
-    the first recluster after the conversion."""
+    plain hit count (int) for the vacuum points, whose first hit is
+    the first vacuum after the conversion."""
     specs = []
     for shards in (1, 4):
         for name, action in V2_CONVERSION_POINTS:
@@ -348,6 +345,6 @@ def v2_kill_specs():
                 specs.append(("v2-%dshard-%s@%.0f%%"
                               % (shards, name, 100 * where),
                               shards, name, action, where))
-    for name in ("recluster.pre", "recluster.commit.pre"):
+    for name in ("vacuum.pre", "vacuum.commit.pre"):
         specs.append(("v2-4shard-%s@1" % name, 4, name, "die", 1))
     return specs

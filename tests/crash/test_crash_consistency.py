@@ -43,8 +43,8 @@ def test_crash_smoke(tmp_path, label, spec, strict):
     ids=[label for label, _, _, _ in SHARD])
 def test_crash_shard_matrix(tmp_path, label, spec, strict, extra_env):
     """Crash matrix over a 4-shard store (EXP-18): shard-creation and
-    recluster failpoints plus core WAL/pagefile points rerun with the
-    gpid router and deterministic recluster maintenance in play."""
+    vacuum failpoints plus core WAL/pagefile points rerun with the
+    gpid router and deterministic vacuum maintenance in play."""
     result = run_cycle(str(tmp_path), spec, strict=strict,
                        extra_env=extra_env)
     assert result.problems == [], (
@@ -69,7 +69,7 @@ def test_crash_v2_migration(tmp_path, v2_windows, label, shards, name,
     """Version-2 layout cycles (EXP-22, EXP-27): the store is reopened
     with hash directories, a hash index and a version-3 tree, and dies
     inside the conversion that open runs — or, sharded, in the first
-    recluster after it. The crash leaves every retired structure or
+    vacuum after it. The crash leaves every retired structure or
     none, and after recovery every acknowledged object is there."""
     if isinstance(where, float):
         lo, hi = v2_windows[shards][name]

@@ -48,10 +48,10 @@ from tests.storage.legacy_layouts import stamp_version, to_version_2
 ERROR_EXIT_CODE = 3
 
 #: With ``REPRO_WORKLOAD_MAINT=1`` the child runs a deterministic
-#: recluster-maintenance call after every this-many committed ops — the
-#: shard matrix uses it to hit the ``recluster.*`` failpoints at
-#: reproducible points. Reclustering never changes logical content, so
-#: the model states are unaffected.
+#: maintenance call (a vacuum) after every this-many committed ops — the
+#: shard matrix uses it to hit the ``vacuum.*`` failpoints at
+#: reproducible points. Vacuum never changes logical content, so the
+#: model states are unaffected.
 MAINT_EVERY = 8
 
 #: Every this-many ops, an aborted transaction runs first (see the
@@ -91,17 +91,10 @@ def reopen_as_version_2(db, db_path: str, faults: str, **options):
     return db
 
 
-def run_maintenance(db, i: int) -> None:
-    """One deterministic maintenance call after op *i* (content-neutral):
-    a recluster of one shard."""
-    store = db.store
-    call = i // MAINT_EVERY
-    shard = call % store.n_shards
-    serials = sorted(
-        serial for _rid, record in store.scan("CrashItem")
-        for serial in [record["__key"][0]]
-        if store._shard_of_key((serial, 0)) == shard)[:4]
-    store.recluster_shard("CrashItem", serials, shard=shard)
+def run_maintenance(db) -> None:
+    """One deterministic maintenance call (content-neutral): a vacuum,
+    which rewrites every shard of the cluster in one transaction."""
+    db.store.vacuum("CrashItem")
 
 
 class _Abort(Exception):
@@ -225,7 +218,7 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
                 db = reopen_as_version_2(db, db_path, faults, **options)
                 live = {obj.name: obj for obj in db.cluster(CrashItem)}
             elif maint and (i + 1) % MAINT_EVERY == 0:
-                run_maintenance(db, i)
+                run_maintenance(db)
     except BaseException:
         import traceback
         traceback.print_exc()

@@ -21,8 +21,7 @@ class ShardItem(OdeObject):
 
 
 @pytest.fixture
-def sharded_db(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_RECLUSTER", "0")   # no background moves
+def sharded_db(tmp_path):
     db = Database(str(tmp_path / "sharded.odb"), shards=4)
     db.create(ShardItem, exist_ok=True)
     with db.transaction():

@@ -16,7 +16,7 @@ from repro.storage import pagefile as pagefile_mod
 from repro.storage.codec import decode_prefix, encode_key
 from repro.storage.heap import RID
 from repro.storage.objtable import (ENTRY_SIZE, FANOUT, LEAF_ENTRIES,
-                                    LEAF_SERIALS, ObjectTable)
+                                    LEAF_SERIALS, LIVE, ObjectTable)
 from repro.storage.page import HEADER_SIZE, NO_PAGE, PAGE_SIZE, PageType
 from repro.storage.store import Store
 
@@ -51,10 +51,20 @@ ops = st.lists(st.one_of(
     st.tuples(st.just("delete"), serials, st.integers(0, 4)),
     # 1..500 versions of one serial at once: fills and chains its leaf.
     st.tuples(st.just("versions"), serials, st.integers(1, 500)),
+    # every pending key in the leaf covering the serial: detaches it
+    st.tuples(st.just("delete_range"), serials, st.just(0)),
     st.tuples(st.just("commit"), st.just(0), st.just(0)),
     st.tuples(st.just("abort"), st.just(0), st.just(0)),
     st.tuples(st.just("reopen"), st.just(0), st.just(0)),
+    # lose the open transaction and the pool; recovery undoes it
+    st.tuples(st.just("crash"), st.just(0), st.just(0)),
 ), max_size=40)
+
+
+def same_leaf(a, b, shards):
+    """Whether serials *a* and *b* share a leaf of one shard's table."""
+    return (a % shards == b % shards
+            and a // shards // LEAF_SERIALS == b // shards // LEAF_SERIALS)
 
 
 class TestDifferential:
@@ -83,9 +93,19 @@ class TestDifferential:
                 elif kind == "delete":
                     existed = pending.pop((serial, arg), None) is not None
                     assert store.delete(txn, "c", (serial, arg)) == existed
+                elif kind == "delete_range":
+                    for key in [k for k in pending
+                                if same_leaf(k[0], serial, shards)]:
+                        assert store.delete(txn, "c", key)
+                        del pending[key]
                 else:
                     if kind == "abort":
                         store.abort(txn)
+                        pending = dict(committed)
+                    elif kind == "crash":
+                        store.crash()
+                        store = Store(path, durability="none")
+                        assert store.last_recovery is not None
                         pending = dict(committed)
                     else:
                         store.commit(txn)
@@ -114,6 +134,15 @@ class TestDifferential:
             assert store.get("c", key) == record(key, n)
         assert store.verify_integrity() == []
         assert store.directory_stats("c")["live_entries"] == len(model)
+        # Every leaf chain still reachable holds a live entry: deletes,
+        # aborts and recovery detached the others.
+        for sid in range(store.n_shards):
+            chains = {}
+            for leaf, _page_no, raw in store._directory(
+                    "c", sid)._leaf_pages():
+                flags = raw[ENTRY_SIZE - 2::ENTRY_SIZE]
+                chains[leaf] = chains.get(leaf, False) or LIVE in flags
+            assert all(chains.values())
 
     def test_key_shapes_outside_the_table_are_refused(self, store):
         txn = store.begin()
@@ -308,16 +337,14 @@ class TestCounts:
 class TestChurn:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_sliding_window_directory_stays_bounded(self, db_path, shards):
-        """100 live objects, 5 000 created and deleted: the recluster
-        daemon's rounds rebuild a table once it is mostly dead entries,
-        so nobody has to call vacuum."""
-        from repro.storage.recluster import ReclusterDaemon
+        """100 live objects, 5 000 created and deleted: a leaf whose
+        serials are all deleted is detached in place, so the table stays
+        bounded with no rebuild and nobody calling vacuum."""
         store = Store(db_path, durability="none", shards=shards)
-        daemon = ReclusterDaemon(store, interval=3600)   # rounds by hand
         txn = store.begin()
         store.create_cluster(txn, "c")
         store.commit(txn)
-        window, worst, rewrites = 100, 0, 0
+        window, worst = 100, 0
         for serial in range(5000):
             txn = store.begin()
             for version in (0, 1):
@@ -327,36 +354,91 @@ class TestChurn:
                     assert store.delete(txn, "c", (serial - window, version))
             store.commit(txn)
             if serial % 500 == 499:
-                rewrites += daemon.run_once()
                 stats = store.directory_stats("c")
                 # per shard: mostly live, or under a leaf's worth deleted
                 assert stats["dead_entries"] <= (stats["live_entries"]
                                                  + shards * LEAF_ENTRIES)
                 worst = max(worst, stats["leaf_pages"])
-        assert rewrites >= 4 * shards and daemon.skipped == 0
-        assert worst <= 3 * shards          # 45+ and growing without rounds
+        assert worst <= 3 * shards          # 45+ and growing without detach
         live = {(serial, version) for serial in range(4900, 5000)
                 for version in (0, 1)}
         assert set(directory_items(store)) == live
         assert store.verify_integrity() == []
         store.close()
 
-    def test_only_mostly_dead_tables_are_crowded(self, store):
+    def test_reversioning_one_object_reuses_its_positions(self, db_path):
+        """5 000 version create/delete pairs of one object: each insert
+        takes a dead position, so its leaf never chains past two pages
+        (it would grow to ~20 if dead positions were not reused)."""
+        store = Store(db_path, durability="none")
         txn = store.begin()
         store.create_cluster(txn, "c")
-        for serial in range(600):
-            store.put(txn, "c", (serial, 0), record((serial, 0)))
-        for serial in range(290):
-            store.delete(txn, "c", (serial, 0))
+        store.put(txn, "c", (7, 0), record((7, 0)), new=True)
         store.commit(txn)
-        assert store.crowded_directories() == []     # 290 dead < 310 live
+        for version in range(1, 5001):
+            txn = store.begin()
+            store.put(txn, "c", (7, version), record((7, version)), new=True)
+            if version > 1:
+                assert store.delete(txn, "c", (7, version - 1))
+            store.commit(txn)
+        assert store.directory_stats("c")["leaf_pages"] <= 2
+        assert set(directory_items(store)) == {(7, 0), (7, 5000)}
+        assert store.verify_integrity() == []
+        store.close()
+
+    def test_undo_re_grows_a_detached_leaf_in_its_own_shard(self, db_path):
+        """An abort (and recovery) re-inserting into a leaf a detach took
+        away grows it in the table's shard, not in shard 0 where the
+        unbound allocator would put it."""
+        from repro.storage.sharding import shard_of
+        store = Store(db_path, durability="none", shards=4)
         txn = store.begin()
-        for serial in range(290, 320):
-            store.delete(txn, "c", (serial, 0))
+        store.create_cluster(txn, "c")
+        keys = [(4 * serial + 2, 0) for serial in range(3)]    # shard 2
+        for key in keys:
+            store.put(txn, "c", key, record(key), new=True)
         store.commit(txn)
-        assert store.crowded_directories() == [("c", 0)]
-        store.vacuum("c")
-        assert store.crowded_directories() == []
+        for end in ("abort", "crash"):
+            txn = store.begin()
+            for key in keys:
+                assert store.delete(txn, "c", key)
+            assert store._directory("c", 2)._leaf(2) == NO_PAGE
+            if end == "abort":
+                store.abort(txn)
+            else:
+                store.crash()
+                store = Store(db_path, durability="none")
+            assert shard_of(store._directory("c", 2)._leaf(2)) == 2
+            assert set(directory_items(store)) == set(keys)
+            assert store.verify_integrity() == []
+        store.close()
+
+    def test_last_delete_of_a_leaf_frees_its_pages(self, stack):
+        """Deleting every entry of a leaf detaches it; the pages reach
+        the free list when the transaction ends and an insert into the
+        range grows a fresh leaf."""
+        pool, _wal, journal = stack
+        txn = journal.begin()
+        table = ObjectTable.create(journal, txn)
+        for serial in range(LEAF_SERIALS, 2 * LEAF_SERIALS):
+            table.insert(txn, (serial, 0), (1, serial))
+        table.insert(txn, (0, 0), (1, 0))           # another leaf stays
+        journal.commit(txn)
+        leaf = table._leaf(LEAF_SERIALS)
+        txn = journal.begin()
+        for serial in range(LEAF_SERIALS, 2 * LEAF_SERIALS):
+            assert table.delete(txn, (serial, 0)) == (1, serial)
+        assert table._leaf(LEAF_SERIALS) == NO_PAGE
+        assert table.stats() == {"leaf_pages": 1, "live_entries": 1,
+                                 "dead_entries": 0}
+        journal.commit(txn)
+        with pool.page(leaf) as page:
+            assert page.page_type == PageType.FREE
+        txn = journal.begin()
+        table.insert(txn, (LEAF_SERIALS + 3, 0), (2, 3))
+        journal.commit(txn)
+        assert table.search((LEAF_SERIALS + 3, 0)) == (2, 3)
+        table.check_invariants()
 
 
 # -- corruption: detection and repair -------------------------------------------

@@ -92,23 +92,3 @@ class TestStoreQuiesce:
             assert sum(1 for _ in db2.cluster(QObj)) == 300
         finally:
             db2.close()
-
-    def test_recluster_daemon_stopped_before_checkpoint(self, tmp_path,
-                                                        monkeypatch):
-        """Database.close() on a sharded store with the recluster daemon
-        running must stop the daemon before the final checkpoint."""
-        monkeypatch.setenv("REPRO_RECLUSTER_INTERVAL", "0.05")
-        path = str(tmp_path / "s.odb")
-        db = Database(path, shards=4)
-        assert db.recluster_daemon is not None
-        db.create(QObj)
-        with db.transaction():
-            for i in range(200):
-                db.pnew(QObj, n=i)
-        time.sleep(0.2)  # let the daemon run at least once
-        db.close()
-        db2 = Database(path, shards=4)
-        try:
-            assert db2.verify() == []
-        finally:
-            db2.close()

@@ -7,6 +7,8 @@ import pytest
 from repro.storage.buffer import BufferPool
 from repro.storage.heap import HeapFile
 from repro.storage.journal import Journal
+from repro.storage.objtable import LEAF_SERIALS, ObjectTable
+from repro.storage.page import NO_PAGE
 from repro.storage.pagefile import PageFile
 from repro.storage.recovery import recover
 from repro.storage.wal import WriteAheadLog
@@ -280,3 +282,76 @@ class TestRecycledPages:
         assert taken[0] == first
         assert second not in taken
         assert HeapFile(h.journal, second).read(rid) == b"kept"
+
+
+class _Killed(Exception):
+    """Stands for the process dying at the point it is raised."""
+
+
+class TestTableDetach:
+    """A delete that empties an object-table leaf detaches it in a
+    nested top action; a crash inside or after that action recovers to a
+    table where every committed entry is found."""
+
+    def setup_table(self, h):
+        txn = h.journal.begin()
+        table = ObjectTable.create(h.journal, txn)
+        table.insert(txn, (1, 0), (7, 1))
+        keys = [(LEAF_SERIALS + i, 0) for i in range(3)]
+        for key in keys:
+            table.insert(txn, key, (7, key[0]))
+        h.journal.commit(txn)
+        return table.root_page, keys
+
+    def check(self, h, root_page, keys):
+        table = ObjectTable(h.journal, root_page)
+        for key in keys + [(1, 0)]:
+            assert table.search(key) == (7, key[0])
+        table.check_invariants()
+        return table
+
+    def test_kill_inside_the_detach_rolls_it_back(self, h, monkeypatch):
+        """Killed after the mid pointer was cleared, before the action's
+        closing record: recovery re-links the leaf, then undoes the
+        deletes into it."""
+        root_page, keys = self.setup_table(h)
+        table = ObjectTable(h.journal, root_page)
+        leaf = table._leaf(keys[0][0])
+        log_clr = h.wal.log_clr
+
+        def die_on_closing_record(txn, prev_lsn, page_no, ranges,
+                                  undo_next):
+            if page_no == NO_PAGE and not ranges:
+                h.wal.flush()
+                raise _Killed
+            return log_clr(txn, prev_lsn, page_no, ranges, undo_next)
+
+        txn = h.journal.begin()
+        monkeypatch.setattr(h.wal, "log_clr", die_on_closing_record)
+        for key in keys[:-1]:
+            table.delete(txn, key)
+        with pytest.raises(_Killed):
+            table.delete(txn, keys[-1])
+        assert table._leaf(keys[0][0]) == NO_PAGE   # the pointer is cleared
+        report = h.crash_and_recover()
+        assert txn in report.losers
+        table = self.check(h, root_page, keys)
+        assert table._leaf(keys[0][0]) == leaf
+        assert table.stats()["leaf_pages"] == 2
+
+    def test_kill_after_the_detach_re_grows_the_leaf(self, h):
+        """Killed with the detach complete and its transaction open:
+        recovery keeps the leaf unlinked and re-inserts the deleted
+        entries through a fresh leaf."""
+        root_page, keys = self.setup_table(h)
+        table = ObjectTable(h.journal, root_page)
+        txn = h.journal.begin()
+        for key in keys:
+            table.delete(txn, key)
+        assert table._leaf(keys[0][0]) == NO_PAGE
+        h.wal.flush()
+        report = h.crash_and_recover()
+        assert txn in report.losers
+        table = self.check(h, root_page, keys)
+        assert table.stats() == {"leaf_pages": 2, "live_entries": 4,
+                                 "dead_entries": 0}

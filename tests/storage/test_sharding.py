@@ -1,9 +1,10 @@
 """Sharded storage (ISSUE 8): gpid routing, per-shard structures,
-persistence, sharded vacuum, reclustering and the stats/metrics surface."""
+persistence, sharded vacuum and the stats/metrics surface."""
 
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -17,6 +18,10 @@ from repro.storage.sharding import (LOCAL_MASK, MAX_SHARDS, SHARD_SHIFT,
                                     global_page, local_page, shard_of,
                                     shard_path)
 from repro.storage.store import Store
+
+
+class NoThreadNode(OdeObject):
+    n = IntField(default=0)
 
 
 @pytest.fixture
@@ -222,10 +227,10 @@ class TestVacuumRecluster:
         before = [list(pair) for pair in sharded.cluster_info("c").shards]
         rewrite = sharded._rewrite_shard
 
-        def fail_on_shard_2(txn, cluster, shard, hot_rank=None):
+        def fail_on_shard_2(txn, cluster, shard):
             if shard == 2:
                 raise RuntimeError("injected")
-            return rewrite(txn, cluster, shard, hot_rank)
+            return rewrite(txn, cluster, shard)
 
         with monkeypatch.context() as patch:
             patch.setattr(sharded, "_rewrite_shard", fail_on_shard_2)
@@ -273,38 +278,12 @@ class TestVacuumRecluster:
         assert seen == list(range(60, 120))
         s2.close()
 
-    def test_recluster_moves_hot_serials_first(self, sharded):
-        serials = fill(sharded, 80)
-        hot = [s for s in serials if sharded._shard_of_key((s, 0)) == 1][:3]
-        report = sharded.recluster_shard("c", hot, shard=1)
-        assert report["moved"] == len(hot)
-        assert sharded.count("c") == 80
-        assert sharded.verify_integrity() == []
-        # The hot serials now occupy the first slots of the shard's heap.
-        heap = sharded._heap("c", 1)
-        leading = []
-        for _rid, raw in heap.scan():
-            from repro.storage.codec import decode_value
-            leading.append(decode_value(raw)["__key"][0])
-            if len(leading) == len(hot):
-                break
-        assert leading == hot
-
-    def test_recluster_counters_and_event(self, sharded):
+    def test_vacuum_event(self, sharded):
         fill(sharded, 40)
-        sharded.recluster_shard("c", [], shard=2)
-        assert sharded.recluster_runs == 1
-        assert any(e["kind"] == "recluster"
-                   for e in sharded.events.snapshot())
-
-    def test_recluster_on_single_shard_store(self, tmp_path):
-        s = Store(str(tmp_path / "one.pages"))
-        serials = fill(s, 30)
-        report = s.recluster_shard("c", serials[10:13], shard=0)
-        assert report["moved"] == 3
-        assert s.count("c") == 30
-        assert s.verify_integrity() == []
-        s.close()
+        sharded.vacuum("c")
+        events = [e for e in sharded.events.snapshot()
+                  if e["kind"] == "vacuum"]
+        assert len(events) == 1 and events[0]["data"]["objects"] == 40
 
     def test_vacuum_survives_reopen(self, tmp_path):
         path = str(tmp_path / "v.pages")
@@ -320,22 +299,6 @@ class TestVacuumRecluster:
         assert s2.count("c") == 50
         assert s2.verify_integrity() == []
         s2.close()
-
-
-class TestAccessProfile:
-    def test_get_records_hits_when_tracking(self, sharded):
-        serials = fill(sharded, 10)
-        sharded.track_access = True
-        for _ in range(5):
-            sharded.get("c", (serials[0], 0))
-        profile = sharded.take_access_profile()
-        assert profile[("c", serials[0])] == 5
-        assert sharded.take_access_profile() == {}
-
-    def test_tracking_off_by_default(self, sharded):
-        serials = fill(sharded, 5)
-        sharded.get("c", (serials[0], 0))
-        assert sharded.take_access_profile() == {}
 
 
 class TestStatsAndMetrics:
@@ -369,7 +332,6 @@ class TestStatsAndMetrics:
         list(sharded.scan("c"))
         text = sharded.metrics.render_prometheus()
         assert "ode_shard_scans" in text
-        assert "ode_recluster_moved_objects" in text
         parse_prometheus(text)  # raises on lint violations
 
 
@@ -412,16 +374,11 @@ class TestDatabaseLevel:
         assert sorted(seen) == list(range(16))
         db.close()
 
-    def test_recluster_daemon_disabled_by_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RECLUSTER", "0")
-        db = Database(str(tmp_path / "nd.odb"))
-        assert db.recluster_daemon is None
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_opening_a_database_starts_no_thread(self, tmp_path, shards):
+        before = set(threading.enumerate())
+        db = Database(str(tmp_path / "t.odb"), shards=shards)
+        db.create(NoThreadNode)
+        db.pnew(NoThreadNode, n=1)
+        assert set(threading.enumerate()) == before
         db.close()
-
-    def test_recluster_daemon_stops_on_close(self, tmp_path):
-        db = Database(str(tmp_path / "dd.odb"))
-        daemon = db.recluster_daemon
-        assert daemon is not None and daemon.is_alive()
-        db.close()
-        assert not daemon.is_alive()
-        assert db.recluster_daemon is None
