@@ -204,6 +204,8 @@ class ClusterHandle:
         for name in names:
             if not db.store.has_cluster(name):
                 continue
+            if as_of is None:
+                db._watch_cluster(name)
             vis = db._scan_visibility(name, as_of)
             if vis is not None and vis.batch_clean():
                 # No in-flight writer and no commit newer than the
@@ -225,6 +227,8 @@ class ClusterHandle:
         for name in names:
             if not db.store.has_cluster(name):
                 continue
+            if as_of is None:
+                db._watch_cluster(name)
             vis = db._scan_visibility(name, as_of)
             for _, plain, flagged in self._walk(name, vis):
                 for serial in plain:

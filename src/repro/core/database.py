@@ -241,7 +241,8 @@ class Transaction:
 
     __slots__ = ("txn_id", "db", "_done", "_begin_lsn", "read_set",
                  "write_set", "created", "_cluster_modes", "ddl",
-                 "snapshot_lsn", "read_clusters")
+                 "snapshot_lsn", "read_clusters", "trigger_epoch",
+                 "watch", "watch_clusters")
 
     def __init__(self, txn_id: int, db: "Database"):
         self.txn_id = txn_id
@@ -250,6 +251,9 @@ class Transaction:
         # Where this transaction's log chain starts; a commit whose chain
         # never advanced past this wrote nothing (read-only transaction).
         self._begin_lsn = db.store._journal.active.get(txn_id)
+        # Read before the snapshot is taken: a trigger publish after
+        # this point may have written what the snapshot cannot see.
+        self.trigger_epoch = db.triggers._epoch
         self.read_set: Set[Tuple[str, int]] = set()
         self.write_set: Set[Tuple[str, int]] = set()
         self.created: Set[Tuple[str, int]] = set()
@@ -264,6 +268,10 @@ class Transaction:
         #: writes to objects of these clusters get the write-conflict
         #: check even when the individual object was never derefed.
         self.read_clusters: Set[str] = set()
+        #: While one trigger condition runs: the object keys and the
+        #: clusters it reads (its watch set); None otherwise.
+        self.watch: Optional[Set[Tuple[str, int]]] = None
+        self.watch_clusters: Optional[Set[str]] = None
 
     def lock_cluster(self, locks, cluster: str, mode: str) -> None:
         """Take (once per mode) the cluster-level lock for this txn."""
@@ -477,6 +485,9 @@ class Database:
         handle = self._session.txn
         if handle is None:
             return
+        watch = handle.watch
+        if watch is not None:
+            watch.add((cluster, serial))
         if self._mvcc_on:
             handle.read_set.add((cluster, serial))
             return
@@ -583,10 +594,19 @@ class Database:
         handle = self._session.txn
         if handle is None:
             return
+        if handle.watch_clusters is not None:
+            handle.watch_clusters.add(cluster)
         if self._mvcc_on:
             handle.read_clusters.add(cluster)
             return
         handle.lock_cluster(self.store.locks, cluster, SHARED)
+
+    def _watch_cluster(self, cluster: str) -> None:
+        """Note a cluster read that takes no scan lock (a count) in the
+        running trigger condition's watch set."""
+        handle = self._session.txn
+        if handle is not None and handle.watch_clusters is not None:
+            handle.watch_clusters.add(cluster)
 
     # ------------------------------------------------------------------
     # MVCC plumbing (snapshot visibility over the version histories)
@@ -843,16 +863,19 @@ class Database:
             for obj in list(self._dirty.values()):
                 obj.check_constraints()
             self._flush(txn)
-            if self._clock_dirty:
+            clock_moved = self._clock_dirty
+            if clock_moved:
                 self.store.catalog.set_meta(txn, "clock", self._clock)
                 self._clock_dirty = False
             # Trigger conditions are conceptually evaluated at the end of
-            # each transaction (section 6). A transaction that wrote
-            # nothing cannot have changed any condition, so evaluation is
-            # skipped — this is what lets a side-effect-free perpetual
-            # trigger action terminate instead of re-firing forever.
+            # each transaction (section 6); the manager re-evaluates the
+            # ones this transaction's writes (or the clock) may have
+            # changed. A transaction that wrote nothing cannot have
+            # changed any condition, so evaluation is skipped — this is
+            # what lets a side-effect-free perpetual trigger action
+            # terminate instead of re-firing forever.
             if self.store._journal.active.get(txn) != handle._begin_lsn:
-                fired = self.triggers.evaluate(txn)
+                fired = self.triggers.evaluate(handle, clock_moved)
             else:
                 fired = []
         except BaseException as exc:
@@ -862,10 +885,12 @@ class Database:
             self.store.commit(txn)
         except BaseException:
             # WalFlushError path: the journal undid the transaction in
-            # memory — drop its MVCC pre-images (and snapshot pin) the
-            # same way an abort would.
+            # memory — drop its MVCC pre-images (and snapshot pin) and
+            # its trigger bookkeeping the same way an abort would.
             self._mvcc.abort(txn)
+            self.triggers.rollback(txn)
             raise
+        self.triggers.publish(handle)
         self._txn_commits.inc()
         handle._done = True
         self._txn = None
@@ -886,7 +911,7 @@ class Database:
             self._txn = None
             touched = self._touched_keys(handle)
             self._dirty.clear()
-            self.triggers.invalidate()
+            self.triggers.rollback(handle.txn_id)
             self.cluster_stats.invalidate()
             if handle.ddl:
                 # DDL changed the plan space itself; every plan is suspect.
@@ -1991,6 +2016,7 @@ class Database:
                 "count": self._query_count.value,
                 "slow": self._query_slow.value,
             },
+            "triggers": self.triggers.stats(),
             # O++ statement caches, summed over every interpreter
             # (server sessions included) on this database.
             "opp": {

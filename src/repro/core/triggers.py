@@ -20,7 +20,14 @@ Semantics implemented exactly as the paper specifies:
   deactivated when it fires and must be reactivated explicitly; a
   perpetual trigger is reactivated automatically after firing.
 * **Evaluation at end of transaction**: trigger conditions are conceptually
-  evaluated at the end of each transaction, seeing its final state.
+  evaluated at the end of each transaction, seeing its final state. A
+  writing commit re-checks only the activations it may have changed:
+  new or unchecked ones, those whose *watch set* (the object keys and
+  clusters their last check read) it wrote, perpetual ones that fired
+  last time, and all of them when it moved the clock. A condition is
+  thus a function of database state and the clock; one that reads
+  volatile program state sees a change to it only at the next check a
+  database write or a clock move causes.
 * **Weak coupling**: each firing creates an *independent* transaction
   whose body is the trigger action, executed after (but not necessarily
   immediately after) the triggering transaction commits. If the
@@ -40,9 +47,10 @@ database reopens, as an active database requires.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import TriggerError
+from ..errors import StorageError, TriggerError
+from .objects import class_registry, registry_generation
 from .oid import Oid, Vref
 
 #: Hidden cluster holding trigger activations.
@@ -168,10 +176,15 @@ class TriggerId:
 
 
 class _Activation:
-    """In-memory mirror of one persistent activation record."""
+    """In-memory mirror of one persistent activation record.
+
+    *decl* is the :class:`Trigger` the record's class and trigger names
+    resolve to in the class registry (None: not registered here); the
+    manager re-resolves it when the registry changes.
+    """
 
     __slots__ = ("serial", "oid", "class_name", "trigger_name", "args",
-                 "deadline", "active")
+                 "deadline", "active", "decl")
 
     def __init__(self, serial: int, oid: Oid, class_name: str,
                  trigger_name: str, args: tuple,
@@ -183,6 +196,7 @@ class _Activation:
         self.args = args
         self.deadline = deadline
         self.active = active
+        self.decl: Optional[Trigger] = None
 
     def to_state(self) -> Dict[str, Any]:
         return {
@@ -201,6 +215,12 @@ class _Activation:
                    state["trigger_name"], tuple(state["args"]),
                    state["deadline"], state["active"])
 
+    def resolve(self) -> Optional[Trigger]:
+        cls = class_registry().get(self.class_name)
+        if cls is None:
+            return None
+        return cls._ode_triggers.get(self.trigger_name)
+
 
 class FiredAction:
     """A scheduled trigger action, to run as an independent transaction."""
@@ -217,20 +237,59 @@ class FiredAction:
         return "FiredAction(%s)" % self.description
 
 
+class _Stage:
+    """One transaction's trigger bookkeeping until it commits or aborts.
+
+    *results* maps each activation the commit evaluated to ``(keys,
+    clusters, hot)``: the object keys and clusters its condition read
+    and whether it fired while staying active. *written* holds the
+    serials of the activation records the transaction wrote.
+    """
+
+    __slots__ = ("results", "written")
+
+    def __init__(self):
+        self.results: Dict[int, Tuple[Set, Set, bool]] = {}
+        self.written: Set[int] = set()
+
+
 class TriggerManager:
-    """Owns activations; evaluates conditions at transaction boundaries."""
+    """Owns activations; evaluates conditions at transaction boundaries.
+
+    A condition is re-evaluated at a writing commit only when its value
+    may have changed (see DESIGN.md, "Trigger model"): the activation is
+    *pending* (new, never evaluated since the mirror was loaded, or its
+    last result is suspect), the transaction wrote an object key or a
+    cluster in its *watch set* (what its last evaluation read), it fired
+    last time and is perpetual (*hot*), or the clock moved.
+    """
 
     def __init__(self, db):
         self._db = db
         self._cache: Optional[Dict[int, _Activation]] = None
-        # Guards the activation mirror: concurrent transactions evaluate
-        # triggers at commit and may race a lazy rebuild against an
-        # abort-driven invalidate.
+        # Guards the mirror and the watch index. Never held while a
+        # condition runs: a condition may wait on a 2PL lock.
         self._mutex = threading.RLock()
-        # statistics
-        self.evaluations = 0
-        self.firings = 0
-        self.timeouts = 0
+        #: Serials of the active activations.
+        self._live: Set[int] = set()
+        self._pending: Set[int] = set()
+        self._hot: Set[int] = set()
+        #: serial -> (keys, clusters) of its last published evaluation,
+        #: and the inverted index over them.
+        self._watching: Dict[int, Tuple[Set, Set]] = {}
+        self._by_key: Dict[Tuple[str, int], Set[int]] = {}
+        self._by_cluster: Dict[str, Set[int]] = {}
+        #: Bumped by every publish. A transaction whose begin-time value
+        #: (``Transaction.trigger_epoch``) differs at its own publish
+        #: evaluated against a snapshot another commit has overtaken.
+        self._epoch = 0
+        self._registry_gen = None
+        self._staged: Dict[int, _Stage] = {}
+        metrics = db.store.metrics
+        self._evaluations = metrics.counter("trigger.evaluations")
+        self._skipped = metrics.counter("trigger.skipped")
+        self._firings = metrics.counter("trigger.firings")
+        self._timeouts = metrics.counter("trigger.timeouts")
 
     # -- activation bookkeeping ------------------------------------------------
 
@@ -240,25 +299,52 @@ class TriggerManager:
             store.create_cluster(txn, ACTIVATION_CLUSTER)
 
     def _activations(self) -> Dict[int, _Activation]:
+        cache = self._cache
+        if cache is not None:
+            return cache
         with self._mutex:
             if self._cache is None:
-                cache: Dict[int, _Activation] = {}
                 store = self._db.store
+                acts = []
                 if store.has_cluster(ACTIVATION_CLUSTER):
-                    for _rid, state in store.scan(ACTIVATION_CLUSTER):
-                        act = _Activation.from_state(state)
-                        cache[act.serial] = act
-                self._cache = cache
+                    acts = [_Activation.from_state(state)
+                            for _rid, state in store.scan(ACTIVATION_CLUSTER)]
+                acts.sort(key=lambda act: act.serial)
+                for act in acts:
+                    act.decl = act.resolve()
+                self._registry_gen = registry_generation()
+                self._live = {act.serial for act in acts if act.active}
+                # Watch sets are memory-only: every activation is
+                # evaluated once after a (re)load.
+                self._pending = set(self._live)
+                self._hot = set()
+                self._watching = {}
+                self._by_key = {}
+                self._by_cluster = {}
+                self._cache = {act.serial: act for act in acts}
             return self._cache
 
     def invalidate(self) -> None:
-        """Drop the in-memory mirror (after an abort)."""
+        """Drop the in-memory mirror; the next use reloads it."""
         with self._mutex:
             self._cache = None
 
+    def _stage(self, txn: int) -> _Stage:
+        stage = self._staged.get(txn)
+        if stage is None:
+            stage = self._staged[txn] = _Stage()
+        return stage
+
     def _save(self, txn: int, act: _Activation) -> None:
+        self._stage(txn).written.add(act.serial)
         self._db.store.put(txn, ACTIVATION_CLUSTER, (act.serial, 0),
                            act.to_state())
+
+    def _retire(self, txn: int, act: _Activation) -> None:
+        with self._mutex:
+            act.active = False
+            self._live.discard(act.serial)
+        self._save(txn, act)
 
     # -- public operations -------------------------------------------------------
 
@@ -278,7 +364,10 @@ class TriggerManager:
                 deadline = db.now() + float(duration)
             act = _Activation(serial, obj.oid, type(obj).__name__,
                               decl.name, stored_args, deadline, True)
-            self._activations()[serial] = act
+            act.decl = act.resolve()
+            with self._mutex:
+                self._activations()[serial] = act
+                self._live.add(serial)
             self._save(txn, act)
         return TriggerId(serial, self)
 
@@ -287,8 +376,7 @@ class TriggerManager:
         if act is None or not act.active:
             return False
         with self._db._implicit_txn() as txn:
-            act.active = False
-            self._save(txn, act)
+            self._retire(txn, act)
         return True
 
     def is_active(self, tid: TriggerId) -> bool:
@@ -296,48 +384,233 @@ class TriggerManager:
         return bool(act and act.active)
 
     def active_count(self) -> int:
-        return sum(1 for a in self._activations().values() if a.active)
+        self._activations()
+        return len(self._live)
+
+    def stats(self) -> Dict[str, int]:
+        return {"active": self.active_count(),
+                "evaluations": self._evaluations.value,
+                "skipped": self._skipped.value,
+                "firings": self._firings.value,
+                "timeouts": self._timeouts.value}
 
     # -- evaluation --------------------------------------------------------------
 
-    def evaluate(self, txn: int) -> List[FiredAction]:
-        """Evaluate all active conditions against the current state.
+    def evaluate(self, handle, clock_moved: bool = False) -> List[FiredAction]:
+        """Evaluate the conditions this commit may have changed.
 
-        Called by the database at the end of a transaction, *before*
-        commit: deactivations of fired once-only triggers join the
-        triggering transaction (so an abort restores them), while the
+        Called by the database at the end of a writing transaction,
+        *before* commit: deactivations of fired once-only triggers join
+        the triggering transaction (so an abort restores them), while the
         returned actions are executed as independent transactions only if
-        the commit succeeds (weak coupling).
+        the commit succeeds (weak coupling). What each condition read is
+        staged; :meth:`publish` makes it the activation's watch set once
+        the commit is durable.
         """
+        txn = handle.txn_id
+        stage = self._stage(txn)
+        with self._mutex:
+            acts = self._activations()
+            if not self._live:
+                return []
+            self._refresh_declarations(acts)
+            if clock_moved or handle.ddl:
+                serials = self._live
+            else:
+                serials = self._candidates(handle, stage)
+            todo = [acts[serial] for serial in sorted(serials)
+                    if serial in acts]
+            n_live = len(self._live)
+        db = self._db
         fired: List[FiredAction] = []
-        now = self._db.now()
-        for act in list(self._activations().values()):
-            if not act.active:
+        results = stage.results
+        now = db.now()
+        evaluated = firings = timeouts = 0
+        for act in todo:
+            decl = act.decl
+            if not act.active or decl is None:
                 continue
-            decl = self._declaration_of(act)
-            if decl is None:
-                continue
-            self.evaluations += 1
-            obj = self._db.deref(act.oid, _missing_ok=True)
+            evaluated += 1
+            keys: Set[Tuple[str, int]] = set()
+            clusters: Set[str] = set()
+            handle.watch, handle.watch_clusters = keys, clusters
+            try:
+                obj = db.deref(act.oid, _missing_ok=True)
+                hit = obj is not None and decl.condition(
+                    obj, *self._rehydrate(act.args))
+            finally:
+                handle.watch = handle.watch_clusters = None
             if obj is None:
                 # Object was deleted: the activation dies with it.
-                act.active = False
-                self._save(txn, act)
+                self._retire(txn, act)
                 continue
-            args = self._rehydrate(act.args)
-            if decl.condition(obj, *args):
-                self.firings += 1
+            if hit:
+                firings += 1
                 if not decl.perpetual:
-                    act.active = False
-                    self._save(txn, act)
+                    self._retire(txn, act)
                 fired.append(self._make_action(act, decl, False))
             elif act.deadline is not None and now >= act.deadline:
-                self.timeouts += 1
-                act.active = False
-                self._save(txn, act)
+                timeouts += 1
+                self._retire(txn, act)
                 if decl.timeout_action is not None:
                     fired.append(self._make_action(act, decl, True))
+            results[act.serial] = (keys, clusters,
+                                   bool(hit) and decl.perpetual)
+        self._evaluations.inc(evaluated)
+        self._skipped.inc(max(0, n_live - evaluated))
+        self._firings.inc(firings)
+        self._timeouts.inc(timeouts)
         return fired
+
+    def _refresh_declarations(self, acts: Dict[int, _Activation]) -> None:
+        """Re-resolve declarations after the class registry changed; an
+        activation whose declaration did is evaluated afresh."""
+        gen = registry_generation()
+        if gen == self._registry_gen:
+            return
+        self._registry_gen = gen
+        for act in acts.values():
+            decl = act.resolve()
+            if decl is not act.decl:
+                act.decl = decl
+                if act.active:
+                    self._pending.add(act.serial)
+
+    def _candidates(self, handle, stage: _Stage) -> Set[int]:
+        """Activations whose condition this commit may have changed."""
+        return (self._pending | self._hot | stage.written
+                | self._watchers(handle.write_set))
+
+    def _watchers(self, write_set) -> Set[int]:
+        """Activations watching a key, or the cluster of a key, in
+        *write_set*: O(written keys), not O(activations)."""
+        out: Set[int] = set()
+        by_key, by_cluster = self._by_key, self._by_cluster
+        if by_key:
+            for key in write_set:
+                watchers = by_key.get(key)
+                if watchers:
+                    out |= watchers
+        if by_cluster:
+            for cluster in {key[0] for key in write_set}:
+                watchers = by_cluster.get(cluster)
+                if watchers:
+                    out |= watchers
+        return out
+
+    def publish(self, handle) -> None:
+        """Make a committed transaction's evaluations current.
+
+        An activation it evaluated now watches what its condition read;
+        one it did not evaluate but whose watch set its writes touched —
+        possible only beside concurrent commits — becomes pending. If
+        another commit published since this transaction began, its
+        snapshot may have missed that commit's writes, so what it
+        evaluated becomes pending instead of clean.
+        """
+        stage = self._staged.pop(handle.txn_id, None)
+        if stage is None:
+            return
+        with self._mutex:
+            stale = handle.trigger_epoch != self._epoch
+            self._epoch += 1
+            acts = self._cache
+            if acts is None:
+                return  # reloads with everything pending
+            results = stage.results
+            for serial in stage.written:
+                act = acts.get(serial)
+                if act is None or not act.active:
+                    self._forget(serial)
+                elif serial not in results:
+                    self._pending.add(serial)
+            for serial, (keys, clusters, hot) in results.items():
+                act = acts.get(serial)
+                if act is None or not act.active:
+                    self._forget(serial)
+                    continue
+                self._watch(serial, keys, clusters)
+                if hot:
+                    self._hot.add(serial)
+                else:
+                    self._hot.discard(serial)
+                if stale:
+                    self._pending.add(serial)
+                else:
+                    self._pending.discard(serial)
+            self._pending.update(
+                serial for serial in self._watchers(handle.write_set)
+                if serial not in results)
+
+    def rollback(self, txn: int) -> None:
+        """Forget an aborted transaction's evaluations and reload the
+        activation records it wrote from the rolled-back store."""
+        stage = self._staged.pop(txn, None)
+        if stage is None or not stage.written:
+            return
+        with self._mutex:
+            acts = self._cache
+            if acts is None:
+                return
+            store = self._db.store
+            try:
+                exists = store.has_cluster(ACTIVATION_CLUSTER)
+                states = {serial: (store.get(ACTIVATION_CLUSTER, (serial, 0))
+                                   if exists else None)
+                          for serial in stage.written}
+            except StorageError:
+                # The store cannot be read (a failed WAL flush): reload
+                # the whole mirror once it can.
+                self._cache = None
+                return
+            for serial, state in states.items():
+                act = acts.get(serial)
+                if state is None:
+                    acts.pop(serial, None)
+                    self._live.discard(serial)
+                    self._forget(serial)
+                    continue
+                fresh = _Activation.from_state(state)
+                if act is None:
+                    act = acts[serial] = fresh
+                    act.decl = act.resolve()
+                else:
+                    act.active, act.deadline = fresh.active, fresh.deadline
+                if act.active:
+                    self._live.add(serial)
+                    self._pending.add(serial)
+                else:
+                    self._live.discard(serial)
+                    self._forget(serial)
+
+    def _watch(self, serial: int, keys: Set, clusters: Set) -> None:
+        old = self._watching.get(serial)
+        if old is not None:
+            if old[0] == keys and old[1] == clusters:
+                return
+            self._unindex(serial, old)
+        self._watching[serial] = (keys, clusters)
+        for key in keys:
+            self._by_key.setdefault(key, set()).add(serial)
+        for cluster in clusters:
+            self._by_cluster.setdefault(cluster, set()).add(serial)
+
+    def _forget(self, serial: int) -> None:
+        self._pending.discard(serial)
+        self._hot.discard(serial)
+        old = self._watching.pop(serial, None)
+        if old is not None:
+            self._unindex(serial, old)
+
+    def _unindex(self, serial: int, watched: Tuple[Set, Set]) -> None:
+        for index, entries in ((self._by_key, watched[0]),
+                               (self._by_cluster, watched[1])):
+            for entry in entries:
+                watchers = index.get(entry)
+                if watchers is not None:
+                    watchers.discard(serial)
+                    if not watchers:
+                        del index[entry]
 
     def _make_action(self, act: _Activation, decl: Trigger,
                      timed_out: bool) -> FiredAction:
@@ -355,13 +628,6 @@ class TriggerManager:
         description = "%s%s.%s on %r" % (what, act.class_name,
                                          act.trigger_name, oid)
         return FiredAction(act.serial, description, thunk)
-
-    def _declaration_of(self, act: _Activation) -> Optional[Trigger]:
-        from .objects import class_registry
-        cls = class_registry().get(act.class_name)
-        if cls is None:
-            return None
-        return cls._ode_triggers.get(act.trigger_name)
 
     def _rehydrate(self, args: tuple) -> tuple:
         """Turn stored Oid/Vref arguments back into live objects."""

@@ -28,7 +28,12 @@ from __future__ import annotations
 import itertools
 import re
 import threading
+from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+
+#: Consumes an iterator in one C call (a deque that keeps nothing).
+_consume = deque(maxlen=0).extend
 
 
 def _count_value(it) -> int:
@@ -49,9 +54,8 @@ class Counter:
     def inc(self, n: int = 1) -> None:
         if n == 1:
             next(self._it)          # one C call: atomic under the GIL
-        else:
-            for _ in range(n):
-                next(self._it)
+        elif n > 0:
+            _consume(itertools.islice(self._it, n))  # so is this
 
     @property
     def value(self) -> int:

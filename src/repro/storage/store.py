@@ -406,14 +406,34 @@ class Store:
         with self.latch:
             self._journal.abort(txn)
             self.catalog.invalidate()
-            self._heaps.clear()
-            self._directories.clear()
-            self._indexes.clear()
+            self._forget_stale_structures()
             # The aborted transaction may have reserved a serial block whose
             # catalog update was rolled back; drop all in-memory blocks.
             self._serial_blocks.clear()
         if release_locks:
             self.locks.release_all(txn)
+
+    def _forget_stale_structures(self) -> None:
+        """Drop the structure handles the re-read catalog no longer
+        names at the same page: those an aborted create or rewrite made.
+
+        A handle the catalog still names is valid as it is — heap growth
+        and tree structure changes survive an abort — and keeping it
+        spares the next insert the walk to the heap's tail.
+        """
+        catalog = self.catalog
+        for handles, slot, attr in ((self._heaps, 0, "first_page"),
+                                    (self._directories, 1, "root_page")):
+            for (name, shard), handle in list(handles.items()):
+                info = catalog.get_cluster(name)
+                if (info is None or shard >= len(info.shards)
+                        or info.shards[shard][slot] != getattr(handle, attr)):
+                    del handles[(name, shard)]
+        for (name, field), index in list(self._indexes.items()):
+            info = catalog.get_cluster(name)
+            ix_info = None if info is None else info.indexes.get(field)
+            if ix_info is None or ix_info.root_page != index.root_page:
+                del self._indexes[(name, field)]
 
     def checkpoint(self) -> None:
         """Flush dirty pages; truncate the WAL if quiescent."""

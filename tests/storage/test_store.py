@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CatalogError
+from repro.storage.heap import HeapFile
 from repro.storage.store import Store
 
 
@@ -163,6 +164,54 @@ class TestAbort:
         store.create_index(txn, "c", "f")
         store.abort(txn)
         assert "f" not in store.indexes_on("c")
+
+    def test_abort_keeps_the_heap_handle_of_a_long_chain(self, store,
+                                                        monkeypatch):
+        """An abort beside a 200-page heap leaves its handle (and tail)
+        cached: the next insert walks no chain."""
+        txn = store.begin()
+        store.create_cluster(txn, "big")
+        store.commit(txn)
+        txn = store.begin()
+        for serial in range(1, 401):  # two ~1.9 KB records per page
+            store.put(txn, "big", (serial, 0), {"pad": "x" * 1900})
+        store.commit(txn)
+        heap = store._heap("big")
+        assert len(store._pages_of_heap(heap)) >= 200
+
+        txn = store.begin()
+        store.put(txn, "big", (1, 0), {"pad": "aborted"})
+        store.put(txn, "big", (9999, 0), {"pad": "aborted"})
+        store.abort(txn)
+
+        walks = []
+        real = HeapFile._find_tail
+        monkeypatch.setattr(HeapFile, "_find_tail",
+                            lambda self: walks.append(1) or real(self))
+        txn = store.begin()
+        store.put(txn, "big", (401, 0), {"pad": "after"})
+        store.commit(txn)
+        assert walks == []
+        assert store._heap("big") is heap
+        assert store.get("big", (1, 0)) == {"pad": "x" * 1900}
+        assert store.get("big", (9999, 0)) is None
+
+    def test_abort_forgets_what_the_catalog_no_longer_names(self, store):
+        txn = store.begin()
+        store.create_cluster(txn, "c")
+        store.commit(txn)
+        txn = store.begin()
+        store.create_cluster(txn, "ghost")
+        store.put(txn, "ghost", (1, 0), {"v": 1})
+        store.create_index(txn, "c", "f")
+        store.index("c", "f")
+        store.abort(txn)
+        assert not any(name == "ghost" for name, _ in store._heaps)
+        assert not any(name == "ghost" for name, _ in store._directories)
+        assert ("c", "f") not in store._indexes
+        assert ("c", 0) in store._heaps
+        with pytest.raises(CatalogError):
+            store.put(store.begin(), "ghost", (1, 0), {"v": 1})
 
 
 class TestIndexes:
