@@ -122,8 +122,10 @@ def _print_stats(db: Database) -> None:
     print("readahead:    %d prefetch calls, %d pages fetched"
           % (pool.get("prefetches", 0), pool.get("readahead_pages", 0)))
     pages = stats["page_cache"]
-    print("page cache:   %d hits, %d misses, %d/%d pages cached"
-          % (pages["hits"], pages["misses"], pages["cached_pages"],
+    print("page cache:   %d hits, %d misses (%.1f%% hit rate), "
+          "%d evictions, %d/%d pages cached"
+          % (pages["hits"], pages["misses"], 100.0 * pages["hit_ratio"],
+             pages["evictions"], pages["cached_pages"],
              pages["capacity_pages"]))
     print("scans:        %d records peeked, %d decoded"
           % (stats["scan"]["records_peeked"],

@@ -166,17 +166,21 @@ class Store:
         self._indexes: Dict[Tuple[str, str], Any] = {}
         #: cluster -> [next unissued serial, end of reserved block)
         self._serial_blocks: Dict[str, list] = {}
-        #: gpid -> (page_lsn, slot_count, ScanBatch) for batched scans.
-        #: A batch holds the page's record *bytes*, never decoded values
-        #: (see :mod:`repro.storage.scanbatch`). Entries self-invalidate
-        #: on LSN mismatch (LSNs are globally monotone, even across WAL
+        #: gpid -> (page_lsn, slot_count, ScanBatch, owner) for batched
+        #: scans, least recently used first; *owner* is the first page
+        #: of the scanned cluster's (shard 0) heap. A batch holds the
+        #: page's record *bytes*, never decoded values (see
+        #: :mod:`repro.storage.scanbatch`). Entries self-invalidate on
+        #: LSN mismatch (LSNs are globally monotone, even across WAL
         #: truncation, so a stale entry can never match a rewritten
-        #: page). Guarded by its own leaf lock so concurrent client scans
-        #: share it without touching the metadata latch.
+        #: page). Eviction: :meth:`_page_cache_insert`. Guarded by its
+        #: own leaf lock so concurrent client scans share it without
+        #: touching the metadata latch.
         self._page_cache: "OrderedDict[int, tuple]" = OrderedDict()
         self._pc_lock = threading.Lock()
         self.page_cache_hits = 0
         self.page_cache_misses = 0
+        self.page_cache_evictions = 0
         #: Records whose key a scan read off the bytes (bumped under
         #: ``_pc_lock`` when a batch is built) and records a scan batch
         #: decoded (``itertools.count``: consumers decode with no lock
@@ -280,6 +284,9 @@ class Store:
         metrics.counter_fn("page_cache.hits", lambda: self.page_cache_hits)
         metrics.counter_fn("page_cache.misses",
                            lambda: self.page_cache_misses)
+        metrics.counter_fn("page_cache.evictions",
+                           lambda: self.page_cache_evictions)
+        metrics.gauge_fn("page_cache.hit_ratio", self._page_cache_hit_ratio)
         metrics.gauge_fn("page_cache.cached_pages",
                          lambda: len(self._page_cache))
         metrics.counter_fn("scan.records_peeked",
@@ -311,7 +318,9 @@ class Store:
     #: placement), which is what makes scan readahead effective.
     EXTENT_PAGES = 8
 
-    #: Bound on the scan page cache (pages, not bytes).
+    #: Bound on the scan page cache (pages, not bytes). A cluster
+    #: longer than this keeps all but one of its cached pages across
+    #: repeated scans (see :meth:`_page_cache_insert`).
     PAGE_CACHE_PAGES = 512
 
     # -- sharding helpers --------------------------------------------------------
@@ -771,6 +780,9 @@ class Store:
         ~2 pins per page instead of one per slot, heap readahead ahead of
         the cursor, and a bounded page cache keyed on the page LSN so a
         re-scan of an unchanged page skips the slot reads and key peeks.
+        The cache keeps the pages ahead of a scan's cursor, so a repeated
+        scan of a cluster longer than the cache still hits all but one of
+        the pages the cache holds (:meth:`_page_cache_insert`).
         Nothing is decoded here: a batch knows its records' keys from a
         fixed-offset peek and decodes a record only when the consumer
         asks for it.
@@ -794,19 +806,23 @@ class Store:
             heaps = self._all_heaps(cluster)
             #: per shard: [page_no, consumed_slots] resume position.
             cursors = [[heap.first_page, 0] for heap in heaps]
+            # Every shard's pages are one loop to the page cache.
+            owner = heaps[0].first_page
             for counter in self._shard_scans:
                 next(counter)
             grew = True
             while grew:
                 grew = False
                 for heap, cursor in zip(heaps, cursors):
-                    for batch in self._scan_batches_inner(heap, cursor):
+                    for batch in self._scan_batches_inner(heap, cursor,
+                                                          owner):
                         grew = True
                         yield batch
         finally:
             self._scan_exit()
 
-    def _scan_batches_inner(self, heap: HeapFile, cursor: list):
+    def _scan_batches_inner(self, heap: HeapFile, cursor: list,
+                            owner: int):
         """One heap's batched page walk from *cursor* to the chain's end.
 
         *cursor* is ``[page_no, consumed_slots]`` and is advanced in
@@ -814,7 +830,8 @@ class Store:
         resumes where this walk stopped. It never advances past the last
         page that held a slot: heap growth links whole extents and fills
         them front to back, so the empty pages trailing the cursor are
-        exactly where the next inserts land.
+        exactly where the next inserts land. Pages it caches belong to
+        *owner* (see :meth:`_page_cache_insert`).
         """
         pool = self._pool
         readahead = HeapFile.READAHEAD
@@ -858,10 +875,8 @@ class Store:
                     if (start == 0 and lsn and lsn2 == lsn
                             and slot_count2 == slot_count):
                         self.page_cache_misses += 1
-                        self._page_cache[page_no] = (lsn, slot_count, batch)
-                        self._page_cache.move_to_end(page_no)
-                        while len(self._page_cache) > self.PAGE_CACHE_PAGES:
-                            self._page_cache.popitem(last=False)
+                        self._page_cache_insert(
+                            page_no, (lsn, slot_count, batch, owner))
                 if batch:
                     yield batch
                 start = slot_count2
@@ -870,6 +885,36 @@ class Store:
                 cursor[1] = start
             page_no = next_page
             start = 0
+
+    def _page_cache_insert(self, page_no: int, entry: tuple) -> None:
+        """Cache *entry* for *page_no* as the most recently used page
+        (caller holds ``_pc_lock``).
+
+        A page already cached (stale: its LSN or slot count moved) is
+        replaced in place. Otherwise, with the cache full, one entry
+        goes: the least recently used when another owner's, else the
+        scanning owner's own most recently used — the page behind the
+        cursor that its next pass needs last. Pages of dropped, freed or
+        abandoned heaps thus age out oldest first, while a scan never
+        evicts its own pages ahead of its cursor (DBMIN's rule for a
+        looping file, Chou & DeWitt 1985).
+        """
+        cache = self._page_cache
+        if page_no not in cache:
+            owner = entry[3]
+            while len(cache) >= self.PAGE_CACHE_PAGES:
+                victim = next(iter(cache))
+                if cache[victim][3] == owner:
+                    victim = next(gpid for gpid in reversed(cache)
+                                  if cache[gpid][3] == owner)
+                del cache[victim]
+                self.page_cache_evictions += 1
+        cache[page_no] = entry
+        cache.move_to_end(page_no)
+
+    def _page_cache_hit_ratio(self) -> float:
+        lookups = self.page_cache_hits + self.page_cache_misses
+        return (self.page_cache_hits / lookups) if lookups else 0.0
 
     def count(self, cluster: str) -> int:
         return sum(heap.count() for heap in self._all_heaps(cluster))
@@ -1639,6 +1684,8 @@ class Store:
             "page_cache": {
                 "hits": self.page_cache_hits,
                 "misses": self.page_cache_misses,
+                "evictions": self.page_cache_evictions,
+                "hit_ratio": self._page_cache_hit_ratio(),
                 "cached_pages": len(self._page_cache),
                 "capacity_pages": self.PAGE_CACHE_PAGES,
             },

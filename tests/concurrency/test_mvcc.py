@@ -25,7 +25,7 @@ from repro.query import A, forall
 pytestmark = pytest.mark.concurrency
 
 
-class Counter(OdeObject):
+class MvccCounter(OdeObject):
     n = IntField(default=0)
 
 
@@ -63,8 +63,8 @@ class TestSnapshotReads:
         concurrent transaction commits — and the writer commits *while*
         the reader's transaction is still open (readers hold no S locks,
         so they cannot block the writer)."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(MvccCounter)
+        oid = db.pnew(MvccCounter, n=0).oid
         in_txn = threading.Event()
         committed = threading.Event()
         saw = {}
@@ -76,7 +76,7 @@ class TestSnapshotReads:
                 assert committed.wait(timeout=30), \
                     "writer blocked while reader transaction was open"
                 saw["deref"] = db.deref(oid).n
-                saw["scan"] = [o.n for o in db.cluster(Counter)]
+                saw["scan"] = [o.n for o in db.cluster(MvccCounter)]
 
         def writer():
             assert in_txn.wait(timeout=30)
@@ -94,8 +94,8 @@ class TestSnapshotReads:
         """While a writer transaction is in flight, both autocommit derefs
         and cluster scans from another thread see the pre-image — never
         the writer's in-memory or flushed-but-uncommitted state."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(MvccCounter)
+        oid = db.pnew(MvccCounter, n=0).oid
         wrote = threading.Event()
         done = threading.Event()
 
@@ -110,7 +110,7 @@ class TestSnapshotReads:
             assert wrote.wait(timeout=30)
             try:
                 assert db.deref(oid).n == 0
-                assert [o.n for o in db.cluster(Counter)] == [0]
+                assert [o.n for o in db.cluster(MvccCounter)] == [0]
                 with db.transaction():
                     assert db.deref(oid).n == 0
             finally:
@@ -153,8 +153,8 @@ class TestWriteConflicts:
     def test_first_updater_wins_on_read_then_write(self, db):
         """Read an object, let another transaction commit a newer write,
         then write — the stale transaction gets SnapshotConflictError."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(MvccCounter)
+        oid = db.pnew(MvccCounter, n=0).oid
 
         with pytest.raises(SnapshotConflictError):
             with db.transaction():
@@ -171,8 +171,8 @@ class TestWriteConflicts:
         """A deref that resolved a history image returns a private stale
         copy; writing through it raises immediately (before any lock
         wait) instead of silently clobbering the in-flight writer."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(MvccCounter)
+        oid = db.pnew(MvccCounter, n=0).oid
         started = threading.Event()
         release = threading.Event()
 
@@ -200,8 +200,8 @@ class TestWriteConflicts:
     def test_run_transaction_retries_snapshot_conflicts(self, db):
         """SnapshotConflictError counts as "aborted through no fault of
         its own": the retry helper re-runs the body on a fresh snapshot."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(MvccCounter)
+        oid = db.pnew(MvccCounter, n=0).oid
         attempts = {"n": 0}
         base = db.metrics.get("txn.retries") or 0
 
@@ -222,8 +222,8 @@ class TestWriteConflicts:
     def test_concurrent_increments_still_serialize(self, db):
         """Lost-update check under MVCC: conflicting read-modify-writes
         retried by run_transaction converge to the exact total."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(MvccCounter)
+        oid = db.pnew(MvccCounter, n=0).oid
         n_threads, n_rounds = 4, 15
 
         def work():
@@ -275,12 +275,12 @@ class TestTimeTravel:
             == [b.oid.serial]
 
     def test_as_of_objects_are_read_only(self, db):
-        db.create(Counter)
-        obj = db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        obj = db.pnew(MvccCounter, n=1)
         tok = db.snapshot_token()
         with db.transaction():
             obj.n = 2
-        old = next(iter(db.cluster(Counter).as_of(tok)))
+        old = next(iter(db.cluster(MvccCounter).as_of(tok)))
         assert old.n == 1
         with pytest.raises(SnapshotConflictError):
             old.n = 99
@@ -324,23 +324,23 @@ class TestTimeTravel:
             interp.run('forall p in part as of (1.5) printf("x");')
 
     def test_as_of_older_than_horizon_raises(self, db):
-        db.create(Counter)
-        db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        db.pnew(MvccCounter, n=1)
         tok = db.snapshot_token()
         db._mvcc.dropped_horizon = tok + 1   # simulate retention pruning
         with pytest.raises(SnapshotTooOldError):
-            list(db.cluster(Counter).as_of(tok))
+            list(db.cluster(MvccCounter).as_of(tok))
 
     def test_as_of_requires_mvcc(self, tmp_path):
         db = Database(str(tmp_path / "off.odedb"))
         db._mvcc_on = False                  # the 2PL reference mode
         try:
-            db.create(Counter)
-            db.pnew(Counter, n=1)
+            db.create(MvccCounter)
+            db.pnew(MvccCounter, n=1)
             with pytest.raises(TransactionError):
-                list(db.cluster(Counter).as_of(0))
+                list(db.cluster(MvccCounter).as_of(0))
             # 2PL mode itself still works.
-            assert [o.n for o in db.cluster(Counter)] == [1]
+            assert [o.n for o in db.cluster(MvccCounter)] == [1]
         finally:
             db.close()
 
@@ -349,8 +349,8 @@ class TestVersionChainEdges:
     def test_vnext_across_aborted_newversion(self, db):
         """newversion inside an aborted transaction leaves the chain as
         it was: the old tip is still the newest version."""
-        db.create(Counter)
-        obj = db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        obj = db.pnew(MvccCounter, n=1)
         first = obj.vref
 
         class Boom(Exception):
@@ -369,8 +369,8 @@ class TestVersionChainEdges:
         record was removed underneath (concurrent delete/vacuum window)
         raises DanglingReferenceError — previously a TypeError from
         subscripting None."""
-        db.create(Counter)
-        obj = db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        obj = db.pnew(MvccCounter, n=1)
         old = obj.vref
         newversion(obj)
         obj.n = 2
@@ -387,15 +387,15 @@ class TestVersionChainEdges:
     def test_deref_deleted_version_after_vacuum_is_dangling(self, db):
         """pdelete of one version + vacuum: the stale Vref must miss the
         (invalidated) version cache and raise, not serve the old pin."""
-        db.create(Counter)
-        obj = db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        obj = db.pnew(MvccCounter, n=1)
         old = obj.vref
         newversion(obj)
         with db.transaction():       # commit: pdelete drops deferred writes
             obj.n = 2
         assert db.deref(old).n == 1   # pin it into the version cache
         db.pdelete(old)
-        db.vacuum(Counter)
+        db.vacuum(MvccCounter)
         with pytest.raises(DanglingReferenceError):
             db.deref(old)
         assert db.deref(obj.oid).n == 2
@@ -404,8 +404,8 @@ class TestVersionChainEdges:
         """An object committed after a reader's snapshot neither appears
         in the reader's scans nor derefs — its history image at that
         snapshot is "does not exist"."""
-        db.create(Counter)
-        db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        db.pnew(MvccCounter, n=1)
         in_txn = threading.Event()
         created = threading.Event()
         box = {}
@@ -413,27 +413,27 @@ class TestVersionChainEdges:
         def creator():
             assert in_txn.wait(timeout=30)
             box["oid"] = db.run_transaction(
-                lambda: db.pnew(Counter, n=2).oid)
+                lambda: db.pnew(MvccCounter, n=2).oid)
             created.set()
 
         def reader():
             with db.transaction():
-                assert [o.n for o in db.cluster(Counter)] == [1]
+                assert [o.n for o in db.cluster(MvccCounter)] == [1]
                 in_txn.set()
                 assert created.wait(timeout=30)
-                assert [o.n for o in db.cluster(Counter)] == [1]
-                assert db.cluster(Counter).count() == 1
+                assert [o.n for o in db.cluster(MvccCounter)] == [1]
+                assert db.cluster(MvccCounter).count() == 1
                 with pytest.raises(DanglingReferenceError):
                     db.deref(box["oid"])
 
         run_threads([creator, reader])
-        assert sorted(o.n for o in db.cluster(Counter)) == [1, 2]
+        assert sorted(o.n for o in db.cluster(MvccCounter)) == [1, 2]
 
     def test_version_macros_take_object_or_ref(self, db):
         """Uniform macro signature: a live object needs no db, a raw ref
         needs one, a volatile object is rejected."""
-        db.create(Counter)
-        obj = db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        obj = db.pnew(MvccCounter, n=1)
         old = obj.vref
         newversion(obj)
         assert vnext(old, db) == obj.vref
@@ -441,7 +441,7 @@ class TestVersionChainEdges:
         with pytest.raises(NotPersistentError):
             vnext(old)           # raw Vref without a database
         with pytest.raises(NotPersistentError):
-            vprev(Counter(n=0))  # volatile object
+            vprev(MvccCounter(n=0))  # volatile object
         with pytest.raises(NotPersistentError):
             vnext("not a ref")
 
@@ -460,8 +460,8 @@ class TestVersionCache:
         assert cache.hits == 1
 
     def test_db_vcache_hits_and_vacuum_invalidation(self, db):
-        db.create(Counter)
-        obj = db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        obj = db.pnew(MvccCounter, n=1)
         old = obj.vref
         newversion(obj)
         obj.n = 2
@@ -478,8 +478,8 @@ class TestVersionCache:
 
 class TestStatsSurface:
     def test_mvcc_stats_exposed(self, db):
-        db.create(Counter)
-        db.pnew(Counter, n=1)
+        db.create(MvccCounter)
+        db.pnew(MvccCounter, n=1)
         stats = db.stats()
         for key in ("histories", "active_snapshots", "resolutions",
                     "conflicts", "last_commit_lsn", "dropped_horizon"):

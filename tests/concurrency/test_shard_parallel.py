@@ -24,7 +24,7 @@ pytestmark = pytest.mark.concurrency
 N_SHARDS = 4
 
 
-class Part(OdeObject):
+class ShardPart(OdeObject):
     name = StringField(default="")
     qty = IntField(default=0)
 
@@ -68,17 +68,17 @@ class TestScansVersusVacuum:
         """Reader threads looping full scans while vacuum rewrites all
         four shards: every scan observes the full population."""
         db = sharded_db
-        db.create(Part)
+        db.create(ShardPart)
         n = 200
         for i in range(n):
-            db.pnew(Part, name="p%d" % i, qty=i)
+            db.pnew(ShardPart, name="p%d" % i, qty=i)
         stop = threading.Event()
         scans = {"done": 0}
 
         def reader():
             while not stop.is_set():
                 with db.transaction():
-                    got = sorted(p.qty for p in forall(db.cluster(Part)))
+                    got = sorted(p.qty for p in forall(db.cluster(ShardPart)))
                     assert got == list(range(n)), (
                         "scan lost objects: %d/%d" % (len(got), n))
                 scans["done"] += 1
@@ -88,7 +88,7 @@ class TestScansVersusVacuum:
                 for _ in range(5):
                     # Records, not objects: every object carries a head
                     # record plus its version states.
-                    report = db.store.vacuum("Part")
+                    report = db.store.vacuum("ShardPart")
                     assert report["objects"] >= n
             finally:
                 stop.set()
@@ -151,10 +151,10 @@ class TestScansVersusRecluster:
         snapshot scans: consistent results, nothing lost."""
         db = Database(str(tmp_path / "rd.odb"), shards=N_SHARDS)
         try:
-            db.create(Part)
+            db.create(ShardPart)
             n = 120
             for i in range(n):
-                db.pnew(Part, name="p%d" % i, qty=i)
+                db.pnew(ShardPart, name="p%d" % i, qty=i)
             stop = threading.Event()
             rewrites = []
 
@@ -162,14 +162,14 @@ class TestScansVersusRecluster:
                 while not stop.is_set():
                     with db.transaction():
                         got = sorted(p.qty
-                                     for p in forall(db.cluster(Part)))
+                                     for p in forall(db.cluster(ShardPart)))
                     assert got == list(range(n))
 
             def vacuumer():
                 try:
                     deadline = time.time() + 4.0
                     while time.time() < deadline and len(rewrites) < 3:
-                        rewrites.append(db.store.vacuum("Part"))
+                        rewrites.append(db.store.vacuum("ShardPart"))
                         time.sleep(0.05)
                 finally:
                     stop.set()
@@ -179,7 +179,7 @@ class TestScansVersusRecluster:
             assert len({r["objects"] for r in rewrites}) == 1
             assert db.verify() == []
             with db.transaction():
-                assert len(list(forall(db.cluster(Part)))) == n
+                assert len(list(forall(db.cluster(ShardPart)))) == n
         finally:
             db.close()
 
@@ -233,17 +233,17 @@ class TestCacheInvalidation:
         tokens stop validating, so derefs re-read instead of serving
         stale data."""
         db = sharded_db
-        db.create(Part)
-        objs = [db.pnew(Part, name="p%d" % i, qty=i) for i in range(40)]
+        db.create(ShardPart)
+        objs = [db.pnew(ShardPart, name="p%d" % i, qty=i) for i in range(40)]
         with db.transaction():
-            for obj in forall(db.cluster(Part)):
+            for obj in forall(db.cluster(ShardPart)):
                 assert obj.qty >= 0  # populate the decoded cache
-        db.store.vacuum("Part")
+        db.store.vacuum("ShardPart")
         with db.transaction():
-            got = sorted(p.qty for p in forall(db.cluster(Part)))
+            got = sorted(p.qty for p in forall(db.cluster(ShardPart)))
         assert got == list(range(40))
         # And a write after the rewrite still lands correctly.
         with db.transaction():
             objs[0].qty = 999
         with db.transaction():
-            assert max(p.qty for p in forall(db.cluster(Part))) == 999
+            assert max(p.qty for p in forall(db.cluster(ShardPart))) == 999

@@ -18,12 +18,12 @@ from repro.errors import DeadlockError, LockTimeoutError
 pytestmark = pytest.mark.concurrency
 
 
-class Account(OdeObject):
+class ThreadedAccount(OdeObject):
     owner = StringField(default="")
     balance = IntField(default=0)
 
 
-class Counter(OdeObject):
+class ThreadedCounter(OdeObject):
     n = IntField(default=0)
 
 
@@ -54,11 +54,11 @@ def run_threads(workers):
 class TestDisjointWriters:
     def test_parallel_writers_on_disjoint_objects(self, db):
         """N threads each update their own object; all updates survive."""
-        db.create(Account)
+        db.create(ThreadedAccount)
         n_threads, n_rounds = 6, 25
         oids = []
         for i in range(n_threads):
-            obj = db.pnew(Account, owner="t%d" % i)
+            obj = db.pnew(ThreadedAccount, owner="t%d" % i)
             oids.append(obj.oid)
 
         def writer(oid):
@@ -77,19 +77,19 @@ class TestDisjointWriters:
 
     def test_parallel_creators_in_one_cluster(self, db):
         """Threads pnew into the same cluster; every object lands."""
-        db.create(Counter)
+        db.create(ThreadedCounter)
         n_threads, per_thread = 5, 20
 
         def creator(tag):
             def work():
                 for i in range(per_thread):
                     db.run_transaction(
-                        lambda: db.pnew(Counter, n=tag * 1000 + i),
+                        lambda: db.pnew(ThreadedCounter, n=tag * 1000 + i),
                         retries=10)
             return work
 
         run_threads([creator(t) for t in range(n_threads)])
-        assert db.cluster(Counter).count() == n_threads * per_thread
+        assert db.cluster(ThreadedCounter).count() == n_threads * per_thread
         assert db.store.locks.stats()["held"] == 0
 
 
@@ -97,8 +97,8 @@ class TestOverlappingWriters:
     def test_concurrent_increments_are_serializable(self, db):
         """Conflicting read-modify-write transactions serialize: no lost
         updates, the final value is exactly the number of increments."""
-        db.create(Counter)
-        shared = db.pnew(Counter, n=0)
+        db.create(ThreadedCounter)
+        shared = db.pnew(ThreadedCounter, n=0)
         oid = shared.oid
         n_threads, n_rounds = 6, 20
 
@@ -121,9 +121,9 @@ class TestDeadlock:
     def test_deadlock_detected_and_one_txn_aborted(self, db):
         """Opposite lock orders on two objects deadlock; the victim gets
         DeadlockError (or times out waiting), the other commits."""
-        db.create(Account)
-        a = db.pnew(Account, owner="a").oid
-        b = db.pnew(Account, owner="b").oid
+        db.create(ThreadedAccount)
+        a = db.pnew(ThreadedAccount, owner="a").oid
+        b = db.pnew(ThreadedAccount, owner="b").oid
         first_locked = threading.Barrier(2, timeout=30)
         outcomes = []
 
@@ -152,9 +152,9 @@ class TestDeadlock:
 
     def test_run_transaction_retries_past_deadlock(self, db):
         """With the retry helper, both deadlocking transactions succeed."""
-        db.create(Account)
-        a = db.pnew(Account, owner="a").oid
-        b = db.pnew(Account, owner="b").oid
+        db.create(ThreadedAccount)
+        a = db.pnew(ThreadedAccount, owner="a").oid
+        b = db.pnew(ThreadedAccount, owner="b").oid
         n_rounds = 10
 
         def transferer(src, dst):
@@ -177,8 +177,8 @@ class TestDeadlock:
     def test_victim_failure_releases_all_locks(self, db):
         """A transaction that dies mid-flight (any exception) leaks no
         locks: stats()['held'] returns to zero."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(ThreadedCounter)
+        oid = db.pnew(ThreadedCounter, n=0).oid
 
         def dying():
             with db.transaction():
@@ -200,8 +200,8 @@ class TestReadersDuringGroupCommit:
         every observed balance is one a committed transaction produced."""
         db = Database(db_path, durability="group")
         try:
-            db.create(Account)
-            oids = [db.pnew(Account, owner=str(i), balance=0).oid
+            db.create(ThreadedAccount)
+            oids = [db.pnew(ThreadedAccount, owner=str(i), balance=0).oid
                     for i in range(4)]
             stop = threading.Event()
             seen = []
@@ -253,25 +253,25 @@ class TestScanVsWriter:
     def test_cluster_scan_blocks_out_writer(self, db):
         """forall-style iteration inside a transaction takes a cluster S
         lock, so a concurrent writer serializes against the scan."""
-        db.create(Counter)
+        db.create(ThreadedCounter)
         for i in range(10):
-            db.pnew(Counter, n=i)
+            db.pnew(ThreadedCounter, n=i)
         totals = []
 
         def scanner():
             def txn():
-                return sum(obj.n for obj in db.cluster(Counter))
+                return sum(obj.n for obj in db.cluster(ThreadedCounter))
             for _ in range(10):
                 totals.append(db.run_transaction(txn, retries=50))
 
         def writer():
             for i in range(10):
                 db.run_transaction(
-                    lambda: db.pnew(Counter, n=0), retries=50)
+                    lambda: db.pnew(ThreadedCounter, n=0), retries=50)
 
         run_threads([scanner, writer])
         assert all(t == 45 for t in totals)
-        assert db.cluster(Counter).count() == 20
+        assert db.cluster(ThreadedCounter).count() == 20
         assert db.store.locks.stats()["held"] == 0
 
 
@@ -283,9 +283,9 @@ class TestDecodedCacheCoherence:
         *other* threads' commits keep bumping the LSNs of the heap pages
         the objects share. A stale decoded entry would surface as a
         value below the thread's own committed count."""
-        db.create(Account)
+        db.create(ThreadedAccount)
         n_threads, n_rounds = 5, 20
-        oids = [db.pnew(Account, owner="t%d" % i).oid
+        oids = [db.pnew(ThreadedAccount, owner="t%d" % i).oid
                 for i in range(n_threads)]
         stale = []
 
@@ -319,8 +319,8 @@ class TestDecodedCacheCoherence:
     def test_abort_invalidates_decoded_cache(self, db):
         """A flushed-then-aborted write must not linger in the decoded
         cache: the post-abort deref sees the pre-transaction state."""
-        db.create(Counter)
-        oid = db.pnew(Counter, n=0).oid
+        db.create(ThreadedCounter)
+        oid = db.pnew(ThreadedCounter, n=0).oid
         db._cache.clear()
         assert db.deref(oid).n == 0    # warm the decoded cache
         with pytest.raises(RuntimeError):
@@ -337,8 +337,8 @@ class TestDecodedCacheCoherence:
         """Sequential interleaving: read (cache fills), another session
         commits a change, read again — the second read must miss (token
         LSN moved) and return the new state."""
-        db.create(Account)
-        oid = db.pnew(Account, owner="x", balance=1).oid
+        db.create(ThreadedAccount)
+        oid = db.pnew(ThreadedAccount, owner="x", balance=1).oid
         db._cache.clear()
         assert db.deref(oid).balance == 1
         done = threading.Event()

@@ -6,7 +6,7 @@ from repro.core import Database, IntField, OdeObject, StringField, constraint
 from repro.errors import ConstraintViolation, TransactionError
 
 
-class Account(OdeObject):
+class TxnAccount(OdeObject):
     owner = StringField(default="")
     balance = IntField(default=0)
 
@@ -23,17 +23,17 @@ class Account(OdeObject):
 
 class TestCommit:
     def test_commit_persists(self, db):
-        db.create(Account)
-        a = db.pnew(Account, owner="ann", balance=100)
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, owner="ann", balance=100)
         with db.transaction():
             a.deposit(50)
         db._cache.clear()
         assert db.deref(a.oid).balance == 150
 
     def test_multiple_objects_one_txn(self, db):
-        db.create(Account)
-        a = db.pnew(Account, owner="a", balance=100)
-        b = db.pnew(Account, owner="b", balance=0)
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, owner="a", balance=100)
+        b = db.pnew(TxnAccount, owner="b", balance=0)
         with db.transaction():
             a.withdraw(30)
             b.deposit(30)
@@ -50,8 +50,8 @@ class TestCommit:
 
 class TestAbort:
     def test_exception_aborts(self, db):
-        db.create(Account)
-        a = db.pnew(Account, balance=100)
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, balance=100)
         with pytest.raises(RuntimeError):
             with db.transaction():
                 a.deposit(999)
@@ -61,19 +61,19 @@ class TestAbort:
         assert db.deref(a.oid).balance == 100
 
     def test_abort_restores_pnew(self, db):
-        db.create(Account)
+        db.create(TxnAccount)
         created = []
         with pytest.raises(RuntimeError):
             with db.transaction():
-                created.append(db.pnew(Account, owner="ghost"))
+                created.append(db.pnew(TxnAccount, owner="ghost"))
                 raise RuntimeError()
         ghost = created[0]
         assert not ghost.is_persistent  # unbound back to volatile
-        assert db.cluster(Account).count() == 0
+        assert db.cluster(TxnAccount).count() == 0
 
     def test_abort_restores_pdelete(self, db):
-        db.create(Account)
-        a = db.pnew(Account, owner="keep", balance=5)
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, owner="keep", balance=5)
         oid = a.oid
         with pytest.raises(RuntimeError):
             with db.transaction():
@@ -84,9 +84,9 @@ class TestAbort:
 
     def test_constraint_violation_aborts_whole_txn(self, db):
         """Paper section 5 / footnote 17: violation aborts and rolls back."""
-        db.create(Account)
-        a = db.pnew(Account, balance=100)
-        b = db.pnew(Account, balance=100)
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, balance=100)
+        b = db.pnew(TxnAccount, balance=100)
         with pytest.raises(ConstraintViolation):
             with db.transaction():
                 b.deposit(1000)       # fine, but must also roll back
@@ -97,32 +97,32 @@ class TestAbort:
     def test_violation_at_commit_time(self, db):
         """A plain attribute write is only checked at commit — and the
         commit must abort."""
-        db.create(Account)
-        a = db.pnew(Account, balance=10)
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, balance=10)
         with pytest.raises(ConstraintViolation):
             with db.transaction():
                 a.balance = -5  # no method call; caught at commit
         assert db.deref(a.oid).balance == 10
 
     def test_violation_outside_txn_reverts_object(self, db):
-        db.create(Account)
-        a = db.pnew(Account, balance=10)
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, balance=10)
         with pytest.raises(ConstraintViolation):
             a.withdraw(100)
         assert a.balance == 10
 
     def test_pnew_constraint_checked(self, db):
-        db.create(Account)
+        db.create(TxnAccount)
         with pytest.raises(ConstraintViolation):
-            db.pnew(Account, balance=-1)
-        assert db.cluster(Account).count() == 0
+            db.pnew(TxnAccount, balance=-1)
+        assert db.cluster(TxnAccount).count() == 0
 
 
 class TestAutocommit:
     def test_operations_outside_txn_autocommit(self, db_path):
         db = Database(db_path)
-        db.create(Account)
-        a = db.pnew(Account, owner="auto", balance=1)  # implicit txn
+        db.create(TxnAccount)
+        a = db.pnew(TxnAccount, owner="auto", balance=1)  # implicit txn
         oid = a.oid
         db.close()
         db2 = Database(db_path)

@@ -1,0 +1,54 @@
+"""The class registry is latest-wins by class name (cluster names are
+class names), so two test modules that each define an ``OdeObject``
+subclass called ``Part`` make one module's database open the other's
+class, depending on which module was imported last. Every persistent
+class a test module defines, at module level or inside a test, needs a
+name no other test module uses."""
+
+import ast
+import collections
+import pathlib
+
+TESTS = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _base_names(node):
+    for base in node.bases:
+        if isinstance(base, ast.Name):
+            yield base.id
+        elif isinstance(base, ast.Attribute):
+            yield base.attr
+
+
+def ode_class_modules():
+    """Class name -> test modules defining an ``OdeObject`` subclass of
+    that name (directly, or through another such class)."""
+    classes = [(path.relative_to(TESTS).as_posix(), node)
+               for path in sorted(TESTS.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    ode = {"OdeObject"}
+    grew = True
+    while grew:
+        before = len(ode)
+        ode.update(node.name for _module, node in classes
+                   if ode.intersection(_base_names(node)))
+        grew = len(ode) > before
+    modules = collections.defaultdict(set)
+    for module, node in classes:
+        if node.name in ode and ode.intersection(_base_names(node)):
+            modules[node.name].add(module)
+    return modules
+
+
+def test_the_guard_sees_the_suite():
+    modules = ode_class_modules()
+    assert modules["ScanItem"] == {"storage/test_scanbatch.py"}
+    assert len(modules) > 50
+
+
+def test_no_two_test_modules_share_an_ode_class_name():
+    shared = {name: sorted(found)
+              for name, found in ode_class_modules().items()
+              if len(found) > 1}
+    assert shared == {}

@@ -213,16 +213,16 @@ class TestPredicateTriggerCondition:
 
         fired = []
 
-        class Widget(OdeObject):
+        class CodegenWidget(OdeObject):
             qty = IntField(default=0)
             poke = Trigger(condition=A.qty <= 2,
                            action=lambda self, *a: fired.append(self.qty))
 
-        decl = Widget.__dict__["poke"]
+        decl = CodegenWidget.__dict__["poke"]
         assert hasattr(decl.condition, "_ode_predicate")
-        db.create(Widget)
+        db.create(CodegenWidget)
         with db.transaction():
-            w = db.pnew(Widget, qty=10)
+            w = db.pnew(CodegenWidget, qty=10)
         w.poke()
         with db.transaction():
             w.qty = 1

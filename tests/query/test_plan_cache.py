@@ -9,7 +9,7 @@ from repro.query import optimizer
 from repro.query.predicates import as_predicate
 
 
-class Part(OdeObject):
+class PlanPart(OdeObject):
     sku = StringField(default="")
     bin = StringField(default="")
     weight = FloatField(default=0.0)
@@ -18,17 +18,17 @@ class Part(OdeObject):
 
 @pytest.fixture
 def part_db(db):
-    db.create(Part)
-    db.create_index(Part, "bin", kind="hash")
-    db.create_index(Part, "weight", kind="btree")
+    db.create(PlanPart)
+    db.create_index(PlanPart, "bin", kind="hash")
+    db.create_index(PlanPart, "weight", kind="btree")
     for i in range(100):
-        db.pnew(Part, sku="p%03d" % i, bin="b%d" % (i % 20),
+        db.pnew(PlanPart, sku="p%03d" % i, bin="b%d" % (i % 20),
                 weight=float(i % 25), qty=i)
     return db
 
 
 def plan_for(db, pred):
-    return choose_plan(db.cluster(Part), as_predicate(pred))
+    return choose_plan(db.cluster(PlanPart), as_predicate(pred))
 
 
 class TestPlanCache:
@@ -44,7 +44,7 @@ class TestPlanCache:
         assert plan.value == "b7"  # rebound to the new constant
 
     def test_forall_iterated_twice_builds_one_plan(self, part_db):
-        q = forall(part_db.cluster(Part)).suchthat(A.bin == "b3")
+        q = forall(part_db.cluster(PlanPart)).suchthat(A.bin == "b3")
         before = optimizer.PLAN_BUILDS
         first = q.to_list()
         second = q.to_list()
@@ -52,17 +52,17 @@ class TestPlanCache:
         assert optimizer.PLAN_BUILDS == before + 1
 
     def test_distinct_foralls_share_db_cache(self, part_db):
-        q1 = forall(part_db.cluster(Part)).suchthat(A.bin == "b3")
+        q1 = forall(part_db.cluster(PlanPart)).suchthat(A.bin == "b3")
         q1.to_list()
         before = optimizer.PLAN_BUILDS
-        q2 = forall(part_db.cluster(Part)).suchthat(A.bin == "b9")
+        q2 = forall(part_db.cluster(PlanPart)).suchthat(A.bin == "b9")
         q2.to_list()
         assert optimizer.PLAN_BUILDS == before  # served from the db cache
 
     def test_index_ddl_invalidates(self, part_db):
         plan_for(part_db, A.qty == 5)  # full scan: qty unindexed
         assert isinstance(plan_for(part_db, A.qty == 5), FullScan)
-        part_db.create_index(Part, "qty", kind="hash")
+        part_db.create_index(PlanPart, "qty", kind="hash")
         plan = plan_for(part_db, A.qty == 5)
         assert isinstance(plan, IndexEquality)  # epoch bump replanned
 
@@ -71,7 +71,7 @@ class TestPlanCache:
         inval = part_db.plan_cache.invalidations
         # Mutate far past the drift limit (max(32, 25) for 100 rows).
         for i in range(120):
-            part_db.pnew(Part, sku="n%d" % i, bin="b1", weight=1.0)
+            part_db.pnew(PlanPart, sku="n%d" % i, bin="b1", weight=1.0)
         plan_for(part_db, A.bin == "b1")
         assert part_db.plan_cache.invalidations == inval + 1
 
@@ -80,7 +80,7 @@ class TestPlanCache:
         assert part_db.plan_cache.stats()["entries"] > 0
         try:
             with part_db.transaction():
-                part_db.pnew(Part, sku="x", bin="b0")
+                part_db.pnew(PlanPart, sku="x", bin="b0")
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
@@ -101,7 +101,7 @@ class TestCostBasedSelection:
         # Make "hotspot" the value of ~95% of the cluster: an index probe
         # now fetches nearly every row at random-access cost.
         for i in range(1900):
-            part_db.pnew(Part, sku="h%d" % i, bin="hotspot", weight=2.0)
+            part_db.pnew(PlanPart, sku="h%d" % i, bin="hotspot", weight=2.0)
         plan = plan_for(part_db, pred)
         assert isinstance(plan, FullScan)
         # ... while a still-rare value keeps using the index.
@@ -109,13 +109,13 @@ class TestCostBasedSelection:
         assert isinstance(rare, IndexEquality)
 
     def test_low_selectivity_range_on_tiny_cluster(self, db):
-        db.create(Part)
-        db.create_index(Part, "weight", kind="btree")
+        db.create(PlanPart)
+        db.create_index(PlanPart, "weight", kind="btree")
         for i in range(10):
-            db.pnew(Part, sku="p%d" % i, weight=float(i))
+            db.pnew(PlanPart, sku="p%d" % i, weight=float(i))
         # The range covers the whole domain: scanning 10 rows costs less
         # than probing the index and fetching all 10 at random.
-        plan = choose_plan(db.cluster(Part),
+        plan = choose_plan(db.cluster(PlanPart),
                            as_predicate(A.weight >= 0.0))
         assert isinstance(plan, FullScan)
 
@@ -131,17 +131,17 @@ class TestCostBasedSelection:
         assert plan.estimated_rows == pytest.approx(5.0)  # 100 rows / 20 bins
 
     def test_composite_prefix_with_trailing_range(self, db):
-        db.create(Part)
-        db.create_index(Part, ("bin", "weight"), kind="btree")
+        db.create(PlanPart)
+        db.create_index(PlanPart, ("bin", "weight"), kind="btree")
         for i in range(120):
-            db.pnew(Part, sku="p%03d" % i, bin="b%d" % (i % 3),
+            db.pnew(PlanPart, sku="p%03d" % i, bin="b%d" % (i % 3),
                     weight=float(i % 40))
         pred = as_predicate((A.bin == "b1") & (A.weight >= 10.0)
                             & (A.weight < 20.0))
-        plan = choose_plan(db.cluster(Part), pred)
+        plan = choose_plan(db.cluster(PlanPart), pred)
         assert isinstance(plan, CompositeScan)
         assert plan.lo == 10.0 and plan.hi == 20.0
-        expected = {p.sku for p in db.cluster(Part)
+        expected = {p.sku for p in db.cluster(PlanPart)
                     if p.bin == "b1" and 10.0 <= p.weight < 20.0}
         rows = {p.sku for chunk in plan.chunks(None) for p in chunk}
         assert rows == expected  # the residual is empty: every bound is a key
@@ -150,12 +150,12 @@ class TestCostBasedSelection:
     def test_desc_sort_is_stable(self, part_db):
         # weight has 4 duplicates per value; equal-weight runs must keep
         # their original (ascending-scan) relative order under desc.
-        q = forall(part_db.cluster(Part)).suchthat(
+        q = forall(part_db.cluster(PlanPart)).suchthat(
             (A.weight >= 0.0) & (A.weight <= 30.0)).by(A.weight, desc=True)
         rows = q.to_list()
         weights = [p.weight for p in rows]
         assert weights == sorted(weights, reverse=True)
-        asc = forall(part_db.cluster(Part)).suchthat(
+        asc = forall(part_db.cluster(PlanPart)).suchthat(
             (A.weight >= 0.0) & (A.weight <= 30.0)).by(A.weight).to_list()
         by_weight = {}
         for p in asc:

@@ -7,7 +7,7 @@ from repro.query import A, forall
 from repro.query.stats import ClusterStats, FieldStats
 
 
-class Gadget(OdeObject):
+class StatsGadget(OdeObject):
     name = StringField(default="")
     price = FloatField(default=0.0)
     grade = IntField(default=0)
@@ -15,10 +15,10 @@ class Gadget(OdeObject):
 
 @pytest.fixture
 def gadget_db(db):
-    db.create(Gadget)
-    db.create_index(Gadget, "grade", kind="btree")
+    db.create(StatsGadget)
+    db.create_index(StatsGadget, "grade", kind="btree")
     for i in range(60):
-        db.pnew(Gadget, name="g%d" % i, price=float(i), grade=i % 6)
+        db.pnew(StatsGadget, name="g%d" % i, price=float(i), grade=i % 6)
     return db
 
 
@@ -53,58 +53,58 @@ class TestFieldStats:
 
 class TestIncrementalMaintenance:
     def test_counts_track_pnew_and_pdelete(self, gadget_db):
-        stats = gadget_db.cluster_stats.get("Gadget")
+        stats = gadget_db.cluster_stats.get("StatsGadget")
         assert stats.count == 60
         assert stats.exact
-        victim = forall(gadget_db.cluster(Gadget)).first()
+        victim = forall(gadget_db.cluster(StatsGadget)).first()
         gadget_db.pdelete(victim)
-        assert gadget_db.cluster_stats.get("Gadget").count == 59
+        assert gadget_db.cluster_stats.get("StatsGadget").count == 59
 
     def test_field_distincts_maintained(self, gadget_db):
-        stats = gadget_db.cluster_stats.get("Gadget")
+        stats = gadget_db.cluster_stats.get("StatsGadget")
         fs = stats.field("grade")
         assert fs.n_distinct == 6
         assert fs.min == 0 and fs.max == 5
-        gadget_db.pnew(Gadget, name="x", grade=99)
+        gadget_db.pnew(StatsGadget, name="x", grade=99)
         assert stats.field("grade").n_distinct == 7
         assert stats.field("grade").max == 99
 
     def test_update_moves_value(self, gadget_db):
-        obj = forall(gadget_db.cluster(Gadget)).suchthat(
+        obj = forall(gadget_db.cluster(StatsGadget)).suchthat(
             A.grade == 0).first()
         with gadget_db.transaction():
             obj.grade = 42
-        fs = gadget_db.cluster_stats.get("Gadget").field("grade")
+        fs = gadget_db.cluster_stats.get("StatsGadget").field("grade")
         assert fs.max == 42
 
     def test_count_fast_path_matches_scan(self, gadget_db):
-        handle = gadget_db.cluster(Gadget)
+        handle = gadget_db.cluster(StatsGadget)
         scanned = sum(1 for _ in handle)
         assert handle.count() == scanned == 60
 
     def test_abort_invalidates(self, gadget_db):
         try:
             with gadget_db.transaction():
-                gadget_db.pnew(Gadget, name="doomed", grade=3)
+                gadget_db.pnew(StatsGadget, name="doomed", grade=3)
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
         # After the abort statistics are reloaded lazily; the rolled-back
         # insert must not be counted.
-        assert gadget_db.cluster(Gadget).count() == 60
+        assert gadget_db.cluster(StatsGadget).count() == 60
 
 
 class TestPersistence:
     def test_summary_survives_reopen(self, db_path):
         db = Database(db_path)
-        db.create(Gadget)
-        db.create_index(Gadget, "grade", kind="btree")
+        db.create(StatsGadget)
+        db.create_index(StatsGadget, "grade", kind="btree")
         for i in range(40):
-            db.pnew(Gadget, name="g%d" % i, grade=i % 4)
+            db.pnew(StatsGadget, name="g%d" % i, grade=i % 4)
         db.close()
 
         db2 = Database(db_path)
-        stats = db2.cluster_stats.get("Gadget")
+        stats = db2.cluster_stats.get("StatsGadget")
         assert stats is not None
         assert stats.count == 40
         assert not stats.exact  # summary precision after reopen
@@ -113,16 +113,16 @@ class TestPersistence:
 
     def test_analyze_restores_exact(self, db_path):
         db = Database(db_path)
-        db.create(Gadget)
-        db.create_index(Gadget, "grade", kind="btree")
+        db.create(StatsGadget)
+        db.create_index(StatsGadget, "grade", kind="btree")
         for i in range(30):
-            db.pnew(Gadget, name="g%d" % i, grade=i % 3)
+            db.pnew(StatsGadget, name="g%d" % i, grade=i % 3)
         db.close()
 
         db2 = Database(db_path)
-        snapshot = db2.analyze(Gadget)
-        assert snapshot["Gadget"]["precision"] == "exact"
-        stats = db2.cluster_stats.get("Gadget")
+        snapshot = db2.analyze(StatsGadget)
+        assert snapshot["StatsGadget"]["precision"] == "exact"
+        stats = db2.cluster_stats.get("StatsGadget")
         assert stats.exact
         assert stats.field("grade").counts == {0: 10, 1: 10, 2: 10}
         db2.close()
@@ -132,7 +132,7 @@ class TestPersistence:
         assert {"buffer_pool", "wal", "plan_cache", "clusters",
                 "locks", "pages"} <= set(stats)
         assert stats["wal"]["durability"] == "full"
-        assert stats["clusters"]["Gadget"]["objects"] == 60
+        assert stats["clusters"]["StatsGadget"]["objects"] == 60
 
     def test_cluster_stats_state_roundtrip(self):
         stats = ClusterStats("X", exact=True)

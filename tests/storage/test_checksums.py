@@ -14,7 +14,7 @@ from repro.storage.store import Store
 from repro import IntField, OdeObject, StringField
 
 
-class Part(OdeObject):
+class ChecksumPart(OdeObject):
     name = StringField(default="")
     qty = IntField(default=0)
 
@@ -209,11 +209,11 @@ class TestScrub:
 class TestRepair:
     def test_repair_restores_writability(self, db_path):
         db = Database(db_path)
-        db.create(Part)
+        db.create(ChecksumPart)
         with db.transaction():
             for i in range(60):
-                db.pnew(Part, name="p%d-" % i + "x" * 120, qty=i)
-        first = db.store.catalog.get_cluster("Part").heap_page
+                db.pnew(ChecksumPart, name="p%d-" % i + "x" * 120, qty=i)
+        first = db.store.catalog.get_cluster("ChecksumPart").heap_page
         db.close()
         pages = _heap_chain(db_path, first)
         assert len(pages) >= 2
@@ -225,11 +225,11 @@ class TestRepair:
         assert db.degraded is not None
         repair = db.repair()
         assert db.degraded is None
-        assert "Part" in repair["clusters"]
+        assert "ChecksumPart" in repair["clusters"]
         # Survivors are intact, indexes answer, and writes work again.
-        survivors = {p.name for p in db.cluster(Part)}
+        survivors = {p.name for p in db.cluster(ChecksumPart)}
         assert survivors  # most objects live on other pages
         with db.transaction():
-            db.pnew(Part, name="post-repair", qty=1)
+            db.pnew(ChecksumPart, name="post-repair", qty=1)
         assert db.verify() == []
         db.close()

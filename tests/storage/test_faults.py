@@ -17,7 +17,7 @@ from repro.storage.store import Store
 from repro import IntField, OdeObject
 
 
-class Gadget(OdeObject):
+class FaultGadget(OdeObject):
     n = IntField(default=0)
 
 
@@ -213,9 +213,9 @@ class TestGroupCommitFailure:
 
     def test_all_committers_fail_no_hangs(self, db_path):
         db = Database(db_path, durability="group")
-        db.create(Gadget)
+        db.create(FaultGadget)
         with db.transaction():
-            db.pnew(Gadget, n=0)
+            db.pnew(FaultGadget, n=0)
         db.store.faults.arm("wal.flush.fsync", "error")
         db.store.set_durability("group", group_size=2, group_window=0.01)
         results = {}
@@ -223,7 +223,7 @@ class TestGroupCommitFailure:
         def committer(i):
             try:
                 with db.transaction():
-                    db.pnew(Gadget, n=i)
+                    db.pnew(FaultGadget, n=i)
                 results[i] = "committed"
             except (WalFlushError, DegradedModeError) as exc:
                 results[i] = type(exc).__name__
@@ -252,9 +252,9 @@ class TestTransientRetry:
 
     def test_transient_read_error_is_retried(self, db_path):
         db = Database(db_path)
-        db.create(Gadget)
+        db.create(FaultGadget)
         with db.transaction():
-            oid = db.pnew(Gadget, n=7).oid
+            oid = db.pnew(FaultGadget, n=7).oid
         db.close()
 
         db = Database(db_path)  # cold pool: the deref must hit the disk
@@ -267,9 +267,9 @@ class TestTransientRetry:
 
     def test_retries_exhausted_reraises(self, db_path):
         db = Database(db_path)
-        db.create(Gadget)
+        db.create(FaultGadget)
         with db.transaction():
-            oid = db.pnew(Gadget, n=7).oid
+            oid = db.pnew(FaultGadget, n=7).oid
         db.close()
 
         db = Database(db_path)

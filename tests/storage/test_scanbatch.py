@@ -272,13 +272,19 @@ class TestDecodeCounts:
             peeked = counter_value(store, "scan.records_peeked")
             decoded = counter_value(store, "scan.records_decoded")
             misses = store.page_cache_misses
+            cached = set(store._page_cache)
+            assert len(cached) == SMALL_PAGE_CACHE
             assert _scan(db, ScanItem) == n
-            # Every page fell out of the cache before its next visit: all
-            # its records (heads, states, old versions) are peeked again
-            # and none is decoded — 163 pages, 4 006 records.
-            assert store.page_cache_misses - misses == len(batches)
+            # The 16 pages cached when the pass starts are all served
+            # from the cache (the scan never evicts its own heap's pages
+            # ahead of its cursor); the other 147 are re-read: all their
+            # records (heads, states, old versions) are peeked again and
+            # none is decoded.
+            assert (store.page_cache_misses - misses
+                    == len(batches) - SMALL_PAGE_CACHE)
             assert (counter_value(store, "scan.records_peeked") - peeked
-                    == sum(len(batch) for batch in batches))
+                    == sum(len(batch) for batch in batches
+                           if batch.page_no not in cached))
             assert counter_value(store, "scan.records_decoded") == decoded
         finally:
             db.close()
