@@ -88,11 +88,11 @@ class ClusterHandle:
             # read set (no lock); as-of reads are not the transaction's
             # own reads and must not create write-write conflicts.
             db._lock_cluster_scan(cluster_name)
-        # Page-at-a-time batches: each batch carries the state records
-        # that share the page with their version heads, so most objects
-        # materialize with zero extra storage round-trips — and an object
-        # already live costs no decode at all. Under MVCC the per-record
-        # history check replaces the cluster S lock.
+        # Page-at-a-time batches: each version head carries its current
+        # state, so every object materializes from one decode of its own
+        # batch — and an object already live costs no decode at all.
+        # Under MVCC the per-record history check replaces the cluster S
+        # lock.
         cached = db._cache.get
         materialize = db._materialize_from_scan
         for batch, plain, flagged in self._walk(cluster_name, vis):
@@ -102,8 +102,6 @@ class ClusterHandle:
                 obj = cached((cluster_name, serial))
                 if obj is None:
                     obj = materialize(cluster_name, serial, batch)
-                    if obj is None:
-                        continue
                 append(obj)
             for serial, img in flagged:
                 obj = vis.resolve(serial, img)

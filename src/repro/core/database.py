@@ -29,9 +29,16 @@ Storage layout per persistent object (cluster = class name):
 ================  =====================================================
 key                record
 ================  =====================================================
-``(serial, 0)``   version head: ``{"current": v, "chain": [v1, ...]}``
-``(serial, v)``   version state: ``{"state": {field: stored value}}``
+``(serial, 0)``   version head, carrying the current version's state:
+                  ``{"current": v, "chain": [v1, ...],
+                  "state": {field: stored value}}``
+``(serial, v)``   a non-current version ``v`` of the chain:
+                  ``{"state": {field: stored value}}``
 ================  =====================================================
+
+So an object with one version is one record: ``pnew`` is one put,
+``pdelete`` one delete, a cold deref one directory probe and one heap
+read.
 """
 
 from __future__ import annotations
@@ -82,16 +89,17 @@ def _abort_reason(exc: BaseException) -> str:
 class DecodedCache:
     """Bounded LRU of decoded object images keyed by ``(cluster, serial)``.
 
-    Each entry carries the decoded *head* and *state* dicts together with
-    their ``(page_no, page_lsn)`` physical tokens. An entry is served only
-    after :meth:`Store.tokens_valid` confirms both tokens, so correctness
-    never depends on eager invalidation: any mutation of either record —
-    including transaction abort (CLRs) and crash recovery — bumps the home
-    page's LSN and the entry silently misses. Eager :meth:`invalidate`
-    calls on the write paths exist for hygiene (they free memory sooner
-    and avoid pointless validations), not for safety.
+    Each entry carries the decoded head record (which holds the current
+    state) together with its ``(page_no, page_lsn)`` physical token. An
+    entry is served only after :meth:`Store.tokens_valid` confirms the
+    token, so correctness never depends on eager invalidation: any
+    mutation of the record — including transaction abort (CLRs) and crash
+    recovery — bumps the home page's LSN and the entry silently misses.
+    Eager :meth:`invalidate` calls on the write paths exist for hygiene
+    (they free memory sooner and avoid pointless validations), not for
+    safety.
 
-    Entries whose tokens carry ``lsn == 0`` are never stored (a freshly
+    Entries whose token carries ``lsn == 0`` are never stored (a freshly
     formatted page starts at 0, so 0 cannot distinguish versions).
     """
 
@@ -100,8 +108,8 @@ class DecodedCache:
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
-        # (cluster, serial) -> (tokens, head, version, state)
-        #   tokens: ((head_page, head_lsn), (state_page, state_lsn))
+        # (cluster, serial) -> (token, head, version, state)
+        #   token: (head_page, head_lsn)
         self._entries: "Dict[tuple, tuple]" = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -116,9 +124,9 @@ class DecodedCache:
         # serializing on one global lock.
         return self._entries.get(key)
 
-    def put(self, key: tuple, tokens: tuple, head: Dict, version: int,
+    def put(self, key: tuple, token: tuple, head: Dict, version: int,
             state: Dict) -> None:
-        if any(lsn == 0 for _page, lsn in tokens):
+        if token[1] == 0:
             return
         with self._lock:
             if len(self._entries) >= self.capacity:
@@ -131,7 +139,7 @@ class DecodedCache:
                     # pop, not del: a lock-free invalidate may race the sweep
                     self._entries.pop(stale, None)
                 self.evictions += drop
-            self._entries[key] = (tokens, head, version, state)
+            self._entries[key] = (token, head, version, state)
 
     def invalidate(self, key: tuple) -> None:
         self._entries.pop(key, None)
@@ -630,33 +638,21 @@ class Database:
         or None when the object does not exist. Called under the object's
         X lock, so the records cannot move while being read.
 
-        The default image is *partial* — head plus the current version's
-        state only, which is all a field write or ``newversion`` can
-        touch, so registration stays O(1) in the chain length. Mutations
-        that remove non-current version records (``pdelete``) load the
-        whole chain (``full=True``); pinned-version readers handle the
-        partial case by falling back to the store, sound because old
-        version states are immutable short of such a full-image delete.
+        The default image is *partial* — the head, which carries the
+        current version's state, and nothing else: all a field write or
+        ``newversion`` can touch, so registration stays O(1) in the chain
+        length. Mutations that remove non-current version records
+        (``pdelete``) load the whole chain (``full=True``); pinned-version
+        readers handle the partial case by falling back to the store,
+        sound because old version states are immutable short of such a
+        full-image delete.
         """
-        if not full:
-            try:
-                head, version, state = self._load_current(cluster, serial)
-            except DanglingReferenceError:
-                pass  # chain missing its state record: take the slow path
-            else:
-                if head is None:
-                    return None
-                return (head, {version: state})
-        store = self.store
-        head = store.get(cluster, (serial, 0))
+        head, version, state = self._load_current(cluster, serial)
         if head is None:
             return None
-        states: Dict[int, Dict] = {}
-        versions = head["chain"] if full else (head["current"],)
-        for version in versions:
-            rec = store.get(cluster, (serial, version))
-            if rec is not None:
-                states[version] = rec["state"]
+        states = {version: state}
+        if full:
+            self._fill_image(cluster, serial, (head, states))
         return (head, states)
 
     def _load_image_into(self, loaded: Optional[list], cluster: str,
@@ -674,8 +670,9 @@ class Database:
         Called (under the registry lock, before the deleting mutation)
         when a transaction that registered a partial image goes on to
         remove version records. Only versions missing from the image are
-        read — everything this transaction already mutated (head, the
-        old current state) is in the image, and the rest are immutable.
+        read, from their own records — everything this transaction
+        already mutated (the head and the state it carried) is in the
+        image, and the rest are immutable.
         """
         head, states = img
         store = self.store
@@ -690,8 +687,8 @@ class Database:
         """Pre-image for a lazily registered flush write.
 
         The flush already holds the old head and state (loaded for index
-        maintenance); only a decoded-cache miss on the head costs a
-        store read here. Runs inside the registry lock via
+        maintenance); only a write through a handle on a non-current
+        version costs a store read of the head here. Runs inside the registry lock via
         :meth:`MVCCManager.fill_lazy`, before the flush's store write.
         """
         if head is None:
@@ -956,21 +953,20 @@ class Database:
                         obj.__dict__["_p_version"] = 0
                         del self._cache[key]
                     else:
-                        state = self.store.get(cluster,
-                                               (serial, head["current"]))
-                        obj._p_load_state(state["state"])
+                        obj._p_load_state(head["state"])
                         obj.__dict__["_p_version"] = head["current"]
                 for vref in [v for v in self._vcache
                              if (v.cluster, v.serial) == key]:
                     stale = self._vcache[vref]
-                    state = self.store.get(cluster, (serial, vref.version))
+                    state = self._version_state(cluster, serial,
+                                                vref.version)
                     if state is None:
                         stale.__dict__["_p_oid"] = None
                         stale.__dict__["_p_db"] = None
                         stale.__dict__["_p_version"] = 0
                         self._vcache.pop(vref, None)
                     else:
-                        stale._p_load_state(state["state"])
+                        stale._p_load_state(state)
 
     def _run_fired_actions(self, fired: List[FiredAction]) -> None:
         """Weak coupling: run trigger actions as independent transactions.
@@ -1041,14 +1037,15 @@ class Database:
             self._lock_for_write(oid.cluster, oid.serial, lazy=True)
 
     def _flush(self, txn: int) -> None:
-        """Write every dirty object's state to its current version.
+        """Write every dirty object's state to its current version, which
+        lives in the object's head record.
 
-        Two passes, reads before writes: state records are small and
+        Two passes, reads before writes: head records are small and
         share pages, so a write invalidates the decoded-cache tokens of
         every not-yet-flushed neighbour on its page — a single pass
         would force a raw re-decode per object. Reading first keeps the
         whole batch on cache hits; a final sweep re-primes the cache
-        with the states just written at their settled page LSNs, so the
+        with the heads just written at their settled page LSNs, so the
         *next* transaction's flush (and any MVCC image load) hits too.
         """
         handle = self._session.txn
@@ -1060,17 +1057,12 @@ class Database:
             self._lock_for_write(oid.cluster, oid.serial, lazy=True)
             version = obj.__dict__["_p_version"]
             key = (oid.cluster, oid.serial)
-            old_state = None
-            head = head_page = None
-            try:
-                self._load_current(oid.cluster, oid.serial)
-            except DanglingReferenceError:
-                pass
-            entry = self._decoded.get(key)
-            if entry is not None and entry[2] == version:
-                tokens, head, _cur, old_state = entry
-                head_page = tokens[0][0]
-            else:
+            head, current, old_state = self._load_current(oid.cluster,
+                                                          oid.serial)
+            if head is not None and current != version:
+                # A handle on a version that is no longer current writes
+                # that version's own record.
+                head = None
                 old = self.store.get(oid.cluster, (oid.serial, version))
                 old_state = None if old is None else old["state"]
             if self._mvcc_on and handle is not None:
@@ -1082,39 +1074,37 @@ class Database:
                     lambda h=head, v=version, s=old_state,
                     c=oid.cluster, n=oid.serial: self._lazy_image(
                         c, n, h, v, s))
-            todo.append((obj, oid, key, version, head, head_page,
-                         old_state))
+            todo.append((obj, oid, key, version, head, old_state))
 
         primed = []
-        for obj, oid, key, version, head, head_page, old_state in todo:
+        for obj, oid, key, version, head, old_state in todo:
             self._decoded.invalidate(key)
             new_state = obj._p_state_dict()
-            payload = {"__key": [oid.serial, version], "state": new_state}
-            if head_page is None:
+            if head is None:
                 self.store.put(txn, oid.cluster, (oid.serial, version),
-                               payload)
+                               {"__key": [oid.serial, version],
+                                "state": new_state})
             else:
+                head = {"__key": [oid.serial, 0], "current": version,
+                        "chain": head["chain"], "state": new_state}
                 rid, _lsn = self.store.put_with_token(
-                    txn, oid.cluster, (oid.serial, version), payload)
-                primed.append((key, oid.cluster, head_page, rid.page_no,
-                               head, version, new_state))
-            self._index_update(txn, obj, old_state)
+                    txn, oid.cluster, (oid.serial, 0), head)
+                primed.append((key, oid.cluster, rid.page_no, head,
+                               version, new_state))
+            self._index_update(txn, oid.cluster, oid.serial, old_state,
+                               new_state)
             self.cluster_stats.record_update(oid.cluster, old_state,
                                              new_state)
         self._dirty.clear()
 
         if primed:
             by_cluster: Dict[str, set] = {}
-            for _key, cluster, head_page, state_page, *_rest in primed:
-                by_cluster.setdefault(cluster, set()).update(
-                    (head_page, state_page))
+            for _key, cluster, page_no, *_rest in primed:
+                by_cluster.setdefault(cluster, set()).add(page_no)
             lsns = {c: self.store.page_lsns(c, pages)
                     for c, pages in by_cluster.items()}
-            for (key, cluster, head_page, state_page, head, version,
-                    new_state) in primed:
-                got = lsns[cluster]
-                self._decoded.put(key, ((head_page, got[head_page]),
-                                        (state_page, got[state_page])),
+            for key, cluster, page_no, head, version, new_state in primed:
+                self._decoded.put(key, (page_no, lsns[cluster][page_no]),
                                   head, version, new_state)
 
     def _constraint_violated(self) -> None:
@@ -1126,10 +1116,10 @@ class Database:
         for obj in list(self._dirty.values()):
             if obj.is_persistent:
                 oid = obj.oid
-                state = self.store.get(
-                    oid.cluster, (oid.serial, obj.__dict__["_p_version"]))
+                state = self._version_state(oid.cluster, oid.serial,
+                                            obj.__dict__["_p_version"])
                 if state is not None:
-                    obj._p_load_state(state["state"])
+                    obj._p_load_state(state)
         self._dirty.clear()
 
     # ------------------------------------------------------------------
@@ -1220,13 +1210,11 @@ class Database:
             obj.__dict__["_p_oid"] = oid
             obj.__dict__["_p_db"] = self
             obj.__dict__["_p_version"] = 1
-            self.store.put(txn, cluster, (serial, 0),
-                           {"__key": [serial, 0], "current": 1, "chain": [1]},
-                           new=True)
             state = obj._p_state_dict()
-            self.store.put(txn, cluster, (serial, 1),
-                           {"__key": [serial, 1], "state": state}, new=True)
-            self._index_insert(txn, obj)
+            self.store.put(txn, cluster, (serial, 0),
+                           {"__key": [serial, 0], "current": 1, "chain": [1],
+                            "state": state}, new=True)
+            self._index_update(txn, cluster, serial, None, state)
             self.cluster_stats.record_insert(cluster, state)
             with self._cache_lock:
                 self._cache[(cluster, serial)] = obj
@@ -1249,10 +1237,12 @@ class Database:
             head, state = self._lock_for_delete(oid)
             if head is None:
                 raise DanglingReferenceError("pdelete of missing %r" % (oid,))
-            self._index_delete(txn, oid, state)
+            self._index_update(txn, oid.cluster, oid.serial, state, None)
             self.cluster_stats.record_delete(oid.cluster, state)
             for version in head["chain"]:
-                self.store.delete(txn, oid.cluster, (oid.serial, version))
+                if version != head["current"]:
+                    self.store.delete(txn, oid.cluster,
+                                      (oid.serial, version))
             self.store.delete(txn, oid.cluster, (oid.serial, 0))
             self._evict(oid)
 
@@ -1264,8 +1254,8 @@ class Database:
         registration just loaded *is* the stored object (read-only here —
         snapshot readers share it). Only when nothing was loaded (2PL
         mode, or an object this transaction already wrote, whose
-        registered image is the older committed one) are head and
-        current state fetched from the store.
+        registered image is the older committed one) is the head, which
+        carries the current state, fetched from the store.
         """
         loaded: list = []
         self._lock_for_write(oid.cluster, oid.serial, full_image=True,
@@ -1278,25 +1268,36 @@ class Database:
         head = self.store.get(oid.cluster, (oid.serial, 0))
         if head is None:
             return None, None
-        stored = self.store.get(oid.cluster, (oid.serial, head["current"]))
-        return head, stored["state"]
+        return head, head["state"]
 
     def _pdelete_version(self, vref: Vref) -> None:
+        cluster, serial = vref.cluster, vref.serial
         with self._implicit_txn() as txn:
-            head, _state = self._lock_for_delete(vref.oid)
+            # Pending field writes land in the current version first (as
+            # in newversion), instead of being dropped with the handle.
+            self._flush(txn)
+            head, state = self._lock_for_delete(vref.oid)
             if head is None or vref.version not in head["chain"]:
                 raise DanglingReferenceError("pdelete of missing %r" % (vref,))
             chain = [v for v in head["chain"] if v != vref.version]
             if not chain:
                 self.pdelete(vref.oid)
                 return
-            self.store.delete(txn, vref.cluster, (vref.serial, vref.version))
             current = head["current"]
             if current == vref.version:
+                # The latest remaining version becomes current: its state
+                # moves from its own record into the head.
                 current = chain[-1]
-            self.store.put(txn, vref.cluster, (vref.serial, 0),
-                           {"__key": [vref.serial, 0],
-                            "current": current, "chain": chain})
+                old_state = state
+                state = self.store.get(cluster, (serial, current))["state"]
+                self.store.delete(txn, cluster, (serial, current))
+                self._index_update(txn, cluster, serial, old_state, state)
+                self.cluster_stats.record_update(cluster, old_state, state)
+            else:
+                self.store.delete(txn, cluster, (serial, vref.version))
+            self.store.put(txn, cluster, (serial, 0),
+                           {"__key": [serial, 0], "current": current,
+                            "chain": chain, "state": state})
             self._decoded.invalidate((vref.cluster, vref.serial))
             with self._cache_lock:
                 self._vcache.pop(vref, None)
@@ -1356,18 +1357,7 @@ class Database:
         cached = self._cache.get((ref.cluster, ref.serial))
         if cached is not None:
             return cached
-        try:
-            head, version, state = self._load_current(ref.cluster,
-                                                      ref.serial)
-        except DanglingReferenceError:
-            # Head present but state record gone: a concurrent version
-            # relink mid-flight. The history (registered before the
-            # writer's first mutation) serves the committed image.
-            if mvcc_on:
-                resolved = self._mvcc_check(ref.cluster, ref.serial)
-                if resolved is not _MVCC_STORE:
-                    return self._serve_image(ref, resolved, _missing_ok)
-            raise
+        head, version, state = self._load_current(ref.cluster, ref.serial)
         if mvcc_on:
             # Decode-then-validate: a writer may have registered (and
             # begun mutating records) between the first check and the
@@ -1415,8 +1405,8 @@ class Database:
         """Decoded ``(head, current_version, state)`` for one object.
 
         The materialization fast path: a :class:`DecodedCache` hit costs
-        one or two page-LSN validations (buffer-pool hits) instead of two
-        directory probes, two heap reads and two ``decode_value`` calls.
+        one page-LSN validation (a buffer-pool hit) instead of a directory
+        probe, a heap read and a ``decode_value`` of the head record.
         Served state dicts are shared — callers must treat them as
         immutable (deref copies before loading into a live object).
         Returns ``(None, 0, None)`` for a missing object.
@@ -1425,28 +1415,30 @@ class Database:
         store = self.store
         entry = self._decoded.get(key)
         if entry is not None:
-            tokens, head, version, state = entry
-            if store.tokens_valid(tokens):
+            token, head, version, state = entry
+            if store.tokens_valid((token,)):
                 self._decoded.hits += 1
                 return head, version, state
             self._decoded.invalidate(key)
         self._decoded.misses += 1
-        head, head_rid, head_lsn = store.get_with_token(cluster, (serial, 0))
+        head, rid, lsn = store.get_with_token(cluster, (serial, 0))
         if head is None:
             return None, 0, None
-        version = head["current"]
-        stored, state_rid, state_lsn = store.get_with_token(
-            cluster, (serial, version))
-        if stored is None:
-            raise DanglingReferenceError(
-                "version %d of %s:%d has no state record"
-                % (version, cluster, serial))
-        state = stored["state"]
-        self._decoded.put(key,
-                          ((head_rid.page_no, head_lsn),
-                           (state_rid.page_no, state_lsn)),
-                          head, version, state)
+        version, state = head["current"], head["state"]
+        self._decoded.put(key, (rid.page_no, lsn), head, version, state)
         return head, version, state
+
+    def _version_state(self, cluster: str, serial: int,
+                       version: int) -> Optional[Dict]:
+        """The stored state of one version — the head's for the current
+        one, the version's own record otherwise — or None when gone."""
+        head = self.store.get(cluster, (serial, 0))
+        if head is None or version not in head["chain"]:
+            return None
+        if head["current"] == version:
+            return head["state"]
+        rec = self.store.get(cluster, (serial, version))
+        return None if rec is None else rec["state"]
 
     def _deref_version(self, vref: Vref,
                        missing_ok: bool) -> Optional[OdeObject]:
@@ -1530,48 +1522,31 @@ class Database:
         return None
 
     def _materialize_from_scan(self, cluster: str, serial: int,
-                               batch) -> Optional[OdeObject]:
+                               batch) -> OdeObject:
         """Materialize one head of a scan batch that is not live (the
-        scan loop probes the object cache itself), preferring in-batch
-        state.
+        scan loop probes the object cache itself).
 
-        The head and its *current* state are decoded from *batch* (older
-        versions on the page stay bytes). Version heads and their current
-        state land on the same page for freshly created objects (pnew
-        writes them back to back), so the common case needs no extra
-        storage round-trip at all; otherwise the deref path (with its
-        decoded cache) picks up the slack. Per-object locks are already
-        subsumed by the scan's cluster S lock.
+        Only the head is decoded from *batch* — it carries the current
+        state; older versions on the page stay bytes. Per-object locks
+        are already subsumed by the scan's cluster S lock.
         """
         key = (cluster, serial)
-        version = batch.head(serial)["current"]
-        state_rec = batch.state(serial, version)
-        if state_rec is None:
-            return self.deref(Oid(cluster, serial), _missing_ok=True)
+        head = batch.head(serial)
         with self._cache_lock:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached
-            obj = self._materialize(Oid(cluster, serial), version,
-                                    state_rec["state"], readonly=False)
+            obj = self._materialize(Oid(cluster, serial), head["current"],
+                                    head["state"], readonly=False)
             self._cache[key] = obj
         return obj
 
     def _scan_current(self, cluster: str):
-        """``(serial, current state record)`` for every object of *cluster*.
-
-        The state comes from the head's own scan batch; only one that
-        lives on another page costs a ``store.get`` (None when the chain
-        is missing it).
-        """
-        store = self.store
-        for batch in store.scan_batches(cluster):
+        """``(serial, current state)`` for every object of *cluster*, read
+        from the heads of its scan batches."""
+        for batch in self.store.scan_batches(cluster):
             for serial in batch.heads:
-                current = batch.head(serial)["current"]
-                state = batch.state(serial, current)
-                if state is None:
-                    state = store.get(cluster, (serial, current))
-                yield serial, state
+                yield serial, batch.head(serial)["state"]
 
     def _materialize(self, oid: Oid, version: int, state: Dict,
                      readonly: bool) -> OdeObject:
@@ -1617,19 +1592,23 @@ class Database:
             # first, so the copy is faithful; then one decoded-cache read
             # serves both the head and the state to copy.
             self._flush(txn)
-            head, _cur, old_state = self._load_current(oid.cluster,
-                                                       oid.serial)
+            head, current, old_state = self._load_current(oid.cluster,
+                                                          oid.serial)
             if head is None:
                 raise DanglingReferenceError("newversion of missing %r"
                                              % (oid,))
+            # The old current state moves out of the head into a record
+            # of its own; the head goes on carrying the same state as
+            # the new current version's.
             new_version = max(head["chain"]) + 1
-            self.store.put(txn, oid.cluster, (oid.serial, new_version),
-                           {"__key": [oid.serial, new_version],
-                            "state": dict(old_state)})
+            self.store.put(txn, oid.cluster, (oid.serial, current),
+                           {"__key": [oid.serial, current],
+                            "state": old_state})
             self.store.put(txn, oid.cluster, (oid.serial, 0),
                            {"__key": [oid.serial, 0],
                             "current": new_version,
-                            "chain": head["chain"] + [new_version]})
+                            "chain": head["chain"] + [new_version],
+                            "state": old_state})
             self._decoded.invalidate((oid.cluster, oid.serial))
             cached = self._cache.get((oid.cluster, oid.serial))
             if cached is not None:
@@ -1727,7 +1706,7 @@ class Database:
             for serial, state in self._scan_current(cluster):
                 self.store.index_insert(
                     txn, cluster, info.field,
-                    _state_key(state["state"], info.fields), serial)
+                    _state_key(state, info.fields), serial)
             # Index DDL changes the plan space: invalidate cached plans
             # and rebuild exact statistics (the new field needs tracking).
             self._plan_epoch += 1
@@ -1738,40 +1717,26 @@ class Database:
             return {}
         return self.store.indexes_on(cluster)
 
-    def _index_insert(self, txn: int, obj: OdeObject) -> None:
-        cluster = type(obj).__name__
+    def _index_update(self, txn: int, cluster: str, serial: int,
+                      old_state: Optional[Dict],
+                      new_state: Optional[Dict]) -> None:
+        """Move *serial*'s index entries from the keys of the stored
+        *old_state* to those of *new_state*; None on either side is an
+        insert or a delete."""
         for name, info in self._indexed_fields(cluster).items():
-            key = tuple(self._stored_field(obj, f) for f in info.fields)
-            self.store.index_insert(
-                txn, cluster, name, key[0] if len(key) == 1 else key,
-                obj.oid.serial)
-
-    def _index_delete(self, txn: int, oid: Oid,
-                      stored_state: Dict) -> None:
-        """Remove index entries using the *stored* (not live) field values."""
-        for name, info in self._indexed_fields(oid.cluster).items():
-            self.store.index_delete(
-                txn, oid.cluster, name,
-                _state_key(stored_state, info.fields), oid.serial)
-
-    def _index_update(self, txn: int, obj: OdeObject,
-                      old_state: Optional[Dict]) -> None:
-        cluster = type(obj).__name__
-        for name, info in self._indexed_fields(cluster).items():
-            key = tuple(self._stored_field(obj, f) for f in info.fields)
-            new_value = key[0] if len(key) == 1 else key
             old_value = (None if old_state is None
                          else _state_key(old_state, info.fields))
-            if old_state is not None and old_value == new_value:
+            new_value = (None if new_state is None
+                         else _state_key(new_state, info.fields))
+            if (old_state is not None and new_state is not None
+                    and old_value == new_value):
                 continue
             if old_state is not None:
                 self.store.index_delete(txn, cluster, name, old_value,
-                                        obj.oid.serial)
-            self.store.index_insert(txn, cluster, name, new_value,
-                                    obj.oid.serial)
-
-    def _stored_field(self, obj: OdeObject, field: str):
-        return obj._ode_fields[field].to_stored(obj, getattr(obj, field))
+                                        serial)
+            if new_state is not None:
+                self.store.index_insert(txn, cluster, name, new_value,
+                                        serial)
 
     # ------------------------------------------------------------------
     # maintenance & introspection
@@ -1805,21 +1770,26 @@ class Database:
         """Run the storage integrity checker plus object-layer checks.
 
         Object-layer checks: every version head's ``current`` appears in
-        its ``chain``, and every version in the chain has a state record.
-        Returns the list of problems (empty = consistent).
+        its ``chain``, the head carries the current state, and every other
+        version in the chain has a state record. Returns the list of
+        problems (empty = consistent).
         """
         problems = self.store.verify_integrity()
         for name in self.clusters():
             for batch in self.store.scan_batches(name):
                 for serial in batch.heads:
                     head = batch.head(serial)
-                    chain = head["chain"]
-                    if head["current"] not in chain:
+                    chain, current = head["chain"], head["current"]
+                    if current not in chain:
                         problems.append(
                             "%s:%d: current version %d not in chain %r"
-                            % (name, serial, head["current"], chain))
+                            % (name, serial, current, chain))
+                    if "state" not in head:
+                        problems.append("%s:%d: head carries no state"
+                                        % (name, serial))
                     for v in chain:
-                        if self.store.get(name, (serial, v)) is None:
+                        if (v != current and
+                                self.store.get(name, (serial, v)) is None):
                             problems.append(
                                 "%s:%d: chain version %d has no state "
                                 "record" % (name, serial, v))
@@ -1863,8 +1833,8 @@ class Database:
         Wraps :meth:`Store.repair_quarantined` with the object-layer
         aftermath the store cannot do itself: version chains of salvaged
         clusters are mended (versions whose state records were lost are
-        pruned, ``current`` re-pointed at the newest survivor, objects
-        with no surviving state dropped) and secondary indexes —
+        pruned; a lost head is rebuilt from the newest surviving version)
+        and secondary indexes —
         recreated empty by the salvage — are repopulated from the
         surviving current versions. Clears degraded mode on success.
         Raises :class:`~repro.errors.StorageError` if the WAL has failed
@@ -1893,11 +1863,10 @@ class Database:
         """Mend version chains and rebuild index entries after a salvage."""
         infos = self.store.indexes_on(cluster)
         chains_fixed = 0
-        objects_dropped = 0
         index_entries = 0
         with self._implicit_txn() as txn:
             self._lock_cluster_ddl(cluster)
-            heads: Dict[int, Optional[Dict]] = {}
+            heads: Dict[int, Dict] = {}
             states: Dict[int, set] = {}
             for batch in self.store.scan_batches(cluster):
                 for serial, version in filter(None, batch.keys):
@@ -1905,29 +1874,28 @@ class Database:
                         heads[serial] = batch.head(serial)
                     else:
                         states.setdefault(serial, set()).add(version)
-            # Orphan states (their head was lost): synthesize a head.
             for serial, versions in states.items():
                 if serial not in heads:
-                    head = {"__key": [serial, 0],
-                            "current": max(versions),
-                            "chain": sorted(versions)}
-                    heads[serial] = head
-                    self.store.put(txn, cluster, (serial, 0), head)
+                    # Orphan versions (their head was lost): the newest
+                    # becomes current and moves into a new head.
+                    current = max(versions)
+                    versions.discard(current)
+                    heads[serial] = {
+                        "__key": [serial, 0], "current": current,
+                        "chain": sorted(versions) + [current],
+                        "state": self.store.get(
+                            cluster, (serial, current))["state"]}
+                    self.store.delete(txn, cluster, (serial, current))
+                    self.store.put(txn, cluster, (serial, 0), heads[serial])
                     chains_fixed += 1
             for serial, head in heads.items():
+                # The head carries its current state, so the object
+                # survives; versions whose records were lost are pruned.
                 have = states.get(serial, set())
-                chain = [v for v in head["chain"] if v in have]
-                if not chain:
-                    # Every state of this object was lost with the page.
-                    self.store.delete(txn, cluster, (serial, 0))
-                    heads[serial] = None
-                    objects_dropped += 1
-                    continue
                 current = head["current"]
-                if current not in chain:
-                    current = chain[-1]
-                if chain != head["chain"] or current != head["current"]:
-                    head["current"] = current
+                chain = [v for v in head["chain"]
+                         if v in have and v != current] + [current]
+                if chain != head["chain"]:
                     head["chain"] = chain
                     self.store.put(txn, cluster, (serial, 0), head)
                     chains_fixed += 1
@@ -1935,20 +1903,13 @@ class Database:
                     self.store.delete(txn, cluster, (serial, version))
             if infos:
                 for serial, head in heads.items():
-                    if head is None:
-                        continue
-                    state = self.store.get(cluster,
-                                           (serial, head["current"]))
-                    if state is None:
-                        continue
                     for name, info in infos.items():
                         self.store.index_insert(
                             txn, cluster, name,
-                            _state_key(state["state"], info.fields),
+                            _state_key(head["state"], info.fields),
                             serial)
                         index_entries += 1
         return {"chains_fixed": chains_fixed,
-                "objects_dropped": objects_dropped,
                 "index_entries_rebuilt": index_entries}
 
     def analyze(self, cls: Union[Type[OdeObject], str, None] = None) -> Dict:

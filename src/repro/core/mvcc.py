@@ -1,7 +1,8 @@
 """In-memory MVCC: snapshot visibility over the version-chain store.
 
-The storage layout already keeps every object as a version head plus one
-record per version (the paper's section 4 machinery) — what it lacks for
+The storage layout already keeps every object as a version head that
+carries the current state plus one record per older version (the paper's
+section 4 machinery) — what it lacks for
 multi-version *concurrency* is knowing which record contents were
 committed when. This module supplies that, without any on-disk format
 change: writers register a **pre-image** of each object the first time a

@@ -144,9 +144,17 @@ class OdeMeta(type):
         cls._ode_triggers = triggers
 
         if name != "OdeObject":
-            if name in _CLASS_REGISTRY and _CLASS_REGISTRY[name] is not cls:
-                # Redefinition (tests, notebooks): replace, latest wins.
-                pass
+            earlier = _CLASS_REGISTRY.get(name)
+            if earlier is not None and earlier.__module__ != cls.__module__:
+                # The cluster is named after the class: two modules'
+                # classes of one name would share (and misread) it.
+                raise SchemaError(
+                    "persistent class %r is defined in module %s and "
+                    "again in module %s; cluster names are class names, "
+                    "so persistent classes need distinct names"
+                    % (name, earlier.__module__, cls.__module__))
+            # Redefinition in the same module (notebooks, classes defined
+            # inside tests): latest wins.
             _CLASS_REGISTRY[name] = cls
             _REGISTRATIONS[0] += 1
         return cls

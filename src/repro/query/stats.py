@@ -271,9 +271,8 @@ class StatsManager:
         if fields:
             for _serial, state in self._db._scan_current(cluster):
                 stats.count += 1
-                if state is not None:
-                    for f in fields:
-                        stats.fields[f].record(state["state"].get(f), +1)
+                for f in fields:
+                    stats.fields[f].record(state.get(f), +1)
         else:
             stats.count = sum(len(batch.heads)
                               for batch in store.scan_batches(cluster))

@@ -23,11 +23,12 @@ literature (objects move, ids do not):
 
 Three invariants carry the design:
 
-1. **One leaf per object.** An object's head ``(serial, 0)`` and all its
-   version states share a leaf chain, reached in three pins (one, once
-   the leaf is resolved — see the memo below); a lookup is a byte search
-   of the pinned leaf for the packed key — no codec, no digest, no
-   decoded copy.
+1. **One leaf per object.** An object's entries — its head ``(serial,
+   0)``, which carries the current state, and one per older version —
+   share a leaf chain, reached in three pins (one, once the leaf is
+   resolved — see the memo below); a lookup is a byte search of the
+   pinned leaf for the packed key — no codec, no digest, no decoded
+   copy. An object with one version is one entry.
 2. **One small OP record per entry operation.** An insert writes one
    15-byte entry into a position no live entry holds; a delete flips
    that entry's flag to dead. Each appends one OP record

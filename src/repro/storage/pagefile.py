@@ -34,12 +34,15 @@ _MAGIC = b"ODEREPRO"
 #     (repro.storage.objtable), no longer extendible hashes.
 # v4: a B+tree node is an ordered slotted page, one record per entry
 #     (repro.storage.btree).
+# v5: an object's version head carries its current state; a
+#     ``(serial, v)`` record exists only for a non-current version
+#     (repro.core.database).
 # An older file opens as is and keeps its stamp until the store has
 # converted every retired structure in it (repro.storage.upgrade), which
-# then stamps 4 — so an older binary refuses a file that holds
+# then stamps 5 — so an older binary refuses a file that holds
 # structures it cannot read.
-_FORMAT_VERSION = 4
-_READABLE_VERSIONS = (2, 3, 4)
+_FORMAT_VERSION = 5
+_READABLE_VERSIONS = (2, 3, 4, 5)
 _FILE_HDR = struct.Struct("<8sIxxxxQQ")
 
 #: Test hook: True skips checksum stamping on write — an intentionally

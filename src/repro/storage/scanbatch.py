@@ -15,7 +15,7 @@ lays out as::
 
     offset  size  bytes
     0       1     TAG_DICT
-    1       4     entry count              (differs head / state: skipped)
+    1       4     entry count              (differs by record: skipped)
     5       16    TAG_STR, u32 5, "__key", TAG_LIST, u32 2, TAG_INT64
     21      8     serial   (int64)
     29      1     TAG_INT64
@@ -60,9 +60,9 @@ class ScanBatch:
     ``len(batch)`` is the record count. :attr:`keys` holds one
     ``(serial, version)`` (or None) per record in slot order and
     :attr:`heads` the serials of the version-0 records — both available
-    without decoding anything. :meth:`head`, :meth:`state` and iteration
-    decode, count the decode in the store's ``scan.records_decoded``
-    counter, and return values no one else holds.
+    without decoding anything. :meth:`head` and iteration decode, count
+    the decode in the store's ``scan.records_decoded`` counter, and
+    return values no one else holds.
     """
 
     __slots__ = ("page_no", "keys", "heads", "_slots", "_payloads",
@@ -76,7 +76,7 @@ class ScanBatch:
         #: ``itertools.count`` shared with the store: one ``next()`` per
         #: decode, exact under concurrent scans.
         self._decodes = decodes
-        self._index: Optional[Dict[Key, int]] = None
+        self._index: Optional[Dict[int, int]] = None
         peek = _KEY_PEEK.unpack_from
         need = _KEY_PEEK.size
         prefix = _KEY_PREFIX
@@ -110,21 +110,16 @@ class ScanBatch:
             yield RID(page_no, slot), decode_value(payload)
 
     def head(self, serial: int) -> Optional[Dict]:
-        """The version head of *serial*, or None if it is not on this
-        page."""
-        return self.state(serial, 0)
-
-    def state(self, serial: int, version: int) -> Optional[Dict]:
-        """The record keyed ``(serial, version)``, or None when it lives
-        on another page (the caller then asks the store)."""
+        """The record keyed ``(serial, 0)`` — the version head — or None
+        if it is not on this page."""
         index = self._index
         if index is None:
             # Built on first use: a scan whose objects are all live never
-            # looks a record up. Racing builders produce equal dicts.
+            # looks a head up. Racing builders produce equal dicts.
             index = self._index = {
-                key: i for i, key in enumerate(self.keys)
-                if key is not None}
-        i = index.get((serial, version))
+                key[0]: i for i, key in enumerate(self.keys)
+                if key is not None and key[1] == 0}
+        i = index.get(serial)
         if i is None:
             return None
         next(self._decodes)

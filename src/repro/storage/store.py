@@ -1711,6 +1711,7 @@ class Store:
                     for sid, pf in enumerate(self._pagefiles)],
             },
             "storage_health": {
+                "format_version": self._pagefile.format_version,
                 "degraded": self.degraded,
                 "corrupt_pages": self.corrupt_pages,
                 "quarantined": sorted(self._pool.quarantined),

@@ -1,7 +1,7 @@
 """Retired on-disk layouts, converted once when a store is opened.
 
-Older files may hold three structures nothing else in
-:mod:`repro.storage` reads any more:
+Older files may hold four structures nothing else in the package reads
+any more:
 
 * **version-2 object directories** — an extendible hash keyed on the
   ``(serial, version)`` tuple: a directory page whose one record is
@@ -11,19 +11,25 @@ Older files may hold three structures nothing else in
 * **``kind="hash"`` secondary indexes** — the same structure keyed on the
   field value, in any file version;
 * **version-2/3 B+tree nodes** — one codec record per node,
-  ``[leaf?, key bytes, keys, values | children, tiebreaks]``.
+  ``[leaf?, key bytes, keys, values | children, tiebreaks]``;
+* **two records per object** (formats 2–4) — a version head
+  ``{__key: [s, 0], current, chain}`` without the state, which lived in
+  a record ``{__key: [s, v], state}`` of its own even for the current
+  version.
 
 :func:`convert` (``Store._upgrade_format``, run by every open) rebuilds
 all of them in ONE transaction — an object table per directory (the heap
-records stay where they are), a B+tree per index — swaps the catalog's
-root pointers, and frees the old pages at its commit; then it checkpoints
-and stamps the file header current. A crash before the commit leaves every
+records stay where they are), a B+tree per index, each current state
+folded into its head (:func:`fold_heads`) — swaps the catalog's root
+pointers, and frees the old pages at its commit; then it checkpoints and
+stamps the file header current. A crash before the commit leaves every
 old structure in place and the next open converts again; after it,
 recovery redoes the whole conversion. The walkers below only read.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, List, Tuple
 
 from ..errors import CorruptPageError
@@ -36,6 +42,9 @@ from .page import NO_PAGE, PageType
 #: B+trees are format 4 even if the crash came before the file header
 #: could say so.
 BTREE_FORMAT_KEY = "btree_format"
+
+#: The first format whose version heads carry their current state.
+ONE_RECORD_FORMAT = 5
 
 _Entries = List[Tuple[Any, Any]]
 
@@ -74,11 +83,43 @@ def legacy_tree_entries(pool, root_page: int) -> Tuple[List[int], _Entries]:
     return pages, entries
 
 
+def fold_heads(store, txn: int) -> int:
+    """Fold every two-record object into one: the head of a chain gets
+    its current version's state and that version's record goes. Heads
+    that already carry a state (a conversion redone after a crash) and
+    records without a chain (trigger activations) are left alone.
+    Store-level reads and writes, so every shard converts. Returns the
+    number of objects folded."""
+    folded = 0
+    for info in store.catalog.clusters():
+        name = info.name
+        # Collected first: a grown head may move to a page the scan has
+        # not reached yet.
+        todo = [head for batch in store.scan_batches(name)
+                for head in map(batch.head, batch.heads)
+                if "chain" in head and "state" not in head]
+        for head in todo:
+            serial, current = head["__key"][0], head["current"]
+            store.faults.fire("upgrade.fold", cluster=name, serial=serial)
+            record = store.get(name, (serial, current))
+            if record is None:
+                continue    # already dangling: verify() reports it
+            head["state"] = record["state"]
+            store.put(txn, name, (serial, 0), head)
+            store.delete(txn, name, (serial, current))
+            folded += 1
+    return folded
+
+
 def convert(store) -> None:
     """Convert every retired structure of *store*'s files (see above)."""
+    started = time.perf_counter()
     pool, catalog, journal = store._pool, store.catalog, store._journal
+    from_format = min(pf.format_version for pf in store._pagefiles)
     legacy_trees = (store._pagefile.format_version < 4
                     and catalog.get_meta(BTREE_FORMAT_KEY) != 4)
+    fold = from_format < ONE_RECORD_FORMAT
+    folded = 0
     work = []
     for info in catalog.clusters():
         shards = []
@@ -93,7 +134,7 @@ def convert(store) -> None:
                    if legacy_trees or ix.kind != "btree"]
         if shards or indexes:
             work.append((info, shards, indexes))
-    if work:
+    if work or fold:
         txn = journal.begin()
         try:
             for info, shards, indexes in work:
@@ -121,6 +162,8 @@ def convert(store) -> None:
                 catalog.save_cluster(txn, info)
             if legacy_trees:
                 catalog.set_meta(txn, BTREE_FORMAT_KEY, 4)
+            if fold:
+                folded = fold_heads(store, txn)
         except BaseException:
             journal.abort(txn)
             catalog.invalidate()
@@ -129,6 +172,11 @@ def convert(store) -> None:
         store.checkpoint()
     for pagefile in store._pagefiles:
         pagefile.stamp_current_format()
+    if fold:
+        store.events.emit("format_upgrade", from_format=from_format,
+                          to_format=store._pagefile.format_version,
+                          objects_folded=folded,
+                          ms=(time.perf_counter() - started) * 1e3)
 
 
 def _free(journal, txn: int, pages: List[int]) -> None:

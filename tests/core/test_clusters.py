@@ -156,13 +156,11 @@ class TestScanReturnsPrivateValues:
         assert again is not obj
         assert again.blob == [1, 2, 3]
         states = [record["state"]["blob"]
-                  for _rid, record in db.store.scan("UniBlob")
-                  if record["__key"][1] != 0]
+                  for _rid, record in db.store.scan("UniBlob")]
         assert states == [[1, 2, 3]]
         states[0].append(7)             # nor through store.scan itself
         assert [record["state"]["blob"]
-                for _rid, record in db.store.scan("UniBlob")
-                if record["__key"][1] != 0] == [[1, 2, 3]]
+                for _rid, record in db.store.scan("UniBlob")] == [[1, 2, 3]]
 
 
 class TestCatalogHierarchy:

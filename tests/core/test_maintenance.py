@@ -32,7 +32,7 @@ class TestVacuum:
         for art in arts[::2]:
             db.pdelete(art)
         report = db.vacuum(MArticle)
-        assert report["MArticle"]["objects"] == 60  # 30 heads + 30 states
+        assert report["MArticle"]["objects"] == 30  # one record per object
         assert db.cluster(MArticle).count() == 30
 
     def test_vacuum_all(self, db):

@@ -136,6 +136,17 @@ class TestVersionDeletion:
         db._cache.clear()
         assert db.deref(d.oid).spec == "old"
 
+    def test_deleting_an_old_version_keeps_a_pending_field_write(
+            self, design_db):
+        db = design_db
+        d = db.pnew(Design, spec="v1")
+        v2 = newversion(d)
+        newversion(d)
+        d.spec = "v3"               # autocommitted, not flushed yet
+        db.pdelete(v2)
+        db._cache.clear()
+        assert db.deref(d.oid).spec == "v3"
+
     def test_delete_last_version_deletes_object(self, design_db):
         db = design_db
         d = db.pnew(Design)

@@ -181,12 +181,14 @@ def kill_specs(hits=(2, 13)):
     """
     specs = []
     for name, action in KNOWN_FAILPOINTS:
-        if name.startswith(("shard.", "vacuum.", "server.")):
+        if name.startswith(("shard.", "vacuum.", "server.", "upgrade.")):
             # Multi-shard-only and vacuum points never fire on the
-            # default 1-shard workload (it runs no maintenance), and
+            # default 1-shard workload (it runs no maintenance), the
+            # conversion's points only on an older file, and
             # socket-layer points never fire embedded (the cycle would
-            # just be a fault-free run); shard_kill_specs() and
-            # tests/crash/test_server_crash.py cover them.
+            # just be a fault-free run); shard_kill_specs(),
+            # v2_kill_specs() and tests/crash/test_server_crash.py
+            # cover them.
             continue
         for at_hit in hits:
             if action == "lost":
@@ -266,13 +268,15 @@ def v2_env(shards: int) -> dict:
 
 #: Failpoints aimed *inside* the conversion at open (which also
 #: allocates the new tables' mid and leaf pages and the new trees'
-#: nodes), each at these fractions of the hit-count window it spans.
+#: nodes, and folds each object's two records into one), each at these
+#: fractions of the hit-count window it spans.
 V2_CONVERSION_POINTS = (("wal.append.pre", "die"),
                         ("wal.append.post", "die"),
                         ("wal.flush.pre", "die"),
                         ("pagefile.write.pre", "die"),
                         ("pagefile.write.torn", "torn"),
-                        ("pagefile.write.post", "die"))
+                        ("pagefile.write.post", "die"),
+                        ("upgrade.fold", "die"))
 V2_FRACTIONS = (0.0, 0.5, 1.0)
 
 
@@ -309,6 +313,8 @@ def conversion_state(db_path: str):
     from repro.storage.store import Store
     from repro.storage.upgrade import BTREE_FORMAT_KEY
 
+    from tests.storage.legacy_layouts import two_record_heads
+
     with mock.patch.object(Store, "_upgrade_format", lambda self: None):
         store = Store(db_path)
     try:
@@ -322,13 +328,16 @@ def conversion_state(db_path: str):
         # Old trees carry no mark of their own: the conversion's
         # transaction records that it rebuilt them.
         old = store.catalog.get_meta(BTREE_FORMAT_KEY) != 4
+        heads = two_record_heads(store, "CrashItem")
     finally:
         store.close()
     if old != all(directories) or old != any(hashed) or (
-            not old and any(directories)):
+            not old and any(directories)) or (
+            all(heads) or (any(heads) and old != bool(heads[0]))):
         return ["a crash inside the conversion left a mix of old and new "
                 "structures: trees %s, hash directories %r, hash indexes "
-                "%r" % ("old" if old else "new", directories, hashed)]
+                "%r, (two-record, one-record) objects %r"
+                % ("old" if old else "new", directories, hashed, heads)]
     return []
 
 

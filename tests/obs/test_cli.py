@@ -54,7 +54,7 @@ class TestStatsFormats:
         assert stats["buffer"] == stats["buffer_pool"]
         assert "hit_ratio" in stats["buffer"]
         assert stats["directory"]["gizmo"] == {
-            "leaf_pages": 1, "live_entries": 4, "dead_entries": 0}
+            "leaf_pages": 1, "live_entries": 2, "dead_entries": 0}
         assert stats["fragmentation"]["gizmo"]["directory"] == \
             stats["directory"]["gizmo"]
 
@@ -71,7 +71,7 @@ class TestStatsFormats:
         # the per-cluster object-directory block (taken on demand)
         gizmo = {"cluster": "gizmo"}
         assert families["ode_directory_live_entries"].count(
-            (gizmo, 4.0)) == 1
+            (gizmo, 2.0)) == 1
         assert (gizmo, 0.0) in families["ode_directory_dead_entries"]
         assert (gizmo, 1.0) in families["ode_directory_leaf_pages"]
         assert "ode_directory_layout" not in families

@@ -8,6 +8,9 @@ files:
   and every ``kind="hash"`` index written before hash indexes became
   B+trees;
 * :func:`write_legacy_tree` — a version-2/3 B+tree, one record per node;
+* :func:`to_two_records` — every object as formats 2–4 stored it: a
+  version head without the state, and the current state in a record of
+  its own (:func:`two_record_heads` counts both layouts);
 * :func:`to_v2_layout`, :func:`to_hash_index`, :func:`to_legacy_tree`,
   :func:`to_version_2` — swap a store's structures for their retired
   twins, each in a transaction of its own, and return the pages the
@@ -160,6 +163,40 @@ def _free(store, txn, pages):
         store._journal.free_page_deferred(txn, page_no)
 
 
+def two_record_heads(store, cluster):
+    """``(old, new)``: how many version heads of *cluster* carry no
+    state (the layout of formats 2-4) and how many do."""
+    old = new = 0
+    for batch in store.scan_batches(cluster):
+        for head in map(batch.head, batch.heads):
+            if "chain" in head:
+                old += "state" not in head
+                new += "state" in head
+    return old, new
+
+
+def to_two_records(store):
+    """Split every object of *store* the way formats 2-4 kept it: the
+    head ``{__key: [s, 0], current, chain}`` and the current state in a
+    record ``{__key: [s, current], state}``. One transaction; returns the
+    number of objects split."""
+    txn = store.begin()
+    split = 0
+    for info in list(store.catalog.clusters()):
+        heads = [head for batch in store.scan_batches(info.name)
+                 for head in map(batch.head, batch.heads)
+                 if "chain" in head and "state" in head]
+        for head in heads:
+            serial, current = head["__key"][0], head["current"]
+            store.put(txn, info.name, (serial, current),
+                      {"__key": [serial, current],
+                       "state": head.pop("state")}, new=True)
+            store.put(txn, info.name, (serial, 0), head)
+            split += 1
+    store.commit(txn)
+    return split
+
+
 def to_v2_layout(store, cluster):
     """Give *cluster* version-2 object directories: one extendible hash
     per shard keyed on the ``(serial, version)`` tuple."""
@@ -209,10 +246,12 @@ def to_legacy_tree(store, cluster, field):
 
 
 def to_version_2(store, hash_indexes=()):
-    """Every structure of *store* as a version-2 binary wrote it: hash
-    object directories, a version-3 tree per index except the
-    ``(cluster, field)`` pairs in *hash_indexes*, which become hash
-    indexes. Close the store and :func:`stamp_version` it after."""
+    """Every structure of *store* as a version-2 binary wrote it: two
+    records per object, hash object directories, a version-3 tree per
+    index except the ``(cluster, field)`` pairs in *hash_indexes*, which
+    become hash indexes. Close the store and :func:`stamp_version` it
+    after."""
+    to_two_records(store)
     written = []
     for info in list(store.catalog.clusters()):
         written += to_v2_layout(store, info.name)

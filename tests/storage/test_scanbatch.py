@@ -60,30 +60,31 @@ class TestBatchEqualsDecode:
                                if k is not None and k[1] == 0]
         assert list(batch) == [(RID(7, i), decode_value(p))
                                for i, p in enumerate(payloads)]
-        by_key = {}
+        by_serial = {}
         for key, record in zip(batch.keys, records):
-            if key is not None:
-                by_key[key] = record       # last record of a key wins
-        for key, record in by_key.items():
-            assert batch.state(*key) == record
+            if key is not None and key[1] == 0:
+                by_serial[key[0]] = record   # last head of a serial wins
+        for serial, record in by_serial.items():
+            assert batch.head(serial) == record
 
     def test_peek_reads_the_layout_every_writer_emits(self):
         decodes = itertools.count()
-        head = {"__key": [41, 0], "current": 3, "chain": [1, 2, 3]}
-        state = {"__key": [41, 3], "state": {"x": 1}}
+        head = {"__key": [41, 0], "current": 3, "chain": [1, 2, 3],
+                "state": {"x": 3}}
+        older = {"__key": [41, 2], "state": {"x": 2}}
         batch = ScanBatch(1, [0, 1], [encode_value(head),
-                                      encode_value(state)], decodes)
-        assert batch.keys == [(41, 0), (41, 3)]
+                                      encode_value(older)], decodes)
+        assert batch.keys == [(41, 0), (41, 2)]
+        assert batch.heads == [41]
         assert next(decodes) == 0          # no decode so far
-        assert batch.head(41) == head and batch.state(41, 3) == state
-        assert batch.state(41, 2) is None and batch.head(42) is None
+        assert batch.head(41) == head and batch.head(42) is None
 
     def test_every_decode_is_a_fresh_value(self):
-        payload = encode_value({"__key": [1, 1], "state": {"l": [1, 2]}})
+        payload = encode_value({"__key": [1, 0], "state": {"l": [1, 2]}})
         batch = ScanBatch(1, [0], [payload], itertools.count())
-        batch.state(1, 1)["state"]["l"].append(3)
+        batch.head(1)["state"]["l"].append(3)
         next(iter(batch))[1]["state"]["l"].append(4)
-        assert batch.state(1, 1)["state"]["l"] == [1, 2]
+        assert batch.head(1)["state"]["l"] == [1, 2]
 
 
 # -- through the store: forwarded, overflow, deleted, keyless -----------------
@@ -143,8 +144,8 @@ class TestStoreDifferential:
                 for batch in batches:
                     for rid, record in batch:
                         key = reference_key(record)
-                        if key is not None:
-                            assert batch.state(*key) == record
+                        if key is not None and key[1] == 0:
+                            assert batch.head(key[0]) == record
         finally:
             store.close()
 
@@ -214,7 +215,7 @@ class ScanItem(OdeObject):
     supplier = RefField("ScanSupplier")
 
 
-#: Items in the extent the page-cache counts run on: 163 heap pages, ten
+#: Items in the extent the page-cache counts run on: 134 heap pages, eight
 #: times the scan page cache those tests set.
 N_ITEMS = 2000
 SMALL_PAGE_CACHE = 16
@@ -252,11 +253,11 @@ class TestDecodeCounts:
         db.pnew(ScanWidget, name="w", qty=1)
         db._cache.clear()
         assert _scan(db) == 1
-        assert db.stats()["scan"] == {"records_peeked": 2,
-                                      "records_decoded": 2}
+        assert db.stats()["scan"] == {"records_peeked": 1,
+                                      "records_decoded": 1}
         text = db.metrics.render_prometheus()
-        assert "ode_scan_records_peeked_total 2" in text
-        assert "ode_scan_records_decoded_total 2" in text
+        assert "ode_scan_records_peeked_total 1" in text
+        assert "ode_scan_records_decoded_total 1" in text
         parse_prometheus(text)  # raises on lint violations
 
     def test_warm_live_scan_past_the_page_cache_decodes_nothing(
@@ -277,9 +278,9 @@ class TestDecodeCounts:
             assert _scan(db, ScanItem) == n
             # The 16 pages cached when the pass starts are all served
             # from the cache (the scan never evicts its own heap's pages
-            # ahead of its cursor); the other 147 are re-read: all their
-            # records (heads, states, old versions) are peeked again and
-            # none is decoded.
+            # ahead of its cursor); the other 118 are re-read: all their
+            # records (heads, old versions) are peeked again and none is
+            # decoded.
             assert (store.page_cache_misses - misses
                     == len(batches) - SMALL_PAGE_CACHE)
             assert (counter_value(store, "scan.records_peeked") - peeked
@@ -289,27 +290,21 @@ class TestDecodeCounts:
         finally:
             db.close()
 
-    def test_cold_scan_decodes_head_and_current_state(self, items_path):
+    def test_cold_scan_decodes_one_head_per_object(self, items_path):
         n = N_ITEMS + 1
         db = Database(items_path)
         try:
             store = db.store
-            # A head whose current state fell on the next page is
-            # finished by a deref, which is not a scan decode: count
-            # those apart.
-            batches = list(store.scan_batches("ScanItem"))
-            together = sum(
-                batch.state(serial, batch.head(serial)["current"])
-                is not None for batch in batches for serial in batch.heads)
-            assert together >= n - len(batches)
+            # Each head carries its current state: one decode per
+            # object, and no object needs a record from another page.
             decoded = counter_value(store, "scan.records_decoded")
             assert _scan(db, ScanItem) == n
             assert (counter_value(store, "scan.records_decoded") - decoded
-                    == n + together)
+                    == n)
         finally:
             db.close()
 
-    def test_single_page_cold_scan_is_exactly_two_per_object(self, db_path):
+    def test_single_page_cold_scan_is_exactly_one_per_object(self, db_path):
         n = 20
         db = Database(db_path)
         db.create(ScanWidget)
@@ -320,12 +315,12 @@ class TestDecodeCounts:
         db = Database(db_path)
         try:
             assert _scan(db) == n
-            assert counter_value(db.store, "scan.records_decoded") == 2 * n
-            assert counter_value(db.store, "scan.records_peeked") == 2 * n
+            assert counter_value(db.store, "scan.records_decoded") == n
+            assert counter_value(db.store, "scan.records_peeked") == n
         finally:
             db.close()
 
-    def test_k_versions_cost_two_decodes(self, db_path):
+    def test_k_versions_cost_one_decode(self, db_path):
         k = 6
         db = Database(db_path)
         db.create(ScanWidget)
@@ -338,8 +333,9 @@ class TestDecodeCounts:
         try:
             (found,) = list(db.cluster(ScanWidget))
             assert found.qty == k - 1
-            assert counter_value(db.store, "scan.records_peeked") == k + 1
-            assert counter_value(db.store, "scan.records_decoded") == 2
+            # the head (current state) and the k - 1 older versions
+            assert counter_value(db.store, "scan.records_peeked") == k
+            assert counter_value(db.store, "scan.records_decoded") == 1
         finally:
             db.close()
 
@@ -348,25 +344,22 @@ class TestBulkReadersUseTheBatch:
     def test_create_index_and_analyze_probe_only_for_far_states(
             self, db, monkeypatch):
         """``create_index`` over a loaded extent and ``analyze`` take each
-        current state from the head's own batch; ``store.get`` runs only
-        for a state on another page."""
+        current state from the head's own batch; ``store.get`` would run
+        only for a state on another page, and a head carries its state,
+        so there is none."""
         n = 300
         db.create(ScanWidget)
         with db.transaction():
             for i in range(n):
                 db.pnew(ScanWidget, name="w%03d" % i, qty=i % 7)
         store = db.store
-        far = sum((serial, 1) not in batch.keys
-                  for batch in store.scan_batches("ScanWidget")
-                  for serial in batch.heads)
-        assert far < 10
         probes = []
         real_get = store.get
         monkeypatch.setattr(
             store, "get",
             lambda cluster, key: probes.append(key) or real_get(cluster, key))
         db.create_index(ScanWidget, "qty")      # builds, then analyzes
-        assert len(probes) == 2 * far
+        assert probes == []
         assert (len(store.index_search("ScanWidget", "qty", 3))
                 == len(range(3, n, 7)))
         assert db.stats()["clusters"]["ScanWidget"]["fields"]["qty"] == {
