@@ -147,6 +147,12 @@ def _print_stats(db: Database) -> None:
           % (cache["hits"], cache["misses"], 100.0 * cache["hit_rate"],
              cache["entries"], cache["invalidations"]))
     print("pages:        %d in file" % stats["pages"])
+    storage = stats["storage"]
+    print("storage:      page-file format %d; record layouts: %s"
+          % (storage["format_version"],
+             ", ".join("%s %d" % item
+                       for item in sorted(storage["layouts"].items()))
+             or "none"))
     shards = stats["shards"]
     if shards["count"] > 1:
         print("shards:       %d shards" % shards["count"])

@@ -38,7 +38,12 @@ key                record
 
 So an object with one version is one record: ``pnew`` is one put,
 ``pdelete`` one delete, a cold deref one directory probe and one heap
-read.
+read. On disk a record is positional (:mod:`repro.storage.records`): a
+fixed header, then the state's values in the order of one of the
+cluster's layouts — ``tuple(state)``, registered in the catalog by the
+first transaction that writes it — so field names are stored once per
+cluster, not once per record. This module is the only code that builds
+records (:meth:`Database._head_record`, :meth:`Database._version_record`).
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from ..query.optimizer import PlanCache
 from ..query.stats import StatsManager
 from ..storage.locks import (EXCLUSIVE, INTENT_EXCLUSIVE, INTENT_SHARED,
                              SHARED)
+from ..storage.records import encode_head, encode_version
 from ..storage.store import Store
 from .mvcc import STORE as _MVCC_STORE
 from .mvcc import MVCCManager
@@ -170,13 +176,19 @@ class VersionCache:
     Same trim strategy as :class:`DecodedCache` — insertion-order
     wholesale trim under the lock, lock-free GIL-atomic ``get`` — because
     entries are pure caches: a miss just re-materializes from the store.
+
+    A side index ``(cluster, serial) -> {Vref}`` finds one object's
+    pinned versions, so a ``pdelete`` or an abort costs O(versions of
+    the objects it touched), never O(entries).
     """
 
-    __slots__ = ("capacity", "_entries", "_lock", "hits", "evictions")
+    __slots__ = ("capacity", "_entries", "_by_object", "_lock", "hits",
+                 "evictions")
 
     def __init__(self, capacity: int = 2048):
         self.capacity = capacity
         self._entries: Dict[Vref, OdeObject] = {}
+        self._by_object: Dict[Tuple[str, int], Set[Vref]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.evictions = 0
@@ -192,30 +204,49 @@ class VersionCache:
             if len(self._entries) >= self.capacity:
                 drop = len(self._entries) // 2 + 1
                 for stale in list(self._entries)[:drop]:
-                    self._entries.pop(stale, None)
+                    self._drop(stale)
                 self.evictions += drop
             self._entries[vref] = obj
+            self._by_object.setdefault((vref.cluster, vref.serial),
+                                       set()).add(vref)
+
+    def _drop(self, vref: Vref):
+        """Remove one entry (caller holds the lock); returns its object."""
+        obj = self._entries.pop(vref, None)
+        key = (vref.cluster, vref.serial)
+        pinned = self._by_object.get(key)
+        if pinned is not None:
+            pinned.discard(vref)
+            if not pinned:
+                del self._by_object[key]
+        return obj
 
     def pop(self, vref: Vref, default=None):
-        return self._entries.pop(vref, default)
+        with self._lock:
+            obj = self._drop(vref)
+        return default if obj is None else obj
+
+    def versions_of(self, cluster: str, serial: int) -> List[Vref]:
+        """The cached pinned versions of one object."""
+        with self._lock:
+            return list(self._by_object.get((cluster, serial), ()))
 
     def clear(self) -> None:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._by_object.clear()
             self.evictions += dropped
 
     def invalidate_cluster(self, cluster: str) -> int:
         """Drop every entry of *cluster* (vacuum rewrote its chains)."""
         with self._lock:
-            stale = [v for v in self._entries if v.cluster == cluster]
+            stale = [vref for key, pinned in self._by_object.items()
+                     if key[0] == cluster for vref in pinned]
             for vref in stale:
-                self._entries.pop(vref, None)
+                self._drop(vref)
             self.evictions += len(stale)
         return len(stale)
-
-    def __iter__(self):
-        return iter(list(self._entries))
 
     def __getitem__(self, vref: Vref) -> OdeObject:
         return self._entries[vref]
@@ -955,9 +986,11 @@ class Database:
                     else:
                         obj._p_load_state(head["state"])
                         obj.__dict__["_p_version"] = head["current"]
-                for vref in [v for v in self._vcache
-                             if (v.cluster, v.serial) == key]:
-                    stale = self._vcache[vref]
+                for vref in self._vcache.versions_of(cluster, serial):
+                    try:
+                        stale = self._vcache[vref]
+                    except KeyError:    # trimmed meanwhile
+                        continue
                     state = self._version_state(cluster, serial,
                                                 vref.version)
                     if state is None:
@@ -1082,13 +1115,15 @@ class Database:
             new_state = obj._p_state_dict()
             if head is None:
                 self.store.put(txn, oid.cluster, (oid.serial, version),
-                               {"__key": [oid.serial, version],
-                                "state": new_state})
+                               self._version_record(txn, oid.cluster,
+                                                    oid.serial, version,
+                                                    new_state))
             else:
-                head = {"__key": [oid.serial, 0], "current": version,
-                        "chain": head["chain"], "state": new_state}
+                head = {"current": version, "chain": head["chain"],
+                        "state": new_state}
                 rid, _lsn = self.store.put_with_token(
-                    txn, oid.cluster, (oid.serial, 0), head)
+                    txn, oid.cluster, (oid.serial, 0),
+                    self._head_record(txn, oid.cluster, oid.serial, head))
                 primed.append((key, oid.cluster, rid.page_no, head,
                                version, new_state))
             self._index_update(txn, oid.cluster, oid.serial, old_state,
@@ -1106,6 +1141,22 @@ class Database:
             for key, cluster, page_no, head, version, new_state in primed:
                 self._decoded.put(key, (page_no, lsns[cluster][page_no]),
                                   head, version, new_state)
+
+    def _head_record(self, txn: int, cluster: str, serial: int,
+                     head: Dict) -> bytes:
+        """The stored form of *head* (``current``, ``chain``, ``state``),
+        its state's layout registered by *txn* if new. Called before the
+        put that stores it: a registration takes no shard latch."""
+        state = head["state"]
+        layout = self.store.catalog.layout_id(txn, cluster, tuple(state))
+        return encode_head(serial, head["current"], head["chain"], layout,
+                           state)
+
+    def _version_record(self, txn: int, cluster: str, serial: int,
+                        version: int, state: Dict) -> bytes:
+        """The stored form of non-current version *version*'s *state*."""
+        layout = self.store.catalog.layout_id(txn, cluster, tuple(state))
+        return encode_version(serial, version, layout, state)
 
     def _constraint_violated(self) -> None:
         """Hook called when a public member function's constraint check
@@ -1212,8 +1263,9 @@ class Database:
             obj.__dict__["_p_version"] = 1
             state = obj._p_state_dict()
             self.store.put(txn, cluster, (serial, 0),
-                           {"__key": [serial, 0], "current": 1, "chain": [1],
-                            "state": state}, new=True)
+                           self._head_record(txn, cluster, serial,
+                                             {"current": 1, "chain": [1],
+                                              "state": state}), new=True)
             self._index_update(txn, cluster, serial, None, state)
             self.cluster_stats.record_insert(cluster, state)
             with self._cache_lock:
@@ -1296,8 +1348,10 @@ class Database:
             else:
                 self.store.delete(txn, cluster, (serial, vref.version))
             self.store.put(txn, cluster, (serial, 0),
-                           {"__key": [serial, 0], "current": current,
-                            "chain": chain, "state": state})
+                           self._head_record(txn, cluster, serial,
+                                             {"current": current,
+                                              "chain": chain,
+                                              "state": state}))
             self._decoded.invalidate((vref.cluster, vref.serial))
             with self._cache_lock:
                 self._vcache.pop(vref, None)
@@ -1310,9 +1364,9 @@ class Database:
         self._decoded.invalidate((oid.cluster, oid.serial))
         with self._cache_lock:
             obj = self._cache.pop((oid.cluster, oid.serial), None)
-            stale_vrefs = [v for v in self._vcache if v.oid == oid]
-            stale_objs = [o for o in (self._vcache.pop(v)
-                                      for v in stale_vrefs)
+            stale_objs = [o for o in (self._vcache.pop(v) for v in
+                                      self._vcache.versions_of(oid.cluster,
+                                                               oid.serial))
                           if o is not None]
         if obj is not None:
             self._dirty.pop(id(obj), None)
@@ -1602,13 +1656,15 @@ class Database:
             # the new current version's.
             new_version = max(head["chain"]) + 1
             self.store.put(txn, oid.cluster, (oid.serial, current),
-                           {"__key": [oid.serial, current],
-                            "state": old_state})
+                           self._version_record(txn, oid.cluster,
+                                                oid.serial, current,
+                                                old_state))
             self.store.put(txn, oid.cluster, (oid.serial, 0),
-                           {"__key": [oid.serial, 0],
-                            "current": new_version,
-                            "chain": head["chain"] + [new_version],
-                            "state": old_state})
+                           self._head_record(
+                               txn, oid.cluster, oid.serial,
+                               {"current": new_version,
+                                "chain": head["chain"] + [new_version],
+                                "state": old_state}))
             self._decoded.invalidate((oid.cluster, oid.serial))
             cached = self._cache.get((oid.cluster, oid.serial))
             if cached is not None:
@@ -1881,12 +1937,14 @@ class Database:
                     current = max(versions)
                     versions.discard(current)
                     heads[serial] = {
-                        "__key": [serial, 0], "current": current,
+                        "current": current,
                         "chain": sorted(versions) + [current],
                         "state": self.store.get(
                             cluster, (serial, current))["state"]}
                     self.store.delete(txn, cluster, (serial, current))
-                    self.store.put(txn, cluster, (serial, 0), heads[serial])
+                    self.store.put(txn, cluster, (serial, 0),
+                                   self._head_record(txn, cluster, serial,
+                                                     heads[serial]))
                     chains_fixed += 1
             for serial, head in heads.items():
                 # The head carries its current state, so the object
@@ -1897,7 +1955,9 @@ class Database:
                          if v in have and v != current] + [current]
                 if chain != head["chain"]:
                     head["chain"] = chain
-                    self.store.put(txn, cluster, (serial, 0), head)
+                    self.store.put(txn, cluster, (serial, 0),
+                                   self._head_record(txn, cluster, serial,
+                                                     head))
                     chains_fixed += 1
                 for version in have - set(chain):
                     self.store.delete(txn, cluster, (serial, version))

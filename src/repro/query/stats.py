@@ -42,34 +42,61 @@ PERSIST_EVERY = 256
 
 
 class FieldStats:
-    """Distinct count and value bounds for one tracked field."""
+    """Distinct count and value bounds for one tracked field.
 
-    __slots__ = ("n_distinct", "min", "max", "counts")
+    At exact precision a delete of the last occurrence of the current
+    minimum or maximum only marks the bounds stale; the next read of
+    :attr:`min` or :attr:`max` recomputes both from the counts, once. A
+    sliding window that deletes its minimum on every step thus pays
+    O(distinct values) per bounds *read*, not per delete.
+    """
+
+    __slots__ = ("n_distinct", "_min", "_max", "counts", "_stale",
+                 "refreshes")
 
     def __init__(self, n_distinct: int = 0, lo: Any = None, hi: Any = None,
                  counts: Optional[Dict] = None):
         self.n_distinct = n_distinct
-        self.min = lo
-        self.max = hi
+        self._min = lo
+        self._max = hi
         #: value -> occurrence count; only present at ``exact`` precision.
         self.counts = counts
+        self._stale = False
+        #: Bound recomputations over the exact counts.
+        self.refreshes = 0
+
+    @property
+    def min(self):
+        if self._stale:
+            self._recompute()
+        return self._min
+
+    @property
+    def max(self):
+        if self._stale:
+            self._recompute()
+        return self._max
 
     def record(self, value, delta: int) -> None:
-        if self.counts is not None:
+        counts = self.counts
+        if counts is not None:
             try:
-                n = self.counts.get(value, 0) + delta
+                n = counts.get(value, 0) + delta
             except TypeError:           # unhashable value: degrade
+                if self._stale:
+                    self._recompute()
                 self.counts = None
             else:
                 if n <= 0:
-                    self.counts.pop(value, None)
-                    if value == self.min or value == self.max:
-                        self.min = self.max = None
-                        self.refresh_bounds()
+                    counts.pop(value, None)
+                    if not self._stale and (value == self._min
+                                            or value == self._max):
+                        self._stale = True
                 else:
-                    self.counts[value] = n
-                    self._widen(value)
-                self.n_distinct = len(self.counts)
+                    counts[value] = n
+                    if not self._stale:
+                        self._widen(value)
+                self.n_distinct = len(counts)
                 return
         # Summary precision: grow the distinct estimate on insert of a
         # value outside the known bounds; never shrink (deletes of the
@@ -82,22 +109,32 @@ class FieldStats:
         try:
             if value is None:
                 return
-            if self.min is None or value < self.min:
-                self.min = value
-            if self.max is None or value > self.max:
-                self.max = value
+            if self._min is None or value < self._min:
+                self._min = value
+            if self._max is None or value > self._max:
+                self._max = value
         except TypeError:
             pass  # un-orderable type: bounds stay unknown
 
+    def _recompute(self) -> None:
+        """Stale bounds: recompute both from the exact counts."""
+        self._stale = False     # first: a delete racing this re-marks it
+        self._min = self._max = None
+        self.refresh_bounds()
+
     def refresh_bounds(self) -> None:
-        """Recompute min/max from exact counts (after deletes)."""
-        if not self.counts:
+        """Recompute min/max from exact counts."""
+        counts = self.counts
+        if not counts:
             return
+        self.refreshes += 1
         try:
-            keys = [k for k in self.counts if k is not None]
+            # list() copies the keys in one step: a reader may recompute
+            # beside a writer that holds the statistics lock.
+            keys = [k for k in list(counts) if k is not None]
             if keys:
-                self.min = min(keys)
-                self.max = max(keys)
+                self._min = min(keys)
+                self._max = max(keys)
         except TypeError:
             pass
 

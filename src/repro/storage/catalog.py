@@ -16,17 +16,25 @@ Catalog records are codec-encoded dicts. Two record shapes exist:
 ``{"kind": "meta", "key": ..., "value": ...}``
     Free-form key/value metadata used by the object layer (schema notes,
     database-level settings).
+
+``{"kind": "layout", "cluster": ..., "id": n, "fields": [...]}``
+    One per record layout of a cluster: the field names, in order, that
+    the values of an object record naming layout *n* belong to (see
+    :mod:`repro.storage.records`). Written once, by the first
+    transaction that stores a record in that layout, and never changed
+    or removed.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import CatalogError
 from .codec import decode_value, encode_value
 from .heap import RID, HeapFile
 from .journal import Journal
+from .records import MAX_LAYOUTS
 
 
 class IndexInfo:
@@ -155,6 +163,11 @@ class Catalog:
         self._clusters: Dict[str, ClusterInfo] = {}
         self._meta_rids: Dict = {}
         self._meta: Dict = {}
+        #: cluster -> its layouts, indexed by layout id; and cluster ->
+        #: {fields: layout id}. Read without the lock (single dict
+        #: reads); both only ever grow, and a reload keeps them.
+        self._layouts: Dict[str, List[Tuple[str, ...]]] = {}
+        self._layout_ids: Dict[str, Dict[Tuple[str, ...], int]] = {}
         self._next_cluster_id = 1
         self._reload()
 
@@ -165,7 +178,10 @@ class Catalog:
         self._next_cluster_id = 1
         for rid, raw in self._heap.scan():
             state = decode_value(raw)
-            if state["kind"] == "cluster":
+            if state["kind"] == "layout":
+                self._add_layout(state["cluster"], state["id"],
+                                 tuple(state["fields"]))
+            elif state["kind"] == "cluster":
                 info = ClusterInfo.from_record(raw, rid)
                 self._clusters[info.name] = info
                 self._next_cluster_id = max(self._next_cluster_id,
@@ -216,6 +232,56 @@ class Catalog:
         """Direct subclusters (clusters listing *name* as a parent)."""
         with self._lock:
             return [c for c in self._clusters.values() if name in c.parents]
+
+    # -- record layouts ---------------------------------------------------------
+
+    def layouts(self, cluster: str) -> List[Tuple[str, ...]]:
+        """*cluster*'s layouts, indexed by layout id (a live list)."""
+        found = self._layouts.get(cluster)
+        if found is None:
+            with self._lock:
+                found = self._layouts.setdefault(cluster, [])
+        return found
+
+    def layout_id(self, txn: int, cluster: str,
+                  fields: Tuple[str, ...]) -> int:
+        """The id of *cluster*'s layout *fields*, registering it if new.
+
+        A new layout is written by *txn* as a nested top action: an
+        abort of *txn* keeps it, because a concurrent transaction that
+        found it here may already have committed records naming it. It
+        is published only once its record is logged, so any record that
+        names it follows that record in the log. Layouts survive every
+        abort and crash, and one no record uses costs a catalog record.
+        """
+        ids = self._layout_ids.get(cluster)
+        found = None if ids is None else ids.get(fields)
+        if found is not None:
+            return found
+        with self._lock:
+            found = self._layout_ids.get(cluster, {}).get(fields)
+            if found is not None:
+                return found
+            layout = len(self.layouts(cluster))
+            if layout > MAX_LAYOUTS:
+                raise CatalogError("cluster %r has too many record layouts"
+                                   % cluster)
+            record = encode_value({"kind": "layout", "cluster": cluster,
+                                   "id": layout, "fields": list(fields)})
+            with self._journal.nested_top_action(txn):
+                self._heap.insert(txn, record)
+            self._add_layout(cluster, layout, fields)
+            return layout
+
+    def _add_layout(self, cluster: str, layout: int,
+                    fields: Tuple[str, ...]) -> None:
+        layouts = self.layouts(cluster)
+        if layout >= len(layouts):
+            layouts.extend([None] * (layout + 1 - len(layouts)))
+        elif layouts[layout] is not None:
+            return      # already known (a reload keeps the live list)
+        layouts[layout] = fields
+        self._layout_ids.setdefault(cluster, {})[fields] = layout
 
     # -- metadata ---------------------------------------------------------------
 

@@ -82,9 +82,11 @@ KNOWN_FAILPOINTS: Tuple[Tuple[str, str], ...] = (
     ("vacuum.pre", "die"),
     ("vacuum.commit.pre", "die"),
     # Fired once per object the format conversion at open folds into one
-    # record (only when an older file is opened); the harness's old
-    # layout cycles kill there.
+    # record, and once per record it rewrites in the positional layout
+    # (only when an older file is opened); the harness's old-layout
+    # cycles kill there.
     ("upgrade.fold", "die"),
+    ("upgrade.relayout", "die"),
     # Network-server socket-layer points (fired only under `repro serve`
     # — the embedded matrix skips them; the server crash harness covers
     # them). `server.send.pre` kills between commit and the client ack

@@ -37,12 +37,15 @@ _MAGIC = b"ODEREPRO"
 # v5: an object's version head carries its current state; a
 #     ``(serial, v)`` record exists only for a non-current version
 #     (repro.core.database).
+# v6: an object record is a fixed header plus the field values of one of
+#     its cluster's layouts, which the catalog keeps
+#     (repro.storage.records).
 # An older file opens as is and keeps its stamp until the store has
 # converted every retired structure in it (repro.storage.upgrade), which
-# then stamps 5 — so an older binary refuses a file that holds
+# then stamps 6 — so an older binary refuses a file that holds
 # structures it cannot read.
-_FORMAT_VERSION = 5
-_READABLE_VERSIONS = (2, 3, 4, 5)
+_FORMAT_VERSION = 6
+_READABLE_VERSIONS = (2, 3, 4, 5, 6)
 _FILE_HDR = struct.Struct("<8sIxxxxQQ")
 
 #: Test hook: True skips checksum stamping on write — an intentionally

@@ -5,8 +5,11 @@ manager and catalog behind an API of *clusters* holding *objects*:
 
 * A cluster is a named extent with its own heap file and an object
   table (:mod:`repro.storage.objtable`) mapping object keys to heap RIDs.
-* An object is an opaque codec-encodable dict addressed by a
-  ``(serial, version)`` key of unsigned 32-bit integers.
+* An object is a record addressed by a ``(serial, version)`` key of
+  unsigned 32-bit integers: either an object record the object layer
+  encoded (:mod:`repro.storage.records`: a fixed header plus the field
+  values of one of the cluster's layouts, which the catalog keeps) or
+  any codec-encodable dict.
 * Secondary indexes (B+trees) may be created per cluster; the *caller*
   maintains their entries (the store does not know which fields of the
   payload are indexed).
@@ -59,6 +62,7 @@ from .locks import LockManager
 from .objtable import ObjectTable
 from .page import NO_PAGE
 from .pagefile import PageFile
+from .records import decode_record, record_key
 from .recovery import RecoveryReport, recover
 from .scanbatch import ScanBatch
 from .sharding import (MAX_SHARDS, ShardedPool, ShardJournal, ShardView,
@@ -562,14 +566,16 @@ class Store:
 
     # -- objects --------------------------------------------------------------------
 
-    def put(self, txn: int, cluster: str, key: Tuple, data: Dict,
+    def put(self, txn: int, cluster: str, key: Tuple, data,
             new: bool = False) -> None:
         """Insert or overwrite the object at *key* in *cluster*.
 
-        *new=True* asserts the key does not exist yet: if it does,
-        :class:`DuplicateKeyError` is raised before anything is written.
+        *data* is an encoded object record (``bytes``, stored as is) or
+        a dict to encode. *new=True* asserts the key does not exist yet:
+        if it does, :class:`DuplicateKeyError` is raised before anything
+        is written.
         """
-        payload = encode_value(data)
+        payload = data if data.__class__ is bytes else encode_value(data)
         with self._keyed(cluster, key) as (heap, directory):
             self._put_locked(txn, heap, directory, key, payload, new)
 
@@ -588,7 +594,7 @@ class Store:
         return rid
 
     def put_with_token(self, txn: int, cluster: str, key: Tuple,
-                       data: Dict) -> Tuple[RID, int]:
+                       data) -> Tuple[RID, int]:
         """Like :meth:`put`, returning ``(rid, home_page_lsn)``.
 
         The token pair is the post-write physical validity token for the
@@ -599,7 +605,7 @@ class Store:
         :meth:`tokens_valid` to catch any later mutation, including an
         abort's compensation writes.
         """
-        payload = encode_value(data)
+        payload = data if data.__class__ is bytes else encode_value(data)
         with self._keyed(cluster, key) as (heap, directory):
             rid = self._put_locked(txn, heap, directory, key, payload)
             return rid, heap.page_lsn(rid.page_no)
@@ -621,13 +627,13 @@ class Store:
         return lsns
 
     def get(self, cluster: str, key: Tuple) -> Optional[Dict]:
-        """Fetch the object at *key*, or None."""
+        """Fetch the object at *key*, decoded, or None."""
         with self._keyed(cluster, key) as (heap, directory):
             hit = directory.search(key)
             if hit is None:
                 return None
             raw = heap.read(RID(*hit))
-        return decode_value(raw)
+        return decode_record(raw, self.catalog.layouts(cluster))
 
     def get_with_token(self, cluster: str,
                        key: Tuple) -> Tuple[Optional[Dict], Optional[RID],
@@ -648,7 +654,7 @@ class Store:
                 return None, None, 0
             rid = RID(*hit)
             raw, lsn = heap.read_with_lsn(rid)
-        return decode_value(raw), rid, lsn
+        return decode_record(raw, self.catalog.layouts(cluster)), rid, lsn
 
     def tokens_valid(self, tokens) -> bool:
         """True iff every ``(page_no, lsn)`` matches the page's current LSN.
@@ -767,9 +773,9 @@ class Store:
         """Yield ``(rid, data)`` for every object in *cluster*.
 
         :meth:`scan_batches` flattened to one record at a time; the same
-        fixpoint property holds. The object layer embeds its own key in
-        the payload, so the RID is informational. Every dict is decoded
-        for this caller alone.
+        fixpoint property holds. A record's key is in its batch's
+        :attr:`ScanBatch.keys`, not in the decoded dict. Every dict is
+        decoded for this caller alone.
         """
         for batch in self.scan_batches(cluster):
             yield from batch
@@ -804,6 +810,7 @@ class Store:
         self._scan_enter()
         try:
             heaps = self._all_heaps(cluster)
+            layouts = self.catalog.layouts(cluster)
             #: per shard: [page_no, consumed_slots] resume position.
             cursors = [[heap.first_page, 0] for heap in heaps]
             # Every shard's pages are one loop to the page cache.
@@ -815,14 +822,14 @@ class Store:
                 grew = False
                 for heap, cursor in zip(heaps, cursors):
                     for batch in self._scan_batches_inner(heap, cursor,
-                                                          owner):
+                                                          owner, layouts):
                         grew = True
                         yield batch
         finally:
             self._scan_exit()
 
     def _scan_batches_inner(self, heap: HeapFile, cursor: list,
-                            owner: int):
+                            owner: int, layouts):
         """One heap's batched page walk from *cursor* to the chain's end.
 
         *cursor* is ``[page_no, consumed_slots]`` and is advanced in
@@ -831,7 +838,8 @@ class Store:
         page that held a slot: heap growth links whole extents and fills
         them front to back, so the empty pages trailing the cursor are
         exactly where the next inserts land. Pages it caches belong to
-        *owner* (see :meth:`_page_cache_insert`).
+        *owner* (see :meth:`_page_cache_insert`); its batches decode
+        object records through *layouts*, the cluster's.
         """
         pool = self._pool
         readahead = HeapFile.READAHEAD
@@ -869,7 +877,7 @@ class Store:
                 slots, payloads, slot_count2, next_page, lsn2 = \
                     heap.read_page_records(page_no, start)
                 batch = ScanBatch(page_no, slots, payloads,
-                                  self._scan_decodes)
+                                  self._scan_decodes, layouts)
                 with self._pc_lock:
                     self.scan_records_peeked += len(batch)
                     if (start == 0 and lsn and lsn2 == lsn
@@ -1369,7 +1377,7 @@ class Store:
         hit a corrupt page has its surviving objects copied into a fresh
         heap and directory — directory-driven when the directory is
         readable, otherwise a tolerant heap-chain walk recovering keys
-        from the payloads' embedded ``__key`` — and all of its secondary
+        from the payloads' record headers — and all of its secondary
         indexes recreated *empty* (the object layer knows the field
         semantics and repopulates them; see ``Database.repair``). Old
         pages still reachable without touching corruption are freed;
@@ -1435,7 +1443,7 @@ class Store:
                                 extent=self.EXTENT_PAGES, find_tail=False)
                 directory = self._directory(cluster, sid)
                 # A structurally unsound directory is not trusted for
-                # any key: the heap's embedded ``__key``s rebuild it.
+                # any key: the heap's record headers rebuild it.
                 directory.check_invariants()
                 rid_items = list(directory.items())
             except Exception:
@@ -1476,10 +1484,10 @@ class Store:
         """Tolerantly walk one shard's heap, yielding ``(key, payload)``.
 
         Used when the object directory is unreadable. Stops at the first
-        broken chain link (records beyond it are lost). Payloads that do
-        not decode to a dict carrying the object layer's embedded
-        ``__key`` yield ``(None, payload)`` so the caller can count them
-        as lost.
+        broken chain link (records beyond it are lost). The key of an
+        object record is its header's; a payload that is neither one nor
+        a dict carrying a ``__key`` yields ``(None, payload)`` so the
+        caller can count it as lost.
         """
         try:
             info = self.cluster_info(cluster)
@@ -1498,13 +1506,14 @@ class Store:
             except Exception:
                 return
             for raw in payloads:
-                key = None
-                try:
-                    value = decode_value(raw)
-                    if isinstance(value, dict):
-                        key = value.get("__key")
-                except Exception:
-                    key = None
+                key = record_key(raw)
+                if key is None:
+                    try:
+                        value = decode_value(raw)
+                        if isinstance(value, dict):
+                            key = value.get("__key")
+                    except Exception:
+                        key = None
                 yield (None if key is None else tuple(key)), raw
             page_no = next_page
 
@@ -1712,6 +1721,8 @@ class Store:
             },
             "storage_health": {
                 "format_version": self._pagefile.format_version,
+                "layouts": {info.name: len(self.catalog.layouts(info.name))
+                            for info in self.catalog.clusters()},
                 "degraded": self.degraded,
                 "corrupt_pages": self.corrupt_pages,
                 "quarantined": sorted(self._pool.quarantined),

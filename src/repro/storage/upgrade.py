@@ -15,16 +15,20 @@ any more:
 * **two records per object** (formats 2–4) — a version head
   ``{__key: [s, 0], current, chain}`` without the state, which lived in
   a record ``{__key: [s, v], state}`` of its own even for the current
-  version.
+  version;
+* **dict records** (formats 2–5) — every object record a codec dict
+  spelling out its field names: the head ``{__key: [s, 0], current,
+  chain, state}``, an older version ``{__key: [s, v], state}``.
 
 :func:`convert` (``Store._upgrade_format``, run by every open) rebuilds
 all of them in ONE transaction — an object table per directory (the heap
 records stay where they are), a B+tree per index, each current state
-folded into its head (:func:`fold_heads`) — swaps the catalog's root
-pointers, and frees the old pages at its commit; then it checkpoints and
-stamps the file header current. A crash before the commit leaves every
-old structure in place and the next open converts again; after it,
-recovery redoes the whole conversion. The walkers below only read.
+folded into its head and every object record rewritten positionally
+(:func:`relayout`) — swaps the catalog's root pointers, and frees the
+old pages at its commit; then it checkpoints and stamps the file header
+current. A crash before the commit leaves every old structure in place
+and the next open converts again; after it, recovery redoes the whole
+conversion. The walkers below only read.
 """
 
 from __future__ import annotations
@@ -34,17 +38,18 @@ from typing import Any, List, Tuple
 
 from ..errors import CorruptPageError
 from .btree import BTree
-from .codec import decode_prefix, encode_key
+from .codec import decode_prefix, decode_value, encode_key
 from .objtable import ObjectTable
 from .page import NO_PAGE, PageType
+from .records import encode_head, encode_version, record_key
 
 #: Catalog metadata key set inside the conversion's transaction: the
 #: B+trees are format 4 even if the crash came before the file header
 #: could say so.
 BTREE_FORMAT_KEY = "btree_format"
 
-#: The first format whose version heads carry their current state.
-ONE_RECORD_FORMAT = 5
+#: The first format whose object records are positional.
+POSITIONAL_FORMAT = 6
 
 _Entries = List[Tuple[Any, Any]]
 
@@ -83,32 +88,62 @@ def legacy_tree_entries(pool, root_page: int) -> Tuple[List[int], _Entries]:
     return pages, entries
 
 
-def fold_heads(store, txn: int) -> int:
-    """Fold every two-record object into one: the head of a chain gets
-    its current version's state and that version's record goes. Heads
-    that already carry a state (a conversion redone after a crash) and
-    records without a chain (trigger activations) are left alone.
-    Store-level reads and writes, so every shard converts. Returns the
-    number of objects folded."""
-    folded = 0
+def _dict_records(store, name: str) -> List[Tuple[int, int]]:
+    """Keys of *name*'s object records still in the dict layout, heads
+    first. Records that carry no ``__key``, or neither a chain nor a
+    state (trigger activations), are not object records."""
+    heads, versions = [], []
+    for heap in store._all_heaps(name):
+        for _rid, raw in heap.scan():
+            if record_key(raw) is not None:
+                continue    # already positional (a conversion redone)
+            record = decode_value(raw)
+            key = record.get("__key") if isinstance(record, dict) else None
+            if key is None or ("chain" not in record
+                               and "state" not in record):
+                continue
+            (heads if key[1] == 0 else versions).append(tuple(key))
+    return heads + versions
+
+
+def relayout(store, txn: int) -> Tuple[int, int]:
+    """Rewrite every dict object record as a positional one (format 6),
+    each state's layout built from the dict's own keys, and fold the
+    two records per object of formats 2–4 into one on the way: a head
+    with a chain and no state takes its current version's state, whose
+    record goes. Store-level reads and writes, so every shard converts.
+    Returns ``(objects folded, records rewritten)``."""
+    folded = relaid = 0
     for info in store.catalog.clusters():
         name = info.name
-        # Collected first: a grown head may move to a page the scan has
-        # not reached yet.
-        todo = [head for batch in store.scan_batches(name)
-                for head in map(batch.head, batch.heads)
-                if "chain" in head and "state" not in head]
-        for head in todo:
-            serial, current = head["__key"][0], head["current"]
-            store.faults.fire("upgrade.fold", cluster=name, serial=serial)
-            record = store.get(name, (serial, current))
+        # Collected first: a rewritten record may move to a page the
+        # walk has not reached yet.
+        for key in _dict_records(store, name):
+            record = store.get(name, key)
             if record is None:
-                continue    # already dangling: verify() reports it
-            head["state"] = record["state"]
-            store.put(txn, name, (serial, 0), head)
-            store.delete(txn, name, (serial, current))
-            folded += 1
-    return folded
+                continue    # a folded current version: its head has it
+            serial, version = key
+            state = record.get("state")
+            if version == 0 and state is None:
+                store.faults.fire("upgrade.fold", cluster=name,
+                                  serial=serial)
+                current = store.get(name, (serial, record["current"]))
+                if current is None:
+                    continue    # already dangling: verify() reports it
+                state = current["state"]
+                store.delete(txn, name, (serial, record["current"]))
+                folded += 1
+            store.faults.fire("upgrade.relayout", cluster=name,
+                              serial=serial, version=version)
+            layout = store.catalog.layout_id(txn, name, tuple(state))
+            if version == 0:
+                payload = encode_head(serial, record["current"],
+                                      record["chain"], layout, state)
+            else:
+                payload = encode_version(serial, version, layout, state)
+            store.put(txn, name, key, payload)
+            relaid += 1
+    return folded, relaid
 
 
 def convert(store) -> None:
@@ -118,8 +153,8 @@ def convert(store) -> None:
     from_format = min(pf.format_version for pf in store._pagefiles)
     legacy_trees = (store._pagefile.format_version < 4
                     and catalog.get_meta(BTREE_FORMAT_KEY) != 4)
-    fold = from_format < ONE_RECORD_FORMAT
-    folded = 0
+    positional = from_format < POSITIONAL_FORMAT
+    folded = relaid = 0
     work = []
     for info in catalog.clusters():
         shards = []
@@ -134,7 +169,7 @@ def convert(store) -> None:
                    if legacy_trees or ix.kind != "btree"]
         if shards or indexes:
             work.append((info, shards, indexes))
-    if work or fold:
+    if work or positional:
         txn = journal.begin()
         try:
             for info, shards, indexes in work:
@@ -162,8 +197,8 @@ def convert(store) -> None:
                 catalog.save_cluster(txn, info)
             if legacy_trees:
                 catalog.set_meta(txn, BTREE_FORMAT_KEY, 4)
-            if fold:
-                folded = fold_heads(store, txn)
+            if positional:
+                folded, relaid = relayout(store, txn)
         except BaseException:
             journal.abort(txn)
             catalog.invalidate()
@@ -172,10 +207,10 @@ def convert(store) -> None:
         store.checkpoint()
     for pagefile in store._pagefiles:
         pagefile.stamp_current_format()
-    if fold:
+    if positional:
         store.events.emit("format_upgrade", from_format=from_format,
                           to_format=store._pagefile.format_version,
-                          objects_folded=folded,
+                          objects_folded=folded, records_relaid=relaid,
                           ms=(time.perf_counter() - started) * 1e3)
 
 

@@ -90,8 +90,7 @@ class TestLayout:
         s = obj.oid.serial
         assert [key for key, _rid in _keys(db)] == [(s, 0)]
         assert db.store.get("LayoutItem", (s, 0)) == {
-            "__key": [s, 0], "current": 1, "chain": [1],
-            "state": {"name": "a", "qty": 1}}
+            "current": 1, "chain": [1], "state": {"name": "a", "qty": 1}}
 
         # newversion: the old current state moves into (s, 1); the head
         # goes on carrying the same state as version 2's

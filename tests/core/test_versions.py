@@ -235,3 +235,64 @@ class TestModuleFunctions:
     def test_non_reference_rejected(self):
         with pytest.raises(NotPersistentError):
             vnext("not a ref")
+
+
+class _NoIteration(dict):
+    """A cache entry table that fails the test if anything walks it."""
+
+    def __iter__(self):
+        raise AssertionError("the version cache was iterated")
+
+    def keys(self):
+        raise AssertionError("the version cache was iterated")
+
+    def items(self):
+        raise AssertionError("the version cache was iterated")
+
+    def values(self):
+        raise AssertionError("the version cache was iterated")
+
+
+class TestVersionCacheIsPerObject:
+    """``pdelete`` and an abort find an object's pinned versions through
+    the cache's per-object index, never by walking every entry."""
+
+    PINNED = 2000
+
+    def _fill(self, db):
+        """2 000 cached pinned versions of objects the test never
+        touches, behind an entry table that refuses iteration."""
+        filler = Design(name="filler")
+        for serial in range(10 ** 6, 10 ** 6 + self.PINNED):
+            db._vcache.put(Vref("Design", serial, 1), filler)
+        db._vcache._entries = _NoIteration(db._vcache._entries)
+
+    def test_pdelete_and_abort_never_walk_the_cache(self, design_db):
+        db = design_db
+        d = db.pnew(Design, name="chip", spec="a")
+        old = d.vref
+        newversion(d)
+        d.spec = "b"
+        pinned = db.deref(old)
+        assert pinned.spec == "a"
+        plain = db.pnew(Design, name="plain")
+        self._fill(db)
+        assert len(db._vcache) == self.PINNED + 1
+
+        # an abort that touched the versioned object reloads its pinned
+        # version from the store
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                d.spec = "c"
+                newversion(d)
+                raise RuntimeError("roll back")
+        assert db.deref(old) is pinned and pinned.spec == "a"
+        assert db.deref(d.oid).spec == "b"
+
+        serial = d.oid.serial
+        db.pdelete(plain)
+        db.pdelete(d)
+        # the deleted object's pinned version is unbound and uncached
+        assert not pinned.is_persistent
+        assert len(db._vcache) == self.PINNED
+        assert db._vcache.versions_of("Design", serial) == []

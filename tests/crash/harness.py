@@ -268,56 +268,103 @@ def v2_env(shards: int) -> dict:
 
 #: Failpoints aimed *inside* the conversion at open (which also
 #: allocates the new tables' mid and leaf pages and the new trees'
-#: nodes, and folds each object's two records into one), each at these
-#: fractions of the hit-count window it spans.
+#: nodes, folds each object's two records into one and rewrites every
+#: record positionally), each at these fractions of the hit-count window
+#: it spans.
 V2_CONVERSION_POINTS = (("wal.append.pre", "die"),
                         ("wal.append.post", "die"),
                         ("wal.flush.pre", "die"),
                         ("pagefile.write.pre", "die"),
                         ("pagefile.write.torn", "torn"),
                         ("pagefile.write.post", "die"),
-                        ("upgrade.fold", "die"))
+                        ("upgrade.fold", "die"),
+                        ("upgrade.relayout", "die"))
 V2_FRACTIONS = (0.0, 0.5, 1.0)
+
+
+def v5_env(shards: int) -> dict:
+    """Environment of a format-5 cycle: after its first ops the child
+    rewrites every object record in the dict layout of format 5 and
+    reopens the store with the faults armed, so they fire inside the
+    positional rewrite that open runs."""
+    return {
+        "REPRO_SHARDS": str(shards),
+        "REPRO_WORKLOAD_V5": "1",
+        "REPRO_WORKLOAD_POOL": "8",
+    }
+
+
+#: Failpoints aimed inside the format 5 -> 6 rewrite at open.
+V5_CONVERSION_POINTS = (("wal.append.pre", "die"),
+                        ("pagefile.write.pre", "die"),
+                        ("upgrade.relayout", "die"))
+
+
+def conversion_windows(tmpdir: str, env: dict, points, seed: int = 1337,
+                       n_ops: int = 40) -> dict:
+    """``{failpoint: (0, hits)}``: the hits each of *points* takes in
+    the reopen that converts, from one fault-free child run under *env*
+    with every point armed at an unreachable hit count (armed points are
+    the ones that count). The counters start with that open's store, and
+    nothing before the conversion appends to the log or writes a page."""
+    hits_path = os.path.join(tmpdir, "hits.json")
+    child_env = dict(os.environ)
+    child_env.update(env)
+    child_env["REPRO_WORKLOAD_HITS"] = hits_path
+    child_env["REPRO_FAULTS"] = ";".join(
+        "%s:%s:1000000000" % point for point in points)
+    proc = subprocess.run(
+        [sys.executable, WORKLOAD, os.path.join(tmpdir, "calibrate.odb"),
+         os.path.join(tmpdir, "calibrate.log"), str(seed), str(n_ops),
+         "full"], env=child_env, capture_output=True, timeout=120.0)
+    assert proc.returncode == 0, proc.stderr.decode()[-1500:]
+    with open(hits_path) as handle:
+        hits = json.load(handle)
+    return {name: (0, hits[name]) for name, _action in points}
 
 
 def v2_conversion_windows(tmpdir: str, shards: int, seed: int = 1337,
                           n_ops: int = 40) -> dict:
-    """``{failpoint: (0, hits)}``: the hits each point takes in the
-    reopen that converts, from one fault-free child run with every point
-    armed at an unreachable hit count (armed points are the ones that
-    count). The counters start with that open's store, and nothing
-    before the conversion appends to the log or writes a page."""
-    hits_path = os.path.join(tmpdir, "hits.json")
-    env = dict(os.environ)
-    env.update(v2_env(shards))
-    env["REPRO_WORKLOAD_HITS"] = hits_path
-    env["REPRO_FAULTS"] = ";".join(
-        "%s:%s:1000000000" % point for point in V2_CONVERSION_POINTS)
-    proc = subprocess.run(
-        [sys.executable, WORKLOAD, os.path.join(tmpdir, "calibrate.odb"),
-         os.path.join(tmpdir, "calibrate.log"), str(seed), str(n_ops),
-         "full"], env=env, capture_output=True, timeout=120.0)
-    assert proc.returncode == 0, proc.stderr.decode()[-1500:]
-    with open(hits_path) as handle:
-        hits = json.load(handle)
-    return {name: (0, hits[name]) for name, _action in V2_CONVERSION_POINTS}
+    """:func:`conversion_windows` of a version-2 cycle."""
+    return conversion_windows(tmpdir, v2_env(shards), V2_CONVERSION_POINTS,
+                              seed, n_ops)
+
+
+def v5_conversion_windows(tmpdir: str, shards: int, seed: int = 1337,
+                          n_ops: int = 40) -> dict:
+    """:func:`conversion_windows` of a format-5 cycle."""
+    return conversion_windows(tmpdir, v5_env(shards), V5_CONVERSION_POINTS,
+                              seed, n_ops)
+
+
+def _recovered_heads(db_path: str, inspect):
+    """Recover the store with the conversion switched off and return
+    ``(inspect(store), head_layouts of CrashItem)``."""
+    from unittest import mock
+
+    from repro.storage.store import Store
+
+    from tests.storage.legacy_layouts import head_layouts
+
+    with mock.patch.object(Store, "_upgrade_format", lambda self: None):
+        store = Store(db_path)
+    try:
+        seen = inspect(store)
+        heads = (head_layouts(store, "CrashItem")
+                 if store.has_cluster("CrashItem") else (0, 0, 0))
+    finally:
+        store.close()
+    return seen, heads
 
 
 def conversion_state(db_path: str):
     """What a crash inside the conversion at open left: every retired
     structure still in place or none, never a mix. Recovers the store
     with the conversion switched off and returns a list of problems."""
-    from unittest import mock
-
     from repro.storage.page import PageType
-    from repro.storage.store import Store
     from repro.storage.upgrade import BTREE_FORMAT_KEY
 
-    from tests.storage.legacy_layouts import two_record_heads
-
-    with mock.patch.object(Store, "_upgrade_format", lambda self: None):
-        store = Store(db_path)
-    try:
+    def structures(store):
         directories, hashed = [], []
         for info in store.catalog.clusters():
             for _heap, root in info.shards:
@@ -328,16 +375,30 @@ def conversion_state(db_path: str):
         # Old trees carry no mark of their own: the conversion's
         # transaction records that it rebuilt them.
         old = store.catalog.get_meta(BTREE_FORMAT_KEY) != 4
-        heads = two_record_heads(store, "CrashItem")
-    finally:
-        store.close()
+        return directories, hashed, old
+
+    (directories, hashed, old), heads = _recovered_heads(db_path,
+                                                         structures)
+    # (two-record, dict, positional) heads: all two-record before the
+    # conversion's commit, all positional after it.
     if old != all(directories) or old != any(hashed) or (
-            not old and any(directories)) or (
+            not old and any(directories)) or heads[1] or (
             all(heads) or (any(heads) and old != bool(heads[0]))):
         return ["a crash inside the conversion left a mix of old and new "
                 "structures: trees %s, hash directories %r, hash indexes "
-                "%r, (two-record, one-record) objects %r"
+                "%r, (two-record, dict, positional) objects %r"
                 % ("old" if old else "new", directories, hashed, heads)]
+    return []
+
+
+def relayout_state(db_path: str):
+    """What a crash inside the format 5 -> 6 rewrite left: every object
+    record in the dict layout or every one positional, never a mix."""
+    _, heads = _recovered_heads(db_path, lambda store: None)
+    if heads[0] or (heads[1] and heads[2]):
+        return ["a crash inside the positional rewrite left a mix of "
+                "layouts: (two-record, dict, positional) objects %r"
+                % (heads,)]
     return []
 
 
@@ -357,3 +418,14 @@ def v2_kill_specs():
     for name in ("vacuum.pre", "vacuum.commit.pre"):
         specs.append(("v2-4shard-%s@1" % name, 4, name, "die", 1))
     return specs
+
+
+def v5_kill_specs():
+    """``(label, shards, failpoint, action, fraction)`` for the format-5
+    matrix: every :data:`V5_CONVERSION_POINTS` entry at each fraction of
+    its window in the rewrite, on 1 and 4 shards."""
+    return [("v5-%dshard-%s@%.0f%%" % (shards, name, 100 * where),
+             shards, name, action, where)
+            for shards in (1, 4)
+            for name, action in V5_CONVERSION_POINTS
+            for where in V2_FRACTIONS]

@@ -10,15 +10,17 @@ import os
 
 import pytest
 
-from .harness import (conversion_state, kill_specs, run_cycle,
-                      shard_kill_specs, v2_conversion_windows, v2_env,
-                      v2_kill_specs)
+from .harness import (conversion_state, kill_specs, relayout_state,
+                      run_cycle, shard_kill_specs, v2_conversion_windows,
+                      v2_env, v2_kill_specs, v5_conversion_windows, v5_env,
+                      v5_kill_specs)
 
 pytestmark = pytest.mark.crash
 
 SMOKE = kill_specs(hits=(2, 13))
 SHARD = shard_kill_specs()
 V2 = v2_kill_specs()
+V5 = v5_kill_specs()
 
 #: The full matrix crosses more seeds and hit depths; 2 seeds x 17
 #: failpoints x 6 depths = 204 crash/recover cycles (>= the 200 the
@@ -82,6 +84,36 @@ def test_crash_v2_migration(tmp_path, v2_windows, label, shards, name,
     assert result.returncode != 0, "the kill point was never reached"
     assert result.problems == [], (
         "v2 crash cycle %s (hit %d) violated recovery invariants: %s\n"
+        "--- child stderr ---\n%s"
+        % (label, at_hit, result.problems, result.stderr[-1500:]))
+
+
+@pytest.fixture(scope="module")
+def v5_windows(tmp_path_factory):
+    """Hit-count windows of the format 5 -> 6 rewrite, per shard count."""
+    return {shards: v5_conversion_windows(
+                str(tmp_path_factory.mktemp("v5-calibrate-%d" % shards)),
+                shards)
+            for shards in (1, 4)}
+
+
+@pytest.mark.parametrize(
+    "label,shards,name,action,where", V5,
+    ids=[label for label, _, _, _, _ in V5])
+def test_crash_v5_relayout(tmp_path, v5_windows, label, shards, name,
+                           action, where):
+    """Format-5 cycles: every object record is a codec dict when the
+    store reopens, and the child dies inside the rewrite that makes each
+    one positional. The crash leaves every record in one layout, and
+    after recovery every acknowledged object is there."""
+    lo, hi = v5_windows[shards][name]
+    assert hi > lo, "%s never fires inside the conversion" % name
+    at_hit = lo + 1 + int((hi - lo - 1) * where)
+    result = run_cycle(str(tmp_path), "%s:%s:%d" % (name, action, at_hit),
+                       extra_env=v5_env(shards), inspect=relayout_state)
+    assert result.returncode != 0, "the kill point was never reached"
+    assert result.problems == [], (
+        "v5 crash cycle %s (hit %d) violated recovery invariants: %s\n"
         "--- child stderr ---\n%s"
         % (label, at_hit, result.problems, result.stderr[-1500:]))
 

@@ -42,7 +42,8 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
 from repro import Database, IntField, OdeObject, StringField, newversion
 from repro.storage import pagefile
 
-from tests.storage.legacy_layouts import stamp_version, to_version_2
+from tests.storage.legacy_layouts import (stamp_version, to_version_2,
+                                          to_version_5)
 
 #: Exit code when an operation raised instead of dying at a failpoint.
 ERROR_EXIT_CODE = 3
@@ -63,6 +64,9 @@ ABORT_EVERY = 3
 # the whole store as a version-2 binary left it and reopens it, arming
 # ``REPRO_FAULTS`` for that open: the kill points fall inside the
 # conversion every open runs (see reopen_as_version_2).
+# ``REPRO_WORKLOAD_V5=1`` does the same with a format-5 store — every
+# object record a codec dict — whose conversion rewrites each record
+# positionally (see reopen_as_version_5).
 # ``REPRO_WORKLOAD_POOL`` shrinks the buffer pool so page write-backs
 # happen inside the conversion, and ``REPRO_WORKLOAD_HITS`` names a file
 # that receives the failpoint hit counters once the open returns (the
@@ -82,6 +86,24 @@ def reopen_as_version_2(db, db_path: str, faults: str, **options):
     shards = store.n_shards
     db.close()
     stamp_version(db_path, 2, shards)
+    os.environ["REPRO_FAULTS"] = faults
+    db = Database(db_path, **options)
+    hits_path = os.environ.get("REPRO_WORKLOAD_HITS")
+    if hits_path:
+        with open(hits_path, "w") as handle:
+            json.dump(_hits(db.store), handle)
+    return db
+
+
+def reopen_as_version_5(db, db_path: str, faults: str, **options):
+    """Close *db* with every object record in the dict layout of format
+    5 and a version-5 header; reopen it with *faults* armed. The open
+    rewrites every record positionally in one transaction."""
+    store = db.store
+    to_version_5(store)
+    shards = store.n_shards
+    db.close()
+    stamp_version(db_path, 5, shards)
     os.environ["REPRO_FAULTS"] = faults
     db = Database(db_path, **options)
     hits_path = os.environ.get("REPRO_WORKLOAD_HITS")
@@ -179,7 +201,8 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
     ops, _ = generate(seed, n_ops)
     maint = os.environ.get("REPRO_WORKLOAD_MAINT") == "1"
     v2 = os.environ.get("REPRO_WORKLOAD_V2") == "1"
-    faults = os.environ.pop("REPRO_FAULTS", "") if v2 else None
+    v5 = os.environ.get("REPRO_WORKLOAD_V5") == "1"
+    faults = os.environ.pop("REPRO_FAULTS", "") if v2 or v5 else None
     pagefile.SKIP_CHECKSUM = (
         os.environ.get("REPRO_WORKLOAD_SKIP_CHECKSUM") == "1")
     # Unbuffered append + fsync per line: an oracle entry on disk means
@@ -214,8 +237,9 @@ def run_child(db_path: str, oracle_path: str, seed: int, n_ops: int,
                     del live[name]
             oracle.write(b"%d\n" % i)
             os.fsync(oracle.fileno())
-            if v2 and i + 1 == MAINT_EVERY:
-                db = reopen_as_version_2(db, db_path, faults, **options)
+            if (v2 or v5) and i + 1 == MAINT_EVERY:
+                reopen = reopen_as_version_2 if v2 else reopen_as_version_5
+                db = reopen(db, db_path, faults, **options)
                 live = {obj.name: obj for obj in db.cluster(CrashItem)}
             elif maint and (i + 1) % MAINT_EVERY == 0:
                 run_maintenance(db)

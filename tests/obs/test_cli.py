@@ -57,6 +57,16 @@ class TestStatsFormats:
             "leaf_pages": 1, "live_entries": 2, "dead_entries": 0}
         assert stats["fragmentation"]["gizmo"]["directory"] == \
             stats["directory"]["gizmo"]
+        # the page-file format and each cluster's record layouts
+        assert stats["storage"]["format_version"] == 6
+        assert stats["storage"]["layouts"]["gizmo"] == 1
+
+    def test_text_names_the_format_and_the_layouts(self, seeded_path,
+                                                   capsys):
+        assert main(["stats", seeded_path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [line for line in lines if line.startswith("storage:")]
+        assert "page-file format 6" in line and "gizmo 1" in line
 
     def test_prom(self, seeded_path, capsys):
         assert main(["stats", seeded_path, "--format=prom"]) == 0

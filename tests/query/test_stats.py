@@ -1,6 +1,8 @@
 """Tests for the cluster statistics driving the cost-based optimizer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Database, FloatField, IntField, OdeObject, StringField
 from repro.query import A, forall
@@ -49,6 +51,62 @@ class TestFieldStats:
         assert fs.n_distinct == 5  # deletes invisible without counts
         fs.record(20, +1)
         assert fs.max == 20
+
+
+class TestLazyBounds:
+    """A delete of the current minimum or maximum marks the bounds stale;
+    the next read recomputes them once."""
+
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.one_of(st.none(),
+                                        st.integers(-5, 5))),
+                    max_size=60),
+           st.lists(st.integers(0, 60), max_size=8))
+    @settings(max_examples=300)
+    def test_bounds_read_equal_the_brute_force_min_and_max(self, ops,
+                                                           reads):
+        fs = FieldStats(counts={})
+        bag = []
+        for step, (insert, value) in enumerate(ops):
+            if insert or value not in bag:
+                fs.record(value, +1)
+                bag.append(value)
+            else:
+                fs.record(value, -1)
+                bag.remove(value)
+            if step in reads:
+                present = [v for v in bag if v is not None]
+                assert (fs.min, fs.max) == (
+                    (min(present), max(present)) if present
+                    else (None, None))
+        present = [v for v in bag if v is not None]
+        assert (fs.min, fs.max) == ((min(present), max(present))
+                                    if present else (None, None))
+        assert fs.n_distinct == len(set(bag))
+
+    def test_a_sliding_window_recomputes_once_per_read(self):
+        window = 500
+        fs = FieldStats(counts={})
+        for v in range(window):
+            fs.record(v, +1)
+        # 1 000 turnovers: the new maximum comes in, the minimum goes
+        for v in range(window, window + 1000):
+            fs.record(v, +1)
+            fs.record(v - window, -1)
+        assert fs.refreshes == 0
+        assert (fs.min, fs.max) == (1000, 1499)
+        assert fs.refreshes == 1
+        assert (fs.min, fs.max) == (1000, 1499)     # not stale again
+        assert fs.refreshes == 1
+        reads = 0
+        for v in range(window + 1000, window + 2000):
+            fs.record(v, +1)
+            fs.record(v - window, -1)
+            if v % 10 == 0:
+                assert fs.min == v - window + 1
+                reads += 1
+        assert fs.refreshes <= 1 + reads
+        assert fs.max == window + 1999
 
 
 class TestIncrementalMaintenance:

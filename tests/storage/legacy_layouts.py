@@ -8,9 +8,11 @@ files:
   and every ``kind="hash"`` index written before hash indexes became
   B+trees;
 * :func:`write_legacy_tree` — a version-2/3 B+tree, one record per node;
+* :func:`to_version_5` — every object record as format 5 stored it: a
+  codec dict spelling out its field names;
 * :func:`to_two_records` — every object as formats 2–4 stored it: a
   version head without the state, and the current state in a record of
-  its own (:func:`two_record_heads` counts both layouts);
+  its own (:func:`head_layouts` counts the three layouts);
 * :func:`to_v2_layout`, :func:`to_hash_index`, :func:`to_legacy_tree`,
   :func:`to_version_2` — swap a store's structures for their retired
   twins, each in a transaction of its own, and return the pages the
@@ -24,6 +26,7 @@ from hashlib import blake2b
 from repro.storage.btree import _tiebreak
 from repro.storage.codec import decode_value, encode_key, encode_value
 from repro.storage.page import MAX_RECORD_SIZE, NO_PAGE, PAGE_SIZE, PageType
+from repro.storage.records import decode_record, record_key
 from repro.storage.sharding import local_page, shard_of, shard_path
 
 #: A bucket record past this many bytes splits on the next hash bit ...
@@ -163,35 +166,75 @@ def _free(store, txn, pages):
         store._journal.free_page_deferred(txn, page_no)
 
 
-def two_record_heads(store, cluster):
-    """``(old, new)``: how many version heads of *cluster* carry no
-    state (the layout of formats 2-4) and how many do."""
-    old = new = 0
-    for batch in store.scan_batches(cluster):
-        for head in map(batch.head, batch.heads):
-            if "chain" in head:
-                old += "state" not in head
-                new += "state" in head
-    return old, new
+def _stored(store, cluster):
+    """``[(key, payload)]`` of every record of *cluster*, all shards."""
+    return [(record_key(raw), raw) for heap in store._all_heaps(cluster)
+            for _rid, raw in heap.scan()]
+
+
+def head_layouts(store, cluster):
+    """``(two-record, dict, positional)``: how many version heads of
+    *cluster* are stored as formats 2-4 did (a dict without the state),
+    as format 5 did (a dict with it) and as format 6 does."""
+    two = one = positional = 0
+    for key, raw in _stored(store, cluster):
+        if key is not None:
+            positional += key[1] == 0
+            continue
+        record = decode_value(raw)
+        if isinstance(record, dict) and "chain" in record:
+            two += "state" not in record
+            one += "state" in record
+    return two, one, positional
+
+
+def _objects(store, cluster):
+    """``[(key, record)]`` of *cluster*'s positional object records,
+    decoded (a head ``{current, chain, state}``, an older version
+    ``{state}``)."""
+    layouts = store.catalog.layouts(cluster)
+    return [(key, decode_record(raw, layouts))
+            for key, raw in _stored(store, cluster) if key is not None]
+
+
+def to_version_5(store):
+    """Rewrite every object record of *store* as the codec dict format 5
+    stored: ``{__key: [s, 0], current, chain, state}`` for a head,
+    ``{__key: [s, v], state}`` for an older version. One transaction;
+    returns the number of records rewritten."""
+    txn = store.begin()
+    rewritten = 0
+    for info in list(store.catalog.clusters()):
+        for (serial, version), record in _objects(store, info.name):
+            store.put(txn, info.name, (serial, version),
+                      dict([("__key", [serial, version])] + list(
+                          record.items())))
+            rewritten += 1
+    store.commit(txn)
+    return rewritten
 
 
 def to_two_records(store):
     """Split every object of *store* the way formats 2-4 kept it: the
     head ``{__key: [s, 0], current, chain}`` and the current state in a
-    record ``{__key: [s, current], state}``. One transaction; returns the
-    number of objects split."""
+    record ``{__key: [s, current], state}``; older versions become
+    ``{__key: [s, v], state}``. One transaction; returns the number of
+    objects split."""
     txn = store.begin()
     split = 0
     for info in list(store.catalog.clusters()):
-        heads = [head for batch in store.scan_batches(info.name)
-                 for head in map(batch.head, batch.heads)
-                 if "chain" in head and "state" in head]
-        for head in heads:
-            serial, current = head["__key"][0], head["current"]
+        for (serial, version), record in _objects(store, info.name):
+            if version:
+                store.put(txn, info.name, (serial, version),
+                          {"__key": [serial, version],
+                           "state": record["state"]})
+                continue
+            current = record["current"]
             store.put(txn, info.name, (serial, current),
                       {"__key": [serial, current],
-                       "state": head.pop("state")}, new=True)
-            store.put(txn, info.name, (serial, 0), head)
+                       "state": record.pop("state")}, new=True)
+            store.put(txn, info.name, (serial, 0),
+                      dict([("__key", [serial, 0])] + list(record.items())))
             split += 1
     store.commit(txn)
     return split

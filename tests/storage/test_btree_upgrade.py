@@ -81,7 +81,7 @@ def test_upgrade_preserves_items_and_frees_old_pages(v3_store):
     path, old = v3_store
     assert header_version(path) == 3
     store = Store(path)
-    assert header_version(path) == 5
+    assert header_version(path) == 6
     assert store.catalog.get_meta(BTREE_FORMAT_KEY) == 4
     for field in ENTRIES:
         assert store.cluster_info("c").indexes[field].kind == "btree"
@@ -148,7 +148,7 @@ def test_crash_during_upgrade_is_all_old_or_all_new(v3_store, monkeypatch,
             assert header_version(path) == 3
         store.close()
     store = Store(path)                        # finishes the job
-    assert header_version(path) == 5
+    assert header_version(path) == 6
     for field in ENTRIES:
         tree = store.index("c", field)
         tree.check_invariants()
@@ -187,7 +187,7 @@ def test_hash_indexes_of_a_format_4_store_convert_at_open(db_path):
     objects = {key: store.get("c", key)
                for key, _rid in store._directory("c").items()}
     store.close()
-    assert header_version(db_path) == 5
+    assert header_version(db_path) == 6
 
     store = Store(db_path)
     assert store.verify_integrity() == []
@@ -202,5 +202,5 @@ def test_hash_indexes_of_a_format_4_store_convert_at_open(db_path):
     assert [s for _k, s in store.index_range("c", "u", "u0100", "u0103")] \
         == [100, 101, 102]                  # a former hash index serves ranges
     store.close()
-    assert header_version(db_path) == 5
+    assert header_version(db_path) == 6
     assert all(page_type(db_path, p) == PageType.FREE for p in old)

@@ -520,7 +520,7 @@ class TestVersion2Migration:
         stamp_version(db_path, 2, shards)
 
         store = Store(db_path)
-        assert header_version(db_path) == 5
+        assert header_version(db_path) == 6
         assert all(page_type(db_path, p) == PageType.FREE for p in old)
         for sid in range(shards):
             root = store.cluster_info("c").shards[sid][1]

@@ -264,7 +264,7 @@ def test_two_scans_beside_a_writer_serve_current_bytes(small):
                             slots, payloads, *_ = heap.read_page_records(
                                 batch.page_no, 0)
                         assert batch._slots == slots
-                        assert batch._payloads == payloads
+                        assert batch.payloads() == payloads
                         checked.append(batch.page_no)
         except Exception as exc:
             errors.append(exc)

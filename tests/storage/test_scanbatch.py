@@ -11,6 +11,7 @@ from repro import FloatField, IntField, OdeObject, RefField, StringField
 from repro.core.database import Database
 from repro.storage.codec import decode_value, encode_value
 from repro.storage.heap import RID
+from repro.storage.records import encode_head, encode_version
 from repro.storage.scanbatch import ScanBatch
 from repro.storage.store import Store
 
@@ -69,15 +70,29 @@ class TestBatchEqualsDecode:
 
     def test_peek_reads_the_layout_every_writer_emits(self):
         decodes = itertools.count()
-        head = {"__key": [41, 0], "current": 3, "chain": [1, 2, 3],
-                "state": {"x": 3}}
-        older = {"__key": [41, 2], "state": {"x": 2}}
-        batch = ScanBatch(1, [0, 1], [encode_value(head),
-                                      encode_value(older)], decodes)
-        assert batch.keys == [(41, 0), (41, 2)]
-        assert batch.heads == [41]
+        layouts = [("x",)]
+        head = {"current": 3, "chain": [1, 2, 3], "state": {"x": 3}}
+        older = {"state": {"x": 2}}
+        lone = {"current": 1, "chain": [1], "state": {"x": 1}}
+        batch = ScanBatch(1, [0, 1, 2], [
+            encode_head(41, 3, [1, 2, 3], 0, {"x": 3}),
+            encode_version(41, 2, 0, {"x": 2}),
+            encode_head(42, 1, [1], 0, {"x": 1})], decodes, layouts)
+        assert batch.keys == [(41, 0), (41, 2), (42, 0)]
+        assert batch.heads == [41, 42]
         assert next(decodes) == 0          # no decode so far
-        assert batch.head(41) == head and batch.head(42) is None
+        assert batch.head(41) == head and batch.head(42) == lone
+        assert batch.head(43) is None
+        assert [record for _rid, record in batch] == [head, older, lone]
+        # a page of heads only (the usual one) takes a shortcut
+        heads_only = ScanBatch(2, [3, 4], [
+            encode_head(42, 1, [1], 0, {"x": 1}),
+            encode_head(41, 3, [1, 2, 3], 0, {"x": 3})], decodes, layouts)
+        assert heads_only.keys == [(42, 0), (41, 0)]
+        assert heads_only.heads == [42, 41]
+        assert heads_only.head(41) == head and heads_only.head(42) == lone
+        assert [rid for rid, _record in heads_only] == [RID(2, 3),
+                                                        RID(2, 4)]
 
     def test_every_decode_is_a_fresh_value(self):
         payload = encode_value({"__key": [1, 0], "state": {"l": [1, 2]}})

@@ -1,13 +1,16 @@
-"""A format-4 store opens as format 5: each object's two records become
-one.
+"""Older stores open as format 6: each object's two records become one,
+and every object record becomes positional.
 
 Formats 2-4 kept every object as a version head without the state plus a
-record of its own for the current version's state. The conversion that
-every open runs (``repro.storage.upgrade.fold_heads``, inside the one
-conversion transaction) folds the current state into the head and drops
-that record; non-current versions keep their records. Every answer the
-object layer gives — derefs, version navigation, scans, index probes,
-counts, trigger activations — is the same before and after."""
+record of its own for the current version's state; formats 2-5 wrote
+every record as a codec dict spelling out its field names. The
+conversion that every open runs (``repro.storage.upgrade.relayout``,
+inside the one conversion transaction) folds the current state into the
+head, drops that record, and rewrites each record as a header plus the
+values of a layout built from the dict's own keys; non-current versions
+keep their records. Every answer the object layer gives — derefs,
+version navigation, scans, index probes, counts, trigger activations —
+is the same before and after."""
 
 import pytest
 
@@ -16,8 +19,9 @@ from repro.core.oid import Vref
 from repro.storage.sharding import shard_path
 from repro.storage.store import Store
 
-from tests.storage.legacy_layouts import (header_version, stamp_version,
-                                          to_two_records, two_record_heads)
+from tests.storage.legacy_layouts import (head_layouts, header_version,
+                                          stamp_version, to_two_records,
+                                          to_version_5)
 
 #: Trigger actions append here.
 fired = []
@@ -101,7 +105,7 @@ def test_a_format_4_store_converts_at_open(tmp_path, shards):
 
     store = Store(path)
     assert to_two_records(store) == N - 1
-    assert two_record_heads(store, "FoldItem") == (N - 1, 0)
+    assert head_layouts(store, "FoldItem") == (N - 1, 0, 0)
     # a head and a current-state record per object, plus versions 1, 3
     assert len(records(store)) == 2 * (N - 1) + 2
     store.close()
@@ -110,14 +114,16 @@ def test_a_format_4_store_converts_at_open(tmp_path, shards):
     db = Database(path)
     try:
         assert [header_version(shard_path(path, sid))
-                for sid in range(shards)] == [5] * shards
-        assert db.stats()["storage"]["format_version"] == 5
+                for sid in range(shards)] == [6] * shards
+        assert db.stats()["storage"]["format_version"] == 6
         (event,) = db.events.snapshot("format_upgrade")
         data = event["data"]
+        # the heads and the two non-current versions are rewritten
         assert (data["from_format"], data["to_format"],
-                data["objects_folded"]) == (4, 5, N - 1)
+                data["objects_folded"], data["records_relaid"]) == (
+                    4, 6, N - 1, N + 1)
         assert data["ms"] >= 0
-        assert two_record_heads(db.store, "FoldItem") == (0, N - 1)
+        assert head_layouts(db.store, "FoldItem") == (0, 0, N - 1)
         # one record per object, plus the two non-current versions
         assert len(records(db.store)) == (N - 1) + 2
         assert answers(db, versioned) == before
@@ -137,15 +143,60 @@ def test_a_format_4_store_converts_at_open(tmp_path, shards):
         db.close()
 
 
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_format_5_store_converts_at_open(tmp_path, monkeypatch, shards):
+    path = str(tmp_path / "f5.odb")
+    db, versioned, watched = build(path, shards)
+    before = answers(db, versioned)
+    db.close()
+
+    store = Store(path)
+    # the heads and the two non-current versions
+    assert to_version_5(store) == N + 1
+    assert head_layouts(store, "FoldItem") == (0, N - 1, 0)
+    layouts = store.catalog.layouts("FoldItem")
+    store.close()
+    stamp_version(path, 5, shards)
+
+    begun = []
+    real_begin = Store.begin
+    monkeypatch.setattr(Store, "begin",
+                        lambda self: begun.append(1) or real_begin(self))
+    from repro.storage.journal import Journal
+    journal_begin = Journal.begin
+    monkeypatch.setattr(Journal, "begin",
+                        lambda self: begun.append(2) or journal_begin(self))
+    db = Database(path)
+    try:
+        # the whole rewrite is the conversion's one transaction
+        assert begun == [2]
+        assert db.stats()["storage"]["format_version"] == 6
+        (event,) = db.events.snapshot("format_upgrade")
+        data = event["data"]
+        assert (data["from_format"], data["to_format"],
+                data["objects_folded"], data["records_relaid"]) == (
+                    5, 6, 0, N + 1)
+        assert head_layouts(db.store, "FoldItem") == (0, 0, N - 1)
+        # the dicts' own keys are the layout the class writes
+        assert db.store.catalog.layouts("FoldItem") == layouts
+        assert answers(db, versioned) == before
+        assert db.verify() == []
+        with db.transaction():
+            db.deref(watched).qty = 1
+        assert fired == [("i02", 5)]
+    finally:
+        db.close()
+
+
 def test_a_current_store_converts_nothing(db_path):
     db = Database(db_path)
     db.create(FoldItem)
     db.pnew(FoldItem, name="new")
     db.close()
-    assert header_version(db_path) == 5
+    assert header_version(db_path) == 6
     db = Database(db_path)
     try:
         assert db.events.snapshot("format_upgrade") == []
-        assert db.stats()["storage"]["format_version"] == 5
+        assert db.stats()["storage"]["format_version"] == 6
     finally:
         db.close()
