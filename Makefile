@@ -11,14 +11,15 @@ test:
 test-concurrency:
 	$(PYTHON) -m pytest tests/ -x -q -m concurrency
 
-# Crash/recovery cycles: every failpoint at two hit depths, the WAL
-# tail-damage and torn-page suites and the server kill-and-audit cycles
-# (~110 subprocess cycles).
+# Crash/recovery cycles: every failpoint at two hit depths, the vacuum,
+# old-layout and N-file merge cycles, the WAL tail-damage and torn-page
+# suites and the server kill-and-audit cycles (142 tests).
 crash-smoke:
 	$(PYTHON) -m pytest tests/crash/ -x -q -m crash
 
-# The full randomized matrix: 2 seeds x 17 failpoints x 6 hit depths
-# (204 cycles, ~1 min). Run before touching wal.py/recovery.py/pagefile.py.
+# The smoke set plus the full matrix: 2 seeds x 17 failpoints x 6 hit
+# depths and the server's full set (370 tests). Run before touching
+# wal.py/recovery.py/pagefile.py.
 crash-full:
 	REPRO_CRASH_FULL=1 $(PYTHON) -m pytest tests/crash/ -x -q -m crash
 

@@ -153,15 +153,6 @@ def _print_stats(db: Database) -> None:
              ", ".join("%s %d" % item
                        for item in sorted(storage["layouts"].items()))
              or "none"))
-    shards = stats["shards"]
-    if shards["count"] > 1:
-        print("shards:       %d shards" % shards["count"])
-        for entry in shards["per_shard"]:
-            print("  shard %-3d %6d pages (%.1f%% occupancy), "
-                  "%d scan(s)"
-                  % (entry["shard"], entry["pages"],
-                     100.0 * entry["occupancy"],
-                     shards["scans"][entry["shard"]]))
     frag = stats["fragmentation"]
     if frag:
         print("cluster placement:")

@@ -341,21 +341,15 @@ class Database:
     """An Ode database: persistent objects, clusters, versions, triggers."""
 
     def __init__(self, path: str, pool_size: int = 256,
-                 durability: str = "full",
-                 shards: Optional[int] = None):
+                 durability: str = "full"):
         """Open (creating if absent) the database stored at *path*.
 
         *durability* selects the commit fsync policy: ``"full"`` (fsync
         every commit), ``"group"`` (group commit — one fsync per batch)
         or ``"none"`` (only checkpoints fsync). See
-        :mod:`repro.storage.wal`. *shards* splits the storage
-        across N hash-ranged shards when the database is first created
-        (``REPRO_SHARDS`` applies when omitted; an existing database
-        keeps its creation-time count) — see
-        :mod:`repro.storage.sharding`.
+        :mod:`repro.storage.wal`.
         """
-        self.store = Store(path, pool_size=pool_size, durability=durability,
-                           shards=shards)
+        self.store = Store(path, pool_size=pool_size, durability=durability)
         #: MVCC snapshot reads: transactions read as of a snapshot LSN
         #: through per-object version histories instead of taking S
         #: locks; X locks remain for write-write conflicts. Setting this
@@ -1146,7 +1140,7 @@ class Database:
                      head: Dict) -> bytes:
         """The stored form of *head* (``current``, ``chain``, ``state``),
         its state's layout registered by *txn* if new. Called before the
-        put that stores it: a registration takes no shard latch."""
+        put that stores it, outside the store latch the put takes."""
         state = head["state"]
         layout = self.store.catalog.layout_id(txn, cluster, tuple(state))
         return encode_head(serial, head["current"], head["chain"], layout,
@@ -2051,7 +2045,6 @@ class Database:
                 "dropped": self.events.dropped,
             },
             "pages": store_stats["pages"],
-            "shards": store_stats["shards"],
             "storage": store_stats["storage_health"],
         }
         # Compatibility shim: older tooling parsed --stats output keyed

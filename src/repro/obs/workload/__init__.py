@@ -18,7 +18,7 @@ Pieces:
   every operation into per-class latency histograms.
 - :mod:`repro.obs.workload.sampler` — a background thread snapshotting
   registry deltas every N ms into a JSONL timeline (ops/s, abort rates,
-  cache hits, WAL flushes, per-shard scans, conflicts).
+  cache hits, WAL flushes, conflicts).
 - :mod:`repro.obs.workload.dashboard` — renders the sampler feed as a
   live ANSI console dashboard (``repro top``).
 - :mod:`repro.obs.workload.compare` — diffs two simulation reports and

@@ -96,12 +96,6 @@ def render_frame(rows: Sequence[Dict[str, Any]], width: int = 78,
         text = " ".join("%s=%s" % (k, _fmt(v))
                         for k, v in sorted(aborts.items()))
         lines.append(" aborts by reason: %s" % text[:width - 20])
-    scans = last.get("shard_scans") or {}
-    if scans:
-        text = " ".join("%s:%s" % (k.replace('shard="', "").rstrip('"'),
-                                   _fmt(v))
-                        for k, v in sorted(scans.items()))
-        lines.append(" shard scans: %s" % text[:width - 14])
     lines.append(rule)
     spark_w = width - 2
     lines.append(" ops/s")

@@ -170,8 +170,6 @@ class TimeSeriesSampler:
                 self._delta(snap, "opp.stmt_cache.hits") / dt, 1),
             "stmt_misses_s": round(
                 self._delta(snap, "opp.stmt_cache.misses") / dt, 1),
-            "shard_scans": {k: v for k, v in self._labeled_deltas(
-                snap, "shard.scans").items() if v},
             "events_dropped": snap.get("events.dropped", 0),
             "p50_ms": round(p50 / 1e6, 3) if p50 is not None else None,
             "p99_ms": round(p99 / 1e6, 3) if p99 is not None else None,

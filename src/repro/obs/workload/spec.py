@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ...errors import OdeError
 
@@ -87,7 +87,6 @@ class ScenarioSpec:
     seed: int = 0
     sample_interval_ms: float = 100.0
     durability: str = "group"
-    shards: Optional[int] = None
     params: Dict[str, float] = field(default_factory=dict)
 
     def scaled(self, factor: float) -> "ScenarioSpec":
@@ -117,7 +116,6 @@ class ScenarioSpec:
             "seed": self.seed,
             "sample_interval_ms": self.sample_interval_ms,
             "durability": self.durability,
-            "shards": self.shards,
             "params": dict(self.params),
             "phases": [
                 {"name": p.name, "duration_s": p.duration_s,
@@ -204,7 +202,7 @@ def parse_scenario(d: Dict) -> ScenarioSpec:
     """
     _require(isinstance(d, dict), "scenario", "spec must be a table")
     known = {"name", "description", "dataset", "seed", "sample_interval_ms",
-             "durability", "shards", "params", "phases",
+             "durability", "params", "phases",
              "duration_s", "clients"}
     unknown = set(d) - known
     _require(not unknown, "scenario", "unknown keys %s" % sorted(unknown))
@@ -237,9 +235,6 @@ def parse_scenario(d: Dict) -> ScenarioSpec:
     durability = d.get("durability", "group")
     _require(durability in ("full", "group", "none"), "durability",
              "must be full, group, or none; got %r" % (durability,))
-    shards = d.get("shards")
-    _require(shards is None or (isinstance(shards, int) and shards >= 1),
-             "shards", "must be an integer >= 1")
     seed = d.get("seed", 0)
     _require(isinstance(seed, int), "seed", "must be an integer")
     interval = d.get("sample_interval_ms", 100.0)
@@ -259,7 +254,7 @@ def parse_scenario(d: Dict) -> ScenarioSpec:
         name=name, description=d.get("description", ""),
         dataset={k: int(v) for k, v in dataset.items()},
         phases=phases, seed=seed, sample_interval_ms=float(interval),
-        durability=durability, shards=shards, params=params)
+        durability=durability, params=params)
 
 
 def load_scenario(path: str) -> ScenarioSpec:

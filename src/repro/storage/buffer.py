@@ -111,9 +111,8 @@ class BufferPool:
         self._wal = wal
 
     def all_latches(self):
-        """The pool's latch as a context manager — the single-shard
-        counterpart of ``ShardedPool.all_latches()``, so the journal's
-        abort/checkpoint paths are shard-agnostic."""
+        """The pool's latch as a context manager: what the journal's
+        abort holds across a multi-page rollback."""
         return self.latch
 
     @property

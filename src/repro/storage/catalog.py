@@ -10,12 +10,15 @@ Catalog records are codec-encoded dicts. Two record shapes exist:
 ``{"kind": "cluster", ...}``
     One per cluster (the paper's type extents): name, numeric id, parent
     cluster names, the first page of the cluster's object heap, the root
-    page of its object table (:mod:`repro.storage.objtable`), the next
-    serial number, and its secondary indexes (field name -> descriptor).
+    page of its object table (:mod:`repro.storage.objtable`), the first
+    serial number older files had not handed out, and its secondary
+    indexes (field name -> descriptor).
 
 ``{"kind": "meta", "key": ..., "value": ...}``
     Free-form key/value metadata used by the object layer (schema notes,
-    database-level settings).
+    database-level settings) and by :meth:`Catalog.reserve_serials`,
+    which keeps each cluster's next unreserved serial under the key
+    ``"serials:<cluster>"``.
 
 ``{"kind": "layout", "cluster": ..., "id": n, "fields": [...]}``
     One per record layout of a cluster: the field names, in order, that
@@ -80,21 +83,19 @@ class IndexInfo:
 class ClusterInfo:
     """Catalog entry for one cluster (type extent).
 
-    ``shards`` lists one ``[heap_page, directory_page]`` pair (global page
-    ids) per store shard. ``heap_page``/``directory_page`` always mirror
-    ``shards[0]`` so records written by single-shard stores — which omit
-    the field entirely — and readers predating it stay interchangeable.
+    ``next_serial`` is where serial reservation stood when the record was
+    last written by a binary that kept it here; reservations now live in
+    a meta record of their own (:meth:`Catalog.reserve_serials`), and
+    this field is only their floor.
     """
 
     __slots__ = ("name", "cluster_id", "parents", "heap_page",
-                 "directory_page", "next_serial", "indexes", "shards",
-                 "_rid")
+                 "directory_page", "next_serial", "indexes", "_rid")
 
     def __init__(self, name: str, cluster_id: int, parents: List[str],
                  heap_page: int, directory_page: int, next_serial: int = 1,
                  indexes: Optional[Dict[str, IndexInfo]] = None,
-                 rid: Optional[RID] = None,
-                 shards: Optional[List[List[int]]] = None):
+                 rid: Optional[RID] = None):
         self.name = name
         self.cluster_id = cluster_id
         self.parents = list(parents)
@@ -102,12 +103,10 @@ class ClusterInfo:
         self.directory_page = directory_page
         self.next_serial = next_serial
         self.indexes = indexes if indexes is not None else {}
-        self.shards = (list(shards) if shards
-                       else [[heap_page, directory_page]])
         self._rid = rid
 
     def to_record(self) -> bytes:
-        record = {
+        return encode_value({
             "kind": "cluster",
             "name": self.name,
             "cluster_id": self.cluster_id,
@@ -116,10 +115,7 @@ class ClusterInfo:
             "directory_page": self.directory_page,
             "next_serial": self.next_serial,
             "indexes": {f: ix.to_state() for f, ix in self.indexes.items()},
-        }
-        if len(self.shards) > 1:
-            record["shards"] = [list(pair) for pair in self.shards]
-        return encode_value(record)
+        })
 
     @classmethod
     def from_record(cls, raw: bytes, rid: RID) -> "ClusterInfo":
@@ -128,8 +124,7 @@ class ClusterInfo:
                    for f, s in state["indexes"].items()}
         return cls(state["name"], state["cluster_id"], state["parents"],
                    state["heap_page"], state["directory_page"],
-                   state["next_serial"], indexes, rid,
-                   shards=state.get("shards"))
+                   state["next_serial"], indexes, rid)
 
 
 class Catalog:
@@ -145,11 +140,9 @@ class Catalog:
         """
         self._journal = journal
         self._pagefile = pagefile
-        #: The catalog's own lock. It used to share the journal/storage
-        #: latch; with sharded pools the catalog sits *above* the shard
-        #: latches in the lock order (catalog lock -> shard latch via the
-        #: catalog heap's page pins), and store methods resolve cluster
-        #: metadata before taking a shard latch — never the other way.
+        #: The catalog's own lock, *above* the pool latch in the lock
+        #: order (catalog lock -> pool latch via the catalog heap's page
+        #: pins) — never the other way.
         self._lock = threading.RLock()
         first_page = pagefile.get_root(self.BOOTSTRAP_KEY)
         if first_page == 0:
@@ -208,25 +201,43 @@ class Catalog:
             return name in self._clusters
 
     def add_cluster(self, txn: int, name: str, parents: List[str],
-                    heap_page: int, directory_page: int,
-                    shards: Optional[List[List[int]]] = None) -> ClusterInfo:
+                    heap_page: int, directory_page: int) -> ClusterInfo:
         with self._lock:
             if name in self._clusters:
                 raise CatalogError("cluster %r already exists" % name)
             info = ClusterInfo(name, self._next_cluster_id, parents,
-                               heap_page, directory_page, shards=shards)
+                               heap_page, directory_page)
             self._next_cluster_id += 1
             info._rid = self._heap.insert(txn, info.to_record())
             self._clusters[name] = info
             return info
 
     def save_cluster(self, txn: int, info: ClusterInfo) -> None:
-        """Persist changed fields (serial counter, indexes) of a cluster."""
+        """Persist changed fields (structure roots, indexes) of a cluster."""
         with self._lock:
             if info._rid is None:
                 raise CatalogError("cluster %r has no catalog record"
                                    % info.name)
             self._heap.update(txn, info._rid, info.to_record())
+
+    def reserve_serials(self, txn: int, info: ClusterInfo,
+                        count: int) -> int:
+        """Reserve *count* serials of *info*'s cluster; returns the first.
+
+        The counter is a meta record of its own, written by *txn* as a
+        nested top action, as :meth:`layout_id` writes a layout: an abort
+        or crash of *txn* keeps the reservation, because other
+        transactions may already have committed objects with serials from
+        the block. No other write touches that record, so no
+        before-image a rollback restores — a cluster record's, say —
+        can move the counter back.
+        """
+        key = "serials:" + info.name
+        with self._lock:
+            start = max(info.next_serial, self._meta.get(key, 1))
+            with self._journal.nested_top_action(txn):
+                self.set_meta(txn, key, start + count)
+            return start
 
     def children_of(self, name: str) -> List[ClusterInfo]:
         """Direct subclusters (clusters listing *name* as a parent)."""

@@ -72,15 +72,18 @@ KNOWN_FAILPOINTS: Tuple[Tuple[str, str], ...] = (
     ("wal.flush.post", "die"),
     ("wal.truncate.pre", "die"),
     ("wal.truncate.post", "die"),
-    # Sharded-store metadata points (fired only when the store runs with
-    # more than one shard) and the vacuum rewrite's points (fired only
-    # when something vacuums) — the harness covers them via
-    # shard_kill_specs.
-    ("shard.open.pre", "die"),
-    ("shard.open.post", "die"),
-    ("shard.root.pre", "die"),
+    # The vacuum rewrite's points (fired only when something vacuums) —
+    # the harness covers them with its maintenance cycles.
     ("vacuum.pre", "die"),
     ("vacuum.commit.pre", "die"),
+    # Fired only when a store older binaries split over several page
+    # files is opened (repro.storage.upgrade.merge_files): once per
+    # cluster it copies into the main file, after its commit and
+    # checkpoint, and after the root naming the files is cleared, before
+    # the other files are unlinked.
+    ("upgrade.merge.copy", "die"),
+    ("upgrade.merge.root", "die"),
+    ("upgrade.merge.unlink", "die"),
     # Fired once per object the format conversion at open folds into one
     # record, and once per record it rewrites in the positional layout
     # (only when an older file is opened); the harness's old-layout

@@ -28,7 +28,7 @@ logged redo-only: another transaction may fill a page this one added.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import PageError, StorageError
 from .journal import Journal
@@ -296,6 +296,26 @@ class HeapFile:
     def count(self) -> int:
         """Number of live records (scans the file)."""
         return sum(1 for _ in self.scan())
+
+    def pages(self) -> List[int]:
+        """Every page the heap occupies: its chain, in chain order, then
+        the overflow chains hanging off its records."""
+        pages = []
+        page_no = self._first_page
+        while page_no != NO_PAGE:
+            pages.append(page_no)
+            with self._pool.page(page_no) as page:
+                page_no = page.next_page
+        for home in list(pages):
+            with self._pool.page(home) as page:
+                records = list(page.slots())
+            for _slot, raw in records:
+                chain = overflow_head(raw)
+                while chain != NO_PAGE:
+                    pages.append(chain)
+                    with self._pool.page(chain) as page:
+                        chain = page.next_page
+        return pages
 
     # -- placement ----------------------------------------------------------
 

@@ -46,14 +46,14 @@ The journal also owns the transaction table (txn id -> last LSN),
 commit, abort and fuzzy checkpoints.
 
 Locking: the journal has its *own* latch. The order is journal latch ->
-shard/pool latches -> WAL mutex; abort and checkpoint acquire the pool's
+pool latch -> WAL mutex; abort and checkpoint acquire the pool's
 ``all_latches()`` *inside* the journal latch, and no path acquires the
 journal latch while holding a pool latch — which is why the operation
 entry points, :meth:`Journal.free_page_deferred` and
 :meth:`Journal._require_active` are lock-free (GIL-atomic dict
 operations plus the invariant that a transaction is only ever driven by
 one thread): they are called from structures that already hold their
-shard's latch. The reservation table has its own leaf lock.
+pool's latch. The reservation table has its own leaf lock.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class Journal:
         self._wal = wal
         pool.attach_wal(wal)
         #: The journal latch. Guards the txn table and transaction
-        #: lifecycle transitions; ordered *before* the pool/shard latches
+        #: lifecycle transitions; ordered *before* the pool latch
         #: (see the module docs).
         self.latch = threading.RLock()
         self._next_txn = 1
@@ -188,8 +188,8 @@ class Journal:
             self._wal.log_end(txn, last)
             frees = self._pending_frees.pop(txn, [])
             frees += self._end(txn)
-        # Outside the journal latch: freeing takes shard latches, which
-        # are ordered after it but must not be interleaved with another
+        # Outside the journal latch: freeing takes the pool latch, which
+        # is ordered after it but must not be interleaved with another
         # thread's in-latch lifecycle work longer than necessary. The
         # transaction is committed and gone from the table; nothing can
         # resurrect references to these pages.
@@ -265,8 +265,8 @@ class Journal:
         nested top action, which no abort reverses, and are freed either
         way.
 
-        Lock-free: callers hold their shard latch and the journal latch
-        is ordered before shard latches, so taking it here would invert
+        Lock-free: callers hold the pool latch and the journal latch is
+        ordered before it, so taking it here would invert
         the order. The dict operations are GIL-atomic and a transaction
         is only ever driven by one thread, so its list never races.
         """
@@ -276,7 +276,7 @@ class Journal:
 
     def _require_active(self, txn: int) -> int:
         # Lock-free for the same reason as free_page_deferred: called
-        # while the page's shard latch is held.
+        # while the pool latch is held.
         last = self.active.get(txn)
         if last is None:
             raise TransactionError("transaction %d is not active" % txn)

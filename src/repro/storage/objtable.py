@@ -15,8 +15,9 @@ literature (objects move, ids do not):
   ``next_page`` — the *k*-th range costs *k* more pins per lookup and
   the whole unsigned 32-bit serial range stays reachable;
 * leaf *i* covers local serials ``[i * LEAF_SERIALS, (i + 1) *
-  LEAF_SERIALS)`` (local = ``serial // stride``, the stride being the
-  store's shard count, so each shard's table is dense) and holds
+  LEAF_SERIALS)`` (local = ``serial // stride``: 1, except in the
+  tables of a store older binaries split over several page files, which
+  :func:`repro.storage.upgrade.merge_files` reads once) and holds
   :data:`LEAF_ENTRIES` fixed-width entries ``serial:u32 version:u32
   page:u32 slot:u16 flag:u8 pad:u8``. A leaf that fills — heavily
   versioned objects — chains through the page header's ``next_page``.
@@ -71,7 +72,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from ..errors import IndexError_, StorageError
 from .journal import OP_OBJ_DELETE, OP_OBJ_INSERT, Journal
 from .page import HEADER_SIZE, NO_PAGE, PAGE_SIZE, PageType
-from .sharding import ShardedPool, ShardJournal, ShardView, shard_of
 
 _PTR = struct.Struct("<I")
 _KEY = struct.Struct("<II")
@@ -141,12 +141,11 @@ class ObjectTable:
             root_page, {})
 
     @classmethod
-    def create(cls, journal: Journal, txn: int,
-               stride: int = 1) -> "ObjectTable":
+    def create(cls, journal: Journal, txn: int) -> "ObjectTable":
         """Allocate an empty table: a root page with no children."""
         root_page = _new_page(journal, txn, PageType.TABLE_NODE)
         journal.table_leaves[root_page] = {}
-        return cls(journal, root_page, stride)
+        return cls(journal, root_page)
 
     # -- radix descent -------------------------------------------------------
 
@@ -422,10 +421,6 @@ def undo_entry(journal: Journal, txn: int, record: dict) -> None:
     re-created since the operation does not matter."""
     undo = record["undo"]
     root_page, stride = _TABLE.unpack_from(undo, 0)
-    pool = journal._pool
-    if isinstance(pool, ShardedPool):
-        # A leaf the re-insert grows belongs in the table's own shard.
-        journal = ShardJournal(journal, ShardView(pool, shard_of(root_page)))
     table = ObjectTable(journal, root_page, stride)
     if record["op"] == OP_OBJ_DELETE:
         entry = undo[_TABLE.size:]

@@ -14,37 +14,22 @@ manager and catalog behind an API of *clusters* holding *objects*:
   maintains their entries (the store does not know which fields of the
   payload are indexed).
 
+A store is one page file (``<path>``) plus its log (``<path>.wal``).
 Opening a store whose WAL is non-empty runs crash recovery first, so a
 process killed mid-transaction leaves exactly the committed state.
 
-**Sharding** (ISSUE 8). A store may be created with N > 1 *shards*: the
-pages split across N page files (``<path>``, ``<path>.s1`` ...), each
-with its own buffer pool and latch, behind the gpid router of
-:mod:`repro.storage.sharding`. Every cluster then keeps one heap + object
-directory *per shard*, objects route to a shard by their key's serial,
-and per-key operations only contend on their shard's latch — threads
-working different shards proceed in parallel. The WAL, journal, catalog
-and secondary indexes stay shared (single commit protocol, single
-recovery pass); catalog and index pages all live in shard 0. A one-shard
-store takes none of these paths and its file format is byte-identical to
-the pre-sharding layout. The shard count is fixed at creation (persisted
-in the bootstrap root table) and read back on reopen.
-
-Lock order (see also ``journal.py`` / ``sharding.py``): lock-manager
-locks (blocking, outermost, never requested under a latch) -> the
-store's metadata ``latch`` -> catalog lock -> journal latch -> shard
-latches in ascending order -> WAL mutex -> leaf locks (scan page
-cache, scan gate, metrics).
+Lock order (see also ``journal.py``): lock-manager locks (blocking,
+outermost, never requested under a latch) -> the store's metadata
+``latch`` -> catalog lock -> journal latch -> pool latch -> WAL mutex
+-> leaf locks (scan page cache, scan gate, metrics).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import (CatalogError, CorruptPageError, DuplicateKeyError,
@@ -65,37 +50,24 @@ from .pagefile import PageFile
 from .records import decode_record, record_key
 from .recovery import RecoveryReport, recover
 from .scanbatch import ScanBatch
-from .sharding import (MAX_SHARDS, ShardedPool, ShardJournal, ShardView,
-                       global_page, local_page, shard_path)
-from .upgrade import convert
+from .upgrade import convert, merge_files
 from .wal import WriteAheadLog
-
-#: Shard count at creation when the ``shards=`` parameter is not given.
-ENV_SHARDS = "REPRO_SHARDS"
 
 
 class Store:
-    """Object store with WAL durability, 2PL locking and optional shards."""
-
-    #: Bootstrap root entry persisting the shard count (0/absent = 1).
-    SHARDS_ROOT_KEY = "shards"
+    """Object store with WAL durability and 2PL locking."""
 
     def __init__(self, path: str, pool_size: int = DEFAULT_POOL_SIZE,
-                 durability: str = "full", shards: Optional[int] = None):
+                 durability: str = "full"):
         """Open (or create) the store rooted at *path*.
 
-        Files: ``<path>`` for shard-0 pages (and all metadata),
-        ``<path>.sN`` for each further shard, ``<path>.wal`` for the
-        shared log. If the log holds records from a previous crash,
-        recovery runs before the store becomes usable; the report is kept
-        at :attr:`last_recovery`. *durability* selects the commit fsync
+        Files: ``<path>`` for the pages, ``<path>.wal`` for the log. If
+        the log holds records from a previous crash, recovery runs before
+        the store becomes usable; the report is kept at
+        :attr:`last_recovery`. *durability* selects the commit fsync
         policy — ``"full"``, ``"group"`` or ``"none"`` (see
-        :mod:`repro.storage.wal`). *shards* fixes the shard count when
-        the store is first created (the ``REPRO_SHARDS`` environment
-        variable applies when the parameter is omitted, and must then be
-        an integer); an existing store always reopens with the count it
-        was created with. Layouts older files hold are converted before
-        the store becomes usable (:mod:`repro.storage.upgrade`).
+        :mod:`repro.storage.wal`). Layouts older files hold are converted
+        before the store becomes usable (:mod:`repro.storage.upgrade`).
         """
         self.path = path
         # Observability first: one registry + event ring per store, shared
@@ -108,71 +80,45 @@ class Store:
         #: finishes opening, or programmatically via ``db.faults``.
         self.faults = FaultInjector.from_env()
         self.faults.attach_observability(self.events)
-        if shards is None:
-            shards = self._env_shards()
         self._pagefile = PageFile(path, faults=self.faults)
-        self._n_shards = self._resolve_shards(shards)
-        self._pagefiles = [self._pagefile]
-        for sid in range(1, self._n_shards):
-            self.faults.fire("shard.open.pre", shard=sid)
-            self._pagefiles.append(
-                PageFile(shard_path(path, sid), faults=self.faults))
-            self.faults.fire("shard.open.post", shard=sid)
-        if self._n_shards == 1:
-            self._pool = BufferPool(self._pagefile, capacity=pool_size)
-            self._router: Optional[ShardedPool] = None
-        else:
-            per_shard = max(pool_size // self._n_shards, 16)
-            self._router = ShardedPool(
-                [BufferPool(pf, capacity=per_shard)
-                 for pf in self._pagefiles])
-            self._pool = self._router
+        # A store older binaries split over several page files becomes
+        # one file first, recovering through the conversion's own router.
+        self.last_recovery: Optional[RecoveryReport] = merge_files(
+            self, pool_size)
+        self._pool = BufferPool(self._pagefile, capacity=pool_size)
         self._wal = WriteAheadLog(path + ".wal", durability=durability,
                                   faults=self.faults)
         self._wal.attach_observability(self.metrics, self.events)
-        self.last_recovery: Optional[RecoveryReport] = None
-        if self._wal.end_lsn > 0:
+        if self.last_recovery is None and self._wal.end_lsn > 0:
             # No corruption handler is attached yet: a torn page found
-            # here is *repaired* by redo, not quarantined. Log records
-            # carry gpids, so the one recovery pass covers every shard.
+            # here is *repaired* by redo, not quarantined.
             self.last_recovery = recover(self._pool, self._wal)
-            if self.last_recovery.repaired_pages:
-                self.events.emit("recovery_repair",
-                                 pages=sorted(
-                                     self.last_recovery.repaired_pages))
+        if self.last_recovery is not None \
+                and self.last_recovery.repaired_pages:
+            self.events.emit("recovery_repair",
+                             pages=sorted(self.last_recovery.repaired_pages))
         self._journal = Journal(self._pool, self._wal)
-        if self._router is None:
-            self._shard_journals: List[Any] = [self._journal]
-        else:
-            self._shard_journals = [
-                ShardJournal(self._journal, ShardView(self._router, sid))
-                for sid in range(self._n_shards)]
         #: Count of checksum failures seen at runtime (pages quarantined).
         self.corrupt_pages = 0
-        if self._router is None:
-            self._pool.on_corrupt_page = self._on_corrupt_page
-        else:
-            for sid, pool in enumerate(self._router.pools):
-                pool.on_corrupt_page = (
-                    lambda no, exc, s=sid:
-                    self._on_corrupt_page(global_page(s, no), exc))
+        self._pool.on_corrupt_page = self._on_corrupt_page
         #: The store's metadata latch: guards the catalog-backed state
-        #: (structure caches, serial blocks, cluster DDL) and orders
-        #: before every shard latch. Logical isolation is the lock
-        #: manager's job; never block on :attr:`locks` while holding it.
+        #: (structure caches, serial blocks, cluster DDL) and every
+        #: per-key heap + object-table operation. Logical isolation is
+        #: the lock manager's job; never block on :attr:`locks` while
+        #: holding it.
         self.latch = threading.RLock()
         self.locks = LockManager()
         self.catalog = Catalog(self._journal, self._pagefile,
                                self._journal.begin)
-        #: (cluster, shard) -> structure caches.
-        self._heaps: Dict[Tuple[str, int], HeapFile] = {}
-        self._directories: Dict[Tuple[str, int], ObjectTable] = {}
+        #: cluster -> structure caches.
+        self._heaps: Dict[str, HeapFile] = {}
+        self._directories: Dict[str, ObjectTable] = {}
         self._indexes: Dict[Tuple[str, str], Any] = {}
         #: cluster -> [next unissued serial, end of reserved block)
         self._serial_blocks: Dict[str, list] = {}
-        #: gpid -> (page_lsn, slot_count, ScanBatch, owner) for batched
+        #: page -> (page_lsn, slot_count, ScanBatch, owner) for batched
         #: scans, least recently used first; *owner* is the first page
-        #: of the scanned cluster's (shard 0) heap. A batch holds the
+        #: of the scanned cluster's heap. A batch holds the
         #: page's record *bytes*, never decoded values (see
         #: :mod:`repro.storage.scanbatch`). Entries self-invalidate on
         #: LSN mismatch (LSNs are globally monotone, even across WAL
@@ -187,8 +133,9 @@ class Store:
         self.page_cache_evictions = 0
         #: Records whose key a scan read off the bytes (bumped under
         #: ``_pc_lock`` when a batch is built) and records a scan batch
-        #: decoded (``itertools.count``: consumers decode with no lock
-        #: held, see ``_shard_scans`` below).
+        #: decoded (``itertools.count``: concurrent consumers decode with
+        #: no lock held, and ``next()`` is one C call, so unlike a ``+=``
+        #: it never loses an update under the GIL).
         self.scan_records_peeked = 0
         self._scan_decodes = itertools.count()
         #: Commit hook: called as ``on_commit(txn, clsn)`` after the WAL
@@ -210,14 +157,6 @@ class Store:
         #: walks have drained and new ones are refused (StorageError)
         #: instead of racing the final checkpoint / file close.
         self._quiesced = False
-        #: Scans started per shard (metric ``shard.scans{shard=...}``).
-        #: ``itertools.count`` objects, not plain ints: concurrent scans
-        #: of the *same* shard bump the same slot from different client
-        #: threads (scans hold no lock here), and a
-        #: list-element ``+=`` is a read-modify-write that loses updates
-        #: under the GIL. ``next()`` is one C call, so it never does.
-        self._shard_scans = [itertools.count()
-                             for _ in range(self._n_shards)]
         self._closed = False
         # Components keep their plain-int counters (bumped under their
         # existing locks) and the registry samples them lazily — absorbing
@@ -230,38 +169,6 @@ class Store:
         """Convert every retired on-disk layout the files hold, in one
         crash-atomic transaction (see :mod:`repro.storage.upgrade`)."""
         convert(self)
-
-    @staticmethod
-    def _env_shards() -> int:
-        """The ``REPRO_SHARDS`` count (1 when unset); a value that is not
-        an integer raises instead of quietly creating a 1-shard store."""
-        raw = os.environ.get(ENV_SHARDS, "")
-        try:
-            return int(raw) if raw else 1
-        except ValueError:
-            raise StorageError("%s=%r is not a shard count"
-                               % (ENV_SHARDS, raw)) from None
-
-    def _resolve_shards(self, shards: int) -> int:
-        """The store's shard count: persisted on an existing store, else
-        chosen at creation (the parameter, ``REPRO_SHARDS`` or 1) and
-        persisted *durably before* any shard file exists — a crash at any
-        point leaves either a plain 1-shard file or a root that names
-        every shard file to (re)create on reopen."""
-        persisted = self._pagefile.get_root(self.SHARDS_ROOT_KEY)
-        if persisted:
-            return persisted
-        if self._pagefile.get_root(Catalog.BOOTSTRAP_KEY) != 0:
-            return 1  # pre-sharding store: format is frozen at 1 shard
-        if shards <= 1:
-            return 1
-        if shards > MAX_SHARDS:
-            raise StorageError("shard count %d exceeds the maximum %d"
-                               % (shards, MAX_SHARDS))
-        self.faults.fire("shard.root.pre", shards=shards)
-        self._pagefile.set_root(self.SHARDS_ROOT_KEY, shards)
-        self._pagefile.sync()
-        return shards
 
     def _register_metrics(self) -> None:
         pool = self._pool
@@ -280,10 +187,7 @@ class Store:
         metrics.gauge_fn("buffer.hit_ratio",
                          lambda: (pool.hits / (pool.hits + pool.misses))
                          if (pool.hits + pool.misses) else 0.0)
-        if self._router is None:
-            metrics.gauge_fn("buffer.cached", lambda: len(pool._frames))
-        else:
-            metrics.gauge_fn("buffer.cached", lambda: pool.cached_frames)
+        metrics.gauge_fn("buffer.cached", lambda: len(pool._frames))
         metrics.gauge_fn("buffer.capacity", lambda: pool.capacity)
         metrics.counter_fn("page_cache.hits", lambda: self.page_cache_hits)
         metrics.counter_fn("page_cache.misses",
@@ -297,9 +201,7 @@ class Store:
                            lambda: self.scan_records_peeked)
         metrics.counter_fn("scan.records_decoded",
                            lambda: _count_value(self._scan_decodes))
-        metrics.gauge_fn("store.pages",
-                         lambda: sum(pf.page_count
-                                     for pf in self._pagefiles))
+        metrics.gauge_fn("store.pages", lambda: self._pagefile.page_count)
         metrics.counter_fn("storage.corrupt_pages",
                            lambda: self.corrupt_pages)
         metrics.counter_fn("buffer.checksum_failures",
@@ -310,12 +212,6 @@ class Store:
                          lambda: 0 if self.degraded is None else 1)
         metrics.counter_fn("faults.injected", lambda: self.faults.injected)
         metrics.counter_fn("events.dropped", lambda: self.events.dropped)
-        metrics.gauge_fn("shard.count", lambda: self._n_shards)
-        for sid in range(self._n_shards):
-            metrics.counter_fn("shard.scans",
-                               (lambda s=sid: _count_value(
-                                   self._shard_scans[s])),
-                               shard=str(sid))
 
     #: Pages per heap-growth extent for cluster heaps: objects of one
     #: cluster land in physically contiguous runs (cluster-local
@@ -327,67 +223,13 @@ class Store:
     #: repeated scans (see :meth:`_page_cache_insert`).
     PAGE_CACHE_PAGES = 512
 
-    # -- sharding helpers --------------------------------------------------------
-
-    @property
-    def n_shards(self) -> int:
-        return self._n_shards
-
-    def _shard_of_key(self, key) -> int:
-        """The shard an object key routes to: by serial, so every
-        version of one object — head beside its states — shares a shard
-        (and a leaf of that shard's object table)."""
-        return key[0] % self._n_shards
-
-    def _latch_of(self, shard: int):
-        """The latch serializing per-key work in *shard* (the metadata
-        latch on a single-shard store, preserving the pre-sharding
-        critical sections exactly)."""
-        if self._router is None:
-            return self.latch
-        return self._router.latch_of(shard)
-
-    def _pool_of(self, shard: int):
-        if self._router is None:
-            return self._pool
-        return self._router.pools[shard]
-
-    @contextmanager
-    def _keyed(self, cluster: str, key):
-        """Yield ``(heap, directory)`` for *key*'s shard, shard latch held.
-
-        Structure resolution must not run under the shard latch (it takes
-        the metadata latch and catalog lock, both ordered before shard
-        latches), so the caches are primed first and re-read — plain
-        GIL-atomic dict gets — inside the latch; a concurrent
-        vacuum/abort that swapped or dropped the entry is
-        caught by the re-read and the resolution retries.
-        """
-        if self._router is None:
-            with self.latch:
-                yield self._heap(cluster), self._directory(cluster)
-            return
-        sid = self._shard_of_key(key)
-        self._ensure_structs(cluster, sid)
-        latch = self._router.latch_of(sid)
-        while True:
-            with latch:
-                heap = self._heaps.get((cluster, sid))
-                directory = self._directories.get((cluster, sid))
-                if heap is not None and directory is not None:
-                    yield heap, directory
-                    return
-            self._ensure_structs(cluster, sid)
-
-    def _ensure_structs(self, cluster: str, shard: int) -> None:
-        with self.latch:
-            self._heap(cluster, shard)
-            self._directory(cluster, shard)
-
-    def _all_heaps(self, cluster: str) -> List[HeapFile]:
-        with self.latch:
-            return [self._heap(cluster, sid)
-                    for sid in range(self._n_shards)]
+    def _structs(self, cluster: str) -> Tuple[HeapFile, ObjectTable]:
+        """*cluster*'s heap and object table (caller holds the latch)."""
+        heap = self._heaps.get(cluster)
+        directory = self._directories.get(cluster)
+        if heap is None or directory is None:
+            return self._heap(cluster), self._directory(cluster)
+        return heap, directory
 
     # -- transactions ------------------------------------------------------------
 
@@ -420,9 +262,6 @@ class Store:
             self._journal.abort(txn)
             self.catalog.invalidate()
             self._forget_stale_structures()
-            # The aborted transaction may have reserved a serial block whose
-            # catalog update was rolled back; drop all in-memory blocks.
-            self._serial_blocks.clear()
         if release_locks:
             self.locks.release_all(txn)
 
@@ -435,13 +274,14 @@ class Store:
         spares the next insert the walk to the heap's tail.
         """
         catalog = self.catalog
-        for handles, slot, attr in ((self._heaps, 0, "first_page"),
-                                    (self._directories, 1, "root_page")):
-            for (name, shard), handle in list(handles.items()):
+        for handles, page, attr in ((self._heaps, "heap_page", "first_page"),
+                                    (self._directories, "directory_page",
+                                     "root_page")):
+            for name, handle in list(handles.items()):
                 info = catalog.get_cluster(name)
-                if (info is None or shard >= len(info.shards)
-                        or info.shards[shard][slot] != getattr(handle, attr)):
-                    del handles[(name, shard)]
+                if (info is None
+                        or getattr(info, page) != getattr(handle, attr)):
+                    del handles[name]
         for (name, field), index in list(self._indexes.items()):
             info = catalog.get_cluster(name)
             ix_info = None if info is None else info.indexes.get(field)
@@ -451,8 +291,7 @@ class Store:
     def checkpoint(self) -> None:
         """Flush dirty pages; truncate the WAL if quiescent."""
         self._journal.checkpoint()
-        for pagefile in self._pagefiles:
-            pagefile.sync()
+        self._pagefile.sync()
 
     def set_durability(self, mode: str, group_size: Optional[int] = None,
                        group_window: Optional[float] = None) -> None:
@@ -471,12 +310,8 @@ class Store:
 
     def create_cluster(self, txn: int, name: str,
                        parents: Optional[List[str]] = None) -> ClusterInfo:
-        """Create the extent for *name* (the paper's ``create`` macro).
-
-        On a sharded store every shard gets its own heap + object
-        directory up front, so the catalog record fixes the cluster's
-        full physical layout at creation.
-        """
+        """Create the extent for *name* (the paper's ``create`` macro): an
+        empty heap and object table."""
         parents = parents or []
         with self.latch:
             for parent in parents:
@@ -484,24 +319,14 @@ class Store:
                     raise CatalogError(
                         "parent cluster %r of %r does not exist"
                         % (parent, name))
-            heaps: List[HeapFile] = []
-            directories: List[ObjectTable] = []
-            shard_pairs: List[List[int]] = []
-            for sid in range(self._n_shards):
-                journal = self._shard_journals[sid]
-                heap = HeapFile.create(journal, txn,
-                                       extent=self.EXTENT_PAGES)
-                directory = ObjectTable.create(journal, txn,
-                                               self._n_shards)
-                heaps.append(heap)
-                directories.append(directory)
-                shard_pairs.append([heap.first_page, directory.root_page])
-            info = self.catalog.add_cluster(
-                txn, name, parents, shard_pairs[0][0], shard_pairs[0][1],
-                shards=shard_pairs if self._n_shards > 1 else None)
-            for sid in range(self._n_shards):
-                self._heaps[(name, sid)] = heaps[sid]
-                self._directories[(name, sid)] = directories[sid]
+            heap = HeapFile.create(self._journal, txn,
+                                   extent=self.EXTENT_PAGES)
+            directory = ObjectTable.create(self._journal, txn)
+            info = self.catalog.add_cluster(txn, name, parents,
+                                            heap.first_page,
+                                            directory.root_page)
+            self._heaps[name] = heap
+            self._directories[name] = directory
             return info
 
     def has_cluster(self, name: str) -> bool:
@@ -513,52 +338,46 @@ class Store:
             raise CatalogError("no cluster named %r" % name)
         return info
 
-    def _shard_pair(self, info: ClusterInfo, shard: int) -> List[int]:
-        if shard >= len(info.shards):
-            raise StorageError(
-                "cluster %r has %d shard(s) but the store expects %d"
-                % (info.name, len(info.shards), self._n_shards))
-        return info.shards[shard]
-
-    def _heap(self, name: str, shard: int = 0) -> HeapFile:
+    def _heap(self, name: str) -> HeapFile:
         with self.latch:
-            heap = self._heaps.get((name, shard))
+            heap = self._heaps.get(name)
             if heap is None:
-                info = self.cluster_info(name)
-                heap = HeapFile(self._shard_journals[shard],
-                                self._shard_pair(info, shard)[0],
+                heap = HeapFile(self._journal,
+                                self.cluster_info(name).heap_page,
                                 extent=self.EXTENT_PAGES)
-                self._heaps[(name, shard)] = heap
+                self._heaps[name] = heap
             return heap
 
-    def _directory(self, name: str, shard: int = 0) -> ObjectTable:
-        """The object table of one cluster shard."""
+    def _directory(self, name: str) -> ObjectTable:
+        """The object table of one cluster."""
         with self.latch:
-            directory = self._directories.get((name, shard))
+            directory = self._directories.get(name)
             if directory is None:
-                info = self.cluster_info(name)
-                directory = ObjectTable(self._shard_journals[shard],
-                                        self._shard_pair(info, shard)[1],
-                                        self._n_shards)
-                self._directories[(name, shard)] = directory
+                directory = ObjectTable(
+                    self._journal, self.cluster_info(name).directory_page)
+                self._directories[name] = directory
             return directory
 
     #: Serials are reserved from the catalog in blocks of this size, so a
     #: catalog write is paid once per block instead of once per pnew. A
-    #: crash or abort wastes the block's unissued serials — ids stay
-    #: unique, they are just not dense (the standard sequence trade-off).
+    #: crash wastes the block's unissued serials — ids stay unique, they
+    #: are just not dense (the standard sequence trade-off).
     SERIAL_BLOCK = 64
 
     def allocate_serial(self, txn: int, cluster: str) -> int:
-        """Hand out the next object serial number for *cluster*."""
+        """Hand out the next object serial number for *cluster*.
+
+        A block is reserved as a nested top action of *txn*
+        (:meth:`Catalog.reserve_serials`) and handed to every transaction
+        from memory afterwards: neither an abort nor a crash of *txn* can
+        take back a serial another transaction has already committed.
+        """
         with self.latch:
             block = self._serial_blocks.get(cluster)
             if block is None or block[0] >= block[1]:
-                info = self.cluster_info(cluster)
-                start = info.next_serial
-                info.next_serial += self.SERIAL_BLOCK
-                self.catalog.save_cluster(txn, info)
-                block = [start, info.next_serial]
+                start = self.catalog.reserve_serials(
+                    txn, self.cluster_info(cluster), self.SERIAL_BLOCK)
+                block = [start, start + self.SERIAL_BLOCK]
                 self._serial_blocks[cluster] = block
             serial = block[0]
             block[0] += 1
@@ -576,7 +395,8 @@ class Store:
         is written.
         """
         payload = data if data.__class__ is bytes else encode_value(data)
-        with self._keyed(cluster, key) as (heap, directory):
+        with self.latch:
+            heap, directory = self._structs(cluster)
             self._put_locked(txn, heap, directory, key, payload, new)
 
     @staticmethod
@@ -606,7 +426,8 @@ class Store:
         abort's compensation writes.
         """
         payload = data if data.__class__ is bytes else encode_value(data)
-        with self._keyed(cluster, key) as (heap, directory):
+        with self.latch:
+            heap, directory = self._structs(cluster)
             rid = self._put_locked(txn, heap, directory, key, payload)
             return rid, heap.page_lsn(rid.page_no)
 
@@ -615,9 +436,7 @@ class Store:
 
         Token-refresh helper for batch writers: after a run of puts has
         settled, the caller re-primes its decoded cache against these
-        LSNs (see :meth:`get_with_token` for the token contract). Page
-        numbers are gpids, so each pin routes to (and briefly latches)
-        only its own shard.
+        LSNs (see :meth:`get_with_token` for the token contract).
         """
         pool = self._pool
         lsns: Dict[int, int] = {}
@@ -628,7 +447,8 @@ class Store:
 
     def get(self, cluster: str, key: Tuple) -> Optional[Dict]:
         """Fetch the object at *key*, decoded, or None."""
-        with self._keyed(cluster, key) as (heap, directory):
+        with self.latch:
+            heap, directory = self._structs(cluster)
             hit = directory.search(key)
             if hit is None:
                 return None
@@ -648,7 +468,8 @@ class Store:
         must not trust tokens with ``lsn == 0`` — freshly formatted pages
         start there.
         """
-        with self._keyed(cluster, key) as (heap, directory):
+        with self.latch:
+            heap, directory = self._structs(cluster)
             hit = directory.search(key)
             if hit is None:
                 return None, None, 0
@@ -662,7 +483,6 @@ class Store:
         Pages for repeated page numbers are pinned once. This is the
         whole validation cost of the object layer's decoded cache: a
         couple of buffer-pool hits instead of directory probes + decodes.
-        Each pin latches only its own shard's pool.
         """
         pool = self._pool
         seen: Dict[int, int] = {}
@@ -677,12 +497,13 @@ class Store:
         return True
 
     def exists(self, cluster: str, key: Tuple) -> bool:
-        with self._keyed(cluster, key) as (_heap, directory):
-            return directory.search(key) is not None
+        with self.latch:
+            return self._structs(cluster)[1].search(key) is not None
 
     def delete(self, txn: int, cluster: str, key: Tuple) -> bool:
         """Delete the object at *key*; returns whether it existed."""
-        with self._keyed(cluster, key) as (heap, directory):
+        with self.latch:
+            heap, directory = self._structs(cluster)
             rid = directory.delete(txn, key)
             if rid is None:
                 return False
@@ -795,58 +616,31 @@ class Store:
 
         Objects inserted behind the cursor during the iteration are
         still visited — the property the paper's fixpoint queries require
-        (section 3.2). Within one shard's chain each page is re-checked
-        after its batch is consumed; across shards the walk is
-        shard-major, so an insert that routes to an already-walked shard
-        lands behind that shard's cursor. The walk therefore repeats in
-        rounds, each resuming every shard from where its last walk
-        stopped, until a whole round yields nothing.
+        (section 3.2): each page is re-checked after its batch is
+        consumed, and the walk follows the chain's ``next_page`` as it
+        stands when the page is done, so it reaches the pages growth
+        linked meanwhile.
         """
-        # Enter the gate before resolving structures: a vacuum that was
+        # Enter the gate before resolving the heap: a vacuum that was
         # admitted first swaps the caches before letting us through, so
-        # the heaps we resolve can never be mid-retirement. The slot is
-        # held across every round, so the chains cannot be freed between
-        # one round and the next.
+        # the heap we resolve can never be mid-retirement.
         self._scan_enter()
         try:
-            heaps = self._all_heaps(cluster)
-            layouts = self.catalog.layouts(cluster)
-            #: per shard: [page_no, consumed_slots] resume position.
-            cursors = [[heap.first_page, 0] for heap in heaps]
-            # Every shard's pages are one loop to the page cache.
-            owner = heaps[0].first_page
-            for counter in self._shard_scans:
-                next(counter)
-            grew = True
-            while grew:
-                grew = False
-                for heap, cursor in zip(heaps, cursors):
-                    for batch in self._scan_batches_inner(heap, cursor,
-                                                          owner, layouts):
-                        grew = True
-                        yield batch
+            heap = self._heap(cluster)
+            yield from self._walk(heap, self.catalog.layouts(cluster))
         finally:
             self._scan_exit()
 
-    def _scan_batches_inner(self, heap: HeapFile, cursor: list,
-                            owner: int, layouts):
-        """One heap's batched page walk from *cursor* to the chain's end.
-
-        *cursor* is ``[page_no, consumed_slots]`` and is advanced in
-        place as pages are finished, so calling again with the same list
-        resumes where this walk stopped. It never advances past the last
-        page that held a slot: heap growth links whole extents and fills
-        them front to back, so the empty pages trailing the cursor are
-        exactly where the next inserts land. Pages it caches belong to
-        *owner* (see :meth:`_page_cache_insert`); its batches decode
-        object records through *layouts*, the cluster's.
-        """
+    def _walk(self, heap: HeapFile, layouts):
+        """*heap*'s batched page walk, from its first page to the chain's
+        end. Pages it caches belong to the heap's first page (see
+        :meth:`_page_cache_insert`); its batches decode object records
+        through *layouts*, the cluster's."""
         pool = self._pool
         readahead = HeapFile.READAHEAD
-        page_no, start = cursor
-        # A resumed walk's cursor page was read ahead when first reached.
-        span_lo = page_no
-        span_hi = page_no + readahead if start else page_no
+        page_no = owner = heap.first_page
+        start = 0
+        span_lo = span_hi = page_no
         while page_no != NO_PAGE:
             if not span_lo <= page_no < span_hi:
                 pool.prefetch(page_no, readahead)
@@ -888,9 +682,6 @@ class Store:
                 if batch:
                     yield batch
                 start = slot_count2
-            if start:
-                cursor[0] = page_no
-                cursor[1] = start
             page_no = next_page
             start = 0
 
@@ -913,8 +704,8 @@ class Store:
             while len(cache) >= self.PAGE_CACHE_PAGES:
                 victim = next(iter(cache))
                 if cache[victim][3] == owner:
-                    victim = next(gpid for gpid in reversed(cache)
-                                  if cache[gpid][3] == owner)
+                    victim = next(no for no in reversed(cache)
+                                  if cache[no][3] == owner)
                 del cache[victim]
                 self.page_cache_evictions += 1
         cache[page_no] = entry
@@ -925,7 +716,7 @@ class Store:
         return (self.page_cache_hits / lookups) if lookups else 0.0
 
     def count(self, cluster: str) -> int:
-        return sum(heap.count() for heap in self._all_heaps(cluster))
+        return self._heap(cluster).count()
 
     # -- secondary indexes ------------------------------------------------------------
 
@@ -937,7 +728,7 @@ class Store:
         composite index (keyed on the value tuple, registered under the
         comma-joined name). *kind* ``"hash"`` is accepted as another
         spelling of the one index structure; the catalog records
-        ``"btree"``. Index pages always live in shard 0.
+        ``"btree"``.
         """
         if isinstance(field, (tuple, list)):
             fields = list(field)
@@ -982,9 +773,7 @@ class Store:
     # Latched index entry points. A multi-level B+tree descent or split
     # touches several pages; holding the latch for the whole operation
     # keeps a concurrent reader from observing the intermediate states
-    # between those page edits. Index pages are shard-0 residents,
-    # so the metadata latch (ordered before shard latches) is the right
-    # guard.
+    # between those page edits.
 
     def index_insert(self, txn: int, cluster: str, field: str, key,
                      value) -> None:
@@ -1020,7 +809,7 @@ class Store:
     # -- maintenance ----------------------------------------------------------------
 
     def vacuum(self, cluster: str) -> Dict[str, int]:
-        """Rewrite *cluster*'s heap(s) and object director(ies) compactly.
+        """Rewrite *cluster*'s heap and object table compactly.
 
         Deletes and relocations leave tombstones, forwarding stubs,
         sparse pages and dead object-table entries behind; vacuuming
@@ -1034,9 +823,9 @@ class Store:
         keys to *serials*, not RIDs, so they remain valid and are not
         rebuilt.
 
-        Runs as one transaction of its own, whatever the shard count:
-        the rewrites, the catalog swap and the page frees commit (or roll
-        back) together. Returns ``{"objects": n, "pages_freed": m}``.
+        Runs as one transaction of its own: the rewrite, the catalog swap
+        and the page frees commit (or roll back) together. Returns
+        ``{"objects": n, "pages_freed": m}``.
         """
         started = time.perf_counter()
         self.faults.fire("vacuum.pre", cluster=cluster)
@@ -1054,13 +843,7 @@ class Store:
         try:
             try:
                 with self.latch:
-                    moved = 0
-                    old_pages: List[int] = []
-                    for shard in range(self._n_shards):
-                        n, pages = self._vacuum_shard_locked(
-                            txn, cluster, shard)
-                        moved += n
-                        old_pages += pages
+                    moved, old_pages = self._vacuum_locked(txn, cluster)
             except BaseException:
                 self.abort(txn)
                 raise
@@ -1073,133 +856,55 @@ class Store:
                          ms=(time.perf_counter() - started) * 1e3)
         return {"objects": moved, "pages_freed": len(old_pages)}
 
-    def _vacuum_shard_locked(self, txn: int, cluster: str,
-                             shard: int) -> Tuple[int, List[int]]:
-        """Rewrite one shard of *cluster* under *txn*; swap it into the
-        catalog. Caller holds the metadata latch and the cluster X lock."""
+    def _vacuum_locked(self, txn: int,
+                       cluster: str) -> Tuple[int, List[int]]:
+        """Rewrite *cluster* under *txn*; swap it into the catalog. Caller
+        holds the metadata latch and the cluster X lock."""
         info = self.cluster_info(cluster)
-        old_root = info.shards[shard][1]
-        new_heap, new_directory, moved, old_pages = self._rewrite_shard(
-            txn, cluster, shard)
-        info.shards[shard] = [new_heap.first_page, new_directory.root_page]
-        if shard == 0:
-            info.heap_page, info.directory_page = info.shards[0]
+        directory = self._directory(cluster)
+        new_heap, new_directory, moved, old_pages = rewrite_objects(
+            self._journal, txn, [(self._heap(cluster), directory.items())],
+            self._pool.capacity // 2)
+        old_pages += directory.pages()
+        info.heap_page = new_heap.first_page
+        info.directory_page = new_directory.root_page
         self.catalog.save_cluster(txn, info)
         for page_no in old_pages:
             self._journal.free_page_deferred(txn, page_no)
-        self._swap_structs(cluster, shard, new_heap, new_directory)
-        self._journal.table_leaves.pop(old_root, None)   # its leaf memo
+        self._heaps[cluster] = new_heap
+        self._directories[cluster] = new_directory
+        self._journal.table_leaves.pop(directory.root_page, None)
         return moved, old_pages
 
-    def _rewrite_shard(self, txn: int, cluster: str, shard: int):
-        """Copy one shard's live objects into a fresh heap + object table.
-
-        Returns ``(new_heap, new_directory, moved, old_pages)`` without
-        touching the catalog or the structure caches — the caller owns
-        the swap.
-        """
-        old_heap = self._heap(cluster, shard)
-        old_directory = self._directory(cluster, shard)
-        # Copy in old *physical chain order*, not directory order:
-        # insertion placed related records (an object's head next to its
-        # state) adjacently, and the batched scan's materializer depends
-        # on that adjacency. A key-order rewrite would scatter them
-        # and degrade post-vacuum scans to per-object directory probes.
-        chain_pos = {no: i for i, no in
-                     enumerate(self._pages_of_heap(old_heap))}
-
-        def order(kv):
-            rid_tuple = kv[1]
-            return chain_pos.get(rid_tuple[0], 1 << 60), rid_tuple[1]
-
-        rid_items = sorted(old_directory.items(), key=order)
-        items = [(key, old_heap.read(RID(*rid_tuple)))
-                 for key, rid_tuple in rid_items]
-        journal = self._shard_journals[shard]
-        new_heap = HeapFile.create(journal, txn, extent=self.EXTENT_PAGES)
-        new_directory = ObjectTable.create(journal, txn, self._n_shards)
-        need = self._pages_for(payload for _key, payload in items)
-        if need > 1:
-            # Cap the single extent well below the pool size so
-            # formatting it cannot churn the whole buffer pool.
-            new_heap.preallocate(
-                txn, min(need, max(self._pool_of(shard).capacity // 2, 1)))
-        moved = 0
-        for key, payload in items:
-            new_directory.insert(txn, key, new_heap.insert(txn, payload))
-            moved += 1
-        old_pages = self._pages_of_heap(old_heap) + old_directory.pages()
-        return new_heap, new_directory, moved, old_pages
-
-    def _swap_structs(self, cluster: str, shard: int, heap: HeapFile,
-                      directory: ObjectTable) -> None:
-        """Publish a rewritten shard's structures. The shard latch
-        brackets the dict writes so a per-key operation that re-reads the
-        caches inside its latch can never keep using a structure whose
-        pages are scheduled to be freed."""
-        with self._latch_of(shard):
-            self._heaps[(cluster, shard)] = heap
-            self._directories[(cluster, shard)] = directory
-
-    @staticmethod
-    def _pages_for(payloads) -> int:
-        """Heap pages needed to hold *payloads*, slightly overestimated."""
-        from .heap import MIN_RECORD_SIZE, _REC_HDR
-        from .page import HEADER_SIZE, PAGE_SIZE, SLOT_SIZE
-        usable = PAGE_SIZE - HEADER_SIZE
-        total = 0
-        for payload in payloads:
-            record = max(MIN_RECORD_SIZE, _REC_HDR.size + len(payload))
-            total += min(record, usable) + SLOT_SIZE
-        return -(-total // usable) if total else 1
-
     def fragmentation(self, cluster: str) -> Dict[str, Any]:
-        """Physical layout of *cluster*'s heap chain(s).
+        """Physical layout of *cluster*'s heap chain.
 
         ``pages`` is the chain length, ``span`` the page-number distance
         covered (max - min + 1; equals ``pages`` for a perfectly clustered
         heap), ``runs`` the number of maximal physically-contiguous runs
         (1 is ideal). ``span / pages`` is the Darmont-style fragmentation
-        factor the EXPERIMENTS entry tracks. On a multi-shard store the
-        top-level numbers aggregate the shards (spans are computed on
-        local page numbers, per file) and ``shards`` holds the per-shard
-        breakdown. ``directory`` is :meth:`directory_stats`.
+        factor the EXPERIMENTS entry tracks. ``directory`` is
+        :meth:`directory_stats`.
         """
-        per_shard: List[Dict[str, Any]] = []
+        pages: List[int] = []
         with self.latch:
-            for sid in range(self._n_shards):
-                heap = self._heap(cluster, sid)
-                pages: List[int] = []
-                page_no = heap.first_page
-                while page_no != NO_PAGE:
-                    pages.append(local_page(page_no))
-                    with self._pool.page(page_no, cold=True) as page:
-                        page_no = page.next_page
-                runs = 1 + sum(1 for a, b in zip(pages, pages[1:])
-                               if b != a + 1)
-                span = max(pages) - min(pages) + 1
-                per_shard.append({
-                    "shard": sid,
-                    "pages": len(pages),
-                    "span": span,
-                    "runs": runs,
-                    "fragmentation": span / len(pages),
-                })
-        total_pages = sum(entry["pages"] for entry in per_shard)
-        total_span = sum(entry["span"] for entry in per_shard)
-        out = {
-            "pages": total_pages,
-            "span": total_span,
-            "runs": sum(entry["runs"] for entry in per_shard),
-            "fragmentation": total_span / total_pages,
+            page_no = self._heap(cluster).first_page
+            while page_no != NO_PAGE:
+                pages.append(page_no)
+                with self._pool.page(page_no, cold=True) as page:
+                    page_no = page.next_page
+        span = max(pages) - min(pages) + 1
+        return {
+            "pages": len(pages),
+            "span": span,
+            "runs": 1 + sum(1 for a, b in zip(pages, pages[1:])
+                            if b != a + 1),
+            "fragmentation": span / len(pages),
+            "directory": self.directory_stats(cluster),
         }
-        if self._n_shards > 1:
-            out["shards"] = per_shard
-        out["directory"] = self.directory_stats(cluster)
-        return out
 
     def directory_stats(self, cluster: str) -> Dict[str, Any]:
-        """Occupancy of *cluster*'s object table(s): ``leaf_pages``,
+        """Occupancy of *cluster*'s object table: ``leaf_pages``,
         ``live_entries`` and ``dead_entries`` — the dead ones being
         positions deletes left on leaves that still hold a live entry,
         which the next insert into such a leaf reuses.
@@ -1208,42 +913,16 @@ class Store:
         demand — here, :meth:`fragmentation`, ``db.stats()`` — and never
         by a metrics snapshot."""
         with self.latch:
-            per_shard = [self._directory(cluster, sid).stats()
-                         for sid in range(self._n_shards)]
-        out: Dict[str, Any] = {
-            field: sum(entry[field] for entry in per_shard)
-            for field in ("leaf_pages", "live_entries", "dead_entries")}
-        if self._n_shards > 1:
-            out["shards"] = per_shard
-        return out
-
-    def _pages_of_heap(self, heap: HeapFile) -> List[int]:
-        pages = []
-        page_no = heap.first_page
-        while page_no != NO_PAGE:
-            pages.append(page_no)
-            with self._pool.page(page_no) as page:
-                page_no = page.next_page
-        # Overflow chains hang off records; collect them via raw slots.
-        for home in list(pages):
-            with self._pool.page(home) as page:
-                records = list(page.slots())
-            for _slot, raw in records:
-                chain = overflow_head(raw)
-                while chain != NO_PAGE:
-                    pages.append(chain)
-                    with self._pool.page(chain) as page:
-                        chain = page.next_page
-        return pages
+            return self._directory(cluster).stats()
 
     def verify_integrity(self) -> List[str]:
         """Cross-check every structure; returns a list of problems
         (empty means the store is internally consistent).
 
-        Checks per cluster (and per shard): the directory's RIDs resolve
-        to readable heap records; heap record count matches directory
-        entry count; index structural invariants hold; secondary-index
-        entries reference serials that exist in some shard's directory.
+        Checks per cluster: the directory's RIDs resolve to readable heap
+        records; heap record count matches directory entry count; index
+        structural invariants hold; secondary-index entries reference
+        serials that exist in the directory.
         """
         problems: List[str] = []
         self.latch.acquire()
@@ -1255,33 +934,26 @@ class Store:
     def _verify_integrity_locked(self, problems: List[str]) -> List[str]:
         for info in self.catalog.clusters():
             cluster = info.name
-            keys = set()
-            for sid in range(self._n_shards):
-                where = (cluster if self._n_shards == 1
-                         else "%s[s%d]" % (cluster, sid))
-                directory = self._directory(cluster, sid)
-                heap = self._heap(cluster, sid)
+            heap, directory = self._structs(cluster)
+            try:
+                directory.check_invariants()
+            except Exception as exc:
+                problems.append("%s: directory invariant: %s"
+                                % (cluster, exc))
+            serials = set()
+            entries = 0
+            for key, rid_tuple in directory.items():
+                entries += 1
+                serials.add(key[0])
                 try:
-                    directory.check_invariants()
+                    heap.read(RID(*rid_tuple))
                 except Exception as exc:
-                    problems.append("%s: directory invariant: %s"
-                                    % (where, exc))
-                entries = 0
-                for key, rid_tuple in directory.items():
-                    entries += 1
-                    keys.add(key)
-                    try:
-                        heap.read(RID(*rid_tuple))
-                    except Exception as exc:
-                        problems.append(
-                            "%s: key %r -> unreadable RID %r: %s"
-                            % (where, key, rid_tuple, exc))
-                heap_count = heap.count()
-                if heap_count != entries:
-                    problems.append(
-                        "%s: heap has %d records but directory has %d "
-                        "entries" % (where, heap_count, entries))
-            serials = {key[0] for key in keys}
+                    problems.append("%s: key %r -> unreadable RID %r: %s"
+                                    % (cluster, key, rid_tuple, exc))
+            heap_count = heap.count()
+            if heap_count != entries:
+                problems.append("%s: heap has %d records but directory has "
+                                "%d entries" % (cluster, heap_count, entries))
             for field, ix_info in info.indexes.items():
                 index = self.index(cluster, field)
                 try:
@@ -1301,8 +973,7 @@ class Store:
     def _on_corrupt_page(self, page_no: int, exc: Exception) -> None:
         """Buffer-pool callback: a page failed its checksum at admit time.
 
-        Called under the owning shard's latch with a *gpid*. Quarantines
-        the page and flips the store into read-only degraded mode: reads
+        Called under the pool latch. Quarantines the page and flips the store into read-only degraded mode: reads
         off healthy pages keep working, writers get
         :class:`DegradedModeError` until :meth:`repair_quarantined` (or a
         reopen after the disk is fixed) clears it.
@@ -1329,8 +1000,8 @@ class Store:
     def scrub(self) -> Dict[str, Any]:
         """Verify the checksum of every allocated page's on-disk image.
 
-        Reads straight from each shard's page file (bypassing the pools)
-        in large spans. Pages with a dirty in-memory frame are skipped —
+        Reads straight from the page file (bypassing the pool) in large
+        spans. Pages with a dirty in-memory frame are skipped —
         their disk image is legitimately stale and will be rewritten,
         with a fresh checksum, at the next flush. Bad pages are
         quarantined exactly as if a pin had found them, flipping the
@@ -1342,22 +1013,21 @@ class Store:
         bad: List[int] = []
         checked = 0
         with self.latch:
-            for sid, pagefile in enumerate(self._pagefiles):
-                frames = self._pool_of(sid)._frames
-                count = pagefile.page_count
-                for start in range(1, count, self.SCRUB_SPAN):
-                    raw = pagefile.read_span(
-                        start, min(self.SCRUB_SPAN, count - start))
-                    mv = memoryview(raw)
-                    for i in range(len(raw) // PAGE_SIZE):
-                        local_no = start + i
-                        frame = frames.get(local_no)
-                        if frame is not None and frame.dirty:
-                            continue
-                        checked += 1
-                        if not verify_checksum(
-                                mv[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]):
-                            bad.append(global_page(sid, local_no))
+            frames = self._pool._frames
+            count = self._pagefile.page_count
+            for start in range(1, count, self.SCRUB_SPAN):
+                raw = self._pagefile.read_span(
+                    start, min(self.SCRUB_SPAN, count - start))
+                mv = memoryview(raw)
+                for i in range(len(raw) // PAGE_SIZE):
+                    page_no = start + i
+                    frame = frames.get(page_no)
+                    if frame is not None and frame.dirty:
+                        continue
+                    checked += 1
+                    if not verify_checksum(
+                            mv[i * PAGE_SIZE:(i + 1) * PAGE_SIZE]):
+                        bad.append(page_no)
             for page_no in bad:
                 if page_no not in self._pool.quarantined:
                     self._on_corrupt_page(page_no, CorruptPageError(
@@ -1421,57 +1091,50 @@ class Store:
     def _probe_cluster(self, info: ClusterInfo):
         """Health-check one cluster under the latch.
 
-        Returns ``None`` when every page of the cluster (all shards) is
-        reachable and sound, else ``(items, lost, directory_authoritative)``
-        where *items* is an ordered ``key -> payload`` map of the
-        salvageable objects across every shard.
+        Returns ``None`` when every page of the cluster is reachable and
+        sound, else ``(items, lost, directory_authoritative)`` where
+        *items* is an ordered ``key -> payload`` map of the salvageable
+        objects.
         """
         cluster = info.name
         healthy = True
         items: "OrderedDict[Tuple, bytes]" = OrderedDict()
         lost = 0
-        authoritative = True
-        sound: List[Tuple[HeapFile, ObjectTable]] = []
-        for sid in range(self._n_shards):
-            heap = directory = None
-            try:
-                # find_tail=False: the probe must be able to read records
-                # by RID even when a corrupt page cuts the chain walk
-                # short.
-                heap = HeapFile(self._shard_journals[sid],
-                                self._shard_pair(info, sid)[0],
-                                extent=self.EXTENT_PAGES, find_tail=False)
-                directory = self._directory(cluster, sid)
-                # A structurally unsound directory is not trusted for
-                # any key: the heap's record headers rebuild it.
-                directory.check_invariants()
-                rid_items = list(directory.items())
-            except Exception:
-                healthy = False
-                rid_items = None
-            if rid_items is not None:
-                sound.append((heap, directory))
-                for key, rid_tuple in rid_items:
-                    try:
-                        items[tuple(key)] = heap.read(RID(*rid_tuple))
-                    except Exception:
-                        healthy = False
-                        lost += 1
-            else:
-                authoritative = False
-                for key, payload in self._salvage_heap_chain(cluster, sid):
-                    if key is None:
-                        lost += 1
-                    else:
-                        items[key] = payload
+        heap = directory = None
+        try:
+            # find_tail=False: the probe must be able to read records by
+            # RID even when a corrupt page cuts the chain walk short.
+            heap = HeapFile(self._journal, info.heap_page,
+                            extent=self.EXTENT_PAGES, find_tail=False)
+            directory = self._directory(cluster)
+            # A structurally unsound directory is not trusted for any
+            # key: the heap's record headers rebuild it.
+            directory.check_invariants()
+            rid_items = list(directory.items())
+        except Exception:
+            healthy = False
+            rid_items = None
+        authoritative = rid_items is not None
+        if authoritative:
+            for key, rid_tuple in rid_items:
+                try:
+                    items[tuple(key)] = heap.read(RID(*rid_tuple))
+                except Exception:
+                    healthy = False
+                    lost += 1
+        else:
+            for key, payload in self._salvage_heap_chain(cluster):
+                if key is None:
+                    lost += 1
+                else:
+                    items[key] = payload
         if healthy:
             try:
-                # Structural walks: chains can hold corrupt pages that no
-                # live directory entry references (tombstone-only pages),
-                # and index corruption is invisible to heap reads.
-                for heap, directory in sound:
-                    self._pages_of_heap(heap)
-                    directory.pages()
+                # Structural walks: the chain can hold corrupt pages that
+                # no live directory entry references (tombstone-only
+                # pages), and index corruption is invisible to heap reads.
+                heap.pages()
+                directory.pages()
                 for field in info.indexes:
                     self.index(cluster, field).check_invariants()
             except Exception:
@@ -1480,8 +1143,8 @@ class Store:
             return None
         return items, lost, authoritative
 
-    def _salvage_heap_chain(self, cluster: str, shard: int = 0):
-        """Tolerantly walk one shard's heap, yielding ``(key, payload)``.
+    def _salvage_heap_chain(self, cluster: str):
+        """Tolerantly walk *cluster*'s heap, yielding ``(key, payload)``.
 
         Used when the object directory is unreadable. Stops at the first
         broken chain link (records beyond it are lost). The key of an
@@ -1490,9 +1153,7 @@ class Store:
         caller can count it as lost.
         """
         try:
-            info = self.cluster_info(cluster)
-            heap = HeapFile(self._shard_journals[shard],
-                            self._shard_pair(info, shard)[0],
+            heap = HeapFile(self._journal, self.cluster_info(cluster).heap_page,
                             extent=self.EXTENT_PAGES, find_tail=False)
         except Exception:
             return
@@ -1518,12 +1179,7 @@ class Store:
             page_no = next_page
 
     def _rebuild_cluster(self, cluster: str, items) -> Dict[str, Any]:
-        """Rewrite *cluster* from salvaged *items*; fresh empty indexes.
-
-        Every shard gets new structures and each item routes back to its
-        home shard (the key -> shard mapping is deterministic, so a
-        rebuild reproduces the original placement).
-        """
+        """Rewrite *cluster* from salvaged *items*; fresh empty indexes."""
         txn = self.begin()
         self.locks.acquire(txn, ("cluster", cluster), "X")
         self._maintenance_begin()
@@ -1545,22 +1201,12 @@ class Store:
         """The rebuild body; caller holds latch, X lock and the gate."""
         info = self.cluster_info(cluster)
         old_pages = self._enumerable_pages(info)
-        new_heaps: List[HeapFile] = []
-        new_directories: List[ObjectTable] = []
-        for sid in range(self._n_shards):
-            journal = self._shard_journals[sid]
-            new_heaps.append(HeapFile.create(
-                journal, txn, extent=self.EXTENT_PAGES))
-            new_directories.append(ObjectTable.create(
-                journal, txn, self._n_shards))
+        heap = HeapFile.create(self._journal, txn, extent=self.EXTENT_PAGES)
+        directory = ObjectTable.create(self._journal, txn)
         for key, payload in items.items():
-            sid = self._shard_of_key(key)
-            new_directories[sid].insert(
-                txn, key, new_heaps[sid].insert(txn, payload))
-        info.shards = [[heap.first_page, directory.root_page]
-                       for heap, directory in
-                       zip(new_heaps, new_directories)]
-        info.heap_page, info.directory_page = info.shards[0]
+            directory.insert(txn, key, heap.insert(txn, payload))
+        info.heap_page = heap.first_page
+        info.directory_page = directory.root_page
         for field, ix_info in list(info.indexes.items()):
             index = BTree.create(self._journal, txn, unique=ix_info.unique)
             info.indexes[field] = IndexInfo(
@@ -1571,9 +1217,8 @@ class Store:
         for page_no in old_pages:
             if page_no not in self._pool.quarantined:
                 self._journal.free_page_deferred(txn, page_no)
-        for sid in range(self._n_shards):
-            self._heaps[(cluster, sid)] = new_heaps[sid]
-            self._directories[(cluster, sid)] = new_directories[sid]
+        self._heaps[cluster] = heap
+        self._directories[cluster] = directory
         with self._pc_lock:
             self._page_cache.clear()
         return old_pages
@@ -1600,12 +1245,8 @@ class Store:
                 pages.append(page_no)
                 page_no = nxt
 
-        heap_homes: List[int] = []
-        for sid in range(min(self._n_shards, len(info.shards))):
-            before = len(pages)
-            chain(info.shards[sid][0])
-            heap_homes.extend(pages[before:])
-        for home in heap_homes:
+        chain(info.heap_page)
+        for home in list(pages):
             try:
                 with self._pool.page(home) as page:
                     records = list(page.slots())
@@ -1613,15 +1254,14 @@ class Store:
                     chain(overflow_head(raw))
             except Exception:
                 continue
-        for sid in range(min(self._n_shards, len(info.shards))):
-            # All or nothing: a walk that meets corruption leaks the
-            # table's pages rather than guess at them.
-            try:
-                found = self._directory(info.name, sid).pages()
-            except Exception:
-                continue
-            seen.update(found)
-            pages.extend(found)
+        # All or nothing: a walk that meets corruption leaks the table's
+        # pages rather than guess at them.
+        try:
+            found = self._directory(info.name).pages()
+        except Exception:
+            found = []
+        seen.update(found)
+        pages.extend(found)
         for field, ix_info in info.indexes.items():
             try:
                 index = self.index(info.name, field)
@@ -1664,8 +1304,7 @@ class Store:
                 self.checkpoint()
             self._pool.close()
             self._wal.close()
-            for pagefile in self._pagefiles:
-                pagefile.close()
+            self._pagefile.close()
             self._closed = True
 
     def crash(self) -> None:
@@ -1675,8 +1314,7 @@ class Store:
         unusable; reopen the path to run recovery.
         """
         self._wal.close()
-        for pagefile in self._pagefiles:
-            pagefile.close()
+        self._pagefile.close()
         self._closed = True
 
     def __enter__(self) -> "Store":
@@ -1686,9 +1324,8 @@ class Store:
         self.close()
 
     def stats(self) -> Dict[str, Any]:
-        """Counters from the pool(s), WAL and lock manager."""
-        total_pages = sum(pf.page_count for pf in self._pagefiles)
-        out = {
+        """Counters from the pool, WAL and lock manager."""
+        return {
             "pool": self._pool.stats(),
             "page_cache": {
                 "hits": self.page_cache_hits,
@@ -1708,17 +1345,7 @@ class Store:
             "wal_group_deferrals": self._wal.group_deferrals,
             "durability": self._wal.durability,
             "locks": self.locks.stats(),
-            "pages": total_pages,
-            "shards": {
-                "count": self._n_shards,
-                "scans": [_count_value(c) for c in self._shard_scans],
-                "per_shard": [
-                    {"shard": sid,
-                     "pages": pf.page_count,
-                     "occupancy": (pf.page_count / total_pages)
-                     if total_pages else 0.0}
-                    for sid, pf in enumerate(self._pagefiles)],
-            },
+            "pages": self._pagefile.page_count,
             "storage_health": {
                 "format_version": self._pagefile.format_version,
                 "layouts": {info.name: len(self.catalog.layouts(info.name))
@@ -1731,4 +1358,49 @@ class Store:
                 "faults_injected": self.faults.injected,
             },
         }
-        return out
+
+
+def _pages_for(payloads) -> int:
+    """Heap pages needed to hold *payloads*, slightly overestimated."""
+    from .heap import MIN_RECORD_SIZE, _REC_HDR
+    from .page import HEADER_SIZE, PAGE_SIZE, SLOT_SIZE
+    usable = PAGE_SIZE - HEADER_SIZE
+    total = 0
+    for payload in payloads:
+        record = max(MIN_RECORD_SIZE, _REC_HDR.size + len(payload))
+        total += min(record, usable) + SLOT_SIZE
+    return -(-total // usable) if total else 1
+
+
+def rewrite_objects(journal: Journal, txn: int, sources,
+                    max_extent: int):
+    """Copy objects into a fresh heap + object table under *txn*.
+
+    *sources* is a list of ``(heap, [(key, rid), ...])``: each heap
+    with the entries of the table that maps into it. Vacuum passes one
+    cluster's pair; :func:`repro.storage.upgrade.merge_files` every pair
+    of a cluster an older binary split over several files. Each heap is
+    copied in its *physical chain order*, not key order: insertion placed
+    related records together, and a key-order rewrite would scatter them.
+    The new heap is presized with one extent of up to *max_extent* pages
+    covering the payloads. Returns ``(heap, table, objects copied, the
+    pages of the source heaps)`` without touching the catalog.
+    """
+    items: List[Tuple[Tuple, bytes]] = []
+    old_pages: List[int] = []
+    for heap, entries in sources:
+        pages = heap.pages()
+        chain_pos = {no: i for i, no in enumerate(pages)}
+        ordered = sorted(entries, key=lambda kv: (
+            chain_pos.get(kv[1][0], 1 << 60), kv[1][1]))
+        items += [(tuple(key), heap.read(RID(*rid))) for key, rid in ordered]
+        old_pages += pages
+    new_heap = HeapFile.create(journal, txn, extent=Store.EXTENT_PAGES)
+    new_table = ObjectTable.create(journal, txn)
+    need = _pages_for(payload for _key, payload in items)
+    if need > 1:
+        # Capped so formatting the extent cannot churn the whole pool.
+        new_heap.preallocate(txn, min(need, max(max_extent, 1)))
+    for key, payload in items:
+        new_table.insert(txn, key, new_heap.insert(txn, payload))
+    return new_heap, new_table, len(items), old_pages

@@ -1,6 +1,20 @@
 """Retired on-disk layouts, converted once when a store is opened.
 
-Older files may hold four structures nothing else in the package reads
+Older binaries could split a store over N page files (``<path>``,
+``<path>.s1`` ...), each holding a heap and an object table of every
+cluster, with page numbers whose top bits named the file.
+:func:`merge_files` runs before anything else reads such a store: it
+recovers it through a private router over those files, copies every
+cluster's objects into one heap and object table in the main file in one
+transaction, checkpoints, durably clears the bootstrap root that named
+the files and only then unlinks them, last file first. A crash before
+the commit leaves the N-file store (the next open merges again); after
+it, recovery redoes the merge, an open that finds the root still set but
+nothing left to copy only clears it and unlinks, and one that finds it
+cleared unlinks the files a crash left. Secondary indexes map keys to
+serials and always lived in the main file, so they stay as they are.
+
+Older files may also hold structures nothing else in the package reads
 any more:
 
 * **version-2 object directories** — an extendible hash keyed on the
@@ -33,15 +47,23 @@ conversion. The walkers below only read.
 
 from __future__ import annotations
 
+import os
 import time
-from typing import Any, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import CorruptPageError
 from .btree import BTree
+from .buffer import BufferPool
+from .catalog import Catalog
 from .codec import decode_prefix, decode_value, encode_key
+from .heap import HeapFile
+from .journal import Journal
 from .objtable import ObjectTable
 from .page import NO_PAGE, PageType
+from .pagefile import PageFile
 from .records import encode_head, encode_version, record_key
+from .recovery import RecoveryReport, recover
+from .wal import WriteAheadLog
 
 #: Catalog metadata key set inside the conversion's transaction: the
 #: B+trees are format 4 even if the crash came before the file header
@@ -52,6 +74,159 @@ BTREE_FORMAT_KEY = "btree_format"
 POSITIONAL_FORMAT = 6
 
 _Entries = List[Tuple[Any, Any]]
+
+#: Bootstrap root of the main file naming how many page files an older
+#: binary split the store over (absent or 0: one).
+FILES_ROOT_KEY = "shards"
+#: Low bits of such a store's page numbers: the page within its file;
+#: the bits above name the file.
+_FILE_SHIFT = 26
+_LOCAL = (1 << _FILE_SHIFT) - 1
+
+
+class _Files:
+    """The buffer-pool surface recovery, the journal and the structures
+    use, over the pools of an N-file store: a page number is routed to
+    the pool of the file its top bits name, and pages are allocated in
+    the main file only, where everything :func:`merge_files` writes
+    lives. Used by one thread, while the store opens."""
+
+    def __init__(self, pools: List[BufferPool]):
+        self.pools = pools
+        main = pools[0]
+        # Only the main file allocates, so its pool's bookkeeping of
+        # fresh pages is all there is; a main-file page number is its
+        # own local number.
+        self.fresh_pages = main.fresh_pages
+        self.new_page = main.new_page
+        self.new_extent = main.new_extent
+        self.capacity = main.capacity
+
+    def _route(self, page_no: int):
+        return self.pools[page_no >> _FILE_SHIFT], page_no & _LOCAL
+
+    @property
+    def has_free_pages(self) -> bool:
+        return self.pools[0].has_free_pages
+
+    def all_latches(self):
+        return self.pools[0].all_latches()
+
+    def pin(self, page_no: int, cold: bool = False, unchecked: bool = False):
+        pool, local = self._route(page_no)
+        return pool.pin(local, cold=cold, unchecked=unchecked)
+
+    def unpin(self, page_no: int, dirty: bool = False) -> None:
+        pool, local = self._route(page_no)
+        pool.unpin(local, dirty=dirty)
+
+    def page(self, page_no: int, write: bool = False, cold: bool = False):
+        pool, local = self._route(page_no)
+        return pool.page(local, write=write, cold=cold)
+
+    def prefetch(self, page_no: int, count: int) -> int:
+        pool, local = self._route(page_no)
+        return pool.prefetch(local, count)
+
+    def ensure_allocated(self, page_no: int) -> None:
+        pool, local = self._route(page_no)
+        pool.ensure_allocated(local)
+
+    def free_page(self, page_no: int, lsn: int) -> None:
+        pool, local = self._route(page_no)
+        pool.free_page(local, lsn)
+
+    def attach_wal(self, wal) -> None:
+        for pool in self.pools:
+            pool.attach_wal(wal)
+
+    def flush_all(self) -> None:
+        for pool in self.pools:
+            pool.flush_all()
+
+    def sync(self) -> None:
+        for pool in self.pools:
+            pool.sync()
+
+
+def _split_clusters(catalog: Catalog) -> Dict[str, List[List[int]]]:
+    """Cluster name -> its ``[heap page, table root]`` pair per file, for
+    every cluster whose catalog record still names more than one."""
+    split = {}
+    for _rid, raw in catalog._heap.scan():
+        state = decode_value(raw)
+        if state["kind"] == "cluster" and len(state.get("shards") or ()) > 1:
+            split[state["name"]] = state["shards"]
+    return split
+
+
+def merge_files(store, pool_size: int) -> Optional[RecoveryReport]:
+    """Turn an N-file store into one file (see above); returns the
+    recovery report of the N-file store's log, None when there was
+    nothing to merge or recover. Runs before *store* builds its pool."""
+    count = store._pagefile.get_root(FILES_ROOT_KEY)
+    if count <= 1:
+        _unlink_leftovers(store.path)
+        return None
+    from .store import rewrite_objects     # store imports this module
+    started = time.perf_counter()
+    faults = store.faults
+    files = [store._pagefile] + [
+        PageFile("%s.s%d" % (store.path, i), faults=faults)
+        for i in range(1, count)]
+    pools = [BufferPool(pagefile, capacity=max(pool_size // count, 16))
+             for pagefile in files]
+    router = _Files(pools)
+    wal = WriteAheadLog(store.path + ".wal", faults=faults)
+    report = recover(router, wal) if wal.end_lsn > 0 else None
+    journal = Journal(router, wal)
+    catalog = Catalog(journal, store._pagefile, journal.begin)
+    split = _split_clusters(catalog)
+    moved = 0
+    txn = journal.begin()
+    try:
+        for name, pairs in split.items():
+            faults.fire("upgrade.merge.copy", cluster=name)
+            sources, old = [], []
+            for heap_page, root in pairs:
+                with router.page(root) as page:
+                    hashed = page.page_type == PageType.HASH_DIRECTORY
+                if hashed:
+                    pages, entries = hash_entries(router, root)
+                else:
+                    table = ObjectTable(journal, root, count)
+                    pages, entries = table.pages(), list(table.items())
+                sources.append((HeapFile(journal, heap_page,
+                                         find_tail=False), entries))
+                old += pages
+            heap, table, n, heap_pages = rewrite_objects(
+                journal, txn, sources, router.capacity // 2)
+            moved += n
+            info = catalog.get_cluster(name)
+            info.heap_page, info.directory_page = (heap.first_page,
+                                                   table.root_page)
+            catalog.save_cluster(txn, info)
+            # The other files go as a whole; the main file's pages are
+            # freed at the commit.
+            _free(journal, txn, [page_no for page_no in old + heap_pages
+                                 if page_no <= _LOCAL])
+    except BaseException:
+        journal.abort(txn)
+        raise
+    journal.commit(txn)
+    journal.checkpoint()
+    faults.fire("upgrade.merge.root")
+    store._pagefile.set_root(FILES_ROOT_KEY, 0)
+    store._pagefile.sync()
+    faults.fire("upgrade.merge.unlink")
+    wal.close()
+    for pagefile in reversed(files[1:]):
+        pagefile.close()
+        os.unlink(pagefile.path)
+    store.events.emit("files_merged", files=count, clusters=len(split),
+                      objects=moved,
+                      ms=(time.perf_counter() - started) * 1e3)
+    return report
 
 
 def _record(pool, page_no: int):
@@ -88,21 +263,30 @@ def legacy_tree_entries(pool, root_page: int) -> Tuple[List[int], _Entries]:
     return pages, entries
 
 
+def _unlink_leftovers(path: str) -> None:
+    """Unlink the files a merge killed between clearing the root and its
+    last unlink left: ``<path>.s1`` up to the first one missing (the
+    merge unlinks the last file first)."""
+    n = 1
+    while os.path.exists("%s.s%d" % (path, n)):
+        os.unlink("%s.s%d" % (path, n))
+        n += 1
+
+
 def _dict_records(store, name: str) -> List[Tuple[int, int]]:
     """Keys of *name*'s object records still in the dict layout, heads
     first. Records that carry no ``__key``, or neither a chain nor a
     state (trigger activations), are not object records."""
     heads, versions = [], []
-    for heap in store._all_heaps(name):
-        for _rid, raw in heap.scan():
-            if record_key(raw) is not None:
-                continue    # already positional (a conversion redone)
-            record = decode_value(raw)
-            key = record.get("__key") if isinstance(record, dict) else None
-            if key is None or ("chain" not in record
-                               and "state" not in record):
-                continue
-            (heads if key[1] == 0 else versions).append(tuple(key))
+    for _rid, raw in store._heap(name).scan():
+        if record_key(raw) is not None:
+            continue    # already positional (a conversion redone)
+        record = decode_value(raw)
+        key = record.get("__key") if isinstance(record, dict) else None
+        if key is None or ("chain" not in record
+                           and "state" not in record):
+            continue
+        (heads if key[1] == 0 else versions).append(tuple(key))
     return heads + versions
 
 
@@ -111,8 +295,7 @@ def relayout(store, txn: int) -> Tuple[int, int]:
     each state's layout built from the dict's own keys, and fold the
     two records per object of formats 2–4 into one on the way: a head
     with a chain and no state takes its current version's state, whose
-    record goes. Store-level reads and writes, so every shard converts.
-    Returns ``(objects folded, records rewritten)``."""
+    record goes. Returns ``(objects folded, records rewritten)``."""
     folded = relaid = 0
     for info in store.catalog.clusters():
         name = info.name
@@ -150,36 +333,33 @@ def convert(store) -> None:
     """Convert every retired structure of *store*'s files (see above)."""
     started = time.perf_counter()
     pool, catalog, journal = store._pool, store.catalog, store._journal
-    from_format = min(pf.format_version for pf in store._pagefiles)
-    legacy_trees = (store._pagefile.format_version < 4
+    pagefile = store._pagefile
+    from_format = pagefile.format_version
+    legacy_trees = (from_format < 4
                     and catalog.get_meta(BTREE_FORMAT_KEY) != 4)
     positional = from_format < POSITIONAL_FORMAT
     folded = relaid = 0
     work = []
     for info in catalog.clusters():
-        shards = []
-        for sid, (_heap, root) in enumerate(info.shards):
-            try:
-                with pool.page(root) as page:
-                    if page.page_type == PageType.HASH_DIRECTORY:
-                        shards.append(sid)
-            except CorruptPageError:
-                continue  # quarantined: the store opens degraded
+        try:
+            with pool.page(info.directory_page) as page:
+                hashed = page.page_type == PageType.HASH_DIRECTORY
+        except CorruptPageError:
+            hashed = False  # quarantined: the store opens degraded
         indexes = [ix for ix in info.indexes.values()
                    if legacy_trees or ix.kind != "btree"]
-        if shards or indexes:
-            work.append((info, shards, indexes))
+        if hashed or indexes:
+            work.append((info, hashed, indexes))
     if work or positional:
         txn = journal.begin()
         try:
-            for info, shards, indexes in work:
-                for sid in shards:
-                    old, entries = hash_entries(pool, info.shards[sid][1])
-                    table = ObjectTable.create(store._shard_journals[sid],
-                                               txn, store.n_shards)
+            for info, hashed, indexes in work:
+                if hashed:
+                    old, entries = hash_entries(pool, info.directory_page)
+                    table = ObjectTable.create(journal, txn)
                     for key, rid in entries:
                         table.insert(txn, tuple(key), tuple(rid))
-                    info.shards[sid] = [info.shards[sid][0], table.root_page]
+                    info.directory_page = table.root_page
                     _free(journal, txn, old)
                 for ix in indexes:
                     walk = legacy_tree_entries if ix.kind == "btree" \
@@ -193,7 +373,6 @@ def convert(store) -> None:
                         tree.insert(txn, key, value)
                     ix.kind, ix.root_page = "btree", tree.root_page
                     _free(journal, txn, old)
-                info.heap_page, info.directory_page = info.shards[0]
                 catalog.save_cluster(txn, info)
             if legacy_trees:
                 catalog.set_meta(txn, BTREE_FORMAT_KEY, 4)
@@ -205,11 +384,10 @@ def convert(store) -> None:
             raise
         journal.commit(txn)
         store.checkpoint()
-    for pagefile in store._pagefiles:
-        pagefile.stamp_current_format()
+    pagefile.stamp_current_format()
     if positional:
         store.events.emit("format_upgrade", from_format=from_format,
-                          to_format=store._pagefile.format_version,
+                          to_format=pagefile.format_version,
                           objects_folded=folded, records_relaid=relaid,
                           ms=(time.perf_counter() - started) * 1e3)
 

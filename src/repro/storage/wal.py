@@ -274,11 +274,11 @@ class WriteAheadLog:
                  group_window: float = GROUP_WINDOW, faults=None):
         self.path = path
         self._faults = faults
-        #: Internal mutex: one log is shared by every shard, and appends /
-        #: flushes / random-access reads arrive from threads holding
-        #: *different* shard latches (the WAL is the innermost lock in the
-        #: storage order — nothing is acquired while holding it). Reentrant
-        #: because ``log_commit`` composes ``append`` + ``flush``.
+        #: Internal mutex: appends / flushes / random-access reads arrive
+        #: from threads holding different storage latches, or none (the
+        #: WAL is the innermost lock in the storage order — nothing is
+        #: acquired while holding it). Reentrant because ``log_commit``
+        #: composes ``append`` + ``flush``.
         self._lock = threading.RLock()
         #: The exception of the first failed fsync, or None. Sticky: a
         #: failed log refuses all further appends/flushes (see

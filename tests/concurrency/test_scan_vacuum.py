@@ -1,11 +1,11 @@
-"""Sharded-store maintenance racing MVCC scans (ISSUE 8, ISSUE 12).
+"""Store maintenance racing MVCC scans.
 
 The contract under test: vacuum — the store's compaction and
-reclustering rewrite — moves a multi-shard store's heap pages while
-client threads run snapshot scans,
-and nothing is ever lost — every scan sees a consistent snapshot with
-the full object population, per-shard decoded-page/decoded-object caches
-invalidate when their pages move, and writers keep working throughout.
+reclustering rewrite — moves a cluster's heap pages while client
+threads run snapshot scans, and nothing is ever lost — every scan sees
+a consistent snapshot with the full object population, the scan page
+cache and the decoded-object cache invalidate when their pages move,
+and writers keep working throughout.
 All concurrency here comes from the client threads the tests start; the
 store itself spawns none.
 """
@@ -21,17 +21,14 @@ from repro.storage.store import Store
 
 pytestmark = pytest.mark.concurrency
 
-N_SHARDS = 4
-
-
-class ShardPart(OdeObject):
+class VacuumPart(OdeObject):
     name = StringField(default="")
     qty = IntField(default=0)
 
 
 @pytest.fixture
-def sharded_db(tmp_path):
-    db = Database(str(tmp_path / "shard.odb"), shards=N_SHARDS)
+def part_db(tmp_path):
+    db = Database(str(tmp_path / "parts.odb"))
     yield db
     if not db._closed:
         try:
@@ -64,21 +61,21 @@ def run_threads(workers, timeout=120):
 
 
 class TestScansVersusVacuum:
-    def test_mvcc_scans_race_sharded_vacuum(self, sharded_db):
-        """Reader threads looping full scans while vacuum rewrites all
-        four shards: every scan observes the full population."""
-        db = sharded_db
-        db.create(ShardPart)
+    def test_mvcc_scans_race_vacuum(self, part_db):
+        """Reader threads looping full scans while vacuum rewrites the
+        cluster: every scan observes the full population."""
+        db = part_db
+        db.create(VacuumPart)
         n = 200
         for i in range(n):
-            db.pnew(ShardPart, name="p%d" % i, qty=i)
+            db.pnew(VacuumPart, name="p%d" % i, qty=i)
         stop = threading.Event()
         scans = {"done": 0}
 
         def reader():
             while not stop.is_set():
                 with db.transaction():
-                    got = sorted(p.qty for p in forall(db.cluster(ShardPart)))
+                    got = sorted(p.qty for p in forall(db.cluster(VacuumPart)))
                     assert got == list(range(n)), (
                         "scan lost objects: %d/%d" % (len(got), n))
                 scans["done"] += 1
@@ -88,7 +85,7 @@ class TestScansVersusVacuum:
                 for _ in range(5):
                     # Records, not objects: every object carries a head
                     # record plus its version states.
-                    report = db.store.vacuum("ShardPart")
+                    report = db.store.vacuum("VacuumPart")
                     assert report["objects"] >= n
             finally:
                 stop.set()
@@ -97,10 +94,10 @@ class TestScansVersusVacuum:
         assert scans["done"] > 0
         assert db.verify() == []
 
-    def test_store_scans_race_sharded_vacuum_and_writers(self, tmp_path):
+    def test_store_scans_race_vacuum_and_writers(self, tmp_path):
         """Raw store level: concurrent batched scans + per-key writers +
-        repeated sharded vacuums; object count never drifts."""
-        store = Store(str(tmp_path / "raw.pages"), shards=N_SHARDS)
+        repeated vacuums; object count never drifts."""
+        store = Store(str(tmp_path / "raw.pages"))
         txn = store.begin()
         store.create_cluster(txn, "c")
         serials = []
@@ -147,14 +144,14 @@ class TestScansVersusVacuum:
 
 class TestScansVersusRecluster:
     def test_scans_race_repeated_vacuum(self, tmp_path):
-        """Back-to-back vacuums rewriting every shard while readers loop
-        snapshot scans: consistent results, nothing lost."""
-        db = Database(str(tmp_path / "rd.odb"), shards=N_SHARDS)
+        """Back-to-back vacuums while readers loop snapshot scans:
+        consistent results, nothing lost."""
+        db = Database(str(tmp_path / "rd.odb"))
         try:
-            db.create(ShardPart)
+            db.create(VacuumPart)
             n = 120
             for i in range(n):
-                db.pnew(ShardPart, name="p%d" % i, qty=i)
+                db.pnew(VacuumPart, name="p%d" % i, qty=i)
             stop = threading.Event()
             rewrites = []
 
@@ -162,14 +159,14 @@ class TestScansVersusRecluster:
                 while not stop.is_set():
                     with db.transaction():
                         got = sorted(p.qty
-                                     for p in forall(db.cluster(ShardPart)))
+                                     for p in forall(db.cluster(VacuumPart)))
                     assert got == list(range(n))
 
             def vacuumer():
                 try:
                     deadline = time.time() + 4.0
                     while time.time() < deadline and len(rewrites) < 3:
-                        rewrites.append(db.store.vacuum("ShardPart"))
+                        rewrites.append(db.store.vacuum("VacuumPart"))
                         time.sleep(0.05)
                 finally:
                     stop.set()
@@ -179,17 +176,17 @@ class TestScansVersusRecluster:
             assert len({r["objects"] for r in rewrites}) == 1
             assert db.verify() == []
             with db.transaction():
-                assert len(list(forall(db.cluster(ShardPart)))) == n
+                assert len(list(forall(db.cluster(VacuumPart)))) == n
         finally:
             db.close()
 
 
 class TestCacheInvalidation:
-    def test_page_cache_invalidates_after_shard_rewrite(self, tmp_path):
-        """The decoded-page cache keys on (gpid, LSN); a vacuum moves
-        every shard's records to fresh pages, so re-scans return the new
-        placement, not stale cached batches."""
-        store = Store(str(tmp_path / "pc.pages"), shards=N_SHARDS)
+    def test_page_cache_invalidates_after_rewrite(self, tmp_path):
+        """The scan page cache keys on (page, LSN); a vacuum moves every
+        record to fresh pages, so re-scans return the new placement, not
+        stale cached batches."""
+        store = Store(str(tmp_path / "pc.pages"))
         txn = store.begin()
         store.create_cluster(txn, "c")
         serials = []
@@ -213,37 +210,33 @@ class TestCacheInvalidation:
                  for _rid, record in batch}
         assert len(after) == 80
         assert sorted(after.values()) == sorted(before)
-        # The records now come from different pages of their own shard.
+        # The records now come from different pages.
         moved_rids = {}
         for batch in store.scan_batches("c"):
             for rid, record in batch:
                 moved_rids[record["__key"][0]] = rid
-        from repro.storage.sharding import shard_of
-        for serial in serials:
-            page_no = moved_rids[serial].page_no
-            assert shard_of(page_no) == store._shard_of_key((serial, 0))
+        assert set(moved_rids) == set(serials)
         assert ({rid.page_no for rid in moved_rids.values()}
                 .isdisjoint(rid.page_no for rid in old_rids.values()))
         store.close()
 
-    def test_decoded_object_cache_coherent_across_recluster(self,
-                                                            sharded_db):
+    def test_decoded_object_cache_coherent_across_vacuum(self, part_db):
         """Object-layer decoded cache entries are LSN-token guarded;
         after vacuum's reclustering rewrite moves the objects their
         tokens stop validating, so derefs re-read instead of serving
         stale data."""
-        db = sharded_db
-        db.create(ShardPart)
-        objs = [db.pnew(ShardPart, name="p%d" % i, qty=i) for i in range(40)]
+        db = part_db
+        db.create(VacuumPart)
+        objs = [db.pnew(VacuumPart, name="p%d" % i, qty=i) for i in range(40)]
         with db.transaction():
-            for obj in forall(db.cluster(ShardPart)):
+            for obj in forall(db.cluster(VacuumPart)):
                 assert obj.qty >= 0  # populate the decoded cache
-        db.store.vacuum("ShardPart")
+        db.store.vacuum("VacuumPart")
         with db.transaction():
-            got = sorted(p.qty for p in forall(db.cluster(ShardPart)))
+            got = sorted(p.qty for p in forall(db.cluster(VacuumPart)))
         assert got == list(range(40))
         # And a write after the rewrite still lands correctly.
         with db.transaction():
             objs[0].qty = 999
         with db.transaction():
-            assert max(p.qty for p in forall(db.cluster(ShardPart))) == 999
+            assert max(p.qty for p in forall(db.cluster(VacuumPart))) == 999

@@ -41,8 +41,7 @@ class SizeEvent(OdeObject):
 
 def _stored(db, cluster):
     """Every record of *cluster* as stored, in heap order."""
-    return [raw for heap in db.store._all_heaps(cluster)
-            for _rid, raw in heap.scan()]
+    return [raw for _rid, raw in db.store._heap(cluster).scan()]
 
 
 def _dict_record_size(db, cluster, serial):

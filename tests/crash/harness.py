@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -33,8 +34,10 @@ from repro.storage.faults import DIE_EXIT_CODE, KNOWN_FAILPOINTS
 
 from .workload import CrashItem, ERROR_EXIT_CODE, generate
 
-WORKLOAD = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "workload.py")
+HERE = os.path.dirname(os.path.abspath(__file__))
+WORKLOAD = os.path.join(HERE, "workload.py")
+#: The child that opens (so converts) a four-file fixture store.
+FIXTURE_CHILD = os.path.join(HERE, "fixture_child.py")
 
 #: Exit codes a faulted child may legitimately end with.
 OK_EXIT_CODES = (0, ERROR_EXIT_CODE, DIE_EXIT_CODE)
@@ -69,12 +72,16 @@ def read_oracle(oracle_path: str) -> int:
 def run_cycle(tmpdir: str, spec: str, seed: int = 1337, n_ops: int = 40,
               durability: str = "full", strict: bool = True,
               extra_env=None, timeout: float = 120.0,
-              inspect=None) -> CycleResult:
+              inspect=None, fixture=None) -> CycleResult:
     """Run one crash/recover/audit cycle; see the module docstring.
     *inspect*, when given, looks at the database file the child left
-    before the audit reopens it, returning problems of its own."""
+    before the audit reopens it, returning problems of its own. With a
+    *fixture* (see :func:`place_fixture`) the workload runs on that
+    four-file store, whose open converts it, and the audit also checks
+    that the fixture's objects answer as they did (:func:`fixture_audit`)."""
     db_path = os.path.join(tmpdir, "crash.odb")
     oracle_path = os.path.join(tmpdir, "oracle.log")
+    meta = None if fixture is None else place_fixture(fixture, db_path)
     env = dict(os.environ)
     env["REPRO_FAULTS"] = spec
     env["REPRO_FAULTS_SEED"] = str(seed)
@@ -92,8 +99,113 @@ def run_cycle(tmpdir: str, spec: str, seed: int = 1337, n_ops: int = 40,
     if inspect is not None and os.path.exists(db_path):
         problems.extend(inspect(db_path))
     problems.extend(audit(db_path, seed, n_ops, acked, strict=strict))
+    if meta is not None:
+        problems.extend(fixture_audit(db_path, meta))
     return CycleResult(spec, proc.returncode, acked, problems,
                        proc.stderr.decode())
+
+
+# -- four-file stores (tests/storage/fixtures) --------------------------------
+
+
+def place_fixture(name: str, db_path: str) -> dict:
+    """Unpack fixture *name* as the store at *db_path*; returns its
+    metadata (see :func:`tests.storage.fixtures.unpack`)."""
+    from tests.storage.fixtures import unpack
+
+    staging = db_path + ".unpack"
+    path, meta = unpack(name, staging)
+    for file in os.listdir(staging):
+        os.rename(os.path.join(staging, file),
+                  db_path + file[len(os.path.basename(path)):])
+    shutil.rmtree(staging)
+    return meta
+
+
+def fixture_audit(db_path: str, meta: dict):
+    """After a cycle on a fixture: the fixture's objects answer as the
+    binary that wrote it said, no file besides the main one and its log
+    is left, every cluster has one heap and one object table, and a
+    second open converts nothing. Returns a list of problems."""
+    from repro import Database
+    from repro.storage.upgrade import FILES_ROOT_KEY, _split_clusters
+
+    from tests.storage.fixtures import comparable, extra_files
+    from tests.storage.test_upgrade_fold import answers
+
+    problems = []
+    for attempt in ("first", "second"):
+        try:
+            db = Database(db_path)
+        except Exception as exc:
+            return ["%s reopen failed: %s: %s"
+                    % (attempt, type(exc).__name__, exc)]
+        try:
+            if attempt == "second" and (
+                    db.events.snapshot("files_merged")
+                    or db.events.snapshot("format_upgrade")):
+                problems.append("a second open converted again")
+            got = comparable(answers(db, meta["versioned"]))
+            if got != meta["answers"]:
+                problems.append("the fixture's objects answer %r, not %r"
+                                % (got, meta["answers"]))
+            if db.verify():
+                problems.append("integrity: %s" % db.verify())
+            if extra_files(db_path):
+                problems.append("files left: %s" % extra_files(db_path))
+            if (_split_clusters(db.store.catalog)
+                    or db.store._pagefile.get_root(FILES_ROOT_KEY)):
+                problems.append("a cluster still names several files")
+        except Exception as exc:
+            problems.append("fixture audit raised %s: %s"
+                            % (type(exc).__name__, exc))
+        finally:
+            db.close()
+    return problems
+
+
+def run_fixture_cycle(tmpdir: str, fixture: str, spec: str,
+                      vacuum: bool = False, pool: int = 8,
+                      timeout: float = 120.0) -> CycleResult:
+    """Open fixture *fixture* in a child with *spec* armed, so the kill
+    falls inside the conversion the open runs (or, with *vacuum*, in a
+    vacuum after it), then audit the reopened store against the
+    fixture's answers (:func:`fixture_audit`)."""
+    db_path = os.path.join(tmpdir, "crash.odb")
+    meta = place_fixture(fixture, db_path)
+    env = dict(os.environ)
+    env["REPRO_FAULTS"] = spec
+    proc = subprocess.run(
+        [sys.executable, FIXTURE_CHILD, db_path, str(pool),
+         "1" if vacuum else "0"],
+        env=env, capture_output=True, timeout=timeout)
+    problems = []
+    if proc.returncode not in OK_EXIT_CODES:
+        problems.append("child exited %d: %s"
+                        % (proc.returncode, proc.stderr.decode()[-500:]))
+    problems.extend(fixture_audit(db_path, meta))
+    return CycleResult(spec, proc.returncode, 0, problems,
+                       proc.stderr.decode())
+
+
+def fixture_windows(tmpdir: str, fixture: str, points,
+                    pool: int = 8) -> dict:
+    """``{failpoint: (0, hits)}``: the hits each of *points* takes while
+    fixture *fixture* opens, from one fault-free child run with every
+    point armed at an unreachable hit count."""
+    db_path = os.path.join(tmpdir, "calibrate.odb")
+    place_fixture(fixture, db_path)
+    hits_path = os.path.join(tmpdir, "hits.json")
+    env = dict(os.environ)
+    env["REPRO_FAULTS"] = ";".join(
+        "%s:%s:1000000000" % point for point in points)
+    proc = subprocess.run(
+        [sys.executable, FIXTURE_CHILD, db_path, str(pool), "0",
+         hits_path], env=env, capture_output=True, timeout=120.0)
+    assert proc.returncode == 0, proc.stderr.decode()[-1500:]
+    with open(hits_path) as handle:
+        hits = json.load(handle)
+    return {name: (0, hits[name]) for name, _action in points}
 
 
 def audit(db_path: str, seed: int, n_ops: int, acked: int,
@@ -181,12 +293,11 @@ def kill_specs(hits=(2, 13)):
     """
     specs = []
     for name, action in KNOWN_FAILPOINTS:
-        if name.startswith(("shard.", "vacuum.", "server.", "upgrade.")):
-            # Multi-shard-only and vacuum points never fire on the
-            # default 1-shard workload (it runs no maintenance), the
-            # conversion's points only on an older file, and
-            # socket-layer points never fire embedded (the cycle would
-            # just be a fault-free run); shard_kill_specs(),
+        if name.startswith(("vacuum.", "server.", "upgrade.")):
+            # Vacuum points never fire on the default workload (it runs
+            # no maintenance), the conversion's points only on an older
+            # file, and socket-layer points never fire embedded (the
+            # cycle would just be a fault-free run); shard_kill_specs(),
             # v2_kill_specs() and tests/crash/test_server_crash.py
             # cover them.
             continue
@@ -205,38 +316,38 @@ def kill_specs(hits=(2, 13)):
     return specs
 
 
-#: Environment for the shard matrix: a 4-shard store and the workload's
-#: deterministic maintenance calls (vacuums) on.
-SHARD_ENV = {
-    "REPRO_SHARDS": "4",
-    "REPRO_WORKLOAD_MAINT": "1",
-}
+#: Environment for the maintenance cycles: the workload's deterministic
+#: maintenance calls (vacuums) on.
+MAINT_ENV = {"REPRO_WORKLOAD_MAINT": "1"}
+
+#: The fixtures the merge's own kill points run on: one whose log holds
+#: a loser to recover first, one with every retired layout to convert
+#: after.
+MERGE_FIXTURES = ("crashed4", "v2_4")
 
 
 def shard_kill_specs():
-    """Kill-point matrix for the sharded store: ``(label, spec, strict,
-    extra_env)``.
+    """Kill points for the stores older binaries split over four files,
+    plus the vacuum points: ``(label, spec, child, fixture)``. *child*
+    ``"workload"`` is a :func:`run_cycle` with the maintenance calls on,
+    on *fixture* when one is named; ``"open"`` is a
+    :func:`run_fixture_cycle` of *fixture*.
 
-    Covers the shard-only failpoints (store creation), the vacuum
-    rewrite's points, and a sample of the core WAL/pagefile points re-run
-    under a 4-shard store with deterministic vacuum maintenance — the
-    recovery, checkpoint and torn-write machinery all route through the
-    gpid router there, which the 1-shard matrix cannot see.
-
-    The ``shard.open.*`` points fire once per extra shard file (3 times
-    for 4 shards) and only during creation; ``shard.root.pre`` exactly
-    once; the vacuum points once per maintenance call.
+    * The vacuum rewrite's points, on the default one-file workload with
+      its deterministic vacuums on; they fire once per maintenance call.
+    * A sample of the core WAL/pagefile points while the workload runs on
+      the ``crashed4`` fixture: the hits count from the open, whose
+      recovery and merge run through the conversion's router, so the
+      low ones land inside the merge and the high ones in the workload.
+    * The merge's own points (:data:`MERGE_FIXTURES`): during the copy
+      (each cluster's), after the commit and checkpoint, and after the
+      root naming the files is cleared, before they are unlinked.
     """
     specs = []
-    for name in ("shard.root.pre", "shard.open.pre", "shard.open.post"):
-        hits = (1,) if name == "shard.root.pre" else (1, 2, 3)
-        for at_hit in hits:
-            specs.append(("%s@%d" % (name, at_hit),
-                          "%s:die:%d" % (name, at_hit), True, SHARD_ENV))
     for name in ("vacuum.pre", "vacuum.commit.pre"):
         for at_hit in (1, 2, 4):
             specs.append(("%s@%d" % (name, at_hit),
-                          "%s:die:%d" % (name, at_hit), True, SHARD_ENV))
+                          "%s:die:%d" % (name, at_hit), "workload", None))
     for name, action in (("wal.flush.pre", "die"),
                          ("pagefile.write.pre", "die"),
                          ("pagefile.write.torn", "torn"),
@@ -244,22 +355,28 @@ def shard_kill_specs():
                          ("pagefile.sync.pre", "die")):
         for at_hit in (2, 13):
             specs.append(("4shard-%s@%d" % (name, at_hit),
-                          "%s:%s:%d" % (name, action, at_hit), True,
-                          SHARD_ENV))
+                          "%s:%s:%d" % (name, action, at_hit), "workload",
+                          "crashed4"))
+    for fixture in MERGE_FIXTURES:
+        for name, at_hit in (("upgrade.merge.copy", 1),
+                             ("upgrade.merge.copy", 2),
+                             ("upgrade.merge.root", 1),
+                             ("upgrade.merge.unlink", 1)):
+            specs.append(("merge-%s-%s@%d" % (fixture, name, at_hit),
+                          "%s:die:%d" % (name, at_hit), "open", fixture))
     return specs
 
 
 # -- version-2 layout cycles (EXP-22, EXP-27) ---------------------------------
 
 
-def v2_env(shards: int) -> dict:
+def v2_env() -> dict:
     """Environment of an old-layout cycle: after its first ops the child
     rewrites the store as a version-2 binary left it and reopens it with
     the faults armed, so they fire inside the conversion that open runs
     (later maintenance calls vacuum). The small pool forces page
     write-backs inside the conversion."""
     return {
-        "REPRO_SHARDS": str(shards),
         "REPRO_WORKLOAD_MAINT": "1",
         "REPRO_WORKLOAD_V2": "1",
         "REPRO_WORKLOAD_POOL": "8",
@@ -282,13 +399,12 @@ V2_CONVERSION_POINTS = (("wal.append.pre", "die"),
 V2_FRACTIONS = (0.0, 0.5, 1.0)
 
 
-def v5_env(shards: int) -> dict:
+def v5_env() -> dict:
     """Environment of a format-5 cycle: after its first ops the child
     rewrites every object record in the dict layout of format 5 and
     reopens the store with the faults armed, so they fire inside the
     positional rewrite that open runs."""
     return {
-        "REPRO_SHARDS": str(shards),
         "REPRO_WORKLOAD_V5": "1",
         "REPRO_WORKLOAD_POOL": "8",
     }
@@ -325,15 +441,21 @@ def conversion_windows(tmpdir: str, env: dict, points, seed: int = 1337,
 
 def v2_conversion_windows(tmpdir: str, shards: int, seed: int = 1337,
                           n_ops: int = 40) -> dict:
-    """:func:`conversion_windows` of a version-2 cycle."""
-    return conversion_windows(tmpdir, v2_env(shards), V2_CONVERSION_POINTS,
+    """:func:`conversion_windows` of a version-2 cycle on one file, or
+    :func:`fixture_windows` of the four-file ``v2_4`` fixture."""
+    if shards > 1:
+        return fixture_windows(tmpdir, "v2_4", V2_CONVERSION_POINTS)
+    return conversion_windows(tmpdir, v2_env(), V2_CONVERSION_POINTS,
                               seed, n_ops)
 
 
 def v5_conversion_windows(tmpdir: str, shards: int, seed: int = 1337,
                           n_ops: int = 40) -> dict:
-    """:func:`conversion_windows` of a format-5 cycle."""
-    return conversion_windows(tmpdir, v5_env(shards), V5_CONVERSION_POINTS,
+    """:func:`conversion_windows` of a format-5 cycle on one file, or
+    :func:`fixture_windows` of the four-file ``v5_4`` fixture."""
+    if shards > 1:
+        return fixture_windows(tmpdir, "v5_4", V5_CONVERSION_POINTS)
+    return conversion_windows(tmpdir, v5_env(), V5_CONVERSION_POINTS,
                               seed, n_ops)
 
 
@@ -367,10 +489,8 @@ def conversion_state(db_path: str):
     def structures(store):
         directories, hashed = [], []
         for info in store.catalog.clusters():
-            for _heap, root in info.shards:
-                with store._pool.page(root) as page:
-                    directories.append(
-                        page.page_type == PageType.HASH_DIRECTORY)
+            with store._pool.page(info.directory_page) as page:
+                directories.append(page.page_type == PageType.HASH_DIRECTORY)
             hashed += [ix.kind == "hash" for ix in info.indexes.values()]
         # Old trees carry no mark of their own: the conversion's
         # transaction records that it rebuilt them.
@@ -404,7 +524,9 @@ def relayout_state(db_path: str):
 
 def v2_kill_specs():
     """``(label, shards, failpoint, action, where)`` for the old-layout
-    matrix. *where* is a fraction of the conversion's hit window
+    matrix: the one-file workload cycles, and the same points while the
+    ``v2_4`` fixture, a version-2 store over four files, opens
+    (*shards* 4). *where* is a fraction of the conversion's hit window
     (resolved against :func:`v2_conversion_windows` at run time), or a
     plain hit count (int) for the vacuum points, whose first hit is
     the first vacuum after the conversion."""
@@ -423,7 +545,8 @@ def v2_kill_specs():
 def v5_kill_specs():
     """``(label, shards, failpoint, action, fraction)`` for the format-5
     matrix: every :data:`V5_CONVERSION_POINTS` entry at each fraction of
-    its window in the rewrite, on 1 and 4 shards."""
+    its window in the rewrite, on one file and on the four-file ``v5_4``
+    fixture."""
     return [("v5-%dshard-%s@%.0f%%" % (shards, name, 100 * where),
              shards, name, action, where)
             for shards in (1, 4)

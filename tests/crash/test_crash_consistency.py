@@ -10,9 +10,12 @@ import os
 
 import pytest
 
-from .harness import (conversion_state, kill_specs, relayout_state,
-                      run_cycle, shard_kill_specs, v2_conversion_windows,
-                      v2_env, v2_kill_specs, v5_conversion_windows, v5_env,
+from repro.storage.faults import DIE_EXIT_CODE
+
+from .harness import (MAINT_ENV, conversion_state, kill_specs,
+                      relayout_state, run_cycle, run_fixture_cycle,
+                      shard_kill_specs, v2_conversion_windows, v2_env,
+                      v2_kill_specs, v5_conversion_windows, v5_env,
                       v5_kill_specs)
 
 pytestmark = pytest.mark.crash
@@ -41,14 +44,22 @@ def test_crash_smoke(tmp_path, label, spec, strict):
 
 
 @pytest.mark.parametrize(
-    "label,spec,strict,extra_env", SHARD,
+    "label,spec,child,fixture", SHARD,
     ids=[label for label, _, _, _ in SHARD])
-def test_crash_shard_matrix(tmp_path, label, spec, strict, extra_env):
-    """Crash matrix over a 4-shard store (EXP-18): shard-creation and
-    vacuum failpoints plus core WAL/pagefile points rerun with the
-    gpid router and deterministic vacuum maintenance in play."""
-    result = run_cycle(str(tmp_path), spec, strict=strict,
-                       extra_env=extra_env)
+def test_crash_shard_matrix(tmp_path, label, spec, child, fixture):
+    """Kills around the stores older binaries split over four page files
+    (EXP-18's shards) and the vacuum rewrite: vacuum failpoints on the
+    one-file workload, core WAL/pagefile points while the workload runs
+    on a four-file fixture that its open merges into one file, and the
+    merge's own points. A workload cycle recovers to a committed prefix
+    of the workload, and one on a fixture to the fixture's answers too."""
+    if child == "open":
+        result = run_fixture_cycle(str(tmp_path), fixture, spec)
+        assert result.returncode == DIE_EXIT_CODE, (
+            "the kill point was never reached")
+    else:
+        result = run_cycle(str(tmp_path), spec, extra_env=MAINT_ENV,
+                           fixture=fixture)
     assert result.problems == [], (
         "shard crash cycle %s violated recovery invariants: %s\n--- child "
         "stderr ---\n%s" % (label, result.problems, result.stderr[-1500:]))
@@ -70,17 +81,24 @@ def test_crash_v2_migration(tmp_path, v2_windows, label, shards, name,
                             action, where):
     """Version-2 layout cycles (EXP-22, EXP-27): the store is reopened
     with hash directories, a hash index and a version-3 tree, and dies
-    inside the conversion that open runs — or, sharded, in the first
-    vacuum after it. The crash leaves every retired structure or
-    none, and after recovery every acknowledged object is there."""
+    inside the conversion that open runs — or, on the four-file fixture,
+    inside the merge and conversion its open runs, or in the vacuum
+    after them. On one file the crash leaves every retired structure or
+    none, and after recovery every acknowledged object is there; the
+    fixture's objects answer as they did."""
     if isinstance(where, float):
         lo, hi = v2_windows[shards][name]
         assert hi > lo, "%s never fires inside the conversion" % name
         at_hit = lo + 1 + int((hi - lo - 1) * where)
     else:
         at_hit = where
-    result = run_cycle(str(tmp_path), "%s:%s:%d" % (name, action, at_hit),
-                       extra_env=v2_env(shards), inspect=conversion_state)
+    spec = "%s:%s:%d" % (name, action, at_hit)
+    if shards > 1:
+        result = run_fixture_cycle(str(tmp_path), "v2_4", spec,
+                                   vacuum=not isinstance(where, float))
+    else:
+        result = run_cycle(str(tmp_path), spec, extra_env=v2_env(),
+                           inspect=conversion_state)
     assert result.returncode != 0, "the kill point was never reached"
     assert result.problems == [], (
         "v2 crash cycle %s (hit %d) violated recovery invariants: %s\n"
@@ -104,13 +122,19 @@ def test_crash_v5_relayout(tmp_path, v5_windows, label, shards, name,
                            action, where):
     """Format-5 cycles: every object record is a codec dict when the
     store reopens, and the child dies inside the rewrite that makes each
-    one positional. The crash leaves every record in one layout, and
-    after recovery every acknowledged object is there."""
+    one positional (on the four-file fixture, inside the merge before
+    it too). The crash leaves every record in one layout, and after
+    recovery every acknowledged object is there; the fixture's objects
+    answer as they did."""
     lo, hi = v5_windows[shards][name]
     assert hi > lo, "%s never fires inside the conversion" % name
     at_hit = lo + 1 + int((hi - lo - 1) * where)
-    result = run_cycle(str(tmp_path), "%s:%s:%d" % (name, action, at_hit),
-                       extra_env=v5_env(shards), inspect=relayout_state)
+    spec = "%s:%s:%d" % (name, action, at_hit)
+    if shards > 1:
+        result = run_fixture_cycle(str(tmp_path), "v5_4", spec)
+    else:
+        result = run_cycle(str(tmp_path), spec, extra_env=v5_env(),
+                           inspect=relayout_state)
     assert result.returncode != 0, "the kill point was never reached"
     assert result.problems == [], (
         "v5 crash cycle %s (hit %d) violated recovery invariants: %s\n"

@@ -50,7 +50,7 @@ ERROR_EXIT_CODE = 3
 
 #: With ``REPRO_WORKLOAD_MAINT=1`` the child runs a deterministic
 #: maintenance call (a vacuum) after every this-many committed ops — the
-#: shard matrix uses it to hit the ``vacuum.*`` failpoints at
+#: maintenance matrix uses it to hit the ``vacuum.*`` failpoints at
 #: reproducible points. Vacuum never changes logical content, so the
 #: model states are unaffected.
 MAINT_EVERY = 8
@@ -83,9 +83,8 @@ def reopen_as_version_2(db, db_path: str, faults: str, **options):
     armed. The open converts everything back in one transaction."""
     store = db.store
     to_version_2(store, hash_indexes={("CrashItem", "qty")})
-    shards = store.n_shards
     db.close()
-    stamp_version(db_path, 2, shards)
+    stamp_version(db_path, 2)
     os.environ["REPRO_FAULTS"] = faults
     db = Database(db_path, **options)
     hits_path = os.environ.get("REPRO_WORKLOAD_HITS")
@@ -101,9 +100,8 @@ def reopen_as_version_5(db, db_path: str, faults: str, **options):
     rewrites every record positionally in one transaction."""
     store = db.store
     to_version_5(store)
-    shards = store.n_shards
     db.close()
-    stamp_version(db_path, 5, shards)
+    stamp_version(db_path, 5)
     os.environ["REPRO_FAULTS"] = faults
     db = Database(db_path, **options)
     hits_path = os.environ.get("REPRO_WORKLOAD_HITS")
@@ -115,7 +113,7 @@ def reopen_as_version_5(db, db_path: str, faults: str, **options):
 
 def run_maintenance(db) -> None:
     """One deterministic maintenance call (content-neutral): a vacuum,
-    which rewrites every shard of the cluster in one transaction."""
+    which rewrites the cluster in one transaction."""
     db.store.vacuum("CrashItem")
 
 

@@ -23,4 +23,4 @@ def documented():
 
 def test_src_reads_exactly_the_documented_knobs():
     assert read_in_src() == documented() == {
-        "REPRO_SHARDS", "REPRO_FAULTS", "REPRO_FAULTS_SEED"}
+        "REPRO_FAULTS", "REPRO_FAULTS_SEED"}

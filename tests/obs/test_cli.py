@@ -36,14 +36,6 @@ class TestStatsFormats:
         assert any(line.split()[:4] == ["gizmo", "1", "leaf", "page(s),"]
                    for line in out.splitlines())
 
-    def test_text_sharded_store(self, tmp_path, capsys):
-        path = str(tmp_path / "sharded.odb")
-        Database(path, shards=4).close()
-        assert main(["stats", path]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert "shards:       4 shards" in lines
-        assert sum(line.startswith("  shard ") for line in lines) == 4
-
     def test_json(self, seeded_path, capsys):
         assert main(["stats", seeded_path, "--format=json"]) == 0
         stats = json.loads(capsys.readouterr().out)

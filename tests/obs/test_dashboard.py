@@ -12,12 +12,11 @@ from repro.obs.workload.sampler import TimeSeriesSampler
 ROWS = [
     {"tick": 0, "t": 0.1, "ops_s": 100.0, "commit_s": 40.0, "abort_s": 0.0,
      "aborts": {}, "in_flight": 1, "buffer_hit_pct": 99.0,
-     "wal_syncs_s": 12.0, "conflicts_s": 0.0, "shard_scans": {},
+     "wal_syncs_s": 12.0, "conflicts_s": 0.0,
      "events_dropped": 0, "errors_s": 0.0, "p50_ms": 1.0, "p99_ms": 4.0},
     {"tick": 1, "t": 0.2, "ops_s": 200.0, "commit_s": 80.0, "abort_s": 2.0,
      "aborts": {'reason="conflict"': 2.0}, "in_flight": 3,
      "buffer_hit_pct": 97.5, "wal_syncs_s": 20.0, "conflicts_s": 1.5,
-     "shard_scans": {'shard="0"': 4, 'shard="1"': 5},
      "events_dropped": 7, "errors_s": 0.5, "p50_ms": 2.0, "p99_ms": 16.0},
 ]
 
@@ -28,7 +27,6 @@ GOLDEN = """\
  p50 2.00ms         p99 16.00ms        err/s 0.50         buf hit 97.50%
  wal sync/s 20.00         conflict/s 1.50          evt drop 7
  aborts by reason: reason="conflict"=2.00
- shard scans: 0:4 1:5
 ──────────────────────────────────────────────────────────────────────────────
  ops/s
  ▁█

@@ -135,6 +135,7 @@ class IndexedQueriesUnderChurn(RuleBasedStateMachine):
         self.seq = 0
         self.owner = {}          # serial -> session with a pending write
         self.indexed = set()
+        self.issued = set()      # every ModelRow serial pnew handed out
         self.tags = []           # (serial, k), never written after set-up
         self.sessions = []
 
@@ -169,6 +170,7 @@ class IndexedQueriesUnderChurn(RuleBasedStateMachine):
         rows, self.tags = self.sessions[0]["thread"].call(load)
         for serial, k, r, note in rows:
             self.committed[serial] = (k, r, note)
+            self.issued.add(serial)
         if hash_first:
             self.create_hash_index()
         if btree_first:
@@ -272,8 +274,17 @@ class IndexedQueriesUnderChurn(RuleBasedStateMachine):
           r=st.integers(0, R_MAX - 1))
     def pnew(self, pick, k, r):
         i, s = self._session(pick)
-        self._write(i, s, None, (k, r, -1), lambda: self.db.pnew(
-            ModelRow, k=k, r=r, note=-1).oid.serial)
+
+        def made():
+            serial = self.db.pnew(ModelRow, k=k, r=r, note=-1).oid.serial
+            # Whatever ended the transactions before (an abort of the
+            # one that reserved the serial block included), no serial is
+            # issued twice.
+            assert serial not in self.issued, serial
+            self.issued.add(serial)
+            return serial
+
+        self._write(i, s, None, (k, r, -1), made)
 
     @rule(pick=st.integers(0, 5), nth=st.integers(0, 999),
           field=st.sampled_from(["k", "r", "note"]),

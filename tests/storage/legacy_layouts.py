@@ -27,7 +27,6 @@ from repro.storage.btree import _tiebreak
 from repro.storage.codec import decode_value, encode_key, encode_value
 from repro.storage.page import MAX_RECORD_SIZE, NO_PAGE, PAGE_SIZE, PageType
 from repro.storage.records import decode_record, record_key
-from repro.storage.sharding import local_page, shard_of, shard_path
 
 #: A bucket record past this many bytes splits on the next hash bit ...
 SPLIT_BYTES = 3072
@@ -167,9 +166,9 @@ def _free(store, txn, pages):
 
 
 def _stored(store, cluster):
-    """``[(key, payload)]`` of every record of *cluster*, all shards."""
-    return [(record_key(raw), raw) for heap in store._all_heaps(cluster)
-            for _rid, raw in heap.scan()]
+    """``[(key, payload)]`` of every record of *cluster*."""
+    return [(record_key(raw), raw)
+            for _rid, raw in store._heap(cluster).scan()]
 
 
 def head_layouts(store, cluster):
@@ -241,20 +240,15 @@ def to_two_records(store):
 
 
 def to_v2_layout(store, cluster):
-    """Give *cluster* version-2 object directories: one extendible hash
-    per shard keyed on the ``(serial, version)`` tuple."""
+    """Give *cluster* a version-2 object directory: an extendible hash
+    keyed on the ``(serial, version)`` tuple."""
     txn = store.begin()
     info = store.cluster_info(cluster)
-    written = []
-    for sid in range(store.n_shards):
-        table = store._directory(cluster, sid)
-        root, pages = write_hash(store._shard_journals[sid], txn,
-                                 list(table.items()))
-        written += pages
-        _free(store, txn, table.pages())
-        info.shards[sid] = [info.shards[sid][0], root]
-        del store._directories[(cluster, sid)]
-    info.heap_page, info.directory_page = info.shards[0]
+    table = store._directory(cluster)
+    info.directory_page, written = write_hash(store._journal, txn,
+                                              list(table.items()))
+    _free(store, txn, table.pages())
+    del store._directories[cluster]
     store.catalog.save_cluster(txn, info)
     store.commit(txn)
     return written
@@ -305,12 +299,11 @@ def to_version_2(store, hash_indexes=()):
     return written
 
 
-def stamp_version(path, version, shards=1):
-    """Write *version* into the header of every shard file of *path*."""
-    for sid in range(shards):
-        with open(shard_path(path, sid), "r+b") as handle:
-            handle.seek(8)
-            handle.write(struct.pack("<I", version))
+def stamp_version(path, version):
+    """Write *version* into the header of the page file at *path*."""
+    with open(path, "r+b") as handle:
+        handle.seek(8)
+        handle.write(struct.pack("<I", version))
 
 
 def header_version(path):
@@ -319,8 +312,8 @@ def header_version(path):
         return struct.unpack_from("<I", handle.read(16), 8)[0]
 
 
-def page_type(path, gpid):
-    """The type byte of page *gpid* as it is on disk."""
-    with open(shard_path(path, shard_of(gpid)), "rb") as handle:
-        handle.seek(local_page(gpid) * PAGE_SIZE + 4)
+def page_type(path, page_no):
+    """The type byte of page *page_no* as it is on disk."""
+    with open(path, "rb") as handle:
+        handle.seek(page_no * PAGE_SIZE + 4)
         return handle.read(1)[0]

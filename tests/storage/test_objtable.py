@@ -30,10 +30,7 @@ def record(key, n=0):
 
 
 def directory_items(store, cluster="c"):
-    out = {}
-    for sid in range(store.n_shards):
-        out.update(store._directory(cluster, sid).items())
-    return out
+    return dict(store._directory(cluster).items())
 
 
 # -- differential: store + table vs a dict --------------------------------------
@@ -61,20 +58,18 @@ ops = st.lists(st.one_of(
 ), max_size=40)
 
 
-def same_leaf(a, b, shards):
-    """Whether serials *a* and *b* share a leaf of one shard's table."""
-    return (a % shards == b % shards
-            and a // shards // LEAF_SERIALS == b // shards // LEAF_SERIALS)
+def same_leaf(a, b):
+    """Whether serials *a* and *b* share a leaf of the table."""
+    return a // LEAF_SERIALS == b // LEAF_SERIALS
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("shards", [1, 4])
     @given(ops=ops)
     @settings(max_examples=25, deadline=None)
-    def test_store_matches_dict_model(self, shards, ops):
+    def test_store_matches_dict_model(self, ops):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.odb")
-            store = Store(path, durability="none", shards=shards)
+            store = Store(path, durability="none")
             txn = store.begin()
             store.create_cluster(txn, "c")
             store.commit(txn)
@@ -95,7 +90,7 @@ class TestDifferential:
                     assert store.delete(txn, "c", (serial, arg)) == existed
                 elif kind == "delete_range":
                     for key in [k for k in pending
-                                if same_leaf(k[0], serial, shards)]:
+                                if same_leaf(k[0], serial)]:
                         assert store.delete(txn, "c", key)
                         del pending[key]
                 else:
@@ -113,7 +108,6 @@ class TestDifferential:
                     if kind == "reopen":
                         store.close()
                         store = Store(path, durability="none")
-                        assert store.n_shards == shards
                     txn = store.begin()
                     self.check(store, pending)
                     continue
@@ -136,13 +130,11 @@ class TestDifferential:
         assert store.directory_stats("c")["live_entries"] == len(model)
         # Every leaf chain still reachable holds a live entry: deletes,
         # aborts and recovery detached the others.
-        for sid in range(store.n_shards):
-            chains = {}
-            for leaf, _page_no, raw in store._directory(
-                    "c", sid)._leaf_pages():
-                flags = raw[ENTRY_SIZE - 2::ENTRY_SIZE]
-                chains[leaf] = chains.get(leaf, False) or LIVE in flags
-            assert all(chains.values())
+        chains = {}
+        for leaf, _page_no, raw in store._directory("c")._leaf_pages():
+            flags = raw[ENTRY_SIZE - 2::ENTRY_SIZE]
+            chains[leaf] = chains.get(leaf, False) or LIVE in flags
+        assert all(chains.values())
 
     def test_key_shapes_outside_the_table_are_refused(self, store):
         txn = store.begin()
@@ -155,15 +147,13 @@ class TestDifferential:
         assert store.count("c") == 0          # nothing reached the heap
         store.commit(txn)
 
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_serials_past_one_root_page_chain_a_second(self, db_path,
-                                                       shards):
-        """A root page covers FANOUT * FANOUT * LEAF_SERIALS local
-        serials; the table has no upper bound short of the key width."""
-        per_root = FANOUT * FANOUT * LEAF_SERIALS * shards
+    def test_serials_past_one_root_page_chain_a_second(self, db_path):
+        """A root page covers FANOUT * FANOUT * LEAF_SERIALS serials; the
+        table has no upper bound short of the key width."""
+        per_root = FANOUT * FANOUT * LEAF_SERIALS
         keys = [(per_root - 1, 0), (per_root, 0), (per_root, 1),
                 (2 * per_root + 7, 0), (2 ** 32 - 1, 0)]
-        store = Store(db_path, durability="none", shards=shards)
+        store = Store(db_path, durability="none")
         txn = store.begin()
         store.create_cluster(txn, "c")
         assert store.get("c", keys[1]) is None     # no second root yet
@@ -173,7 +163,7 @@ class TestDifferential:
         store.commit(txn)
         store.close()
         store = Store(db_path, durability="none")
-        table = store._directory("c", (2 ** 32 - 1) % shards)
+        table = store._directory("c")
         assert len(table._roots()) == (2 ** 32 - 1) // per_root + 1
         for key in keys:
             assert store.get("c", key) == record(key)
@@ -335,12 +325,11 @@ class TestCounts:
 
 
 class TestChurn:
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_sliding_window_directory_stays_bounded(self, db_path, shards):
+    def test_sliding_window_directory_stays_bounded(self, db_path):
         """100 live objects, 5 000 created and deleted: a leaf whose
         serials are all deleted is detached in place, so the table stays
         bounded with no rebuild and nobody calling vacuum."""
-        store = Store(db_path, durability="none", shards=shards)
+        store = Store(db_path, durability="none")
         txn = store.begin()
         store.create_cluster(txn, "c")
         store.commit(txn)
@@ -355,11 +344,11 @@ class TestChurn:
             store.commit(txn)
             if serial % 500 == 499:
                 stats = store.directory_stats("c")
-                # per shard: mostly live, or under a leaf's worth deleted
+                # mostly live, or under a leaf's worth deleted
                 assert stats["dead_entries"] <= (stats["live_entries"]
-                                                 + shards * LEAF_ENTRIES)
+                                                 + LEAF_ENTRIES)
                 worst = max(worst, stats["leaf_pages"])
-        assert worst <= 3 * shards          # 45+ and growing without detach
+        assert worst <= 3                   # 45+ and growing without detach
         live = {(serial, version) for serial in range(4900, 5000)
                 for version in (0, 1)}
         assert set(directory_items(store)) == live
@@ -384,33 +373,6 @@ class TestChurn:
         assert store.directory_stats("c")["leaf_pages"] <= 2
         assert set(directory_items(store)) == {(7, 0), (7, 5000)}
         assert store.verify_integrity() == []
-        store.close()
-
-    def test_undo_re_grows_a_detached_leaf_in_its_own_shard(self, db_path):
-        """An abort (and recovery) re-inserting into a leaf a detach took
-        away grows it in the table's shard, not in shard 0 where the
-        unbound allocator would put it."""
-        from repro.storage.sharding import shard_of
-        store = Store(db_path, durability="none", shards=4)
-        txn = store.begin()
-        store.create_cluster(txn, "c")
-        keys = [(4 * serial + 2, 0) for serial in range(3)]    # shard 2
-        for key in keys:
-            store.put(txn, "c", key, record(key), new=True)
-        store.commit(txn)
-        for end in ("abort", "crash"):
-            txn = store.begin()
-            for key in keys:
-                assert store.delete(txn, "c", key)
-            assert store._directory("c", 2)._leaf(2) == NO_PAGE
-            if end == "abort":
-                store.abort(txn)
-            else:
-                store.crash()
-                store = Store(db_path, durability="none")
-            assert shard_of(store._directory("c", 2)._leaf(2)) == 2
-            assert set(directory_items(store)) == set(keys)
-            assert store.verify_integrity() == []
         store.close()
 
     def test_last_delete_of_a_leaf_frees_its_pages(self, stack):
@@ -492,13 +454,11 @@ class TestCorruptEntry:
 
 
 class TestVersion2Migration:
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_hash_layout_converts_at_open(self, db_path, shards):
-        """A version-2 file — hash directories on every shard, a
-        version-3 tree and a hash index — opens with the same objects
-        and index entries in object tables and B+trees, and the old
-        pages on the free list."""
-        store = Store(db_path, shards=shards)
+    def test_hash_layout_converts_at_open(self, db_path):
+        """A version-2 file — a hash directory, a version-3 tree and a
+        hash index — opens with the same objects and index entries in an
+        object table and B+trees, and the old pages on the free list."""
+        store = Store(db_path)
         txn = store.begin()
         store.create_cluster(txn, "c")
         store.create_index(txn, "c", "n")
@@ -517,15 +477,14 @@ class TestVersion2Migration:
         entries = {f: list(store.index("c", f).items()) for f in ("n", "h")}
         old = to_version_2(store, hash_indexes={("c", "h")})
         store.close()
-        stamp_version(db_path, 2, shards)
+        stamp_version(db_path, 2)
 
         store = Store(db_path)
         assert header_version(db_path) == 6
         assert all(page_type(db_path, p) == PageType.FREE for p in old)
-        for sid in range(shards):
-            root = store.cluster_info("c").shards[sid][1]
-            with store._pool.page(root) as page:
-                assert page.page_type == PageType.TABLE_NODE
+        root = store.cluster_info("c").directory_page
+        with store._pool.page(root) as page:
+            assert page.page_type == PageType.TABLE_NODE
         assert directory_items(store) == before
         assert {key: store.get("c", key) for key in model} == model
         for field, items in entries.items():

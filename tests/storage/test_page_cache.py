@@ -64,24 +64,6 @@ class TestLoopingScan:
             assert evictions == misses
         assert len(small._page_cache) == C
 
-    def test_a_sharded_cluster_is_one_loop(self, tmp_path):
-        """The walk over every shard's chain is one scan to the cache:
-        pages of shard 0 are not evicted as another heap's by the misses
-        of shard 3."""
-        pages = 4 * C
-        store = Store(str(tmp_path / "sharded.odb"), shards=4)
-        try:
-            store.PAGE_CACHE_PAGES = C
-            fill(store, "big", pages)
-            assert [heap.count() for heap in store._all_heaps("big")] == \
-                [C] * 4
-            scan_pass(store, "big")
-            for _ in range(2):
-                _pages, hits, _misses, _evictions = scan_pass(store, "big")
-                assert hits >= C - 1
-        finally:
-            store.close()
-
     def test_a_heap_that_fits_stays_fully_cached(self, small):
         fill(small, "fits", C)
         assert scan_pass(small, "fits") == (C, 0, C, 0)
@@ -110,7 +92,7 @@ class TestLoopingScan:
             scan_pass(small, "big")
         for _ in range(3):
             scan_pass(small, "small")
-            owner = small._all_heaps("small")[0].first_page
+            owner = small._heap("small").first_page
             owned = {page_no for page_no, entry in small._page_cache.items()
                      if entry[3] == owner}
             assert len(owned) == small_pages
@@ -125,7 +107,7 @@ class TestLoopingScan:
         fill(small, "big", pages)
         for _ in range(2):
             scan_pass(small, "big")
-        (heap,) = small._all_heaps("big")
+        heap = small._heap("big")
         cached = list(small._page_cache)
         target = cached[len(cached) // 2]
         (key,) = small._page_cache[target][2].keys
@@ -252,7 +234,7 @@ def test_two_scans_beside_a_writer_serve_current_bytes(small):
             errors.append(exc)
 
     def scanner(cluster):
-        (heap,) = small._all_heaps(cluster)
+        heap = small._heap(cluster)
         try:
             for _ in range(PASSES):
                 with contextlib.closing(small.scan_batches(cluster)) as walk:

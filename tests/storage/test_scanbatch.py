@@ -148,8 +148,7 @@ class TestStoreDifferential:
             _apply(store, txn, ops)
             store.commit(txn)
             reference = [(rid, decode_value(raw))
-                         for heap in store._all_heaps("c")
-                         for rid, raw in heap.scan()]
+                         for rid, raw in store._heap("c").scan()]
             for _ in range(2):              # second pass: page-cache hits
                 batches = list(store.scan_batches("c"))
                 assert [pair for b in batches for pair in b] == reference

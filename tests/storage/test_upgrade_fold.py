@@ -10,15 +10,17 @@ head, drops that record, and rewrites each record as a header plus the
 values of a layout built from the dict's own keys; non-current versions
 keep their records. Every answer the object layer gives — derefs,
 version navigation, scans, index probes, counts, trigger activations —
-is the same before and after."""
+is the same before and after. The ``[4]`` cases start from a store an
+older binary split over four page files (``tests/storage/fixtures``),
+which the open first merges into one file."""
 
 import pytest
 
 from repro import A, Database, IntField, OdeObject, StringField, Trigger
 from repro.core.oid import Vref
-from repro.storage.sharding import shard_path
 from repro.storage.store import Store
 
+from tests.storage.fixtures import comparable, extra_files, unpack
 from tests.storage.legacy_layouts import (head_layouts, header_version,
                                           stamp_version, to_two_records,
                                           to_version_5)
@@ -44,11 +46,11 @@ def clear_fired():
     fired.clear()
 
 
-def build(path, shards):
+def build(path):
     """A store with plain objects, a versioned object whose middle
     version is deleted, a deleted object, an index and two trigger
     activations; returns the open database and the interesting oids."""
-    db = Database(path, shards=shards)
+    db = Database(path)
     db.create(FoldItem)
     db.create_index(FoldItem, "qty")
     with db.transaction():
@@ -88,15 +90,20 @@ def answers(db, versioned):
 
 
 def records(store):
-    """Every object key of FoldItem over all shards."""
-    return sorted(key for sid in range(store.n_shards)
-                  for key, _rid in store._directory("FoldItem", sid).items())
+    """Every object key of FoldItem."""
+    return sorted(key for key, _rid in store._directory("FoldItem").items())
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_a_format_4_store_converts_at_open(tmp_path, shards):
-    path = str(tmp_path / "f4.odb")
-    db, versioned, watched = build(path, shards)
+def old_file(tmp_path, files, version):
+    """A FoldItem store at format *version*: built here when it is one
+    file, else the fixture an older binary wrote over four files.
+    Returns ``(path, versioned oid, watched oid, answers before)``."""
+    if files == 4:
+        path, meta = unpack("v%d_4" % version, tmp_path)
+        return (path, meta["versioned"], meta["watched"],
+                meta["answers"])
+    path = str(tmp_path / ("f%d.odb" % version))
+    db, versioned, watched = build(path)
     before = answers(db, versioned)
     assert before["versions"] == [(1, 10), (3, 21), (4, 22)]
     assert before["count"] == N - 1
@@ -104,17 +111,28 @@ def test_a_format_4_store_converts_at_open(tmp_path, shards):
     db.close()
 
     store = Store(path)
-    assert to_two_records(store) == N - 1
-    assert head_layouts(store, "FoldItem") == (N - 1, 0, 0)
-    # a head and a current-state record per object, plus versions 1, 3
-    assert len(records(store)) == 2 * (N - 1) + 2
+    if version == 4:
+        assert to_two_records(store) == N - 1
+        assert head_layouts(store, "FoldItem") == (N - 1, 0, 0)
+        # a head and a current-state record per object, plus versions 1, 3
+        assert len(records(store)) == 2 * (N - 1) + 2
+    else:
+        # the heads and the two non-current versions
+        assert to_version_5(store) == N + 1
+        assert head_layouts(store, "FoldItem") == (0, N - 1, 0)
     store.close()
-    stamp_version(path, 4, shards)
+    stamp_version(path, version)
+    return path, versioned, watched, comparable(before)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_a_format_4_store_converts_at_open(tmp_path, shards):
+    path, versioned, watched, before = old_file(tmp_path, shards, 4)
 
     db = Database(path)
     try:
-        assert [header_version(shard_path(path, sid))
-                for sid in range(shards)] == [6] * shards
+        assert header_version(path) == 6
+        assert extra_files(path) == []
         assert db.stats()["storage"]["format_version"] == 6
         (event,) = db.events.snapshot("format_upgrade")
         data = event["data"]
@@ -126,7 +144,7 @@ def test_a_format_4_store_converts_at_open(tmp_path, shards):
         assert head_layouts(db.store, "FoldItem") == (0, 0, N - 1)
         # one record per object, plus the two non-current versions
         assert len(records(db.store)) == (N - 1) + 2
-        assert answers(db, versioned) == before
+        assert comparable(answers(db, versioned)) == before
         assert db.verify() == []
         # the activations survived: the watched object's write fires one
         with db.transaction():
@@ -138,6 +156,7 @@ def test_a_format_4_store_converts_at_open(tmp_path, shards):
     db = Database(path)                        # nothing left to convert
     try:
         assert db.events.snapshot("format_upgrade") == []
+        assert db.events.snapshot("files_merged") == []
         assert db.verify() == []
     finally:
         db.close()
@@ -145,18 +164,7 @@ def test_a_format_4_store_converts_at_open(tmp_path, shards):
 
 @pytest.mark.parametrize("shards", [1, 4])
 def test_a_format_5_store_converts_at_open(tmp_path, monkeypatch, shards):
-    path = str(tmp_path / "f5.odb")
-    db, versioned, watched = build(path, shards)
-    before = answers(db, versioned)
-    db.close()
-
-    store = Store(path)
-    # the heads and the two non-current versions
-    assert to_version_5(store) == N + 1
-    assert head_layouts(store, "FoldItem") == (0, N - 1, 0)
-    layouts = store.catalog.layouts("FoldItem")
-    store.close()
-    stamp_version(path, 5, shards)
+    path, versioned, watched, before = old_file(tmp_path, shards, 5)
 
     begun = []
     real_begin = Store.begin
@@ -168,8 +176,9 @@ def test_a_format_5_store_converts_at_open(tmp_path, monkeypatch, shards):
                         lambda self: begun.append(2) or journal_begin(self))
     db = Database(path)
     try:
-        # the whole rewrite is the conversion's one transaction
-        assert begun == [2]
+        # the whole rewrite is the conversion's one transaction, after
+        # the merge's one when there were four files
+        assert begun == [2] * (1 + (shards > 1))
         assert db.stats()["storage"]["format_version"] == 6
         (event,) = db.events.snapshot("format_upgrade")
         data = event["data"]
@@ -178,8 +187,9 @@ def test_a_format_5_store_converts_at_open(tmp_path, monkeypatch, shards):
                     5, 6, 0, N + 1)
         assert head_layouts(db.store, "FoldItem") == (0, 0, N - 1)
         # the dicts' own keys are the layout the class writes
-        assert db.store.catalog.layouts("FoldItem") == layouts
-        assert answers(db, versioned) == before
+        assert db.store.catalog.layouts("FoldItem") == [
+            tuple(FoldItem._ode_fields)]
+        assert comparable(answers(db, versioned)) == before
         assert db.verify() == []
         with db.transaction():
             db.deref(watched).qty = 1
